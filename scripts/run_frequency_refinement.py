@@ -21,7 +21,6 @@ import numpy as np
 
 from thinepi.artifacts import write_csv
 from thinepi.frequency import FrequencyParams, truncated_frequency
-from thinepi.frequency import _grid_field
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.solver import (ProblemSpec, reduce_to_zero_obstacle,
                             solve_thin_obstacle)
@@ -54,9 +53,8 @@ def main() -> int:
     for res in args.resolutions:
         t0 = time.perf_counter()
         sol = solve_thin_obstacle(quartic_spec(res))
-        reduced = reduce_to_zero_obstacle(sol)
         profile = truncated_frequency(
-            _grid_field(reduced.v_values, sol.spec), np.zeros(2),
+            reduce_to_zero_obstacle(sol).v_solution(sol), np.zeros(2),
             params=params)
         elapsed = time.perf_counter() - t0
         violation = profile.max_violation()

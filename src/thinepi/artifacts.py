@@ -109,13 +109,14 @@ def sha256_file(path) -> str:
 
 
 def hash_files(paths, base_dir) -> list[dict]:
-    """Hash files and report them relative to ``base_dir``, sorted by path."""
+    """Hash files at the paths given and report them relative to
+    ``base_dir``, sorted by path.  Each path must lie under ``base_dir``."""
     base = Path(base_dir)
     entries = []
     for path in paths:
         path = Path(path)
-        rel = path.relative_to(base) if path.is_absolute() else path
-        entries.append({"path": str(rel), "sha256": sha256_file(base / rel)})
+        entries.append({"path": str(path.relative_to(base)),
+                        "sha256": sha256_file(path)})
     entries.sort(key=lambda entry: entry["path"])
     return entries
 

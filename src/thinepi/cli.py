@@ -26,8 +26,8 @@ from .epiperimetric import (DEFAULT_CONFIG, adapted_half_basis,
                             build_competitor_negative, choose_delta, gap_demo,
                             sample_negative_traces, sample_positive_traces,
                             verify_epi)
-from .frequency import (FrequencyParams, _grid_field, blowup_fit,
-                        stratify_contact, truncated_frequency)
+from .frequency import (FrequencyParams, blowup_fit, stratify_contact,
+                        truncated_frequency)
 from .grids import build_grid, radii_ladder
 from .profiles import halfspace_2d, make_profile
 from .solver import ProblemSpec, reduce_to_zero_obstacle, solve_thin_obstacle
@@ -346,8 +346,7 @@ def _frequency_field(case: str, sol):
     """Field to analyze: the solution itself, or its zero-obstacle normal
     form when the catalog case has a nonzero obstacle."""
     if case == "quartic":
-        reduced = reduce_to_zero_obstacle(sol)
-        return _grid_field(reduced.v_values, sol.spec)
+        return reduce_to_zero_obstacle(sol).v_solution(sol)
     return sol
 
 

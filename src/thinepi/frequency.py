@@ -107,6 +107,19 @@ def _check_reach(adapter: FieldAdapter, x0: np.ndarray, radius: float):
             f"{3 * adapter.h:.4g})")
 
 
+def _shell_sup_distance(adapter: FieldAdapter, x0: np.ndarray, r: float,
+                        mu: float, shells, grid: SphereGrid,
+                        p_trace: np.ndarray) -> float:
+    """Sup over the shells s and the grid nodes of |v_r - s^mu p|, where
+    v_r(x) = v(x0 + r x) / r^mu and p has trace p_trace on the unit sphere."""
+    worst = 0.0
+    for s in shells:
+        pts = x0[None, :] + (r * s) * grid.nodes
+        vr = np.asarray(adapter.evaluate(pts), dtype=float) / r ** mu
+        worst = max(worst, float(np.max(np.abs(vr - s ** mu * p_trace))))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Surface moments and truncated frequency
 # ---------------------------------------------------------------------------
@@ -555,15 +568,9 @@ def blowup_fit(v, x0, m: int, radii, grid: SphereGrid | None = None,
     dist_l2 = np.array([math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
                         for t in traces])
     shells = np.linspace(1.0 / shell_count, 1.0, shell_count)
-    p_shell = np.stack([s ** mu * p_trace for s in shells])
-    dist_linf = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        worst = 0.0
-        for srow, s in zip(p_shell, shells):
-            pts = x0[None, :] + (r * s) * grid.nodes
-            vr = np.asarray(adapter.evaluate(pts), dtype=float) / r ** mu
-            worst = max(worst, float(np.max(np.abs(vr - srow))))
-        dist_linf[i] = worst
+    dist_linf = np.array([
+        _shell_sup_distance(adapter, x0, r, mu, shells, grid, p_trace)
+        for r in radii])
 
     sel = dist_linf > 1e-13
     if np.count_nonzero(sel) < 4:
@@ -642,12 +649,8 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
         if top < 1.2:           # the barrier neighborhoods need scale 1.2 r
             raise ValueError("scale r too large to sample the annulus")
         shells = shells[shells <= top]
-    p_trace = p.trace_on(grid)
-    linf = 0.0
-    for s in shells:
-        pts = x0[None, :] + (r * s) * grid.nodes
-        vr = np.asarray(adapter.evaluate(pts), dtype=float) / r ** mu
-        linf = max(linf, float(np.max(np.abs(vr - s ** mu * p_trace))))
+    linf = _shell_sup_distance(adapter, x0, r, mu, shells, grid,
+                               p.trace_on(grid))
     if linf > eta3:
         return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
                             skipped=True, contact_tol=contact_tol)
@@ -729,12 +732,9 @@ def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
                 f"scale r={r} too large: the outer annulus needs radius {need}")
     p_trace = p.trace_on(grid)
 
-    shells = np.linspace(0.25, 1.5, shell_count)
-    linf = 0.0
-    for s in shells:
-        pts = x0[None, :] + (r * s) * grid.nodes
-        vr = np.asarray(adapter.evaluate(pts), dtype=float) / r ** mu
-        linf = max(linf, float(np.max(np.abs(vr - s ** mu * p_trace))))
+    linf = _shell_sup_distance(adapter, x0, r, mu,
+                               np.linspace(0.25, 1.5, shell_count), grid,
+                               p_trace)
 
     # Gauss-Legendre radial rule transplanted to (1/8, 2)
     r01, w01 = radial_rule(radial_count)
@@ -783,26 +783,6 @@ class StratifyReport:
         return {k: len(vv) for k, vv in self.strata.items()}
 
 
-def _grid_field(values: np.ndarray, spec) -> FieldAdapter:
-    from scipy.interpolate import RegularGridInterpolator
-
-    res = spec.resolution
-    horiz = np.arange(-res, res + 1) * spec.h
-    vert = np.arange(0, res + 1) * spec.h
-    interp = RegularGridInterpolator(
-        tuple([horiz] * (spec.dimension - 1) + [vert]), values,
-        method="linear", bounds_error=True)
-
-    def evaluate(points):
-        pts = np.asarray(points, dtype=float)
-        folded = pts.copy()
-        folded[..., -1] = np.abs(folded[..., -1])
-        return interp(folded)
-
-    return FieldAdapter(evaluate=evaluate, dimension=spec.dimension,
-                        r_max=1.0, h=spec.h)
-
-
 def stratify_contact(u: GridSolution, spec=None,
                      frequencies=(1.0, 1.5, 2.0, 2.5, 3.0),
                      params: FrequencyParams | None = None,
@@ -835,7 +815,6 @@ def stratify_contact(u: GridSolution, spec=None,
 
     rows, unresolved, unlabeled = [], [], []
     strata: dict = {float(f): [] for f in frequencies}
-    base_adapter = FieldAdapter.adapt(u)
     for flat in contact_idx:
         xthin = coords[flat]
         x0 = np.append(xthin, 0.0)
@@ -850,13 +829,11 @@ def stratify_contact(u: GridSolution, spec=None,
             rows.append({"x0": xthin, "label": "unresolved",
                          "mu_estimate": None})
             continue
+        target = u
         if needs_reduction:
-            red = reduce_to_zero_obstacle(u, spec, xthin)
-            adapter = _grid_field(red.v_values, spec)
-        else:
-            adapter = base_adapter
+            target = reduce_to_zero_obstacle(u, spec, xthin).v_solution(u)
         try:
-            prof = truncated_frequency(adapter, x0, params=params,
+            prof = truncated_frequency(target, x0, params=params,
                                        radii=radii, grid=grid)
             mu_est = prof.mu_estimate()
         except ValueError:

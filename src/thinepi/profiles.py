@@ -350,17 +350,6 @@ class HalfspaceSolution2D:
             out = np.where(r > 0.0, r**self.mu * self.trace(th), 0.0)
         return out[0] if scalar else out
 
-    @property
-    def trace_norm_sq(self) -> float:
-        return float(np.pi)  # same for all three families
-
-    def contact_description(self) -> str:
-        return {
-            "halfinteger": "half-line {x1 <= 0, x2 = 0}",
-            "even": "origin only",
-            "odd": "whole line {x2 = 0}",
-        }[self.family]
-
 
 def halfspace_2d(mu: float) -> HalfspaceSolution2D:
     """Evaluator for the explicit mu-homogeneous solution; mu must belong to

@@ -15,8 +15,8 @@ The constrained system
     u = g                          on and outside the sphere,
 
 with L the reflected 5/7-point Laplacian, is solved by projected SOR with a
-fixed lexicographic sweep order (deterministic).  Sweeps are compiled with
-numba when available, with a red-black vectorized fallback otherwise.
+red-black (two-colour) sweep order, each colour one vectorized numpy update
+(deterministic).
 """
 
 from __future__ import annotations
@@ -34,19 +34,6 @@ import numpy as np
 from .polynomials import Polynomial, even_harmonic_extension
 from .profiles import BlowupProfile, HalfspaceSolution2D, halfspace_2d, \
     make_profile
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
 
 NEG_INF = -1e30
 
@@ -261,71 +248,12 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Sweep kernels
+# Sweep kernel
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _sweep_2d(u, kind, phi, f, h2, omega):  # pragma: no cover - compiled
-    max_upd = 0.0
-    nx, ny = u.shape
-    for i in range(nx):
-        for j in range(ny):
-            kd = kind[i, j]
-            if kd == 0:
-                continue
-            old = u[i, j]
-            if j == 0:
-                target = (u[i - 1, 0] + u[i + 1, 0] + 2.0 * u[i, 1]
-                          - h2 * f[i, 0]) * 0.25
-                new = old + omega * (target - old)
-                if new < phi[i]:
-                    new = phi[i]
-            else:
-                target = (u[i - 1, j] + u[i + 1, j] + u[i, j - 1] + u[i, j + 1]
-                          - h2 * f[i, j]) * 0.25
-                new = old + omega * (target - old)
-            d = abs(new - old)
-            if d > max_upd:
-                max_upd = d
-            u[i, j] = new
-    return max_upd
-
-
-@njit(cache=True)
-def _sweep_3d(u, kind, phi, f, h2, omega):  # pragma: no cover - compiled
-    max_upd = 0.0
-    n1, n2, ny = u.shape
-    sixth = 1.0 / 6.0
-    for i in range(n1):
-        for k in range(n2):
-            for j in range(ny):
-                kd = kind[i, k, j]
-                if kd == 0:
-                    continue
-                old = u[i, k, j]
-                if j == 0:
-                    target = (u[i - 1, k, 0] + u[i + 1, k, 0]
-                              + u[i, k - 1, 0] + u[i, k + 1, 0]
-                              + 2.0 * u[i, k, 1] - h2 * f[i, k, 0]) * sixth
-                    new = old + omega * (target - old)
-                    if new < phi[i, k]:
-                        new = phi[i, k]
-                else:
-                    target = (u[i - 1, k, j] + u[i + 1, k, j]
-                              + u[i, k - 1, j] + u[i, k + 1, j]
-                              + u[i, k, j - 1] + u[i, k, j + 1]
-                              - h2 * f[i, k, j]) * sixth
-                    new = old + omega * (target - old)
-                d = abs(new - old)
-                if d > max_upd:
-                    max_upd = d
-                u[i, k, j] = new
-    return max_upd
-
-
 def _sweep_redblack(u, kind, phi, f, h2, omega):
-    """Vectorized two-color fallback sweep (same fixed point as the compiled
-    lexicographic kernel, different update order)."""
+    """One projected SOR sweep in place, red nodes then black nodes (by the
+    parity of the index sum); returns the largest update."""
     idx = np.indices(u.shape).sum(axis=0)
     phi_full = _phi_full(phi, u.shape)   # NEG_INF off the thin plane
     max_upd = 0.0
@@ -587,30 +515,24 @@ def discrete_energy(values: np.ndarray, f: np.ndarray, h: float) -> float:
     return total
 
 
-def solve_thin_obstacle(spec: ProblemSpec, record_energy_every: int = 0,
-                        warn_on_cap: bool = True) -> GridSolution:
+def solve_thin_obstacle(spec: ProblemSpec,
+                        record_energy_every: int = 0) -> GridSolution:
     """Projected SOR solve of the discrete complementarity system."""
     t0 = time.perf_counter()
     u, kind, phi, f = _assemble(spec)
     h2 = spec.h * spec.h
-    if HAVE_NUMBA:
-        kernel = _sweep_2d if spec.dimension == 2 else _sweep_3d
-    else:  # pragma: no cover
-        warnings.warn("numba unavailable: falling back to red-black sweeps",
-                      stacklevel=2)
-        kernel = _sweep_redblack
 
     energies = [] if record_energy_every else None
     sweeps, upd = 0, np.inf
     while sweeps < spec.max_sweeps:
-        upd = kernel(u, kind, phi, f, h2, spec.omega)
+        upd = _sweep_redblack(u, kind, phi, f, h2, spec.omega)
         sweeps += 1
         if record_energy_every and sweeps % record_energy_every == 0:
             energies.append(discrete_energy(u, f, spec.h))
         if upd <= spec.tol:
             break
     converged = upd <= spec.tol
-    if not converged and warn_on_cap:
+    if not converged:
         warnings.warn(
             f"projected SOR hit the {spec.max_sweeps}-sweep cap with final "
             f"update {upd:.3e} > tol {spec.tol:.3e}", stacklevel=2)
@@ -678,14 +600,11 @@ def contact_set(sol: GridSolution, tol: float | None = None):
 # Reduction to zero obstacle
 # ---------------------------------------------------------------------------
 
-def taylor_polynomial(p: Polynomial, x0, k: int) -> Polynomial:
-    """Degree-k Taylor polynomial of p at x0, expressed in the original
-    coordinates."""
-    x0 = np.asarray(x0, dtype=float)
-    shifted: dict[tuple[int, ...], float] = {}
-    # expand p(x0 + t) and keep total degree <= k in t
-    for e, c in p.coeffs.items():
-        partial = {(0,) * p.nvars: c}
+def _shift_coeffs(coeffs: dict, nvars: int, x0) -> dict:
+    """Coefficients of t -> p(x0 + t) for p given by its coefficients."""
+    out: dict[tuple[int, ...], float] = {}
+    for e, c in coeffs.items():
+        partial = {(0,) * nvars: c}
         for v, kv in enumerate(e):
             new: dict[tuple[int, ...], float] = {}
             for j in range(kv + 1):
@@ -697,25 +616,19 @@ def taylor_polynomial(p: Polynomial, x0, k: int) -> Polynomial:
                     new[e2] = new.get(e2, 0.0) + cc * b
             partial = new
         for ee, cc in partial.items():
-            shifted[ee] = shifted.get(ee, 0.0) + cc
+            out[ee] = out.get(ee, 0.0) + cc
+    return out
+
+
+def taylor_polynomial(p: Polynomial, x0, k: int) -> Polynomial:
+    """Degree-k Taylor polynomial of p at x0, expressed in the original
+    coordinates."""
+    x0 = np.asarray(x0, dtype=float)
+    # expand p(x0 + t) and keep total degree <= k in t
+    shifted = _shift_coeffs(p.coeffs, p.nvars, x0)
     trunc = {e: c for e, c in shifted.items() if sum(e) <= k}
     # translate back: q(x) = trunc(x - x0)
-    out: dict[tuple[int, ...], float] = {}
-    for e, c in trunc.items():
-        partial = {(0,) * p.nvars: c}
-        for v, kv in enumerate(e):
-            new = {}
-            for j in range(kv + 1):
-                b = math.comb(kv, j) * (-x0[v]) ** (kv - j)
-                for ee, cc in partial.items():
-                    e2 = list(ee)
-                    e2[v] += j
-                    e2 = tuple(e2)
-                    new[e2] = new.get(e2, 0.0) + cc * b
-            partial = new
-        for ee, cc in partial.items():
-            out[ee] = out.get(ee, 0.0) + cc
-    return Polynomial(p.nvars, out)
+    return Polynomial(p.nvars, _shift_coeffs(trunc, p.nvars, -x0))
 
 
 @dataclass

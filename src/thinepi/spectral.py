@@ -183,11 +183,6 @@ def _circle_analytic_basis(grid: SphereGrid, max_degree: int, dirichlet: bool) -
     return basis
 
 
-def odd_lift(q: Polynomial) -> Polynomial:
-    """Harmonic polynomial in three variables, odd in x3, with x3-slope q."""
-    return odd_harmonic_extension(q)
-
-
 def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     pts = grid.nodes.copy()
     pts[:, 2] = np.abs(pts[:, 2])
@@ -198,7 +193,8 @@ def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     grads_list = []
     eq_dn_rows = []
     for j in range(1, max_degree + 1):
-        raw = [odd_lift(Polynomial.monomial(2, e)) for e in monomials_of_degree(2, j - 1)]
+        raw = [odd_harmonic_extension(Polynomial.monomial(2, e))
+               for e in monomials_of_degree(2, j - 1)]
         gram = np.array([[ (a * b).sphere_integral() for b in raw] for a in raw])
         L = np.linalg.cholesky(gram)
         coeffs = np.linalg.inv(L)  # rows give orthonormal combinations

@@ -1,4 +1,4 @@
-"""Spherical trace functions: inner products, surface gradients, equator data.
+"""Spherical trace functions: inner products and surface gradients.
 
 A trace couples node values on a SphereGrid with optional closed-form
 derivative data.  When derivatives are not supplied they are reconstructed
@@ -75,45 +75,25 @@ class SphericalTrace:
 
     # -- derivatives --------------------------------------------------------
 
-    def gradient_sq(self) -> np.ndarray:
-        """Nodewise squared surface gradient."""
+    def _surface_gradient(self) -> np.ndarray:
+        """Folded-angle derivative (n=1) or tangential gradient rows,
+        supplied or reconstructed from the node values."""
         if self.grid.n == 1:
-            d = self.dtheta if self.dtheta is not None else circle_dtheta(
-                self.grid, self.values)
-            return d * d
-        g = self.grad if self.grad is not None else vertex_gradients(
-            self.grid, self.values)
-        return np.sum(g * g, axis=1)
+            if self.dtheta is not None:
+                return self.dtheta
+            return circle_dtheta(self.grid, self.values)
+        if self.grad is not None:
+            return self.grad
+        return vertex_gradients(self.grid, self.values)
 
     def gradient_dot(self, other: "SphericalTrace") -> np.ndarray:
-        """Nodewise dot product of surface gradients (upper-sided at kinks)."""
+        """Nodewise dot product of surface gradients (upper-sided at kinks);
+        ``gradient_dot(self)`` is the squared surface gradient."""
+        g1 = self._surface_gradient()
+        g2 = g1 if other is self else other._surface_gradient()
         if self.grid.n == 1:
-            d1 = self.dtheta if self.dtheta is not None else circle_dtheta(
-                self.grid, self.values)
-            d2 = other.dtheta if other.dtheta is not None else circle_dtheta(
-                self.grid, other.values)
-            return d1 * d2
-        g1 = self.grad if self.grad is not None else vertex_gradients(
-            self.grid, self.values)
-        g2 = other.grad if other.grad is not None else vertex_gradients(
-            self.grid, other.values)
+            return g1 * g2
         return np.sum(g1 * g2, axis=1)
-
-    def dirichlet(self) -> float:
-        """Integral of the squared surface gradient over the sphere."""
-        return float(self.grid.weights @ self.gradient_sq())
-
-    def equator_values(self) -> np.ndarray:
-        return self.values[self.grid.equator]
-
-    def equator_up_derivative(self) -> np.ndarray:
-        """One-sided derivative at equator nodes, taken from the upper half in
-        the direction of the upper pole."""
-        if self.grid.n == 1:
-            return circle_equator_up_derivative(self.grid, self.values)
-        g = self.grad if self.grad is not None else vertex_gradients(
-            self.grid, self.values)
-        return g[self.grid.equator, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +130,6 @@ def circle_dtheta(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     d[half + 1] = -(v[half + 2] - v[half]) / (2.0 * h)
     d[num - 1] = -(v[0] - v[num - 2]) / (2.0 * h)
     return d
-
-
-def circle_equator_up_derivative(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """Upper one-sided angular derivative at the equator nodes (theta = 0 and
-    theta = pi), oriented into the upper half circle."""
-    num = grid.size
-    half = num // 2
-    h = 2.0 * np.pi / num
-    v = np.asarray(values, dtype=float)
-    at0 = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    atpi = (-3.0 * v[half] + 4.0 * v[half - 1] - v[half - 2]) / (2.0 * h)
-    return np.array([at0, atpi])
 
 
 # ---------------------------------------------------------------------------

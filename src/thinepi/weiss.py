@@ -134,18 +134,12 @@ def ball_sum(parts: list[tuple[float, SphericalTrace]],
 # Quadrature route
 # ---------------------------------------------------------------------------
 
-def _dirichlet_on_sphere(tr: SphericalTrace, use_derivative_data: bool) -> float:
-    if use_derivative_data:
-        return tr.dirichlet()
-    stripped = SphericalTrace(tr.grid, tr.values)
-    return stripped.dirichlet()
-
-
 def _gradient_pair_on_sphere(a: SphericalTrace, b: SphericalTrace,
                              use_derivative_data: bool) -> float:
     if not use_derivative_data:
-        a = SphericalTrace(a.grid, a.values)
-        b = SphericalTrace(b.grid, b.values)
+        stripped = SphericalTrace(a.grid, a.values)
+        b = stripped if b is a else SphericalTrace(b.grid, b.values)
+        a = stripped
     return float(a.grid.weights @ a.gradient_dot(b))
 
 
@@ -166,6 +160,32 @@ def _pair_dirichlet(n: int, a: float, ta: SphericalTrace,
     if num == 0.0:
         return 0.0
     return num * _radial_moment(n, a + b)
+
+
+def _sampled_dirichlet(v: BallFunction, w: BallFunction):
+    """int_B grad v . grad w by the polar product rule on sampled values.
+
+    Radial derivatives are second-order differences; the angular part uses
+    the surface-gradient pairing at each radius.  Returns the integral (the
+    attached radial rule, else the trapezoidal rule) and the radial
+    integrand r^n * profile(r) it integrates.
+    """
+    radii = v.radii
+    va = v.sample_values()
+    wa = va if w is v else w.sample_values()
+    dva = np.gradient(va, radii, axis=0)
+    dwa = dva if w is v else np.gradient(wa, radii, axis=0)
+    ang_w = v.grid.weights
+    cross = np.empty(radii.size)
+    for k in range(radii.size):
+        ta = SphericalTrace(v.grid, va[k])
+        tb = ta if w is v else SphericalTrace(w.grid, wa[k])
+        cross[k] = float(ang_w @ ta.gradient_dot(tb))
+    radial_profile = (dva * dwa) @ ang_w + cross / radii ** 2
+    integrand = radial_profile * radii ** v.grid.n
+    if v.radial_weights is not None:
+        return float(v.radial_weights @ integrand), integrand
+    return float(np.trapezoid(integrand, radii)), integrand
 
 
 def weiss_quadrature(v: BallFunction, mu: float,
@@ -195,21 +215,8 @@ def weiss_quadrature(v: BallFunction, mu: float,
         value = dir_total - mu * v.boundary_sq_integral()
         return (value, 0.0) if with_error else value
 
-    radii = v.radii
-    vals = v.values
-    dvdr = np.gradient(vals, radii, axis=0)
-    ang_w = v.grid.weights
-    grad_sq = np.empty_like(vals)
-    for k in range(radii.size):
-        tr = SphericalTrace(v.grid, vals[k])
-        grad_sq[k] = tr.gradient_sq()
-    radial_profile = (dvdr * dvdr) @ ang_w + (grad_sq @ ang_w) / radii ** 2
-    integrand = radial_profile * radii ** n
-    if v.radial_weights is not None:
-        dirichlet = float(v.radial_weights @ integrand)
-    else:
-        dirichlet = float(np.trapezoid(integrand, radii))
-    alt = float(simpson(integrand, x=radii))
+    dirichlet, integrand = _sampled_dirichlet(v, v)
+    alt = float(simpson(integrand, x=v.radii))
     err = abs(dirichlet - alt)
     if error_threshold is not None and err > error_threshold:
         raise ValueError(
@@ -233,22 +240,7 @@ def bilinear_R(v: BallFunction, w: BallFunction, mu: float,
         return dir_total - mu * boundary
     if not np.array_equal(v.radii, w.radii):
         raise ValueError("sampled ball functions need matching radii")
-    radii = v.radii
-    va, wa = v.sample_values(), w.sample_values()
-    dva = np.gradient(va, radii, axis=0)
-    dwa = np.gradient(wa, radii, axis=0)
-    ang_w = v.grid.weights
-    cross = np.empty(radii.size)
-    for k in range(radii.size):
-        ta = SphericalTrace(v.grid, va[k])
-        tb = SphericalTrace(w.grid, wa[k])
-        cross[k] = float(ang_w @ ta.gradient_dot(tb))
-    radial_profile = (dva * dwa) @ ang_w + cross / radii ** 2
-    integrand = radial_profile * radii ** n
-    if v.radial_weights is not None:
-        dirichlet = float(v.radial_weights @ integrand)
-    else:
-        dirichlet = float(np.trapezoid(integrand, radii))
+    dirichlet, _ = _sampled_dirichlet(v, w)
     return dirichlet - mu * boundary
 
 

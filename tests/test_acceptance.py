@@ -297,7 +297,6 @@ def test_criterion_07_solver_accuracy():
 
 def test_criterion_08_frequency_monotonicity():
     params = FrequencyParams(theta=0.25, c_phi=10.0, k=2, gamma=0.5)
-    from thinepi.frequency import _grid_field
 
     violations = []
     for res in (32, 64, 128):
@@ -310,8 +309,7 @@ def test_criterion_08_frequency_monotonicity():
                  "of": {"kind": "profile", "m": 0, "n": 1}}]},
             "k": 2, "gamma": 0.5})
         assert np.count_nonzero(sol.contact) > 0
-        reduced = reduce_to_zero_obstacle(sol)
-        field = _grid_field(reduced.v_values, sol.spec)
+        field = reduce_to_zero_obstacle(sol).v_solution(sol)
         prof = truncated_frequency(field, np.zeros(2), params=params)
         violations.append(prof.max_violation())
 

@@ -70,6 +70,18 @@ def test_gap_demo_run_and_rerun_hashes(tmp_path):
     assert again.files == manifest.files       # identical content hashes
 
 
+def test_relative_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    manifest = run(_config("gap-demo", "runs/gap"))
+    assert manifest.passed
+    assert [entry["path"] for entry in manifest.files] == ["gap.csv"]
+    assert manifest.files[0]["sha256"] == sha256_file(
+        tmp_path / "runs" / "gap" / "gap.csv")
+    # the CLI default output directory, runs/<subcommand>, is relative too
+    assert main(["gap-demo"]) == 0
+    assert (tmp_path / "runs" / "gap-demo" / "manifest.json").is_file()
+
+
 def test_manifest_hashes_match_files_on_disk(tmp_path):
     manifest = run(_config("gap-demo", tmp_path))
     listed = json.loads((tmp_path / "manifest.json").read_text())["files"]

@@ -10,7 +10,6 @@ from thinepi.frequency import (
     BlowupFit,
     FrequencyParams,
     FrequencyProfile,
-    _grid_field,
     blowup_fit,
     default_sphere,
     linfty_l2_check,
@@ -261,9 +260,8 @@ def test_monotonicity_solved_case(sol_half64):
 
 def test_monotonicity_with_forcing(quartic_case):
     sol, red = quartic_case
-    adapter = _grid_field(red.v_values, sol.spec)
     radii = radii_ladder(0.4, 8)[::-1]
-    rep = weiss_monotonicity_check(adapter, 1.0, radii, c_w=0.0,
+    rep = weiss_monotonicity_check(red.v_solution(sol), 1.0, radii, c_w=0.0,
                                    h=red.h_field())
     assert rep.min_margin_gradient >= 0.0
     assert rep.min_margin_competitor >= 0.0

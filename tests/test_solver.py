@@ -8,13 +8,36 @@ import pytest
 
 from thinepi.polynomials import Polynomial, even_harmonic_extension
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.solver import (Mode2D, ProblemSpec, _assemble, _sweep_redblack,
-                            contact_set, discrete_energy, field_config,
-                            load_solution, make_field,
-                            reduce_to_zero_obstacle, solve_thin_obstacle,
-                            taylor_polynomial)
+from thinepi.solver import (Mode2D, ProblemSpec, _assemble, contact_set,
+                            discrete_energy, field_config, load_solution,
+                            make_field, reduce_to_zero_obstacle,
+                            solve_thin_obstacle, taylor_polynomial)
 
 ZERO_1D = Polynomial.zero(1)
+
+
+def lexicographic_psor_sweep(u, kind, phi, f, h2, omega):
+    """Reference 2D projected SOR sweep, one node at a time in lexicographic
+    order, in place; returns the largest update.  Thin-row nodes (j = 0)
+    count their upper neighbour twice and are projected onto the obstacle."""
+    max_upd = 0.0
+    nx, ny = u.shape
+    for i in range(nx):
+        for j in range(ny):
+            if kind[i, j] == 0:
+                continue
+            old = u[i, j]
+            if j == 0:
+                target = (u[i - 1, 0] + u[i + 1, 0] + 2.0 * u[i, 1]
+                          - h2 * f[i, 0]) * 0.25
+                new = max(old + omega * (target - old), phi[i])
+            else:
+                target = (u[i - 1, j] + u[i + 1, j] + u[i, j - 1]
+                          + u[i, j + 1] - h2 * f[i, j]) * 0.25
+                new = old + omega * (target - old)
+            max_upd = max(max_upd, abs(new - old))
+            u[i, j] = new
+    return max_upd
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +200,28 @@ def test_comparison_principle():
         assert float(np.min((b.values - a.values)[free])) >= -1e-9
 
 
-def test_redblack_fallback_same_fixed_point():
+def test_redblack_matches_lexicographic_reference():
     hs = halfspace_2d(1.5)
     spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs)
     u, kind, phi, f = _assemble(spec)
     h2 = spec.h ** 2
     for _ in range(30_000):
-        if _sweep_redblack(u, kind, phi, f, h2, spec.omega) <= spec.tol:
+        if lexicographic_psor_sweep(u, kind, phi, f, h2, spec.omega) <= spec.tol:
             break
+    else:
+        pytest.fail("reference sweep did not converge")
     sol = solve_thin_obstacle(spec)
     assert np.max(np.abs(u - sol.values)) < 1e-7
+
+
+def test_converging_solve_is_silent():
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
+                       boundary=halfspace_2d(1.5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_thin_obstacle(spec)
+    assert sol.converged
+    assert [str(w.message) for w in caught] == []
 
 
 def test_nonconvergence_warns():
