@@ -20,21 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from thinepi.artifacts import write_csv
+from thinepi.cli import case_spec
 from thinepi.frequency import FrequencyParams, truncated_frequency
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.solver import (ProblemSpec, reduce_to_zero_obstacle,
-                            solve_thin_obstacle)
-
-
-def quartic_spec(resolution: int) -> ProblemSpec:
-    return ProblemSpec.from_config({
-        "dimension": 2, "h": 1.0 / resolution,
-        "obstacle": {"kind": "polynomial", "coeffs": [[[4], 1.0]]},
-        "boundary": {"kind": "sum", "terms": [
-            {"kind": "polynomial", "coeffs": [[[4, 0], 1.0]]},
-            {"kind": "scaled", "factor": 2.0,
-             "of": {"kind": "profile", "m": 0, "n": 1}}]},
-        "k": 2, "gamma": 0.5})
+from thinepi.solver import reduce_to_zero_obstacle, solve_thin_obstacle
 
 
 def main() -> int:
@@ -52,7 +41,7 @@ def main() -> int:
     summary = []
     for res in args.resolutions:
         t0 = time.perf_counter()
-        sol = solve_thin_obstacle(quartic_spec(res))
+        sol = solve_thin_obstacle(case_spec("quartic", res))
         profile = truncated_frequency(
             reduce_to_zero_obstacle(sol).v_solution(sol), np.zeros(2),
             params=params)

@@ -31,10 +31,10 @@ import numpy as np
 from .grids import SphereGrid
 from .profiles import BlowupProfile, admissible_frequencies, zero_set
 from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
-                       mode_count_ell, multiplicity)
+                       mode_count_ell)
 from .traces import SphericalTrace, trace_from_basis, trace_from_profile
-from .weiss import (BallFunction, ball_sum, beta_pairing, bilinear_R,
-                    homogeneous_extension, kappa, weiss_quadrature,
+from .weiss import (BallFunction, _degree_for, ball_sum, beta_pairing,
+                    bilinear_R, homogeneous_extension, kappa, weiss_quadrature,
                     weiss_raised, weiss_spectral)
 
 
@@ -106,26 +106,27 @@ def adapted_half_basis(p: BlowupProfile, grid: SphereGrid) -> EigenBasis:
                       equator_dn=equator_dn)
 
 
-def _analytic_delta_basis(n: int, grid: SphereGrid, min_count: int) -> EigenBasis:
-    total, deg = 0, 0
-    while total < min_count:
-        deg += 1
-        total += multiplicity(n, deg)
-    return half_sphere_basis(n, deg, grid=grid)
-
-
-def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
-                 config: EpiConfig = DEFAULT_CONFIG,
-                 count: int | None = None,
-                 prefer_analytic: bool = True,
-                 cache_dir=None) -> tuple[float, EigenBasis]:
-    """Largest ladder delta whose constrained basis keeps every mode above
-    the low block at eigenvalue >= lambda(2m+2) - 1.
+def _delta_basis(p: BlowupProfile, grid: SphereGrid, delta: float,
+                 count: int, cache_dir=None) -> EigenBasis:
+    """Constrained basis vanishing on Z_delta with at least ``count`` modes.
 
     When the contact region covers the whole equator the constrained basis
     coincides with the hemisphere analytic basis, which is used directly on
     grids that support it.
     """
+    n = grid.n
+    mask = zero_set(p, delta, grid)
+    if mask.size == grid.equator.size and (n == 1 or grid.kind == "latlong"):
+        return half_sphere_basis(n, _degree_for(count, n), grid=grid)
+    return eigenbasis(grid, mask, count, cache_dir=cache_dir)
+
+
+def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
+                 config: EpiConfig = DEFAULT_CONFIG,
+                 count: int | None = None,
+                 cache_dir=None) -> tuple[float, EigenBasis]:
+    """Largest ladder delta whose constrained basis keeps every mode above
+    the low block at eigenvalue >= lambda(2m+2) - 1."""
     n = grid.n
     ell = mode_count_ell(n, m)
     if count is None:
@@ -133,12 +134,7 @@ def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
     floor = lambda_of(2 * m + 2, n) - 1.0
     last_fail = None
     for delta in config.delta_ladder:
-        mask = zero_set(p, delta, grid)
-        full = mask.size == grid.equator.size
-        if full and prefer_analytic and (n == 1 or grid.kind == "latlong"):
-            basis = _analytic_delta_basis(n, grid, count)
-        else:
-            basis = eigenbasis(grid, mask, count, cache_dir=cache_dir)
+        basis = _delta_basis(p, grid, delta, count, cache_dir)
         tail = basis.lambdas[ell:]
         if tail.size and np.min(tail) >= floor - 1e-9:
             return float(delta), basis
@@ -293,7 +289,8 @@ def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
     alpha = 2 * m + 1.5
     kap = kappa(alpha, mu, n)
     if basis_delta is None:
-        _, basis_delta = _basis_for_delta(p, grid, m, delta, config)
+        basis_delta = _delta_basis(p, grid, delta,
+                                   mode_count_ell(n, m) + config.extra_modes)
     if half_basis is None:
         half_basis = adapted_half_basis(p, grid)
     dec = decompose_trace(c, p, delta, basis_delta, half_basis, config)
@@ -312,17 +309,6 @@ def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
         slack_quad=(1.0 - kap) * w_z_quad - w_zeta_quad,
         profile_energy=w_p, slack_predicted=slack_pred, flags=flags,
         route_discrepancy=max(abs(w_z - w_z_quad), abs(w_zeta - w_zeta_quad)))
-
-
-def _basis_for_delta(p, grid, m, delta, config):
-    """Constrained basis for one prescribed delta (no ladder search)."""
-    n = grid.n
-    ell = mode_count_ell(n, m)
-    mask = zero_set(p, delta, grid)
-    full = mask.size == grid.equator.size
-    if full and (n == 1 or grid.kind == "latlong"):
-        return mask, _analytic_delta_basis(n, grid, ell + config.extra_modes)
-    return mask, eigenbasis(grid, mask, ell + config.extra_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +368,9 @@ def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
     mu = float(2 * m + 1)
     if eta is None:
         eta = config.eta
-    if basis_delta is None:
-        _, basis_delta = _basis_for_delta(p, grid, m, delta, config)
     ell = mode_count_ell(n, m)
+    if basis_delta is None:
+        basis_delta = _delta_basis(p, grid, delta, ell + config.extra_modes)
     flags = _check_admissible_trace(c, p, basis_delta.mask, config.eps)
     bad = [k for k, ok in flags.items() if not ok]
     if bad:

@@ -107,17 +107,36 @@ def _check_reach(adapter: FieldAdapter, x0: np.ndarray, radius: float):
             f"{3 * adapter.h:.4g})")
 
 
+def _on_spheres(adapter: FieldAdapter, center: np.ndarray, radii,
+               nodes: np.ndarray) -> np.ndarray:
+    """Field values at center + r * nodes, one row per radius r (one
+    evaluation per sphere)."""
+    out = np.empty((len(radii), nodes.shape[0]))
+    for i, r in enumerate(radii):
+        out[i] = adapter.evaluate(center[None, :] + r * nodes)
+    return out
+
+
+def _sphere_slope(adapter: FieldAdapter, x0: np.ndarray, r: float,
+                  grid: SphereGrid, dr: float | None = None):
+    """Values on the sphere of radius r about x0 and their radial derivative,
+    a central difference over the spheres r - dr and r + dr (dr defaults to
+    h/2 on a grid field, 1e-4 r otherwise)."""
+    if dr is None:
+        dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
+    _check_reach(adapter, x0, r + dr)
+    vals, vp, vm = _on_spheres(adapter, x0, (r, r + dr, r - dr), grid.nodes)
+    return vals, (vp - vm) / (2.0 * dr)
+
+
 def _shell_sup_distance(adapter: FieldAdapter, x0: np.ndarray, r: float,
                         mu: float, shells, grid: SphereGrid,
                         p_trace: np.ndarray) -> float:
     """Sup over the shells s and the grid nodes of |v_r - s^mu p|, where
     v_r(x) = v(x0 + r x) / r^mu and p has trace p_trace on the unit sphere."""
-    worst = 0.0
-    for s in shells:
-        pts = x0[None, :] + (r * s) * grid.nodes
-        vr = np.asarray(adapter.evaluate(pts), dtype=float) / r ** mu
-        worst = max(worst, float(np.max(np.abs(vr - s ** mu * p_trace))))
-    return worst
+    vr = _on_spheres(adapter, x0, r * shells, grid.nodes) / r ** mu
+    return max((float(np.max(np.abs(v - s ** mu * p_trace)))
+                for s, v in zip(shells, vr)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +153,7 @@ def surface_moments(v, x0, r: float, grid: SphereGrid | None = None,
     x0 = _center(x0, d)
     n = d - 1
     grid = grid or default_sphere(n)
-    if dr is None:
-        dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
-    _check_reach(adapter, x0, r + dr)
-    pts = x0[None, :] + r * grid.nodes
-    vals = np.asarray(adapter.evaluate(pts), dtype=float)
-    vp = np.asarray(adapter.evaluate(x0[None, :] + (r + dr) * grid.nodes))
-    vm = np.asarray(adapter.evaluate(x0[None, :] + (r - dr) * grid.nodes))
-    dv = (vp - vm) / (2.0 * dr)
+    vals, dv = _sphere_slope(adapter, x0, r, grid, dr)
     scale = r ** n
     H = scale * float(grid.weights @ (vals * vals))
     I = scale * float(grid.weights @ (vals * dv))
@@ -304,7 +316,7 @@ def rescale(v, x0, r: float, mode: str = "l2-normalized",
         if mu is None or rho is None:
             raise ValueError("double rescaling needs both rho and mu")
         _check_reach(adapter, x0, rho)
-        tr_rho = np.asarray(adapter.evaluate(x0[None, :] + rho * grid.nodes))
+        tr_rho = _on_spheres(adapter, x0, (rho,), grid.nodes)[0]
         norm_rho = math.sqrt(float(grid.weights @ (tr_rho * tr_rho)))
         if norm_rho < 1e-300:
             raise ValueError("zero normalizer at the outer scale")
@@ -313,8 +325,7 @@ def rescale(v, x0, r: float, mode: str = "l2-normalized",
         raise ValueError(f"unknown rescaling mode {mode!r}")
 
     _check_reach(adapter, x0, scale_r)
-    tvals = np.asarray(adapter.evaluate(x0[None, :] + scale_r * grid.nodes),
-                       dtype=float)
+    tvals = _on_spheres(adapter, x0, (scale_r,), grid.nodes)[0]
     if denom is None:
         denom = math.sqrt(float(grid.weights @ (tvals * tvals)))
         if denom < 1e-300:
@@ -322,10 +333,7 @@ def rescale(v, x0, r: float, mode: str = "l2-normalized",
     if not as_ball:
         return SphericalTrace(grid, tvals / denom)
     radii, rweights = default_radii(radial_count)
-    values = np.empty((radii.size, grid.size))
-    for i, s in enumerate(radii):
-        pts = x0[None, :] + (scale_r * s) * grid.nodes
-        values[i] = np.asarray(adapter.evaluate(pts), dtype=float) / denom
+    values = _on_spheres(adapter, x0, scale_r * radii, grid.nodes) / denom
     return BallFunction(grid=grid, radii=radii, values=values,
                         radial_weights=rweights)
 
@@ -358,18 +366,6 @@ class WeissMonotonicityReport:
     def passed(self, slack: float = 1e-3) -> bool:
         return (self.min_margin_gradient >= -slack
                 and self.min_margin_competitor >= -slack)
-
-
-def _radial_deviation(adapter: FieldAdapter, x0, r, mu, grid, dr) -> float:
-    """Integral over the unit sphere of (radial derivative of the rescaling
-    minus mu times the rescaling)^2."""
-    pts = x0[None, :] + r * grid.nodes
-    a = np.asarray(adapter.evaluate(pts), dtype=float)
-    vp = np.asarray(adapter.evaluate(x0[None, :] + (r + dr) * grid.nodes))
-    vm = np.asarray(adapter.evaluate(x0[None, :] + (r - dr) * grid.nodes))
-    dv = (vp - vm) / (2.0 * dr)
-    dev = (r * dv - mu * a) / r ** mu
-    return float(grid.weights @ (dev * dev))
 
 
 def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
@@ -405,8 +401,11 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
         return w, weiss_quadrature(z, mu) - w
 
     def deviation_at(r: float) -> float:
-        dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
-        return _radial_deviation(adapter, x0, r, mu, grid, dr)
+        """Integral over the unit sphere of (radial derivative of the
+        rescaling minus mu times the rescaling)^2."""
+        a, dv = _sphere_slope(adapter, x0, r, grid)
+        dev = (r * dv - mu * a) / r ** mu
+        return float(grid.weights @ (dev * dev))
 
     G = np.empty(radii.size)
     for i, r in enumerate(radii):
@@ -638,7 +637,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
     """
     mu = p.homogeneity
     n = p.n
-    adapter = FieldAdapter.adapt(v, dimension=n + 1)
+    adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
     grid = grid or default_sphere(n, 1024 if n == 1 else None)
 
@@ -667,35 +666,29 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
     sup_raw = np.empty(n_rprime)
     sup_rescaled = np.empty(n_rprime)
     barrier_rows = []
-    sphere_dirs = grid.nodes
     ball_s = np.linspace(0.15, 1.0, 7)
-    for j, rp in enumerate(r_primes):
-        pts = x0[None, :] + rp * dirs
-        vals = np.asarray(adapter.evaluate(pts), dtype=float)
+    ladder = _on_spheres(adapter, x0, r_primes, dirs)
+    for j, (rp, vals) in enumerate(zip(r_primes, ladder)):
         sup_raw[j] = float(np.max(np.abs(vals))) if vals.size else 0.0
         sup_rescaled[j] = sup_raw[j] / rp ** mu
 
         # barrier comparison at the worst direction
         if dirs.size:
             worst = dirs[int(np.argmax(np.abs(vals)))]
-            center = (rp / r) * worst
-            boundary_margin = -math.inf
-            interior_margin = -math.inf
-            for s in ball_s:
-                offs = (r1 * s) * sphere_dirs
-                xpts = x0[None, :] + r * (center[None, :] + offs)
-                w = np.asarray(adapter.evaluate(xpts), dtype=float) / r ** mu
+            center = x0 + r * ((rp / r) * worst)
+            spheres = _on_spheres(adapter, center, r * (r1 * ball_s),
+                                  grid.nodes) / r ** mu
+            margins = []
+            for s, w in zip(ball_s, spheres):
+                offs = (r1 * s) * grid.nodes
                 barrier = (np.sum(offs[:, :n] ** 2, axis=1)
                            - (n + 1) * offs[:, n] ** 2)
-                margin = float(np.max(w - barrier))
-                interior_margin = max(interior_margin, margin)
-                if s == ball_s[-1]:
-                    boundary_margin = margin
+                margins.append(float(np.max(w - barrier)))
             center_val = float(np.asarray(adapter.evaluate(
-                (x0 + r * center)[None, :]))[0]) / r ** mu
+                center[None, :]))[0]) / r ** mu
             barrier_rows.append({
-                "r_prime": float(rp), "boundary_margin": boundary_margin,
-                "interior_margin": interior_margin,
+                "r_prime": float(rp), "boundary_margin": margins[-1],
+                "interior_margin": max(margins),
                 "center_value": center_val})
 
     return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
@@ -722,7 +715,7 @@ def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
     the L2 distance over the annulus (1/8, 2) raised to sigma."""
     mu = p.homogeneity
     n = p.n
-    adapter = FieldAdapter.adapt(v, dimension=n + 1)
+    adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
     grid = grid or default_sphere(n, 1024 if n == 1 else None)
     if math.isfinite(adapter.r_max):
@@ -741,11 +734,10 @@ def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
     lo, hi = 1.0 / 8.0, 2.0
     s_nodes = lo + (hi - lo) * r01
     s_weights = (hi - lo) * w01
+    vr = _on_spheres(adapter, x0, r * s_nodes, grid.nodes) / r ** mu
     total = 0.0
-    for s, w in zip(s_nodes, s_weights):
-        pts = x0[None, :] + (r * s) * grid.nodes
-        vr = np.asarray(adapter.evaluate(pts), dtype=float) / r ** mu
-        diff = vr - s ** mu * p_trace
+    for s, w, v in zip(s_nodes, s_weights, vr):
+        diff = v - s ** mu * p_trace
         total += w * s ** n * float(grid.weights @ (diff * diff))
     l2 = math.sqrt(max(total, 0.0))
 

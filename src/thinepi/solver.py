@@ -251,27 +251,19 @@ class ProblemSpec:
 # Sweep kernel
 # ---------------------------------------------------------------------------
 
-def _sweep_redblack(u, kind, phi, f, h2, omega):
-    """One projected SOR sweep in place, red nodes then black nodes (by the
-    parity of the index sum); returns the largest update."""
-    idx = np.indices(u.shape).sum(axis=0)
-    phi_full = _phi_full(phi, u.shape)   # NEG_INF off the thin plane
+def _sweep_redblack(u, colors, phi_full, f, h2, omega):
+    """One projected SOR sweep in place, over the free nodes of each colour
+    in ``colors`` in turn; returns the largest update.  ``phi_full`` holds
+    the obstacle on the thin row and NEG_INF elsewhere."""
     max_upd = 0.0
-    for color in (0, 1):
+    for sel in colors:
         target = _gs_targets(u, f, h2)
         new = np.maximum(u + omega * (target - u), phi_full)
-        sel = (kind > 0) & (idx % 2 == color)
         upd = np.abs(new - u)[sel]
         if upd.size:
             max_upd = max(max_upd, float(upd.max()))
         u[sel] = new[sel]
     return max_upd
-
-
-def _phi_full(phi, shape):
-    full = np.full(shape, NEG_INF)
-    full[..., 0] = phi
-    return full
 
 
 def _gs_targets(u, f, h2):
@@ -280,24 +272,25 @@ def _gs_targets(u, f, h2):
     row.  Frozen entries of the result are meaningless."""
     d = u.ndim
     target = np.zeros_like(u)
-    inner = tuple(slice(1, -1) for _ in range(d - 1)) + (slice(1, -1),)
-    acc = np.zeros_like(u)
-    for ax in range(d):
-        acc[inner] += _shift(u, ax, 1)[inner] + _shift(u, ax, -1)[inner]
-    target[inner] = (acc[inner] - h2 * f[inner]) / (2.0 * d)
+    inner = (slice(1, -1),) * d
+    target[inner] = (_neighbor_sum(u) - h2 * f[inner]) / (2.0 * d)
     # thin row: j = 0, horizontal neighbors + doubled upper
-    thin = tuple(slice(1, -1) for _ in range(d - 1)) + (0,)
-    acc0 = np.zeros(u.shape[:-1])
-    for ax in range(d - 1):
-        acc0[thin[:-1]] += (_shift(u[..., 0], ax, 1)[thin[:-1]]
-                            + _shift(u[..., 0], ax, -1)[thin[:-1]])
-    target[..., 0][thin[:-1]] = (acc0[thin[:-1]] + 2.0 * u[..., 1][thin[:-1]]
-                                 - h2 * f[..., 0][thin[:-1]]) / (2.0 * d)
+    thin = (slice(1, -1),) * (d - 1)
+    target[thin + (0,)] = (_neighbor_sum(u[..., 0]) + 2.0 * u[thin + (1,)]
+                           - h2 * f[thin + (0,)]) / (2.0 * d)
     return target
 
 
-def _shift(a, axis, step):
-    return np.roll(a, -step, axis=axis)
+def _neighbor_sum(a):
+    """Sum of the two neighbors along every axis, at the nodes one step
+    inside the boundary of ``a``."""
+    inner = [slice(1, -1)] * a.ndim
+    acc = np.zeros([size - 2 for size in a.shape])
+    for ax in range(a.ndim):
+        above, below = list(inner), list(inner)
+        above[ax], below[ax] = slice(2, None), slice(None, -2)
+        acc += a[tuple(above)] + a[tuple(below)]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +311,7 @@ class GridSolution:
     kind: np.ndarray                  # 0 frozen, 1 interior, 2 thin plane
     phi_thin: np.ndarray              # obstacle on the thin-plane nodes
     contact: np.ndarray               # bool over thin-plane nodes
-    laplace_residual: float           # update-scaled, off-contact free nodes
+    laplace_residual: float           # max |Au - b|, off-contact free nodes
     complementarity: np.ndarray       # min(u-phi, u-target) on thin nodes
     sweeps: int
     final_update: float
@@ -521,11 +514,16 @@ def solve_thin_obstacle(spec: ProblemSpec,
     t0 = time.perf_counter()
     u, kind, phi, f = _assemble(spec)
     h2 = spec.h * spec.h
+    # red and black free nodes, by the parity of the index sum
+    parity = np.indices(u.shape).sum(axis=0) % 2
+    colors = [(kind > 0) & (parity == color) for color in (0, 1)]
+    phi_full = np.full(u.shape, NEG_INF)
+    phi_full[..., 0] = phi
 
     energies = [] if record_energy_every else None
     sweeps, upd = 0, np.inf
     while sweeps < spec.max_sweeps:
-        upd = _sweep_redblack(u, kind, phi, f, h2, spec.omega)
+        upd = _sweep_redblack(u, colors, phi_full, f, h2, spec.omega)
         sweeps += 1
         if record_energy_every and sweeps % record_energy_every == 0:
             energies.append(discrete_energy(u, f, spec.h))
@@ -548,8 +546,10 @@ def solve_thin_obstacle(spec: ProblemSpec,
     resid_vals = np.abs(u - target)[free_off_plane]
     off_contact_thin = thin_sel & ~contact
     resid_thin = np.abs(flux)[off_contact_thin]
-    lap_resid = max(float(resid_vals.max()) if resid_vals.size else 0.0,
-                    float(resid_thin.max()) if resid_thin.size else 0.0)
+    # u - target is the residual of the unscaled 2d-point system over 2d
+    lap_resid = 2.0 * spec.dimension * max(
+        float(resid_vals.max()) if resid_vals.size else 0.0,
+        float(resid_thin.max()) if resid_thin.size else 0.0)
 
     return GridSolution(
         spec=spec, values=u, kind=kind, phi_thin=phi, contact=contact,

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .grids import SphereGrid, radial_rule
-from .spectral import EigenBasis, half_sphere_basis, lambda_of
+from .spectral import EigenBasis, half_sphere_basis, lambda_of, multiplicity
 from .traces import SphericalTrace
 
 
@@ -356,7 +356,7 @@ def beta_pairing(phi_coeffs, psi: SphericalTrace, mu: float, alpha: float,
 
 
 def _degree_for(count: int, n: int) -> int:
-    from .spectral import multiplicity
+    """Lowest degree whose half-sphere modes number at least ``count``."""
     total, deg = 0, 0
     while total < count:
         deg += 1

@@ -35,6 +35,11 @@ def p01():
 
 
 @pytest.fixture(scope="module")
+def p02():
+    return make_profile(0, 2)
+
+
+@pytest.fixture(scope="module")
 def h32():
     return halfspace_2d(1.5)
 
@@ -302,14 +307,15 @@ def test_oscillation_mixed_field(p01, h32):
 # blow-up fitting
 # ---------------------------------------------------------------------------
 
-def test_blowup_exact_profile_is_degenerate(p01):
+def test_blowup_exact_profile_is_degenerate(p01, p02):
     radii = radii_ladder(0.5, 10)[::-1]
-    fit = blowup_fit(p01, None, 0, radii)
-    assert fit.degenerate
-    assert fit.exponent is None and fit.band is None
-    assert fit.admissible
-    assert fit.coefficients[0] == pytest.approx(p01.normalization, rel=1e-10)
-    assert fit.dist_linf.max() <= 1e-12
+    for p in (p01, p02):
+        fit = blowup_fit(p, None, 0, radii)
+        assert fit.degenerate
+        assert fit.exponent is None and fit.band is None
+        assert fit.admissible
+        assert fit.coefficients[0] == pytest.approx(p.normalization, rel=1e-10)
+        assert fit.dist_linf.max() <= 1e-12
 
 
 def test_blowup_half_mode_exponent(p01, h32):
@@ -351,15 +357,23 @@ def test_blowup_rows_for_reporting(p01):
 # vanishing on the high-slope directions
 # ---------------------------------------------------------------------------
 
-def test_zdelta_exact_profile_passes(p01):
-    rep = vanishing_on_Zdelta_check(p01, 0.3, p01, 0.4)
-    assert not rep.skipped
-    assert rep.hypothesis_linf <= 1e-12
-    assert rep.max_sup_rescaled == 0.0
-    assert rep.passed
-    for row in rep.barrier_rows:
-        assert abs(row["center_value"]) <= 1e-10
-        assert row["interior_margin"] <= 1e-6
+def test_zdelta_exact_profile_passes(p01, p02):
+    for p in (p01, p02):
+        rep = vanishing_on_Zdelta_check(p, 0.3, p, 0.4)
+        assert not rep.skipped
+        assert rep.hypothesis_linf <= 1e-12
+        assert rep.max_sup_rescaled == 0.0
+        assert rep.passed
+        assert len(rep.barrier_rows) == 5
+        for row in rep.barrier_rows:
+            assert abs(row["center_value"]) <= 1e-10
+            assert row["boundary_margin"] <= row["interior_margin"]
+            # The barrier |x'|^2 - (n+1) x_d^2 dominates the profile
+            # -c|x_d| on the ball of radius r1 = 0.2 only while
+            # c >= (n+1) r1: true for n = 1 (c = 0.564), not for n = 2
+            # (c = 0.489).
+            if p.n == 1:
+                assert row["interior_margin"] <= 1e-6
 
 
 def test_zdelta_far_field_skips(p01):
@@ -386,11 +400,12 @@ def test_zdelta_radius_guard(sol_half64, p01):
 # sup-vs-L2 interpolation constant
 # ---------------------------------------------------------------------------
 
-def test_linfty_l2_exact_zero(p01):
-    rep = linfty_l2_check(p01, p01, 0.3)
-    assert rep.sigma == pytest.approx(0.25)
-    assert rep.linf <= 1e-12
-    assert rep.c_empirical <= 1e-9
+def test_linfty_l2_exact_zero(p01, p02):
+    for p, sigma in ((p01, 0.25), (p02, 0.2)):
+        rep = linfty_l2_check(p, p, 0.3)
+        assert rep.sigma == pytest.approx(sigma)
+        assert rep.linf <= 1e-12
+        assert rep.c_empirical <= 1e-9
 
 
 def test_linfty_l2_stable_across_instances(p01):

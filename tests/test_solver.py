@@ -200,6 +200,38 @@ def test_comparison_principle():
         assert float(np.min((b.values - a.values)[free])) >= -1e-9
 
 
+def system_residual(sol):
+    """max |Au - b| over the free nodes off the contact set, rebuilt from the
+    solved values: A is the unscaled 2d-point Laplacian with the upper
+    neighbor doubled on the thin row, b = -h^2 f."""
+    u = sol.values
+    d = u.ndim
+    _, kind, _, f = _assemble(sol.spec)
+    nbrs = np.zeros_like(u)
+    for ax in range(d):
+        lo, hi = [slice(None)] * d, [slice(None)] * d
+        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+        nbrs[tuple(lo)] += u[tuple(hi)]
+        nbrs[tuple(hi)] += u[tuple(lo)]
+    nbrs[..., 0] += u[..., 1]
+    resid = 2 * d * u - nbrs + sol.spec.h ** 2 * f
+    free = kind > 0
+    free[..., 0] &= ~sol.contact
+    return float(np.max(np.abs(resid[free])))
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
+                boundary=halfspace_2d(1.5), rhs=1.0),
+    ProblemSpec(dimension=3, h=1 / 16, obstacle=Polynomial.zero(2),
+                boundary=make_profile(0, 2)),
+], ids=["2d-forced", "3d-profile"])
+def test_laplace_residual_is_system_residual(spec):
+    sol = solve_thin_obstacle(spec)
+    assert sol.laplace_residual == pytest.approx(system_residual(sol),
+                                                 rel=1e-3)
+
+
 def test_redblack_matches_lexicographic_reference():
     hs = halfspace_2d(1.5)
     spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs)
