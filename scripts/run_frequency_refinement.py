@@ -23,7 +23,7 @@ from thinepi.artifacts import write_csv
 from thinepi.cli import case_spec
 from thinepi.frequency import FrequencyParams, truncated_frequency
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.solver import reduce_to_zero_obstacle, solve_thin_obstacle
+from thinepi.solver import solve_thin_obstacle, zero_obstacle_field
 
 
 def main() -> int:
@@ -42,9 +42,8 @@ def main() -> int:
     for res in args.resolutions:
         t0 = time.perf_counter()
         sol = solve_thin_obstacle(case_spec("quartic", res))
-        profile = truncated_frequency(
-            reduce_to_zero_obstacle(sol).v_solution(sol), np.zeros(2),
-            params=params)
+        profile = truncated_frequency(zero_obstacle_field(sol), np.zeros(2),
+                                      params=params)
         elapsed = time.perf_counter() - t0
         violation = profile.max_violation()
         plateau = profile.mu_estimate()

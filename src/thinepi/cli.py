@@ -30,7 +30,7 @@ from .frequency import (FrequencyParams, blowup_fit, stratify_contact,
                         truncated_frequency)
 from .grids import build_grid, radii_ladder
 from .profiles import halfspace_2d, make_profile
-from .solver import ProblemSpec, reduce_to_zero_obstacle, solve_thin_obstacle
+from .solver import ProblemSpec, solve_thin_obstacle, zero_obstacle_field
 from .spectral import eigenbasis, half_sphere_basis
 from .svgplot import histogram, line_plot, loglog_plot
 from .traces import trace_from_basis
@@ -142,13 +142,6 @@ def _solve_case(config: RunConfig, default_case: str, timings: dict):
     sol = solve_thin_obstacle(spec)
     timings["solve"] = time.perf_counter() - t0
     return case, spec, sol
-
-
-def _thin_slice(sol):
-    """Values on the thin plane, flattened in thin_points() order."""
-    if sol.spec.dimension == 2:
-        return sol.values[:, 0].copy()
-    return sol.values[:, :, 0].ravel().copy()
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +292,12 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
     case, spec, sol = _solve_case(config, "halfspace", timings)
 
     bin_path, json_path = sol.dump(out / "solution")
-    u_thin = _thin_slice(sol)
+    u_thin = sol.values[..., 0].ravel()
     points = sol.thin_points()
     # Complementarity residuals exist only on the free (non-frozen) thin
     # nodes; spread them over the full lattice with zeros on the frozen ring.
-    if sol.spec.dimension == 2:
-        kind_thin = sol.kind[:, 0].copy()
-    else:
-        kind_thin = sol.kind[:, :, 0].ravel().copy()
     comp_full = np.zeros(points.shape[0])
-    comp_full[kind_thin == 2] = sol.complementarity.ravel()
+    comp_full[sol.kind[..., 0].ravel() == 2] = sol.complementarity.ravel()
     rows = []
     for idx in range(points.shape[0]):
         row = {f"x{axis + 1}": points[idx, axis]
@@ -342,17 +331,9 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
     return files, checks
 
 
-def _frequency_field(case: str, sol):
-    """Field to analyze: the solution itself, or its zero-obstacle normal
-    form when the catalog case has a nonzero obstacle."""
-    if case == "quartic":
-        return reduce_to_zero_obstacle(sol).v_solution(sol)
-    return sol
-
-
 def _run_frequency(config: RunConfig, out: Path, timings: dict):
     params = config.params
-    case, spec, sol = _solve_case(config, "halfspace", timings)
+    _, spec, sol = _solve_case(config, "halfspace", timings)
     freq_params = FrequencyParams(
         theta=params.get("theta"),
         c_phi=float(params.get("c_phi", 10.0)),
@@ -362,7 +343,7 @@ def _run_frequency(config: RunConfig, out: Path, timings: dict):
 
     t0 = time.perf_counter()
     profile = truncated_frequency(
-        _frequency_field(case, sol), np.zeros(spec.dimension),
+        zero_obstacle_field(sol), np.zeros(spec.dimension),
         params=freq_params, count=count)
     timings["frequency"] = time.perf_counter() - t0
 

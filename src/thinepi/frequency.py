@@ -22,8 +22,8 @@ from dataclasses import replace as dc_replace
 from .grids import SphereGrid, build_grid, radial_rule, radii_ladder
 from .polynomials import Polynomial, monomials_of_degree
 from .profiles import BlowupProfile, HalfspaceSolution2D, \
-    _profile_from_slope, verify_admissible, zero_set
-from .solver import GridSolution, reduce_to_zero_obstacle
+    _profile_from_slope, operator_T, verify_admissible, zero_set
+from .solver import GridSolution, zero_obstacle_field
 from .traces import SphericalTrace
 from .weiss import BallFunction, default_radii, homogeneous_extension, \
     volume_integral, weiss_quadrature
@@ -40,6 +40,12 @@ def default_sphere(n: int, resolution: int | None = None) -> SphereGrid:
         kind = "circle" if n == 1 else "latlong"
         _GRID_CACHE[key] = build_grid(n, resolution, kind=kind)
     return _GRID_CACHE[key]
+
+
+def _diagnostic_sphere(n: int) -> SphereGrid:
+    """Sphere of the scale diagnostics (rescalings, energies, fits): 1024
+    circle nodes for n = 1, the moment sphere otherwise."""
+    return default_sphere(n, 1024 if n == 1 else None)
 
 
 @dataclass
@@ -325,16 +331,19 @@ def rescale(v, x0, r: float, mode: str = "l2-normalized",
         raise ValueError(f"unknown rescaling mode {mode!r}")
 
     _check_reach(adapter, x0, scale_r)
-    tvals = _on_spheres(adapter, x0, (scale_r,), grid.nodes)[0]
+    if as_ball:
+        radii, rweights = default_radii(radial_count)
+    else:
+        radii, rweights = np.ones(1), None
+    # the last sphere read, of radius scale_r, is the trace sphere
+    values = _on_spheres(adapter, x0, scale_r * radii, grid.nodes)
     if denom is None:
-        denom = math.sqrt(float(grid.weights @ (tvals * tvals)))
+        denom = math.sqrt(float(grid.weights @ (values[-1] * values[-1])))
         if denom < 1e-300:
             raise ValueError("zero normalizer: trace vanishes at this scale")
     if not as_ball:
-        return SphericalTrace(grid, tvals / denom)
-    radii, rweights = default_radii(radial_count)
-    values = _on_spheres(adapter, x0, scale_r * radii, grid.nodes) / denom
-    return BallFunction(grid=grid, radii=radii, values=values,
+        return SphericalTrace(grid, values[0] / denom)
+    return BallFunction(grid=grid, radii=radii, values=values / denom,
                         radial_weights=rweights)
 
 
@@ -383,7 +392,7 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
     d = adapter.dimension
     x0 = _center(x0, d)
     n = d - 1
-    grid = grid or default_sphere(n, 1024 if n == 1 else None)
+    grid = grid or _diagnostic_sphere(n)
     radii = np.asarray(radii, dtype=float)
     if radii.size < 4:
         raise ValueError("monotonicity ladder needs at least 4 radii")
@@ -470,7 +479,7 @@ def oscillation_bound_check(v, mu: float, r: float, r_prime: float,
     adapter = _adapt(v, x0, dimension)
     d = adapter.dimension
     x0 = _center(x0, d)
-    grid = grid or default_sphere(d - 1, 1024 if d == 2 else None)
+    grid = grid or _diagnostic_sphere(d - 1)
     t_r = rescale(adapter, x0, r, mode="mu-homogeneous", mu=mu, grid=grid)
     t_rp = rescale(adapter, x0, r_prime, mode="mu-homogeneous", mu=mu,
                    grid=grid)
@@ -540,7 +549,7 @@ def blowup_fit(v, x0, m: int, radii, grid: SphereGrid | None = None,
     d = adapter.dimension
     x0 = _center(x0, d)
     n = d - 1
-    grid = grid or default_sphere(n, 1024 if n == 1 else None)
+    grid = grid or _diagnostic_sphere(n)
 
     # linear catalog basis: slope monomials of degree 2m
     monos = monomials_of_degree(n, 2 * m)
@@ -625,7 +634,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
                               x0=None, eta3: float = 0.1,
                               grid: SphereGrid | None = None,
                               contact_tol: float = 1e-8,
-                              n_rprime: int = 5, r1: float = 0.2,
+                              n_rprime: int = 5,
                               max_directions: int = 8) -> ZdeltaReport:
     """Check that the rescalings vanish on the high-slope equator directions
     at all radii in (r/3, r), gated on closeness to the profile.
@@ -633,13 +642,16 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
     The barrier diagnostic recenters at each tested thin direction and
     compares the rescaled field against -(n+1) x_d^2 + |x'|^2: the comparison
     function is superharmonic and positive on the thin plane away from zeros
-    of the field, so its domination certifies the center value is zero.
+    of the field, so its domination certifies the center value is zero.  The
+    barrier ball has radius r1 = min(0.2, c/(n+1)), with c the slope factor
+    of ``p`` at the direction: the profile is about -c|x_d| there, and the
+    barrier dominates it on the ball only while r1 <= c/(n+1).
     """
     mu = p.homogeneity
     n = p.n
     adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
-    grid = grid or default_sphere(n, 1024 if n == 1 else None)
+    grid = grid or _diagnostic_sphere(n)
 
     # closeness hypothesis on the annulus
     shells = np.linspace(0.25, 1.5, 26)
@@ -676,6 +688,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
         if dirs.size:
             worst = dirs[int(np.argmax(np.abs(vals)))]
             center = x0 + r * ((rp / r) * worst)
+            r1 = min(0.2, float(operator_T(p)(worst[None, :n])[0]) / (n + 1))
             spheres = _on_spheres(adapter, center, r * (r1 * ball_s),
                                   grid.nodes) / r ** mu
             margins = []
@@ -717,7 +730,7 @@ def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
     n = p.n
     adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
-    grid = grid or default_sphere(n, 1024 if n == 1 else None)
+    grid = grid or _diagnostic_sphere(n)
     if math.isfinite(adapter.r_max):
         need = 2.0 * r + float(np.linalg.norm(x0))
         if need > adapter.r_max - 3 * (adapter.h or 0):
@@ -792,7 +805,7 @@ def stratify_contact(u: GridSolution, spec=None,
     spec = spec or u.spec
     n = spec.n
     params = params or FrequencyParams(k=spec.k, gamma=spec.gamma)
-    grid = grid or default_sphere(n, 1024 if n == 1 else None)
+    grid = grid or _diagnostic_sphere(n)
 
     coords = u.thin_points()
     mask_flat = np.asarray(u.contact).ravel()
@@ -800,10 +813,6 @@ def stratify_contact(u: GridSolution, spec=None,
     if contact_idx.size > max_points:
         step = int(np.ceil(contact_idx.size / max_points))
         contact_idx = contact_idx[::step]
-
-    needs_reduction = (spec.obstacle is not None
-                       and isinstance(spec.obstacle, Polynomial)
-                       and not spec.obstacle.is_zero())
 
     rows, unresolved, unlabeled = [], [], []
     strata: dict = {float(f): [] for f in frequencies}
@@ -821,9 +830,7 @@ def stratify_contact(u: GridSolution, spec=None,
             rows.append({"x0": xthin, "label": "unresolved",
                          "mu_estimate": None})
             continue
-        target = u
-        if needs_reduction:
-            target = reduce_to_zero_obstacle(u, spec, xthin).v_solution(u)
+        target = zero_obstacle_field(u, spec, xthin)
         try:
             prof = truncated_frequency(target, x0, params=params,
                                        radii=radii, grid=grid)

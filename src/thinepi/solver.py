@@ -325,19 +325,12 @@ class GridSolution:
         return self.spec.h
 
     def axes(self) -> list[np.ndarray]:
-        res = self.spec.resolution
-        horiz = np.arange(-res, res + 1) * self.spec.h
-        vert = np.arange(0, res + 1) * self.spec.h
-        return [horiz] * (self.spec.dimension - 1) + [vert]
+        return _lattice_axes(self.spec)
 
     def thin_points(self) -> np.ndarray:
-        """Coordinates of the thin-plane nodes, shape (prod, n)."""
-        res = self.spec.resolution
-        horiz = np.arange(-res, res + 1) * self.spec.h
-        if self.spec.dimension == 2:
-            return horiz[:, None]
-        a, b = np.meshgrid(horiz, horiz, indexing="ij")
-        return np.stack([a.ravel(), b.ravel()], axis=1)
+        """Coordinates of the thin-plane nodes, shape (prod, n), in the ravel
+        order of ``values[..., 0]``."""
+        return _mesh_points(self.axes()[:-1])
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; even reflection in the last coordinate."""
@@ -358,7 +351,7 @@ class GridSolution:
 
     def max_error_vs(self, exact) -> float:
         """Sup-norm against a callable over the free (non-frozen) nodes."""
-        pts = _node_points(self.spec)
+        pts = _mesh_points(self.axes())
         free = self.kind.ravel() > 0
         vals = np.asarray(exact(pts[free]), dtype=float)
         return float(np.max(np.abs(self.values.ravel()[free] - vals)))
@@ -438,20 +431,27 @@ def load_solution(base_path) -> GridSolution:
 # Assembly and solve
 # ---------------------------------------------------------------------------
 
-def _node_points(spec: ProblemSpec) -> np.ndarray:
+def _lattice_axes(spec: ProblemSpec) -> list[np.ndarray]:
+    """Node coordinates along each axis of the half-ball lattice: n
+    horizontal axes over [-1, 1], then the vertical axis over [0, 1], whose
+    index 0 is the thin plane."""
     res = spec.resolution
     horiz = np.arange(-res, res + 1) * spec.h
-    vert = np.arange(0, res + 1) * spec.h
-    grids = np.meshgrid(*([horiz] * (spec.dimension - 1) + [vert]),
-                        indexing="ij")
+    return [horiz] * spec.n + [horiz[res:]]
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """Points of the tensor grid on ``axes``, one row per node in ravel
+    order."""
+    grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _assemble(spec: ProblemSpec):
-    pts = _node_points(spec)
+    axes = _lattice_axes(spec)
+    pts = _mesh_points(axes)
     d = spec.dimension
-    res = spec.resolution
-    shape = tuple([2 * res + 1] * (d - 1) + [res + 1])
+    shape = tuple(axis.size for axis in axes)
     rad = np.linalg.norm(pts, axis=1).reshape(shape)
 
     kind = np.ones(shape, dtype=np.int8)
@@ -465,18 +465,12 @@ def _assemble(spec: ProblemSpec):
     g = spec.boundary if spec.boundary is not None else _ConstantField(0.0)
     u[frozen] = np.asarray(g(proj.reshape(shape + (d,))[frozen]), dtype=float)
 
-    horiz = np.arange(-res, res + 1) * spec.h
-    if d == 2:
-        thin_pts = horiz[:, None]
-        thin_shape = (2 * res + 1,)
-    else:
-        a, b = np.meshgrid(horiz, horiz, indexing="ij")
-        thin_pts = np.stack([a.ravel(), b.ravel()], axis=1)
-        thin_shape = (2 * res + 1, 2 * res + 1)
+    thin_shape = shape[:-1]
     if spec.obstacle is None:
         phi = np.full(thin_shape, NEG_INF)
     else:
-        phi = np.asarray(spec.obstacle(thin_pts), dtype=float).reshape(thin_shape)
+        phi = np.asarray(spec.obstacle(_mesh_points(axes[:-1])),
+                         dtype=float).reshape(thin_shape)
 
     if spec.rhs is None:
         f = np.zeros(shape)
@@ -576,23 +570,13 @@ def contact_set(sol: GridSolution, tol: float | None = None):
     thin_sel = sol.kind[..., 0] == 2
     slack = sol.values[..., 0] - sol.phi_thin
     mask = thin_sel & (slack <= tol)
-    boundary = []
-    if sol.spec.dimension == 2:
-        for i in np.nonzero(mask)[0]:
-            for di in (-1, 1):
-                jx = i + di
-                if 0 <= jx < mask.size and thin_sel[jx] and not mask[jx]:
-                    boundary.append((int(i),))
-                    break
-    else:
-        idx = np.argwhere(mask)
-        for i, k in idx:
-            for di, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                a, b = i + di, k + dk
-                if (0 <= a < mask.shape[0] and 0 <= b < mask.shape[1]
-                        and thin_sel[a, b] and not mask[a, b]):
-                    boundary.append((int(i), int(k)))
-                    break
+    # Nodes on the edge of the lattice lie on or outside the sphere, so they
+    # are frozen and never in the mask; the interior neighbour sum suffices.
+    open_count = _neighbor_sum((thin_sel & ~mask).astype(float))
+    near_open = np.zeros_like(mask)
+    near_open[(slice(1, -1),) * mask.ndim] = open_count > 0
+    boundary = [tuple(int(i) for i in idx)
+                for idx in np.argwhere(mask & near_open)]
     return mask, boundary
 
 
@@ -692,7 +676,7 @@ def reduce_to_zero_obstacle(sol: GridSolution, spec: ProblemSpec | None = None,
             (abs(c) for c in q_tilde.coeffs.values()), default=1.0)):
         raise AssertionError("even harmonic extension failed to be harmonic")
 
-    pts = _node_points(spec)
+    pts = _mesh_points(_lattice_axes(spec))
     shape = sol.values.shape
     correction = (phi(pts[:, :n]) - q_k(pts[:, :n]) + q_tilde(pts)).reshape(shape)
     v = sol.values - correction
@@ -710,3 +694,14 @@ def reduce_to_zero_obstacle(sol: GridSolution, spec: ProblemSpec | None = None,
 
     return ReducedProblem(x0=x0, v_values=v, h_poly=h_poly, q_k=q_k,
                           q_tilde=q_tilde, c_empirical=c_emp, spec=spec)
+
+
+def zero_obstacle_field(sol: GridSolution, spec: ProblemSpec | None = None,
+                        x0=None) -> GridSolution:
+    """The field the frequency diagnostics read about the thin point x0:
+    the zero-obstacle normal form when the obstacle is a nonzero
+    Polynomial, otherwise ``sol`` itself."""
+    obstacle = (spec or sol.spec).obstacle
+    if isinstance(obstacle, Polynomial) and not obstacle.is_zero():
+        return reduce_to_zero_obstacle(sol, spec, x0).v_solution(sol)
+    return sol

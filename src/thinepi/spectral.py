@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
 from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
@@ -385,6 +386,7 @@ def _fix_order_and_signs(values: np.ndarray, lam: np.ndarray):
 
 CACHE_ENV = "THIN_EPI_CACHE"
 CACHE_VERSION = "v1"
+CACHE_ORTHO_TOL = 1e-8          # stored bases are orthonormal to ~1e-14
 
 
 def cache_root(cache_dir=None) -> Path:
@@ -405,15 +407,26 @@ def _cache_key(grid: SphereGrid, mask: np.ndarray, count: int) -> str:
 
 
 def _cache_load(grid, mask, count, cache_dir):
+    """The basis stored at the key, or None when the file is missing,
+    unreadable, or holds another mask, other shapes or non-orthonormal
+    modes; the caller then recomputes and overwrites it."""
     path = cache_root(cache_dir) / "eigenbases" / (_cache_key(grid, mask, count) + ".npz")
     if not path.exists():
         return None
     try:
-        data = np.load(path)
-        return EigenBasis(grid=grid, mask=mask, lambdas=data["lambdas"],
-                          values=data["values"], source="discrete")
-    except Exception:
+        with np.load(path) as data:
+            stored_mask = data["mask"]
+            lambdas, values = data["lambdas"], data["values"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
+    if (not np.array_equal(stored_mask, mask) or lambdas.shape != (count,)
+            or values.shape != (grid.size, count)):
+        return None
+    basis = EigenBasis(grid=grid, mask=mask, lambdas=lambdas, values=values,
+                       source="discrete")
+    if basis.orthonormality_defect() > CACHE_ORTHO_TOL:
+        return None
+    return basis
 
 
 def _cache_store(basis: EigenBasis, cache_dir):

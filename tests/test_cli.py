@@ -159,6 +159,18 @@ def test_frequency_run_emits_curve(tmp_path):
         {"frequency.csv", "frequency_phi.svg"}
 
 
+def test_frequency_config_file_matches_case(tmp_path):
+    # A nonzero polynomial obstacle read from a file is analysed through the
+    # same zero-obstacle normal form as the catalog case.
+    config_file = tmp_path / "quartic.json"
+    config_file.write_text(json.dumps(case_spec("quartic", 32).to_config()))
+    run(_config("frequency", tmp_path / "case", case="quartic",
+                resolution=32))
+    run(_config("frequency", tmp_path / "file", config=str(config_file)))
+    assert ((tmp_path / "case" / "frequency.csv").read_bytes()
+            == (tmp_path / "file" / "frequency.csv").read_bytes())
+
+
 def test_blowup_run_constructed(tmp_path):
     manifest = run(_config("blowup", tmp_path, case="constructed", m=0))
     assert manifest.passed

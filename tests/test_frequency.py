@@ -225,6 +225,23 @@ def test_rescale_ball_has_zero_scale_energy(p01):
     assert abs(weiss_quadrature(ball, 1.0)) <= 1e-9
 
 
+def test_rescale_ball_reads_each_sphere_once(p01):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return p01(points)
+
+    # 16 radial spheres and the trace sphere (radius 1), plus the rho
+    # sphere in double mode
+    for mode, extra in (("l2-normalized", 0), ("mu-homogeneous", 0),
+                        ("double", 1)):
+        calls.clear()
+        rescale(counted, np.zeros(2), 0.5, mode=mode, mu=1.0, rho=0.5,
+                radial_count=16, as_ball=True)
+        assert len(calls) == 17 + extra
+
+
 # ---------------------------------------------------------------------------
 # energy monotonicity along scales
 # ---------------------------------------------------------------------------
@@ -368,12 +385,7 @@ def test_zdelta_exact_profile_passes(p01, p02):
         for row in rep.barrier_rows:
             assert abs(row["center_value"]) <= 1e-10
             assert row["boundary_margin"] <= row["interior_margin"]
-            # The barrier |x'|^2 - (n+1) x_d^2 dominates the profile
-            # -c|x_d| on the ball of radius r1 = 0.2 only while
-            # c >= (n+1) r1: true for n = 1 (c = 0.564), not for n = 2
-            # (c = 0.489).
-            if p.n == 1:
-                assert row["interior_margin"] <= 1e-6
+            assert row["interior_margin"] <= 1e-6
 
 
 def test_zdelta_far_field_skips(p01):

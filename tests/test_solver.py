@@ -40,6 +40,25 @@ def lexicographic_psor_sweep(u, kind, phi, f, h2, omega):
     return max_upd
 
 
+def loop_contact_set(sol, tol):
+    """Reference free boundary, one node at a time in ravel order: a contact
+    node with a free, non-contact thin neighbour along some axis."""
+    thin = sol.kind[..., 0] == 2
+    mask = thin & (sol.values[..., 0] - sol.phi_thin <= tol)
+    boundary = []
+    for idx in np.ndindex(mask.shape):
+        neighbours = []
+        for axis in range(mask.ndim):
+            for step in (-1, 1):
+                nb = list(idx)
+                nb[axis] += step
+                if 0 <= nb[axis] < mask.shape[axis]:
+                    neighbours.append(tuple(nb))
+        if mask[idx] and any(thin[nb] and not mask[nb] for nb in neighbours):
+            boundary.append(tuple(int(i) for i in idx))
+    return mask, boundary
+
+
 @pytest.fixture(scope="module")
 def halfspace_solution():
     hs = halfspace_2d(1.5)
@@ -138,6 +157,22 @@ def test_halfspace_solution_error_and_free_boundary(halfspace_solution):
     expected = thin & (xs <= 0)
     assert np.array_equal(mask, expected)
     assert [g for (g,) in gamma] == [res]
+
+
+def test_contact_set_matches_loop_reference(halfspace_solution):
+    # 3D: an off-centre paraboloid obstacle under negative sphere data, so
+    # the contact set is a patch with a free boundary all around it.
+    obstacle = Polynomial(2, {(0, 0): 0.2, (1, 0): 0.3, (2, 0): -1.0,
+                              (0, 2): -2.0})
+    spec = ProblemSpec(dimension=3, h=1 / 16, obstacle=obstacle,
+                       boundary=-0.2)
+    for sol in (halfspace_solution[2], solve_thin_obstacle(spec)):
+        tol = 10.0 * sol.spec.tol
+        mask, gamma = contact_set(sol)
+        ref_mask, ref_gamma = loop_contact_set(sol, tol)
+        assert np.array_equal(mask, ref_mask)
+        assert gamma == ref_gamma
+        assert len(gamma) > 0 and mask.sum() > len(gamma)
 
 
 def test_halfspace_error_decreases_with_resolution(halfspace_solution):

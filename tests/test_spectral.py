@@ -172,6 +172,22 @@ def test_cache_roundtrip(tmp_path):
     assert np.array_equal(a.lambdas, b.lambdas)
 
 
+def test_cache_recomputes_wrong_or_unreadable_file(tmp_path):
+    grid = build_grid(1, 64)
+    right = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+    [path] = (tmp_path / "eigenbases").glob("*.npz")
+    eigenbasis(grid, [], 3, cache_dir=tmp_path)
+    [other] = set((tmp_path / "eigenbases").glob("*.npz")) - {path}
+    # a basis for another mask, then garbage, planted at the key
+    for planted in (other.read_bytes(), b"not an npz file"):
+        path.write_bytes(planted)
+        back = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+        assert np.array_equal(back.values, right.values)
+        assert np.array_equal(back.lambdas, right.lambdas)
+        with np.load(path) as stored:
+            assert np.array_equal(stored["mask"], right.mask)
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("THIN_EPI_CACHE", str(tmp_path))
     grid = build_grid(1, 64)
