@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Hash the artifacts of a fixed set of CLI runs.
+
+Runs each command below at its default config, with its own output and
+eigenbasis cache directories under one temporary directory, and prints one
+JSON object that maps "<command>/<file>" to the sha256 of every CSV, SVG and
+solution.bin written.  Two checkouts that print the same object write the
+same artifact bytes.  The commands' own gate lines go to standard error; the
+exit status is 1 if any command did not pass.
+
+Usage: python3 scripts/artifact_hashes.py
+"""
+
+import contextlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from thinepi.artifacts import sha256_file
+from thinepi.cli import main as cli_main
+
+COMMANDS = (
+    "spectral",
+    "spectral --n 2",
+    "epi-check",
+    "solve",
+    "frequency",
+    "blowup",
+    "stratify",
+    "gap-demo",
+    "frequency --case quartic",
+    "stratify --case quartic",
+    "blowup --case solved",
+    "solve --case profile-3d --resolution 16",
+)
+HASHED = ("*.csv", "*.svg", "solution.bin")
+
+
+def main() -> int:
+    hashes, failed = {}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, command in enumerate(COMMANDS):
+            out = Path(tmp) / f"out{k}"
+            argv = command.split() + ["--out", str(out),
+                                      "--cache-dir", str(Path(tmp) / f"cache{k}")]
+            print(f"$ thin-epi {command}", file=sys.stderr)
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli_main(argv)
+            if code != 0:
+                failed.append(command)
+            files = sorted({path for pattern in HASHED for path in out.rglob(pattern)})
+            for path in files:
+                hashes[f"{command}/{path.relative_to(out)}"] = sha256_file(path)
+    print(json.dumps(hashes, indent=1, sort_keys=True))
+    for command in failed:
+        print(f"did not pass: thin-epi {command}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -18,6 +18,7 @@ involution, never through floating-point comparisons of coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,40 @@ class SphereGrid:
     def evenize(self, values: np.ndarray) -> np.ndarray:
         """Project node values onto the even subspace (exact symmetrization)."""
         return 0.5 * (values + values[self.reflect])
+
+    @functools.cached_property
+    def gradient_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid-only factors of the vertex gradients of a ``tri`` grid.
+
+        For a triangle (a, b, c) with u = b - a, v = c - a and normal
+        n = u x v, the gradient of the linear interpolant of f is
+        P (f_b - f_a) + Q (f_c - f_a), with P = (v x n)/|n|^2 and
+        Q = (n x u)/|n|^2.  ``weights[t, k]`` is the share of triangle t in
+        the area-weighted average at its k-th vertex; at equator vertices
+        only upper triangles count, so even functions get their upper-sided
+        gradient there.  Built on first use, then kept with the grid as
+        read-only arrays.
+        """
+        tris = self.triangles
+        a, b, c = self.nodes[tris[:, 0]], self.nodes[tris[:, 1]], self.nodes[tris[:, 2]]
+        u = b - a
+        v = c - a
+        normal = np.cross(u, v)
+        norm2 = np.sum(normal * normal, axis=1)[:, None]
+        p = np.cross(v, normal) / norm2
+        q = np.cross(normal, u) / norm2
+
+        on_equator = np.zeros(self.size, dtype=bool)
+        on_equator[self.equator] = True
+        upper_tri = self.nodes[tris, 2].sum(axis=1) > 0.0
+        areas = 0.5 * np.sqrt(norm2)
+        weights = np.where(on_equator[tris] & ~upper_tri[:, None], 0.0, areas)
+        wsum = np.bincount(tris.ravel(), weights=weights.ravel(),
+                           minlength=self.size)
+        weights /= wsum[tris]
+        for shared in (p, q, weights):
+            shared.flags.writeable = False
+        return p, q, weights
 
 
 def build_grid(n: int, resolution: int, kind: str | None = None) -> SphereGrid:
@@ -257,9 +292,21 @@ def _latlong_grid(resolution: int) -> SphereGrid:
 # ---------------------------------------------------------------------------
 
 def radial_rule(npoints: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on (0, 1)."""
+    """Gauss-Legendre nodes/weights on (0, 1).
+
+    Each size is built once per process; every caller gets the same
+    read-only arrays.
+    """
+    return _gauss_legendre_01(npoints)
+
+
+@functools.cache
+def _gauss_legendre_01(npoints: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(npoints)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def radii_ladder(r_max: float, count: int, step: float = 2.0 ** -0.25) -> np.ndarray:

@@ -327,7 +327,10 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
         lam, vec = lam[:count], vec[:, :count]
     else:
         try:
-            lam, vec = spla.eigsh(A.tocsc(), k=count, sigma=-0.5, which="LM", tol=EIG_TOL)
+            # A fixed start vector makes ARPACK deterministic, so the
+            # rotation it returns inside a degenerate eigenspace repeats.
+            lam, vec = spla.eigsh(A.tocsc(), k=count, sigma=-0.5, which="LM",
+                                  tol=EIG_TOL, v0=np.ones(keep.size))
         except spla.ArpackNoConvergence as exc:
             raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
         order = np.argsort(lam)
@@ -385,7 +388,7 @@ def _fix_order_and_signs(values: np.ndarray, lam: np.ndarray):
 # ---------------------------------------------------------------------------
 
 CACHE_ENV = "THIN_EPI_CACHE"
-CACHE_VERSION = "v1"
+CACHE_VERSION = "v2"
 CACHE_ORTHO_TOL = 1e-8          # stored bases are orthonormal to ~1e-14
 
 

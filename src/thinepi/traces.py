@@ -136,57 +136,24 @@ def circle_dtheta(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 # Triangulated-sphere gradient reconstruction
 # ---------------------------------------------------------------------------
 
-def triangle_gradients(grid: SphereGrid, values: np.ndarray):
-    """P1 gradient of the node values on each flat triangle, with areas."""
-    tris = grid.triangles
-    a, b, c = grid.nodes[tris[:, 0]], grid.nodes[tris[:, 1]], grid.nodes[tris[:, 2]]
-    va, vb, vc = values[tris[:, 0]], values[tris[:, 1]], values[tris[:, 2]]
-    u = b - a
-    v = c - a
-    normal = np.cross(u, v)
-    norm2 = np.sum(normal * normal, axis=1)
-    # gradient of the linear interpolant: solve in the triangle plane
-    #   g . u = vb - va, g . v = vc - va, g . normal = 0
-    g = (
-        np.cross(v, normal) * (vb - va)[:, None]
-        + np.cross(normal, u) * (vc - va)[:, None]
-    ) / norm2[:, None]
-    areas = 0.5 * np.sqrt(norm2)
-    return g, areas
-
-
 def vertex_gradients(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     """Area-weighted average of adjacent triangle gradients per vertex.
 
     At equator vertices only upper-half triangles contribute, giving the
     upper-sided gradient of an even function; the result is projected onto
-    the tangent plane of the sphere at each vertex.
+    the tangent plane of the sphere at each vertex.  The geometry comes from
+    ``grid.gradient_geometry``, so a call is one gather and three sums.
     """
     if grid.kind != "tri":
         raise ValueError("vertex gradients need a triangulated grid")
-    g, areas = triangle_gradients(grid, values)
+    p, q, weights = grid.gradient_geometry
     tris = grid.triangles
-    zsum = grid.nodes[tris, 2].sum(axis=1)
-    upper_tri = zsum > 0.0
-
-    accum = np.zeros((grid.size, 3))
-    wsum = np.zeros(grid.size)
-    for k in range(3):
-        np.add.at(accum, tris[:, k], areas[:, None] * g)
-        np.add.at(wsum, tris[:, k], areas)
-    # redo equator vertices with upper triangles only
-    eq_set = np.zeros(grid.size, dtype=bool)
-    eq_set[grid.equator] = True
-    accum[eq_set] = 0.0
-    wsum[eq_set] = 0.0
-    tri_touches_eq = eq_set[tris].any(axis=1)
-    sel = tri_touches_eq & upper_tri
-    for k in range(3):
-        vs = tris[sel, k]
-        on_eq = eq_set[vs]
-        np.add.at(accum, vs[on_eq], areas[sel][on_eq, None] * g[sel][on_eq])
-        np.add.at(wsum, vs[on_eq], areas[sel][on_eq])
-    out = accum / np.maximum(wsum, 1e-300)[:, None]
+    f = values[tris]
+    g = p * (f[:, 1] - f[:, 0])[:, None] + q * (f[:, 2] - f[:, 0])[:, None]
+    out = np.empty((grid.size, 3))
+    for j in range(3):
+        out[:, j] = np.bincount(tris.ravel(), weights=(weights * g[:, j, None]).ravel(),
+                                minlength=grid.size)
     out -= np.sum(out * grid.nodes, axis=1, keepdims=True) * grid.nodes
     return out
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grids import SphereGrid, radial_rule
 from .spectral import EigenBasis, half_sphere_basis, lambda_of, multiplicity
@@ -214,6 +213,10 @@ def weiss_quadrature(v: BallFunction, mu: float,
                     n, a, ta, b, tb, use_derivative_data)
         value = dir_total - mu * v.boundary_sq_integral()
         return (value, 0.0) if with_error else value
+
+    # Imported here: only the sampled route needs it, and scipy.integrate
+    # is a large share of the CLI's import time and memory.
+    from scipy.integrate import simpson
 
     dirichlet, integrand = _sampled_dirichlet(v, v)
     alt = float(simpson(integrand, x=v.radii))

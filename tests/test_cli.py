@@ -2,10 +2,15 @@
 gated exit codes, manifest hashing, and rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thinepi
 from thinepi.artifacts import load_manifest, read_csv, sha256_file
 from thinepi.cli import (RunConfig, case_spec, emit_plots, main, run)
 from thinepi.solver import load_solution
@@ -37,6 +42,16 @@ def test_config_dict_round_trip(tmp_path):
     config = _config("gap-demo", tmp_path, pairs="0:1")
     back = RunConfig.from_dict(config.to_dict())
     assert back == config
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Only the sampled energy route needs scipy.integrate; every command
+    # pays for what importing the CLI loads.
+    env = dict(os.environ, PYTHONPATH=str(Path(thinepi.__file__).parents[1]))
+    code = "import sys, thinepi.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "False"
 
 
 def test_case_catalog_builds_and_rejects():
@@ -197,6 +212,17 @@ def test_spectral_run_exact_basis(tmp_path):
     assert len(rows) == 20
     assert max(row["rel_diff_mu"] for row in rows) <= 1e-10
     assert max(row["rel_diff_raised"] for row in rows) <= 1e-10
+
+
+def test_spectral_sphere_run_repeats_bytes(tmp_path):
+    # Each run gets a fresh cache, so both solve the eigenproblem.
+    digests = []
+    for k in range(2):
+        config = _config("spectral", tmp_path / f"out{k}", n=2)
+        config.cache_dir = str(tmp_path / f"cache{k}")
+        assert run(config).passed
+        digests.append(sha256_file(tmp_path / f"out{k}" / "spectral.csv"))
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,16 @@ def test_radial_rule_polynomial_exactness():
     assert abs(w @ np.sqrt(r) - 2.0 / 3.0) < 1e-6
 
 
+def test_radial_rule_is_shared_and_read_only():
+    r, w = radial_rule(64)
+    r2, w2 = radial_rule(64)
+    assert np.array_equal(r, r2) and np.array_equal(w, w2)
+    with pytest.raises(ValueError):
+        r[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 def test_radii_ladder_geometric():
     r = radii_ladder(0.5, 12)
     assert r.size == 12

@@ -154,6 +154,17 @@ def test_discrete_tri_sphere_spectrum():
     assert abs(free.lambdas[3] - 6.0) < 0.1
 
 
+def test_iterative_eigenbasis_repeats_bit_for_bit():
+    # Resolution 256 is past the dense limit, so ARPACK runs; its lambda ~ 6
+    # pair is degenerate, and only a fixed start vector repeats the rotation
+    # returned inside that eigenspace.
+    grid = build_grid(2, 256)
+    a = eigenbasis(grid, grid.equator, 8, use_cache=False)
+    b = eigenbasis(grid, grid.equator, 8, use_cache=False)
+    assert np.array_equal(a.lambdas, b.lambdas)
+    assert np.array_equal(a.values, b.values)
+
+
 def test_eigenbasis_validations():
     grid = build_grid(1, 64)
     with pytest.raises(ValueError):
