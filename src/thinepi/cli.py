@@ -314,8 +314,8 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
     feasibility = float(np.min(u_thin - sol.phi_thin.ravel()))
     checks = [
         CheckResult("converged", sol.converged,
-                    f"{sol.sweeps} sweeps, final update "
-                    f"{sol.final_update:.3e}"),
+                    f"{sol.sweeps} PDAS iterations, KKT residual "
+                    f"{sol.laplace_residual:.3e}"),
         CheckResult("complementarity", comp_max <= 1e-9,
                     f"max residual {comp_max:.3e}"),
         CheckResult("feasibility", feasibility >= -1e-12,

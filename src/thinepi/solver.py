@@ -14,14 +14,17 @@ The constrained system
     L u = f                        at interior nodes,
     u = g                          on and outside the sphere,
 
-with L the reflected 5/7-point Laplacian, is solved by projected SOR with a
-red-black (two-colour) sweep order, each colour one vectorized numpy update
-(deterministic).
+with L the reflected 5/7-point Laplacian, is an M-matrix complementarity
+problem, solved by the primal-dual active set method (Hintermueller, Ito &
+Kunisch 2002): each iteration holds the active thin nodes on the obstacle and
+solves for the rest by conjugate gradients, warm-started, until the active
+set repeats.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -30,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
 from .polynomials import Polynomial, even_harmonic_extension
 from .profiles import BlowupProfile, HalfspaceSolution2D, halfspace_2d, \
@@ -182,9 +187,8 @@ class ProblemSpec:
     k: int = 2
     gamma: float = 0.5
     rhs: object = None                 # callable on (d)-points, or None
-    omega: float = 1.8
     tol: float = 1e-10
-    max_sweeps: int = 200_000
+    max_sweeps: int = 200_000          # cap on outer active-set iterations
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -198,8 +202,8 @@ class ProblemSpec:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        if not 0.0 < self.omega < 2.0:
-            raise ValueError(f"omega must lie in (0,2), got {self.omega}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if isinstance(self.obstacle, (dict, int, float)):
             self.obstacle = make_field(self.obstacle, self.n)
         if isinstance(self.boundary, (dict, int, float)):
@@ -222,12 +226,12 @@ class ProblemSpec:
             "boundary": field_config(self.boundary),
             "k": self.k, "gamma": self.gamma,
             "rhs": field_config(self.rhs),
-            "omega": self.omega, "tol": self.tol,
-            "max_sweeps": self.max_sweeps,
+            "tol": self.tol, "max_sweeps": self.max_sweeps,
         }
 
     @staticmethod
     def from_config(data: dict) -> "ProblemSpec":
+        """Spec from a config; unknown keys (an old ``omega``) are ignored."""
         required = [key for key in ("dimension", "h") if key not in data]
         if required:
             raise ValueError(f"config missing required keys: {required}")
@@ -237,7 +241,6 @@ class ProblemSpec:
             boundary=make_field(data.get("boundary", 0.0), int(data["dimension"])),
             k=int(data.get("k", 2)), gamma=float(data.get("gamma", 0.5)),
             rhs=make_field(data.get("rhs"), int(data["dimension"])),
-            omega=float(data.get("omega", 1.8)),
             tol=float(data.get("tol", 1e-10)),
             max_sweeps=int(data.get("max_sweeps", 200_000)),
         )
@@ -245,52 +248,6 @@ class ProblemSpec:
     @staticmethod
     def from_file(path) -> "ProblemSpec":
         return ProblemSpec.from_config(json.loads(Path(path).read_text()))
-
-
-# ---------------------------------------------------------------------------
-# Sweep kernel
-# ---------------------------------------------------------------------------
-
-def _sweep_redblack(u, colors, phi_full, f, h2, omega):
-    """One projected SOR sweep in place, over the free nodes of each colour
-    in ``colors`` in turn; returns the largest update.  ``phi_full`` holds
-    the obstacle on the thin row and NEG_INF elsewhere."""
-    max_upd = 0.0
-    for sel in colors:
-        target = _gs_targets(u, f, h2)
-        new = np.maximum(u + omega * (target - u), phi_full)
-        upd = np.abs(new - u)[sel]
-        if upd.size:
-            max_upd = max(max_upd, float(upd.max()))
-        u[sel] = new[sel]
-    return max_upd
-
-
-def _gs_targets(u, f, h2):
-    """Unrelaxed Gauss-Seidel targets at every node (neighbors from the
-    current array); even reflection doubles the upper neighbor on the thin
-    row.  Frozen entries of the result are meaningless."""
-    d = u.ndim
-    target = np.zeros_like(u)
-    inner = (slice(1, -1),) * d
-    target[inner] = (_neighbor_sum(u) - h2 * f[inner]) / (2.0 * d)
-    # thin row: j = 0, horizontal neighbors + doubled upper
-    thin = (slice(1, -1),) * (d - 1)
-    target[thin + (0,)] = (_neighbor_sum(u[..., 0]) + 2.0 * u[thin + (1,)]
-                           - h2 * f[thin + (0,)]) / (2.0 * d)
-    return target
-
-
-def _neighbor_sum(a):
-    """Sum of the two neighbors along every axis, at the nodes one step
-    inside the boundary of ``a``."""
-    inner = [slice(1, -1)] * a.ndim
-    acc = np.zeros([size - 2 for size in a.shape])
-    for ax in range(a.ndim):
-        above, below = list(inner), list(inner)
-        above[ax], below[ax] = slice(2, None), slice(None, -2)
-        acc += a[tuple(above)] + a[tuple(below)]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +269,11 @@ class GridSolution:
     phi_thin: np.ndarray              # obstacle on the thin-plane nodes
     contact: np.ndarray               # bool over thin-plane nodes
     laplace_residual: float           # max |Au - b|, off-contact free nodes
-    complementarity: np.ndarray       # min(u-phi, u-target) on thin nodes
-    sweeps: int
-    final_update: float
-    converged: bool
+    complementarity: np.ndarray       # min(u - phi, (Au - b)/2d), thin nodes
+    sweeps: int                       # outer active-set iterations
+    final_update: float               # max |u_k - u_(k-1)|, last iteration
+    converged: bool                   # KKT conditions hold
     runtime: float
-    energy_trace: np.ndarray | None = None
     _interp: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -358,6 +314,7 @@ class GridSolution:
 
     def stats(self) -> dict:
         return {
+            "method": "pdas-cg",
             "sweeps": self.sweeps, "final_update": self.final_update,
             "converged": self.converged, "runtime_seconds": self.runtime,
             "laplace_residual": self.laplace_residual,
@@ -483,74 +440,121 @@ def _assemble(spec: ProblemSpec):
     return u, kind, phi, f
 
 
-def discrete_energy(values: np.ndarray, f: np.ndarray, h: float) -> float:
-    """Lyapunov functional of the projected sweep: half the sum of squared
-    link differences (thin-row horizontal links at half weight) plus the
-    load term (thin nodes at half weight).  Non-increasing across sweeps for
-    relaxation parameters in (0,2)."""
-    d = values.ndim
-    total = 0.0
+def _free_system(u, kind, f, h):
+    """A x = b over the free nodes, in ravel order: the 2d-point stencil with
+    the thin-row equations halved, so that A is symmetric, the Laplacian of
+    the lattice links (weight 1/2 inside the thin plane, 1 elsewhere); b is
+    -h^2 f, halved on the thin row, plus the weighted frozen neighbours."""
+    d = u.ndim
+    free = kind > 0
+    n = np.count_nonzero(free)
+    index = np.full(u.shape, -1, dtype=np.int32)
+    index[free] = np.arange(n)
+    weight = np.ones(u.shape)
+    weight[..., 0] = 0.5
+    rhs = -h * h * weight * f
+    rows, cols, vals = [index[free]], [index[free]], [2.0 * d * weight[free]]
     for ax in range(d):
-        diff = np.diff(values, axis=ax)
-        w = np.ones_like(diff)
-        if ax < d - 1:
-            w[..., 0] = 0.5          # horizontal links inside the thin plane
-        total += 0.5 * float(np.sum(w * diff * diff))
-    wload = np.ones_like(values)
-    wload[..., 0] = 0.5
-    total += h * h * float(np.sum(wload * f * values))
+        lo, hi = _links(d, ax)
+        w = weight[lo] if ax < d - 1 else np.ones(index[lo].shape)
+        a, b = index[lo], index[hi]
+        rhs[lo] += np.where(b < 0, w * u[hi], 0.0)
+        rhs[hi] += np.where(a < 0, w * u[lo], 0.0)
+        link = (a >= 0) & (b >= 0)
+        rows += [a[link], b[link]]
+        cols += [b[link], a[link]]
+        vals += [-w[link]] * 2
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))), (n, n))
+    return A, rhs[free]
+
+
+def _links(d, ax):
+    """Index pairs (lower, upper end) of the lattice links along ``ax``."""
+    lo, hi = [slice(None)] * d, [slice(None)] * d
+    lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
+def _neighbor_sum(a):
+    """Sum of the lattice neighbours of every node (missing ones count 0)."""
+    total = np.zeros_like(a)
+    for ax in range(a.ndim):
+        lo, hi = _links(a.ndim, ax)
+        total[lo] += a[hi]
+        total[hi] += a[lo]
     return total
 
 
-def solve_thin_obstacle(spec: ProblemSpec,
-                        record_energy_every: int = 0) -> GridSolution:
-    """Projected SOR solve of the discrete complementarity system."""
+def _pdas(A, b, x, obstacle, tol):
+    """Primal-dual active set iterates for A x = b, x >= obstacle (NEG_INF
+    where unconstrained), from ``x``; each CG solve ends 1e-3 below ``tol``,
+    the KKT bound.  Yields (x, active, repeated): ``active`` is the set the
+    solve held on the obstacle, ``repeated`` whether the rule lambda > x -
+    obstacle (lambda = A x - b on it, 0 off it) gives it again: the end."""
+    active = A @ x - b > x - obstacle
+    while True:
+        x = np.where(active, obstacle, x)
+        off = ~active
+        x[off], _ = cg(A[off][:, off], (b - A @ np.where(off, 0.0, x))[off],
+                       x0=x[off], rtol=0.0, atol=1e-3 * tol)
+        following = np.where(active, A @ x - b, 0.0) > x - obstacle
+        repeated = np.array_equal(following, active)
+        yield x, active, repeated
+        if repeated:
+            return
+        active = following
+
+
+def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
+    """PDAS solve from the obstacle-lifted start, at most ``max_sweeps``
+    iterations; ``converged`` certifies KKT: the active set repeated, |Au - b|
+    <= tol off it, u >= phi, and a multiplier >= -tol on it."""
     t0 = time.perf_counter()
     u, kind, phi, f = _assemble(spec)
-    h2 = spec.h * spec.h
-    # red and black free nodes, by the parity of the index sum
-    parity = np.indices(u.shape).sum(axis=0) % 2
-    colors = [(kind > 0) & (parity == color) for color in (0, 1)]
-    phi_full = np.full(u.shape, NEG_INF)
-    phi_full[..., 0] = phi
+    free = kind > 0
+    thin_sel = kind[..., 0] == 2
+    A, b = _free_system(u, kind, f, spec.h)
+    obstacle = np.full(u.shape, NEG_INF)
+    obstacle[..., 0] = phi
 
-    energies = [] if record_energy_every else None
-    sweeps, upd = 0, np.inf
-    while sweeps < spec.max_sweeps:
-        upd = _sweep_redblack(u, colors, phi_full, f, h2, spec.omega)
-        sweeps += 1
-        if record_energy_every and sweeps % record_energy_every == 0:
-            energies.append(discrete_energy(u, f, spec.h))
-        if upd <= spec.tol:
-            break
-    converged = upd <= spec.tol
+    x = u[free]
+    steps = _pdas(A, b, x, obstacle[free], spec.tol)
+    for sweeps, (x_next, active, repeated) in enumerate(
+            itertools.islice(steps, spec.max_sweeps), start=1):
+        update = float(np.max(np.abs(x_next - x)))
+        x = x_next
+    u[free] = x
+
+    # residual of the 2d-point stencil on the lattice, apart from A; at
+    # contact it is the multiplier
+    nbrs = _neighbor_sum(u)
+    nbrs[..., 0] += u[..., 1]
+    resid = 2 * spec.dimension * u - nbrs + spec.h ** 2 * f
+    slack = u[..., 0] - phi
+    on_obstacle = np.zeros(u.shape, dtype=bool)
+    on_obstacle[free] = active
+    kkt = float(np.max(np.abs(resid[free & ~on_obstacle]), initial=0.0))
+    converged = bool(repeated and kkt <= spec.tol
+                     and np.min(slack[thin_sel], initial=0.0) >= 0.0
+                     and np.min(resid[on_obstacle], initial=0.0) >= -spec.tol)
     if not converged:
         warnings.warn(
-            f"projected SOR hit the {spec.max_sweeps}-sweep cap with final "
-            f"update {upd:.3e} > tol {spec.tol:.3e}", stacklevel=2)
+            f"PDAS stopped at {sweeps} iterations (iteration cap "
+            f"{spec.max_sweeps}) with active set repeated={repeated}, "
+            f"residual {kkt:.3e} (tol {spec.tol:.3e})", stacklevel=2)
 
-    target = _gs_targets(u, f, h2)
-    free_off_plane = kind == 1
-    thin_sel = kind[..., 0] == 2
-    slack = u[..., 0] - phi
-    flux = u[..., 0] - target[..., 0]          # >= 0 at contact
-    comp = np.where(thin_sel, np.minimum(slack, flux), 0.0)
-    contact_tol = 10.0 * spec.tol
-    contact = thin_sel & (slack <= contact_tol)
-    resid_vals = np.abs(u - target)[free_off_plane]
-    off_contact_thin = thin_sel & ~contact
-    resid_thin = np.abs(flux)[off_contact_thin]
-    # u - target is the residual of the unscaled 2d-point system over 2d
-    lap_resid = 2.0 * spec.dimension * max(
-        float(resid_vals.max()) if resid_vals.size else 0.0,
-        float(resid_thin.max()) if resid_thin.size else 0.0)
-
+    contact = thin_sel & (slack <= 10.0 * spec.tol)
+    off_contact = free.copy()
+    off_contact[..., 0] &= ~contact
     return GridSolution(
         spec=spec, values=u, kind=kind, phi_thin=phi, contact=contact,
-        laplace_residual=lap_resid, complementarity=comp[thin_sel],
-        sweeps=sweeps, final_update=float(upd), converged=converged,
+        laplace_residual=float(np.max(np.abs(resid[off_contact]),
+                                      initial=0.0)),
+        complementarity=np.minimum(slack, resid[..., 0] / (2 * spec.dimension))
+        [thin_sel],
+        sweeps=sweeps, final_update=update, converged=converged,
         runtime=time.perf_counter() - t0,
-        energy_trace=np.asarray(energies) if energies else None,
     )
 
 
@@ -570,11 +574,7 @@ def contact_set(sol: GridSolution, tol: float | None = None):
     thin_sel = sol.kind[..., 0] == 2
     slack = sol.values[..., 0] - sol.phi_thin
     mask = thin_sel & (slack <= tol)
-    # Nodes on the edge of the lattice lie on or outside the sphere, so they
-    # are frozen and never in the mask; the interior neighbour sum suffices.
-    open_count = _neighbor_sum((thin_sel & ~mask).astype(float))
-    near_open = np.zeros_like(mask)
-    near_open[(slice(1, -1),) * mask.ndim] = open_count > 0
+    near_open = _neighbor_sum((thin_sel & ~mask).astype(float)) > 0
     boundary = [tuple(int(i) for i in idx)
                 for idx in np.argwhere(mask & near_open)]
     return mask, boundary

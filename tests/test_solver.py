@@ -1,17 +1,21 @@
 """Constrained solver: oracle solutions, complementarity, reduction to the
 zero-obstacle normal form, persistence."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinepi.polynomials import Polynomial, even_harmonic_extension
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.solver import (Mode2D, ProblemSpec, _assemble, contact_set,
-                            discrete_energy, field_config, load_solution,
-                            make_field, reduce_to_zero_obstacle,
-                            solve_thin_obstacle, taylor_polynomial)
+from thinepi.solver import (NEG_INF, Mode2D, ProblemSpec, _assemble,
+                            _free_system, _pdas, contact_set, field_config,
+                            load_solution, make_field,
+                            reduce_to_zero_obstacle, solve_thin_obstacle,
+                            taylor_polynomial)
 
 ZERO_1D = Polynomial.zero(1)
 
@@ -79,8 +83,8 @@ def test_spec_validation_errors():
         ProblemSpec(dimension=2, h=1 / 32, k=1)
     with pytest.raises(ValueError, match="gamma"):
         ProblemSpec(dimension=2, h=1 / 32, gamma=1.5)
-    with pytest.raises(ValueError, match="omega"):
-        ProblemSpec(dimension=2, h=1 / 32, omega=2.5)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        ProblemSpec(dimension=2, h=1 / 32, max_sweeps=0)
 
 
 def test_spec_config_roundtrip():
@@ -210,15 +214,25 @@ def test_three_dimensional_profile_solve():
 # Iteration properties
 # ---------------------------------------------------------------------------
 
-def test_energy_monotone_across_sweeps():
-    hs = halfspace_2d(1.5)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs,
-                       max_sweeps=50)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = solve_thin_obstacle(spec, record_energy_every=1)
-    assert sol.energy_trace is not None and len(sol.energy_trace) == 50
-    assert np.all(np.diff(sol.energy_trace) <= 1e-12)
+def test_pdas_iterates_monotone():
+    # For an M-matrix the active set iterates increase, and from the second
+    # on they are feasible and their active sets shrink (Kaerkkaeinen,
+    # Kunisch & Tarvainen, JOTA 2003).
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
+                       boundary=halfspace_2d(1.5))
+    u, kind, phi, f = _assemble(spec)
+    free = kind > 0
+    A, b = _free_system(u, kind, f, spec.h)
+    obstacle = np.where(kind == 2, phi[:, None], NEG_INF)[free]
+    steps = list(_pdas(A, b, u[free], obstacle, spec.tol))
+    xs, actives, repeated = zip(*steps)
+    assert len(steps) >= 3 and repeated[-1] and not any(repeated[:-1])
+    assert all(np.min(later - earlier) >= -1e-12
+               for earlier, later in zip(xs, xs[1:]))
+    assert all(np.min(x - obstacle) >= -1e-12 for x in xs[1:])
+    assert all(not np.any(later & ~earlier)
+               for earlier, later in zip(actives[1:], actives[2:]))
+    assert actives[1].sum() > actives[-1].sum()
 
 
 def test_comparison_principle():
@@ -233,6 +247,69 @@ def test_comparison_principle():
                                             obstacle=ZERO_1D, boundary=g2))
         free = a.kind > 0
         assert float(np.min((b.values - a.values)[free])) >= -1e-9
+
+
+def test_three_dimensional_profile_error_decreases_with_resolution():
+    p = make_profile(0, 2)
+    errors = [solve_thin_obstacle(ProblemSpec(
+        dimension=3, h=1 / res, obstacle=Polynomial.zero(2), boundary=p))
+        .max_error_vs(p) for res in (16, 32)]
+    assert errors[1] < errors[0]
+
+
+# ---------------------------------------------------------------------------
+# Order properties on small grids
+# ---------------------------------------------------------------------------
+
+amplitudes = st.floats(min_value=-1.0, max_value=1.0)
+gains = st.floats(min_value=0.0, max_value=0.5)
+
+
+def boundary_mix(amps):
+    """Even sphere data: the catalog profile and two modes, in ``amps``."""
+    return {"kind": "sum", "terms": [
+        {"kind": "scaled", "factor": amps[0],
+         "of": {"kind": "profile", "m": 0, "n": 1}},
+        {"kind": "mode", "j": 2, "power": 2.0, "amplitude": amps[1]},
+        {"kind": "mode", "j": 3, "power": 3.0, "amplitude": amps[2]}]}
+
+
+def quadratic(c0, c1, c2, nvars=1):
+    return {"kind": "polynomial", "coeffs": [
+        [[0] * nvars, c0], [[1] + [0] * (nvars - 1), c1],
+        [[2] + [0] * (nvars - 1), c2]]}
+
+
+def solved_values(obstacle, boundary):
+    sol = solve_thin_obstacle(ProblemSpec(dimension=2, h=1 / 16,
+                                          obstacle=obstacle,
+                                          boundary=boundary))
+    assert sol.converged
+    return sol.values[sol.kind > 0]
+
+
+@given(st.lists(amplitudes, min_size=3, max_size=3), gains, gains,
+       st.floats(min_value=-0.3, max_value=0.3))
+@settings(max_examples=20, deadline=None)
+def test_comparison_principle_in_boundary_data(amps, shift, tilt, level):
+    # g <= g + shift + tilt x1^2 on the sphere, so the solutions are ordered
+    obstacle = quadratic(level, 0.0, -1.0)
+    low = boundary_mix(amps)
+    high = {"kind": "sum", "terms": [low, quadratic(shift, 0.0, tilt, 2)]}
+    gap = solved_values(obstacle, high) - solved_values(obstacle, low)
+    assert np.min(gap) >= -1e-12
+
+
+@given(st.lists(amplitudes, min_size=3, max_size=3),
+       st.lists(amplitudes, min_size=3, max_size=3), gains, gains)
+@settings(max_examples=20, deadline=None)
+def test_solution_monotone_in_obstacle(amps, coeffs, shift, tilt):
+    # phi <= phi + shift + tilt x^2 on the thin line, so u is ordered too
+    boundary = boundary_mix(amps)
+    low = quadratic(*coeffs)
+    high = quadratic(coeffs[0] + shift, coeffs[1], coeffs[2] + tilt)
+    gap = solved_values(high, boundary) - solved_values(low, boundary)
+    assert np.min(gap) >= -1e-12
 
 
 def system_residual(sol):
@@ -265,20 +342,21 @@ def test_laplace_residual_is_system_residual(spec):
     sol = solve_thin_obstacle(spec)
     assert sol.laplace_residual == pytest.approx(system_residual(sol),
                                                  rel=1e-3)
+    assert sol.laplace_residual <= 1e-12
 
 
-def test_redblack_matches_lexicographic_reference():
+def test_pdas_matches_lexicographic_reference():
     hs = halfspace_2d(1.5)
     spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs)
     u, kind, phi, f = _assemble(spec)
     h2 = spec.h ** 2
     for _ in range(30_000):
-        if lexicographic_psor_sweep(u, kind, phi, f, h2, spec.omega) <= spec.tol:
+        if lexicographic_psor_sweep(u, kind, phi, f, h2, 1.8) <= spec.tol:
             break
     else:
         pytest.fail("reference sweep did not converge")
     sol = solve_thin_obstacle(spec)
-    assert np.max(np.abs(u - sol.values)) < 1e-7
+    assert np.max(np.abs(u - sol.values)) < 1e-8
 
 
 def test_converging_solve_is_silent():
@@ -294,10 +372,10 @@ def test_converging_solve_is_silent():
 def test_nonconvergence_warns():
     hs = halfspace_2d(1.5)
     spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs,
-                       max_sweeps=5)
-    with pytest.warns(UserWarning, match="sweep cap"):
+                       max_sweeps=1)
+    with pytest.warns(UserWarning, match="iteration cap"):
         sol = solve_thin_obstacle(spec)
-    assert not sol.converged
+    assert not sol.converged and sol.sweeps == 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +455,23 @@ def test_dump_load_roundtrip(tmp_path, halfspace_solution):
     assert np.array_equal(back.phi_thin, sol.phi_thin)
     assert back.spec.dimension == 2 and back.spec.h == sol.spec.h
     assert back.sweeps == sol.sweeps
+
+
+def test_load_reads_projected_sor_header(tmp_path, halfspace_solution):
+    # The header as the projected SOR solver wrote it: ``omega`` and
+    # ``max_sweeps`` in the spec, no ``method`` in the stats.
+    _, _, sol = halfspace_solution
+    base = tmp_path / "case"
+    _, json_path = sol.dump(base)
+    header = json.loads(json_path.read_text())
+    header["spec"].update(omega=1.8, max_sweeps=5000)
+    del header["stats"]["method"]
+    json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
+    back = load_solution(base)
+    assert back.spec.max_sweeps == 5000
+    assert "omega" not in back.spec.to_config()
+    assert np.array_equal(back.values, sol.values)
+    assert back.sweeps == sol.sweeps and back.converged
 
 
 def test_load_detects_corruption(tmp_path, halfspace_solution):
