@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hash the artifacts of a fixed set of CLI runs.
 
-Runs each command below at its default config, with its own output and
+Runs each of the sixteen commands below, with its own output and
 eigenbasis cache directories under one temporary directory, and prints one
 JSON object that maps "<command>/<file>" to the sha256 of every CSV, SVG and
 solution.bin written.  Two checkouts that print the same object write the
@@ -24,6 +24,10 @@ COMMANDS = (
     "spectral",
     "spectral --n 2",
     "epi-check",
+    "epi-check --m 1",
+    "epi-check --n 2",
+    "epi-check --m 1 --negative",
+    "epi-check --m 2 --negative",
     "solve",
     "frequency",
     "blowup",

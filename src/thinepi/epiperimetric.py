@@ -160,6 +160,7 @@ class Decomposition:
     cond: float                       # moment matrix condition number
     moment_residuals: np.ndarray      # <phi, low constrained modes>
     reconstruction_error: float       # L2 gap between c and P + phi
+    flags: dict                       # admissibility checks, all passed
     mu: float
     m: int
     basis_delta: EigenBasis
@@ -169,6 +170,7 @@ class Decomposition:
 
 def _check_admissible_trace(c: SphericalTrace, p: BlowupProfile,
                             mask: np.ndarray, eps: float) -> dict:
+    """Admissibility flags of a trace; raises ValueError naming any that fail."""
     grid = c.grid
     flags = {
         "even": bool(grid.is_even(c.values, 1e-10)),
@@ -176,8 +178,11 @@ def _check_admissible_trace(c: SphericalTrace, p: BlowupProfile,
         "vanishes_on_mask": bool(
             mask.size == 0 or np.max(np.abs(c.values[mask])) <= 1e-10),
     }
-    diff = c.values - p.trace_on(grid)
+    diff = c.values - p.shared_trace_on(grid)
     flags["within_eps"] = bool(np.sqrt(grid.inner(diff, diff)) <= eps * (1 + 1e-8))
+    bad = [k for k, ok in flags.items() if not ok]
+    if bad:
+        raise ValueError(f"trace fails admissibility checks: {bad}")
     return flags
 
 
@@ -197,17 +202,14 @@ def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
     mu = float(2 * m + 1)
     ell = mode_count_ell(n, m)
     flags = _check_admissible_trace(c, p, basis_delta.mask, config.eps)
-    bad = [k for k, ok in flags.items() if not ok]
-    if bad:
-        raise ValueError(f"trace fails admissibility checks: {bad}")
 
-    dvals = basis_delta.values[:, :ell]
-    moment = (dvals.T * grid.weights) @ half_basis.values[:, :ell]
+    mass = basis_delta.mass_rows(ell)
+    moment = mass @ half_basis.values[:, :ell]
     cond = float(np.linalg.cond(moment))
     if cond > config.cond_threshold:
         raise ValueError(f"moment matrix condition {cond:.3e} exceeds "
                          f"{config.cond_threshold:.1e}")
-    b = (dvals.T * grid.weights) @ c.values
+    b = mass @ c.values
     nu = np.linalg.solve(moment, b)
     p_part = trace_from_basis(half_basis, nu)
     resid_vals = c.values - p_part.values
@@ -219,11 +221,11 @@ def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
         raise ValueError(
             f"remainder is not representable in the constrained basis "
             f"(residual {recon_err:.3e}); enlarge the basis or refine the trace")
-    moments = (dvals.T * grid.weights) @ resid_vals
+    moments = mass @ resid_vals
     return Decomposition(nu=nu, p_part=p_part, phi=phi, phi_coeffs=phi_coeffs,
                          delta=float(delta), cond=cond,
                          moment_residuals=moments,
-                         reconstruction_error=recon_err, mu=mu, m=m,
+                         reconstruction_error=recon_err, flags=flags, mu=mu, m=m,
                          basis_delta=basis_delta, half_basis=half_basis,
                          profile=p)
 
@@ -294,7 +296,6 @@ def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
     if half_basis is None:
         half_basis = adapted_half_basis(p, grid)
     dec = decompose_trace(c, p, delta, basis_delta, half_basis, config)
-    flags = _check_admissible_trace(c, p, basis_delta.mask, config.eps)
     w_z, w_z_quad, w_p = _energy_both_routes(dec, mu, mu)
     w_zeta, w_zeta_quad, _ = _energy_both_routes(dec, alpha, mu)
     bound = (1.0 - kap) * w_z
@@ -307,7 +308,7 @@ def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
         w_z=w_z, w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad,
         bound=bound, slack=bound - w_zeta,
         slack_quad=(1.0 - kap) * w_z_quad - w_zeta_quad,
-        profile_energy=w_p, slack_predicted=slack_pred, flags=flags,
+        profile_energy=w_p, slack_predicted=slack_pred, flags=dec.flags,
         route_discrepancy=max(abs(w_z - w_z_quad), abs(w_zeta - w_zeta_quad)))
 
 
@@ -372,9 +373,6 @@ def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
     if basis_delta is None:
         basis_delta = _delta_basis(p, grid, delta, ell + config.extra_modes)
     flags = _check_admissible_trace(c, p, basis_delta.mask, config.eps)
-    bad = [k for k, ok in flags.items() if not ok]
-    if bad:
-        raise ValueError(f"trace fails admissibility checks: {bad}")
 
     coeffs = basis_delta.project(c.values)
     recon = c.values - basis_delta.reconstruct(coeffs)

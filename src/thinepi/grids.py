@@ -169,60 +169,36 @@ def fold_theta(theta: np.ndarray) -> np.ndarray:
 def _octasphere_grid(resolution: int) -> SphereGrid:
     level = max(2, int(np.ceil(np.log2(max(resolution, 8) / 4))))
     e1, e2, e3 = np.eye(3)
-    upper_faces = [
-        (e1, e2, e3), (e2, -e1, e3), (-e1, -e2, e3), (-e2, e1, e3),
-    ]
+    faces = np.array([(e1, e2, e3), (e2, -e1, e3), (-e1, -e2, e3), (-e2, e1, e3)])
 
-    verts: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-    tris: list[tuple[int, int, int]] = []
+    # Split every face of a level at once.  The children of face i land at
+    # 4i..4i+3, so after the last level the faces are in depth-first order.
+    # The batched matmul takes each squared norm with the bits of a 1-D m @ m.
+    for _ in range(level):
+        a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+        m = np.stack([a + b, b + c, c + a])
+        ab, bc, ca = m / np.sqrt(m[..., None, :] @ m[..., None])[..., 0]
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                         axis=1).reshape(-1, 3, 3)
 
-    def vid(v: np.ndarray) -> int:
-        v = v + 0.0  # canonicalize -0.0 to +0.0 so mirrored keys match
-        key = v.tobytes()
-        i = index.get(key)
-        if i is None:
-            i = len(verts)
-            index[key] = i
-            verts.append(v)
-        return i
+    # Number the upper vertices by the first occurrence of their bytes among
+    # the triangle corners; +0.0 turns -0.0 into +0.0 so mirrored keys match.
+    corners = faces.reshape(-1, 3) + 0.0
+    keys = corners.view(np.dtype((np.void, corners.itemsize * 3))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    upper = corners[first[by_first]]
+    upper_tris = np.argsort(by_first)[inverse].reshape(-1, 3)
 
-    def midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        m = a + b
-        return m / np.sqrt(m @ m)
-
-    def subdivide(a, b, c, depth):
-        if depth == 0:
-            tris.append((vid(a), vid(b), vid(c)))
-            return
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        subdivide(a, ab, ca, depth - 1)
-        subdivide(ab, b, bc, depth - 1)
-        subdivide(ca, bc, c, depth - 1)
-        subdivide(ab, bc, ca, depth - 1)
-
-    for a, b, c in upper_faces:
-        subdivide(a, b, c, level)
-
-    # Mirror the upper half exactly.  Negation is exact in floating point, so
-    # the reflected vertex keys match bit for bit and the involution is exact.
-    n_upper_tris = len(tris)
-    mirror = np.array([1.0, 1.0, -1.0])
-    upper_vert_count = len(verts)
-    mirrored_of = np.empty(upper_vert_count, dtype=int)
-    for i in range(upper_vert_count):
-        mirrored_of[i] = vid(verts[i] * mirror)
-    for t in range(n_upper_tris):
-        a, b, c = tris[t]
-        tris.append((mirrored_of[a], mirrored_of[c], mirrored_of[b]))
-
-    nodes = np.array(verts)
-    triangles = np.array(tris, dtype=int)
-    nvert = nodes.shape[0]
-
-    reflect = np.empty(nvert, dtype=int)
-    for i in range(nvert):
-        reflect[i] = index[(nodes[i] * mirror + 0.0).tobytes()]
+    # Mirror the upper half exactly: negation is exact in floating point, so
+    # the involution is exact.  Equator nodes are their own mirror images;
+    # the others get new nodes, appended in order.
+    off = np.flatnonzero(upper[:, 2] != 0.0)
+    mirrored_of = np.arange(upper.shape[0])
+    mirrored_of[off] = upper.shape[0] + np.arange(off.size)
+    nodes = np.vstack([upper, upper[off] * np.array([1.0, 1.0, -1.0])])
+    triangles = np.vstack([upper_tris, mirrored_of[upper_tris[:, [0, 2, 1]]]])
+    reflect = np.concatenate([mirrored_of, off])
 
     equator = np.nonzero(nodes[:, 2] == 0.0)[0]
     order = np.argsort(np.arctan2(nodes[equator, 1], nodes[equator, 0]))
@@ -233,9 +209,8 @@ def _octasphere_grid(resolution: int) -> SphereGrid:
     # O(h^2); the normalization keeps the quadrature contract exact).
     a, b, c = nodes[triangles[:, 0]], nodes[triangles[:, 1]], nodes[triangles[:, 2]]
     areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    weights = np.zeros(nvert)
-    for k in range(3):
-        np.add.at(weights, triangles[:, k], areas / 3.0)
+    weights = np.bincount(triangles.T.ravel(), weights=np.tile(areas / 3.0, 3),
+                          minlength=nodes.shape[0])
     weights *= SPHERE_AREA[2] / weights.sum()
 
     # Equator ring arc-length weights for the H^1 line measure.
@@ -267,14 +242,10 @@ def _latlong_grid(resolution: int) -> SphereGrid:
 
     phi = np.arange(nlon) * (TWO_PI / nlon)
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    nodes = np.empty((nlat * nlon, 3))
-    weights = np.empty(nlat * nlon)
-    for i in range(nlat):
-        sl = slice(i * nlon, (i + 1) * nlon)
-        nodes[sl, 0] = rho[i] * np.cos(phi)
-        nodes[sl, 1] = rho[i] * np.sin(phi)
-        nodes[sl, 2] = z[i]
-        weights[sl] = wz[i] * (TWO_PI / nlon)
+    nodes = np.column_stack([(rho[:, None] * np.cos(phi)).ravel(),
+                             (rho[:, None] * np.sin(phi)).ravel(),
+                             np.repeat(z, nlon)])
+    weights = np.repeat(wz * (TWO_PI / nlon), nlon)
 
     idx = np.arange(nlat * nlon).reshape(nlat, nlon)
     reflect = idx[::-1, :].reshape(-1)

@@ -68,6 +68,8 @@ class BlowupProfile:
     p0: Polynomial                 # n variables, degree 2m, >= 0 on the plane
     p1: Polynomial                 # n+1 variables, degree 2m-2 (zero if m=0)
     normalization: float = 1.0
+    _traces: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def homogeneity(self) -> float:
@@ -95,6 +97,17 @@ class BlowupProfile:
         if grid.n != self.n:
             raise ValueError(f"grid dimension {grid.n} != profile dimension {self.n}")
         return self(grid.nodes)
+
+    def shared_trace_on(self, grid: SphereGrid) -> np.ndarray:
+        """``trace_on(grid)``, evaluated once per grid and then shared as a
+        read-only array; the profile must not change after the first call."""
+        hit = self._traces.get(id(grid))
+        if hit is None:
+            values = self.trace_on(grid)
+            values.flags.writeable = False
+            # The entry holds the grid, so its id cannot be reused meanwhile.
+            hit = self._traces[id(grid)] = (grid, values)
+        return hit[1]
 
     def trace_gradient_on(self, grid: SphereGrid) -> np.ndarray:
         """Tangential gradient of the sphere trace, upper one-sided at the

@@ -87,10 +87,23 @@ class EigenBasis:
     grads: np.ndarray | None = None        # (count, N, 3), n=2 analytic
     equator_dn: np.ndarray | None = None   # (count, n_equator)
     polys: list = field(default_factory=list, repr=False)  # n=2 analytic
+    _mass_rows: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def count(self) -> int:
         return self.values.shape[1]
+
+    def mass_rows(self, k: int) -> np.ndarray:
+        """Rows ``values[:, :k].T * grid.weights``, whose products with node
+        values are quadrature inner products with the first k modes.  Built
+        once per k and shared read-only; ``values`` must not change after."""
+        rows = self._mass_rows.get(k)
+        if rows is None:
+            rows = self.values[:, :k].T * self.grid.weights
+            rows.flags.writeable = False
+            self._mass_rows[k] = rows
+        return rows
 
     def project(self, trace_values: np.ndarray) -> np.ndarray:
         """Quadrature inner products of a node function with every mode."""

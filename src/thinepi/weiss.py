@@ -31,6 +31,7 @@ even eigenbasis plus an equator flux term; see beta_pairing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,10 +104,15 @@ class BallFunction:
         return float(self.grid.inner(b, b))
 
 
+@functools.cache
 def default_radii(count: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radial rule on (0,1) plus a zero-weight node at r=1."""
+    """Gauss-Legendre radial rule on (0,1) plus a zero-weight node at r=1,
+    built once per count and shared by every caller as read-only arrays."""
     r, w = radial_rule(count)
-    return np.append(r, 1.0), np.append(w, 0.0)
+    radii, weights = np.append(r, 1.0), np.append(w, 0.0)
+    for shared in (radii, weights):
+        shared.flags.writeable = False
+    return radii, weights
 
 
 def homogeneous_extension(c: SphericalTrace, degree: float,
@@ -345,8 +351,7 @@ def beta_pairing(phi_coeffs, psi: SphericalTrace, mu: float, alpha: float,
     if c.size > basis.count:
         raise ValueError("more coefficients than basis modes")
     lam = basis.lambdas[:c.size]
-    mass = basis.values[:, :c.size].T * grid.weights
-    inner = mass @ psi.values
+    inner = basis.mass_rows(c.size) @ psi.values
     spectral_term = float(np.sum((lam - lambda_of(mu, n)) * c * inner))
     dn = basis.equator_dn[:c.size].T @ c          # d_up phi at equator nodes
     psi_eq = psi.values[grid.equator]

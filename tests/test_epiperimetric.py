@@ -4,6 +4,7 @@ off-homogeneity identities, gap arithmetic."""
 import numpy as np
 import pytest
 
+from thinepi import epiperimetric
 from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis,
                                    build_competitor_negative,
                                    build_competitor_positive, choose_delta,
@@ -138,6 +139,29 @@ def test_decompose_rejects_bad_traces(setup01, circle):
     neg.dtheta = None
     with pytest.raises(ValueError, match="admissibility"):
         decompose_trace(neg, p, delta, basis, half)
+
+
+def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup11):
+    checked = []
+    real = epiperimetric._check_admissible_trace
+
+    def counting(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(epiperimetric, "_check_admissible_trace", counting)
+    rng = np.random.default_rng(24)
+    p, delta, basis, half = setup01
+    for c in sample_positive_traces(p, basis, 0, 3, rng):
+        checked.clear()
+        rep = verify_epi(c, p, delta, 0, basis_delta=basis, half_basis=half)
+        assert len(checked) == 1
+        assert rep.flags == real(c, p, basis.mask, DEFAULT_CONFIG.eps)
+    p, delta, basis, _ = setup11
+    for c in sample_negative_traces(p, basis, 1, 3, rng):
+        checked.clear()
+        build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+        assert len(checked) == 1
 
 
 def test_decompose_condition_threshold(setup01):

@@ -127,3 +127,118 @@ def test_radii_ladder_geometric():
     ratios = r[1:] / r[:-1]
     assert np.allclose(ratios, 2.0 ** 0.25, atol=1e-14)
     assert np.isclose(r[-1], 0.5)
+
+
+def _octasphere_reference(resolution):
+    """The recursive octahedron subdivision with a dict of vertex keys, kept
+    as an oracle for the vectorised build."""
+    level = max(2, int(np.ceil(np.log2(max(resolution, 8) / 4))))
+    e1, e2, e3 = np.eye(3)
+    upper_faces = [
+        (e1, e2, e3), (e2, -e1, e3), (-e1, -e2, e3), (-e2, e1, e3),
+    ]
+
+    verts, index, tris = [], {}, []
+
+    def vid(v):
+        v = v + 0.0  # canonicalize -0.0 to +0.0 so mirrored keys match
+        key = v.tobytes()
+        i = index.get(key)
+        if i is None:
+            i = len(verts)
+            index[key] = i
+            verts.append(v)
+        return i
+
+    def midpoint(a, b):
+        m = a + b
+        return m / np.sqrt(m @ m)
+
+    def subdivide(a, b, c, depth):
+        if depth == 0:
+            tris.append((vid(a), vid(b), vid(c)))
+            return
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        subdivide(a, ab, ca, depth - 1)
+        subdivide(ab, b, bc, depth - 1)
+        subdivide(ca, bc, c, depth - 1)
+        subdivide(ab, bc, ca, depth - 1)
+
+    for a, b, c in upper_faces:
+        subdivide(a, b, c, level)
+
+    n_upper_tris = len(tris)
+    mirror = np.array([1.0, 1.0, -1.0])
+    upper_vert_count = len(verts)
+    mirrored_of = np.empty(upper_vert_count, dtype=int)
+    for i in range(upper_vert_count):
+        mirrored_of[i] = vid(verts[i] * mirror)
+    for t in range(n_upper_tris):
+        a, b, c = tris[t]
+        tris.append((mirrored_of[a], mirrored_of[c], mirrored_of[b]))
+
+    nodes = np.array(verts)
+    triangles = np.array(tris, dtype=int)
+    nvert = nodes.shape[0]
+    reflect = np.empty(nvert, dtype=int)
+    for i in range(nvert):
+        reflect[i] = index[(nodes[i] * mirror + 0.0).tobytes()]
+
+    equator = np.nonzero(nodes[:, 2] == 0.0)[0]
+    equator = equator[np.argsort(np.arctan2(nodes[equator, 1], nodes[equator, 0]))]
+
+    a, b, c = nodes[triangles[:, 0]], nodes[triangles[:, 1]], nodes[triangles[:, 2]]
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    weights = np.zeros(nvert)
+    for k in range(3):
+        np.add.at(weights, triangles[:, k], areas / 3.0)
+    weights *= SPHERE_AREA[2] / weights.sum()
+
+    ang = np.arctan2(nodes[equator, 1], nodes[equator, 0])
+    gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * np.pi]]))
+    eq_w = 0.5 * (gaps + np.roll(gaps, 1))
+    return {"nodes": nodes, "weights": weights, "reflect": reflect,
+            "equator": equator, "triangles": triangles, "equator_weights": eq_w}
+
+
+def _assert_bit_identical(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64, 256])
+def test_octasphere_matches_recursive_reference(resolution):
+    g = build_grid(2, resolution)
+    for name, want in _octasphere_reference(resolution).items():
+        _assert_bit_identical(getattr(g, name), want)
+
+
+def _latlong_reference(resolution):
+    """The per-latitude loop that filled the lat-long nodes and weights."""
+    nlat = resolution + 1 if resolution % 2 == 0 else resolution
+    nlon = 2 * resolution
+    z, wz = np.polynomial.legendre.leggauss(nlat)
+    z = 0.5 * (z - z[::-1])
+    wz = 0.5 * (wz + wz[::-1])
+    z[nlat // 2] = 0.0
+    phi = np.arange(nlon) * (2.0 * np.pi / nlon)
+    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    nodes = np.empty((nlat * nlon, 3))
+    weights = np.empty(nlat * nlon)
+    for i in range(nlat):
+        sl = slice(i * nlon, (i + 1) * nlon)
+        nodes[sl, 0] = rho[i] * np.cos(phi)
+        nodes[sl, 1] = rho[i] * np.sin(phi)
+        nodes[sl, 2] = z[i]
+        weights[sl] = wz[i] * (2.0 * np.pi / nlon)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("resolution", [24, 48])
+def test_latlong_matches_loop_reference(resolution):
+    g = build_grid(2, resolution, kind="latlong")
+    nodes, weights = _latlong_reference(resolution)
+    _assert_bit_identical(g.nodes, nodes)
+    _assert_bit_identical(g.weights, weights)
+    assert g.nodes.flags.c_contiguous

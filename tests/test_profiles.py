@@ -143,6 +143,20 @@ def test_profile_json_roundtrip():
     assert q.m == 1 and q.n == 2
 
 
+def test_shared_trace_is_per_grid_and_read_only():
+    p = make_profile(1, 2)
+    grids = (build_grid(2, 24, kind="latlong"), build_grid(2, 32),
+             build_grid(2, 48, kind="latlong"))
+    shared = [p.shared_trace_on(g) for g in grids]
+    for g, tr in zip(grids, shared):
+        fresh = p.trace_on(g)
+        assert tr.dtype == fresh.dtype and tr.tobytes() == fresh.tobytes()
+        assert p.shared_trace_on(g) is tr
+        with pytest.raises(ValueError):
+            tr[0] = 0.0
+    assert len({tr.size for tr in shared}) == len(grids)
+
+
 def test_trace_gradient_tangential_and_even_norm():
     grid = build_grid(1, 256)
     p = make_profile(1, 1)

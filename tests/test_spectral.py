@@ -165,6 +165,21 @@ def test_iterative_eigenbasis_repeats_bit_for_bit():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("grid", [build_grid(1, 256),
+                                  build_grid(2, 24, kind="latlong")],
+                         ids=["circle", "latlong"])
+def test_mass_rows_are_cached_and_read_only(grid):
+    basis = half_sphere_basis(grid.n, 5, grid=grid)
+    for k in (1, 3, basis.count):
+        rows = basis.mass_rows(k)
+        fresh = basis.values[:, :k].T * grid.weights
+        assert rows.shape == fresh.shape and rows.strides == fresh.strides
+        assert rows.tobytes(order="A") == fresh.tobytes(order="A")
+        assert basis.mass_rows(k) is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+
 def test_eigenbasis_validations():
     grid = build_grid(1, 64)
     with pytest.raises(ValueError):

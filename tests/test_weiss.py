@@ -240,6 +240,18 @@ def test_sampled_route_error_threshold_raises(circle, sin_basis):
         weiss_quadrature(sampled, 2.0, error_threshold=1e-16)
 
 
+def test_default_radii_is_shared_and_read_only():
+    radii, weights = default_radii(64)
+    radii2, weights2 = default_radii(64)
+    assert radii is radii2 and weights is weights2
+    assert radii[-1] == 1.0 and weights[-1] == 0.0
+    with pytest.raises(ValueError):
+        radii[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    assert default_radii(24)[0].size == 25
+
+
 def test_radii_must_end_at_one(circle):
     with pytest.raises(ValueError, match="end at 1"):
         BallFunction(circle, np.linspace(0.1, 0.9, 5),
