@@ -154,6 +154,8 @@ def _run_spectral(config: RunConfig, out: Path, timings: dict):
     modes = int(params.get("modes", 8))
     mu = float(params.get("mu", 1.0 if n == 1 else 0.5))
     vectors = int(params.get("vectors", 100 if n == 1 else 20))
+    if vectors < 1:
+        raise ValueError(f"--vectors must be at least 1, got {vectors}")
     resolution = int(params.get("resolution", 2048 if n == 1 else 256))
     if n == 1:
         tol = float(params.get("tol", 1e-8))
@@ -213,6 +215,8 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
     m = int(params.get("m", 0))
     n = int(params.get("n", 1))
     trials = int(params.get("trials", 200))
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     eps = float(params.get("eps", DEFAULT_CONFIG.eps))
     negative = bool(params.get("negative", False))
     resolution = int(params.get("resolution", 4096 if n == 1 else 48))

@@ -123,14 +123,13 @@ def _delta_basis(p: BlowupProfile, grid: SphereGrid, delta: float,
 
 def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
                  config: EpiConfig = DEFAULT_CONFIG,
-                 count: int | None = None,
                  cache_dir=None) -> tuple[float, EigenBasis]:
-    """Largest ladder delta whose constrained basis keeps every mode above
-    the low block at eigenvalue >= lambda(2m+2) - 1."""
+    """Largest ladder delta whose constrained basis, with ``extra_modes``
+    modes beyond the low block, keeps every mode above the low block at
+    eigenvalue >= lambda(2m+2) - 1."""
     n = grid.n
     ell = mode_count_ell(n, m)
-    if count is None:
-        count = ell + config.extra_modes
+    count = ell + config.extra_modes
     floor = lambda_of(2 * m + 2, n) - 1.0
     last_fail = None
     for delta in config.delta_ladder:
@@ -281,8 +280,7 @@ def _energy_both_routes(dec: Decomposition, radial_power: float, mu: float):
 
 def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
                basis_delta: EigenBasis | None = None,
-               half_basis: EigenBasis | None = None,
-               config: EpiConfig = DEFAULT_CONFIG) -> EpiReport:
+               half_basis: EigenBasis | None = None) -> EpiReport:
     """Decompose the trace, build the raised competitor, and report the
     contraction W(zeta) <= (1-kappa) W(z) through both energy routes."""
     grid = c.grid
@@ -291,11 +289,11 @@ def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
     alpha = 2 * m + 1.5
     kap = kappa(alpha, mu, n)
     if basis_delta is None:
-        basis_delta = _delta_basis(p, grid, delta,
-                                   mode_count_ell(n, m) + config.extra_modes)
+        basis_delta = _delta_basis(
+            p, grid, delta, mode_count_ell(n, m) + DEFAULT_CONFIG.extra_modes)
     if half_basis is None:
         half_basis = adapted_half_basis(p, grid)
-    dec = decompose_trace(c, p, delta, basis_delta, half_basis, config)
+    dec = decompose_trace(c, p, delta, basis_delta, half_basis)
     w_z, w_z_quad, w_p = _energy_both_routes(dec, mu, mu)
     w_zeta, w_zeta_quad, _ = _energy_both_routes(dec, alpha, mu)
     bound = (1.0 - kap) * w_z
@@ -354,25 +352,23 @@ def solve_alpha(target: float, m: int, mu: float, n: int,
 
 
 def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
-                              m: int, eta: float | None = None,
-                              basis_delta: EigenBasis | None = None,
-                              config: EpiConfig = DEFAULT_CONFIG):
+                              m: int, basis_delta: EigenBasis | None = None):
     """Competitor for traces with W(z) < 0: split off the top-mode component
     h, lower the remainder's radial power to alpha in (2m, 2m+1) solving
     (mu-alpha)/(n+alpha+mu-1) = |W(z)|, and certify
-    W(zeta) <= (1+|W(z)|) W(z).
+    W(zeta) <= (1+|W(z)|) W(z).  The flag ``energy_in_window`` records
+    whether |W(z)| lies below the negative-case budget ``EpiConfig.eta``.
 
     Returns (zeta, alpha, report).
     """
     grid = c.grid
     n = grid.n
     mu = float(2 * m + 1)
-    if eta is None:
-        eta = config.eta
     ell = mode_count_ell(n, m)
     if basis_delta is None:
-        basis_delta = _delta_basis(p, grid, delta, ell + config.extra_modes)
-    flags = _check_admissible_trace(c, p, basis_delta.mask, config.eps)
+        basis_delta = _delta_basis(p, grid, delta,
+                                   ell + DEFAULT_CONFIG.extra_modes)
+    flags = _check_admissible_trace(c, p, basis_delta.mask, DEFAULT_CONFIG.eps)
 
     coeffs = basis_delta.project(c.values)
     recon = c.values - basis_delta.reconstruct(coeffs)
@@ -393,9 +389,9 @@ def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
     if not w_z < 0.0:
         raise ValueError(f"W(z) = {w_z:.3e} is not negative")
     absw = -w_z
-    flags["energy_in_window"] = bool(absw < eta)
+    flags["energy_in_window"] = bool(absw < DEFAULT_CONFIG.eta)
 
-    alpha = solve_alpha(absw, m, mu, n, tol=config.bisect_tol)
+    alpha = solve_alpha(absw, m, mu, n, tol=DEFAULT_CONFIG.bisect_tol)
     alpha_in_range = bool(2 * m < alpha < mu)
 
     w_h = float(c_ell ** 2 * (lam[ell - 1] - lambda_of(mu, n)) / (n + 2 * mu - 1.0))
@@ -496,7 +492,10 @@ def gap_demo(m: int, n: int, t_grid=None) -> GapDemoReport:
     small nonzero t is contradicted.  For n=1 the report also lists the
     known admissible 2D frequencies falling inside the surrounding window,
     which is empty around mu = 2m+1 by the structure of that family.
+    Needs m >= 0 and n >= 1.
     """
+    if m < 0 or n < 1:
+        raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
     if t_grid is None:
         t_grid = np.concatenate([np.linspace(-0.1, -0.005, 20),
                                  np.linspace(0.005, 0.1, 20)])
@@ -561,11 +560,11 @@ def sample_positive_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
 
 def sample_negative_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
                            count: int, rng: np.random.Generator,
-                           eps: float = DEFAULT_CONFIG.eps,
-                           window: tuple = (-0.045, -0.001)) -> list[SphericalTrace]:
+                           eps: float = DEFAULT_CONFIG.eps) -> list[SphericalTrace]:
     """Admissible traces whose mu-homogeneous extension has negative energy:
     profile plus low constrained modes (eigenvalue below the profile's),
-    exactly scaled to land the energy in the requested window."""
+    exactly scaled to land the energy in the window (-0.045, -0.001), cut
+    to what the eps ball reaches."""
     grid = basis_delta.grid
     n = grid.n
     m_mu = float(2 * m + 1)
@@ -580,8 +579,8 @@ def sample_negative_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
         raise ValueError("low modes do not lower the energy")
     ptr = trace_from_profile(p, grid)
     reach = -np.min(per_unit) * (0.98 * eps) ** 2
-    lo = max(window[0], -0.9 * reach)
-    hi = min(window[1], -1e-4)
+    lo = max(-0.045, -0.9 * reach)
+    hi = -0.001
     if not lo < hi:
         raise ValueError("energy window unreachable within the eps ball")
     out = []

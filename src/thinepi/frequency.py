@@ -124,12 +124,11 @@ def _on_spheres(adapter: FieldAdapter, center: np.ndarray, radii,
 
 
 def _sphere_slope(adapter: FieldAdapter, x0: np.ndarray, r: float,
-                  grid: SphereGrid, dr: float | None = None):
+                  grid: SphereGrid):
     """Values on the sphere of radius r about x0 and their radial derivative,
-    a central difference over the spheres r - dr and r + dr (dr defaults to
-    h/2 on a grid field, 1e-4 r otherwise)."""
-    if dr is None:
-        dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
+    a central difference over the spheres r - dr and r + dr, with dr = h/2
+    on a grid field and 1e-4 r otherwise."""
+    dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
     _check_reach(adapter, x0, r + dr)
     vals, vp, vm = _on_spheres(adapter, x0, (r, r + dr, r - dr), grid.nodes)
     return vals, (vp - vm) / (2.0 * dr)
@@ -149,8 +148,8 @@ def _shell_sup_distance(adapter: FieldAdapter, x0: np.ndarray, r: float,
 # Surface moments and truncated frequency
 # ---------------------------------------------------------------------------
 
-def surface_moments(v, x0, r: float, grid: SphereGrid | None = None,
-                    dr: float | None = None) -> tuple[float, float]:
+def surface_moments(v, x0, r: float,
+                    grid: SphereGrid | None = None) -> tuple[float, float]:
     """(H, I) on the sphere of radius r about x0: the squared-trace integral
     and the trace/normal-derivative pairing, by sphere quadrature with a
     central radial difference."""
@@ -159,7 +158,7 @@ def surface_moments(v, x0, r: float, grid: SphereGrid | None = None,
     x0 = _center(x0, d)
     n = d - 1
     grid = grid or default_sphere(n)
-    vals, dv = _sphere_slope(adapter, x0, r, grid, dr)
+    vals, dv = _sphere_slope(adapter, x0, r, grid)
     scale = r ** n
     H = scale * float(grid.weights @ (vals * vals))
     I = scale * float(grid.weights @ (vals * dv))
@@ -214,13 +213,14 @@ class FrequencyProfile:
         """Phi with the truncation prefactor divided out."""
         return self.Phi / (1.0 + self.c_phi * self.radii ** self.theta)
 
-    def mu_estimate(self, tail: int = 5) -> float:
-        """Median of (normalized Phi - n)/2 over the smallest reliable radii."""
+    def mu_estimate(self) -> float:
+        """Median of (normalized Phi - n)/2 over the five smallest reliable
+        radii."""
         reliable = ~self.truncation_active
         norm = self.normalized()[reliable]
         if norm.size == 0:
             raise ValueError("no reliable radii: truncation active everywhere")
-        take = norm[-min(tail, norm.size):]
+        take = norm[-min(5, norm.size):]
         return float((np.median(take) - self.n) / 2.0)
 
     def max_violation(self) -> float:
@@ -379,20 +379,18 @@ class WeissMonotonicityReport:
 
 def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
                              x0=None, h=None, k: int = 2, gamma: float = 0.5,
-                             grid: SphereGrid | None = None,
-                             radial_count: int = 48,
                              dimension: int | None = None
                              ) -> WeissMonotonicityReport:
     """Discrete differences of G(r) = W_mu(v_r) [+ volume term when a forcing
     field h is given] + c_w r^(k+gamma-mu) on the ladder, compared with the
     two lower bounds: twice the radial-deviation integral over r, and the
     homogeneous-competitor gap (n+2mu-1)(W_mu(z_r)-G0(r))/r plus the
-    radial-deviation integral over r."""
+    radial-deviation integral over r.  Energies use a 48-point radial rule."""
     adapter = _adapt(v, x0, dimension)
     d = adapter.dimension
     x0 = _center(x0, d)
     n = d - 1
-    grid = grid or _diagnostic_sphere(n)
+    grid = _diagnostic_sphere(n)
     radii = np.asarray(radii, dtype=float)
     if radii.size < 4:
         raise ValueError("monotonicity ladder needs at least 4 radii")
@@ -401,7 +399,7 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
 
     def energy_at(r: float) -> tuple[float, float]:
         ball = rescale(adapter, x0, r, mode="mu-homogeneous", mu=mu,
-                       grid=grid, radial_count=radial_count, as_ball=True)
+                       grid=grid, radial_count=48, as_ball=True)
         w = weiss_quadrature(ball, mu)
         if h is not None:
             w = w + volume_integral(ball, _rescaled_forcing(h, x0, r, mu))
@@ -470,7 +468,6 @@ class OscillationReport:
 def oscillation_bound_check(v, mu: float, r: float, r_prime: float,
                             x0=None, c_w: float = 0.0, k: int = 2,
                             gamma: float = 0.5, h=None,
-                            grid: SphereGrid | None = None,
                             dimension: int | None = None) -> OscillationReport:
     """L1 sphere distance between two homogeneous rescalings against the
     square-root-log bound with the scale energy at the larger radius."""
@@ -479,7 +476,7 @@ def oscillation_bound_check(v, mu: float, r: float, r_prime: float,
     adapter = _adapt(v, x0, dimension)
     d = adapter.dimension
     x0 = _center(x0, d)
-    grid = grid or _diagnostic_sphere(d - 1)
+    grid = _diagnostic_sphere(d - 1)
     t_r = rescale(adapter, x0, r, mode="mu-homogeneous", mu=mu, grid=grid)
     t_rp = rescale(adapter, x0, r_prime, mode="mu-homogeneous", mu=mu,
                    grid=grid)
@@ -528,12 +525,11 @@ class BlowupFit:
                 for r, a, b in zip(self.radii, self.dist_l2, self.dist_linf)]
 
 
-def blowup_fit(v, x0, m: int, radii, grid: SphereGrid | None = None,
-               frequency_label: float | None = None,
-               shell_count: int = 16,
-               dimension: int | None = None) -> BlowupFit:
+def blowup_fit(v, x0, m: int, radii,
+               frequency_label: float | None = None) -> BlowupFit:
     """Least-squares catalog fit to the homogeneous rescalings at the finest
-    ladder radius, then a log-log fit of the sup-norm distances against r."""
+    ladder radius, then a log-log fit against r of the sup-norm distances
+    over 16 evenly spaced shells of the unit ball."""
     mu = 2.0 * m + 1.0
     if frequency_label is not None and abs(frequency_label - mu) > 0.1:
         raise ValueError(
@@ -545,11 +541,11 @@ def blowup_fit(v, x0, m: int, radii, grid: SphereGrid | None = None,
     if np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be strictly decreasing")
 
-    adapter = _adapt(v, x0, dimension)
+    adapter = _adapt(v, x0)
     d = adapter.dimension
     x0 = _center(x0, d)
     n = d - 1
-    grid = grid or _diagnostic_sphere(n)
+    grid = _diagnostic_sphere(n)
 
     # linear catalog basis: slope monomials of degree 2m
     monos = monomials_of_degree(n, 2 * m)
@@ -575,7 +571,7 @@ def blowup_fit(v, x0, m: int, radii, grid: SphereGrid | None = None,
 
     dist_l2 = np.array([math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
                         for t in traces])
-    shells = np.linspace(1.0 / shell_count, 1.0, shell_count)
+    shells = np.linspace(1.0 / 16, 1.0, 16)
     dist_linf = np.array([
         _shell_sup_distance(adapter, x0, r, mu, shells, grid, p_trace)
         for r in radii])
@@ -631,13 +627,13 @@ class ZdeltaReport:
 
 
 def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
-                              x0=None, eta3: float = 0.1,
-                              grid: SphereGrid | None = None,
-                              contact_tol: float = 1e-8,
-                              n_rprime: int = 5,
-                              max_directions: int = 8) -> ZdeltaReport:
+                              x0=None, eta3: float = 0.1) -> ZdeltaReport:
     """Check that the rescalings vanish on the high-slope equator directions
-    at all radii in (r/3, r), gated on closeness to the profile.
+    at five radii in (r/3, r), gated on closeness to the profile.
+
+    At most eight thin directions are tested, evenly picked from Z_delta;
+    the check passes when every rescaled sup is at most the report's
+    ``contact_tol``.
 
     The barrier diagnostic recenters at each tested thin direction and
     compares the rescaled field against -(n+1) x_d^2 + |x'|^2: the comparison
@@ -651,7 +647,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
     n = p.n
     adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
-    grid = grid or _diagnostic_sphere(n)
+    grid = _diagnostic_sphere(n)
 
     # closeness hypothesis on the annulus
     shells = np.linspace(0.25, 1.5, 26)
@@ -664,19 +660,18 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
                                p.trace_on(grid))
     if linf > eta3:
         return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
-                            skipped=True, contact_tol=contact_tol)
+                            skipped=True)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         z_nodes = zero_set(p, delta, grid)
     dirs = grid.nodes[z_nodes]
-    if len(dirs) > max_directions:
-        step = len(dirs) // max_directions
-        dirs = dirs[::step][:max_directions]
+    if len(dirs) > 8:
+        dirs = dirs[::len(dirs) // 8][:8]
 
-    r_primes = np.geomspace(r / 3.0 * 1.02, r * 0.98, n_rprime)
-    sup_raw = np.empty(n_rprime)
-    sup_rescaled = np.empty(n_rprime)
+    r_primes = np.geomspace(r / 3.0 * 1.02, r * 0.98, 5)
+    sup_raw = np.empty(5)
+    sup_rescaled = np.empty(5)
     barrier_rows = []
     ball_s = np.linspace(0.15, 1.0, 7)
     ladder = _on_spheres(adapter, x0, r_primes, dirs)
@@ -706,8 +701,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
 
     return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
                         skipped=False, r_primes=r_primes, sup_raw=sup_raw,
-                        sup_rescaled=sup_rescaled, barrier_rows=barrier_rows,
-                        contact_tol=contact_tol)
+                        sup_rescaled=sup_rescaled, barrier_rows=barrier_rows)
 
 
 @dataclass
@@ -719,18 +713,17 @@ class LinftyL2Report:
     c_empirical: float
 
 
-def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
-                    grid: SphereGrid | None = None,
-                    shell_count: int = 26,
-                    radial_count: int = 48) -> LinftyL2Report:
+def linfty_l2_check(v, p: BlowupProfile, r: float,
+                    x0=None) -> LinftyL2Report:
     """Empirical constant in the sup-vs-L2 interpolation bound with exponent
-    sigma = 1/(n+3): sup over the annulus (1/4, 3/2) of |v_r - p| against
-    the L2 distance over the annulus (1/8, 2) raised to sigma."""
+    sigma = 1/(n+3): sup over 26 shells of the annulus (1/4, 3/2) of
+    |v_r - p| against the L2 distance over the annulus (1/8, 2), by a
+    48-point radial rule, raised to sigma."""
     mu = p.homogeneity
     n = p.n
     adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
-    grid = grid or _diagnostic_sphere(n)
+    grid = _diagnostic_sphere(n)
     if math.isfinite(adapter.r_max):
         need = 2.0 * r + float(np.linalg.norm(x0))
         if need > adapter.r_max - 3 * (adapter.h or 0):
@@ -739,11 +732,11 @@ def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
     p_trace = p.trace_on(grid)
 
     linf = _shell_sup_distance(adapter, x0, r, mu,
-                               np.linspace(0.25, 1.5, shell_count), grid,
+                               np.linspace(0.25, 1.5, 26), grid,
                                p_trace)
 
     # Gauss-Legendre radial rule transplanted to (1/8, 2)
-    r01, w01 = radial_rule(radial_count)
+    r01, w01 = radial_rule(48)
     lo, hi = 1.0 / 8.0, 2.0
     s_nodes = lo + (hi - lo) * r01
     s_weights = (hi - lo) * w01
@@ -767,6 +760,10 @@ def linfty_l2_check(v, p: BlowupProfile, r: float, x0=None,
 # Contact-set stratification
 # ---------------------------------------------------------------------------
 
+# Homogeneities that stratify_contact assigns to contact nodes.
+STRATUM_FREQUENCIES = (1.0, 1.5, 2.0, 2.5, 3.0)
+
+
 @dataclass
 class StratumFit:
     frequency: float
@@ -788,24 +785,23 @@ class StratifyReport:
         return {k: len(vv) for k, vv in self.strata.items()}
 
 
-def stratify_contact(u: GridSolution, spec=None,
-                     frequencies=(1.0, 1.5, 2.0, 2.5, 3.0),
-                     params: FrequencyParams | None = None,
-                     grid: SphereGrid | None = None,
-                     max_points: int = 48, min_radii: int = 6,
-                     ladder_count: int = 20, label_tol: float = 0.1,
-                     r_fraction: float = 0.8) -> StratifyReport:
+def stratify_contact(u: GridSolution, max_points: int = 48) -> StratifyReport:
     """Frequency labels for contact nodes from per-center ladder plateaus.
 
-    Nodes too close to the domain boundary to fit ``min_radii`` ladder radii
-    between the grid scale and the sphere are reported as unresolved.  For a
-    two-dimensional thin set, each labeled stratum gets a least-squares line
-    fit with its perpendicular residual.
+    At most ``max_points`` contact nodes, evenly picked, are labeled.  Each
+    gets a 20-rung ladder up to 0.8 of its distance to the sphere (at most
+    0.6); nodes too close to the domain boundary to keep six rungs between
+    the grid scale and the sphere are reported as unresolved.  A node whose
+    frequency plateau lies within 0.1 of one of STRATUM_FREQUENCIES gets
+    that label.  For a two-dimensional thin set, each labeled stratum gets a
+    least-squares line fit with its perpendicular residual.
     """
-    spec = spec or u.spec
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    spec = u.spec
     n = spec.n
-    params = params or FrequencyParams(k=spec.k, gamma=spec.gamma)
-    grid = grid or _diagnostic_sphere(n)
+    params = FrequencyParams(k=spec.k, gamma=spec.gamma)
+    grid = _diagnostic_sphere(n)
 
     coords = u.thin_points()
     mask_flat = np.asarray(u.contact).ravel()
@@ -815,17 +811,17 @@ def stratify_contact(u: GridSolution, spec=None,
         contact_idx = contact_idx[::step]
 
     rows, unresolved, unlabeled = [], [], []
-    strata: dict = {float(f): [] for f in frequencies}
+    strata: dict = {f: [] for f in STRATUM_FREQUENCIES}
     for flat in contact_idx:
         xthin = coords[flat]
         x0 = np.append(xthin, 0.0)
         dist = float(np.linalg.norm(x0))
-        r_hi = min(0.6, r_fraction * (1.0 - dist))
-        radii = (radii_ladder(r_hi, ladder_count)[::-1] if r_hi > 0
+        r_hi = min(0.6, 0.8 * (1.0 - dist))
+        radii = (radii_ladder(r_hi, 20)[::-1] if r_hi > 0
                  else np.array([]))
         radii = radii[(radii >= 3.0 * spec.h)
                       & (radii <= 1.0 - dist - 3.0 * spec.h)]
-        if radii.size < min_radii:
+        if radii.size < 6:
             unresolved.append(xthin)
             rows.append({"x0": xthin, "label": "unresolved",
                          "mu_estimate": None})
@@ -840,10 +836,10 @@ def stratify_contact(u: GridSolution, spec=None,
             rows.append({"x0": xthin, "label": "unresolved",
                          "mu_estimate": None})
             continue
-        dists = [abs(mu_est - f) for f in frequencies]
+        dists = [abs(mu_est - f) for f in STRATUM_FREQUENCIES]
         best = int(np.argmin(dists))
-        if dists[best] <= label_tol:
-            label = float(frequencies[best])
+        if dists[best] <= 0.1:
+            label = STRATUM_FREQUENCIES[best]
             strata[label].append(xthin)
         else:
             label = None

@@ -48,11 +48,6 @@ class SphereGrid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def upper(self) -> np.ndarray:
-        """Indices with positive last coordinate."""
-        return np.nonzero(self.nodes[:, -1] > 0.0)[0]
-
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
 
@@ -280,6 +275,6 @@ def _gauss_legendre_01(npoints: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def radii_ladder(r_max: float, count: int, step: float = 2.0 ** -0.25) -> np.ndarray:
-    """Geometric radii ladder r_max * step^i, i = 0..count-1, ascending."""
-    return np.sort(r_max * step ** np.arange(count))
+def radii_ladder(r_max: float, count: int) -> np.ndarray:
+    """Geometric radii ladder r_max * 2^(-i/4), i = 0..count-1, ascending."""
+    return np.sort(r_max * (2.0 ** -0.25) ** np.arange(count))

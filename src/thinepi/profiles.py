@@ -27,14 +27,13 @@ import numpy as np
 from .grids import SphereGrid
 from .polynomials import Polynomial, odd_harmonic_extension
 
-SQRT_PI = float(np.sqrt(np.pi))
+# Random points and thin-plane directions sampled by verify_admissible.
+ADMISSIBILITY_SAMPLES = 1000
 
 
-def admissible_frequencies(max_mu: float, n: int = 1) -> list[float]:
+def admissible_frequencies(max_mu: float) -> list[float]:
     """Known homogeneities of nonzero global 2D solutions up to max_mu:
     {2m - 1/2 : m >= 1} union {2m : m >= 1} union {2m+1 : m >= 0}."""
-    if n != 1:
-        raise ValueError("the explicit admissible-frequency list is 2D only")
     out = set()
     m = 1
     while 2 * m - 0.5 <= max_mu or 2 * m <= max_mu:
@@ -50,9 +49,9 @@ def admissible_frequencies(max_mu: float, n: int = 1) -> list[float]:
     return sorted(out)
 
 
-def in_frequency_list(mu: float, tol: float = 1e-12) -> bool:
+def in_frequency_list(mu: float) -> bool:
     members = admissible_frequencies(mu + 1.0)
-    return any(abs(mu - a) <= tol for a in members)
+    return any(abs(mu - a) <= 1e-12 for a in members)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +274,20 @@ class AdmissibilityReport:
         return out
 
 
-def verify_admissible(p: BlowupProfile, tolerance: float = 1e-8,
-                      samples: int = 1000, seed: int = 7) -> AdmissibilityReport:
-    """Residual checks for the profile class membership; never raises."""
+def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
+    """Residual checks for the profile class membership at
+    ADMISSIBILITY_SAMPLES seeded random points, against the report's
+    tolerance; never raises."""
     P = p.upper_polynomial()
     lap = P.laplacian()
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, p.n + 1))
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((ADMISSIBILITY_SAMPLES, p.n + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= rng.uniform(0.1, 1.0, size=(samples, 1))
+    pts *= rng.uniform(0.1, 1.0, size=(ADMISSIBILITY_SAMPLES, 1))
 
     harm = float(np.max(np.abs(lap(pts)))) if lap.coeffs else 0.0
 
-    thin_dirs = rng.standard_normal((samples, p.n))
+    thin_dirs = rng.standard_normal((ADMISSIBILITY_SAMPLES, p.n))
     thin_dirs /= np.linalg.norm(thin_dirs, axis=1, keepdims=True)
     jump_min = float(np.min(operator_T(p)(thin_dirs)))
 
@@ -312,7 +312,7 @@ def verify_admissible(p: BlowupProfile, tolerance: float = 1e-8,
     return AdmissibilityReport(
         harmonic_residual=harm / scale, jump_sign_min=jump_min,
         euler_residual=euler / scale, parity_residual=parity / scale,
-        plane_residual=plane / scale, tolerance=tolerance,
+        plane_residual=plane / scale,
     )
 
 

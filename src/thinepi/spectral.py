@@ -80,7 +80,6 @@ class EigenBasis:
     mask: np.ndarray               # sorted grid-node indices forced to zero
     lambdas: np.ndarray            # (count,) nondecreasing
     values: np.ndarray             # (N, count)
-    even: bool = True
     source: str = "discrete"       # "discrete" or "analytic"
     degrees: np.ndarray | None = None      # per-mode homogeneity (analytic)
     dtheta: np.ndarray | None = None       # (N, count), n=1 analytic

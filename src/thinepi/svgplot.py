@@ -67,29 +67,28 @@ class Figure:
             ys = np.log10(ys)
         return xs, ys
 
-    def add_line(self, xs, ys, color=None, label="", dashed=False):
+    def add_line(self, xs, ys, label="", dashed=False):
         xs, ys = self._transform(xs, ys)
-        color = color or _PALETTE[len(self._series) % len(_PALETTE)]
+        color = _PALETTE[len(self._series) % len(_PALETTE)]
         self._series.append(("line", xs, ys, color, {"label": label,
                                                      "dashed": dashed}))
         return self
 
-    def add_points(self, xs, ys, color=None, label="", radius=3.0):
+    def add_points(self, xs, ys, label=""):
         xs, ys = self._transform(xs, ys)
-        color = color or _PALETTE[len(self._series) % len(_PALETTE)]
-        self._series.append(("points", xs, ys, color, {"label": label,
-                                                       "radius": radius}))
+        color = _PALETTE[len(self._series) % len(_PALETTE)]
+        self._series.append(("points", xs, ys, color, {"label": label}))
         return self
 
-    def add_bars(self, edges, counts, color=None, label=""):
+    def add_bars(self, edges, counts):
         edges = np.asarray(edges, dtype=float)
         counts = np.asarray(counts, dtype=float)
         if edges.size != counts.size + 1:
             raise ValueError("need len(edges) == len(counts) + 1")
         if self.xlog or self.ylog:
             raise ValueError("bars require linear axes")
-        color = color or _PALETTE[len(self._series) % len(_PALETTE)]
-        self._series.append(("bars", edges, counts, color, {"label": label}))
+        color = _PALETTE[len(self._series) % len(_PALETTE)]
+        self._series.append(("bars", edges, counts, color, {}))
         return self
 
     # -- layout -------------------------------------------------------------
@@ -171,11 +170,10 @@ class Figure:
                     f'<polyline points="{points}" fill="none" '
                     f'stroke="{color}" stroke-width="1.6"{dash}/>')
             elif kind == "points":
-                radius = extra["radius"]
                 for x, y in zip(xs, ys):
                     parts.append(
                         f'<circle cx="{_num(px(x))}" cy="{_num(py(y))}" '
-                        f'r="{_num(radius)}" fill="{color}" '
+                        f'r="3.00" fill="{color}" '
                         'fill-opacity="0.75"/>')
             else:  # bars
                 base = py(max(0.0, y_lo))
@@ -249,7 +247,7 @@ def loglog_plot(path, xs, ys, slope=None, intercept=None, title="",
     return fig.save(path)
 
 
-def histogram(path, values, bins=20, title="", xlabel="", ylabel="count"):
+def histogram(path, values, bins=20, title="", xlabel=""):
     """Histogram with deterministic bin edges."""
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values)]
@@ -260,6 +258,6 @@ def histogram(path, values, bins=20, title="", xlabel="", ylabel="count"):
         lo, hi = lo - 1.0, hi + 1.0
     edges = np.linspace(lo, hi, int(bins) + 1)
     counts, _ = np.histogram(values, bins=edges)
-    fig = Figure(title, xlabel, ylabel)
+    fig = Figure(title, xlabel, "count")
     fig.add_bars(edges, counts.astype(float))
     return fig.save(path)

@@ -32,7 +32,7 @@ even eigenbasis plus an equator flux term; see beta_pairing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class BallFunction:
 
 
 @functools.cache
-def default_radii(count: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def default_radii(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre radial rule on (0,1) plus a zero-weight node at r=1,
     built once per count and shared by every caller as read-only arrays."""
     r, w = radial_rule(count)
@@ -115,21 +115,21 @@ def default_radii(count: int = 64) -> tuple[np.ndarray, np.ndarray]:
     return radii, weights
 
 
-def homogeneous_extension(c: SphericalTrace, degree: float,
-                          radial_count: int = 64) -> BallFunction:
-    """Extend a trace to the ball as r^degree * c(angle)."""
-    radii, weights = default_radii(radial_count)
+def homogeneous_extension(c: SphericalTrace, degree: float) -> BallFunction:
+    """Extend a trace to the ball as r^degree * c(angle), with the 64-point
+    radial rule."""
+    radii, weights = default_radii(64)
     return BallFunction(grid=c.grid, radii=radii, parts=[(float(degree), c)],
                         radial_weights=weights)
 
 
-def ball_sum(parts: list[tuple[float, SphericalTrace]],
-             radial_count: int = 64) -> BallFunction:
-    """Finite sum of homogeneous pieces sharing one grid."""
+def ball_sum(parts: list[tuple[float, SphericalTrace]]) -> BallFunction:
+    """Finite sum of homogeneous pieces sharing one grid, with the 64-point
+    radial rule."""
     if not parts:
         raise ValueError("need at least one part")
     grid = parts[0][1].grid
-    radii, weights = default_radii(radial_count)
+    radii, weights = default_radii(64)
     return BallFunction(grid=grid, radii=radii,
                         parts=[(float(d), t) for d, t in parts],
                         radial_weights=weights)
@@ -234,8 +234,7 @@ def weiss_quadrature(v: BallFunction, mu: float,
     return (value, err) if with_error else value
 
 
-def bilinear_R(v: BallFunction, w: BallFunction, mu: float,
-               use_derivative_data: bool = True) -> float:
+def bilinear_R(v: BallFunction, w: BallFunction, mu: float) -> float:
     """R_mu(v,w) = int_B grad v . grad w - mu int_{dB} v w."""
     if v.grid is not w.grid:
         raise ValueError("ball functions live on different grids")
@@ -245,7 +244,7 @@ def bilinear_R(v: BallFunction, w: BallFunction, mu: float,
         dir_total = 0.0
         for a, ta in v.parts:
             for b, tb in w.parts:
-                dir_total += _pair_dirichlet(n, a, ta, b, tb, use_derivative_data)
+                dir_total += _pair_dirichlet(n, a, ta, b, tb, True)
         return dir_total - mu * boundary
     if not np.array_equal(v.radii, w.radii):
         raise ValueError("sampled ball functions need matching radii")
@@ -272,11 +271,9 @@ def volume_integral(v: BallFunction, h) -> float:
     return float(rw @ (radial_profile * v.radii ** v.grid.n))
 
 
-def weiss_tilde(v: BallFunction, h, mu: float,
-                use_derivative_data: bool = True) -> float:
+def weiss_tilde(v: BallFunction, h, mu: float) -> float:
     """Obstacle-adjusted energy W_mu(v) + int_B v h for a forcing term h."""
-    w = weiss_quadrature(v, mu, use_derivative_data=use_derivative_data)
-    return w + volume_integral(v, h)
+    return weiss_quadrature(v, mu) + volume_integral(v, h)
 
 
 # ---------------------------------------------------------------------------
@@ -373,30 +370,3 @@ def _degree_for(count: int, n: int) -> int:
             raise ValueError("coefficient vector too long")
     return deg
 
-
-# ---------------------------------------------------------------------------
-# Reporting container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EnergyReport:
-    """One energy evaluation carried through both routes."""
-
-    case_id: str
-    mu: float
-    alpha: float
-    w_quad: float
-    w_spec: float
-    w_tilde: float | None = None
-    quadrature_error: float | None = None
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.w_quad - self.w_spec)
-
-    def row(self) -> dict:
-        return {
-            "case_id": self.case_id, "mu": self.mu, "alpha": self.alpha,
-            "W_quad": self.w_quad, "W_spec": self.w_spec,
-            "discrepancy": self.discrepancy,
-        }

@@ -1,0 +1,122 @@
+"""Every defaulted parameter of the public API has a caller.
+
+A numerical setting that every caller leaves at one value is a constant,
+not a parameter: each unused default is a configuration that no test or
+benchmark runs.  This test parses ``src/thinepi`` and every call in
+``src/``, ``scripts/``, ``perfbench/`` and ``tests/``, and fails when a
+public function or method has a defaulted parameter that no call passes,
+by keyword or by position.  Calls are matched by the called name alone, so
+a call to any function of the same name counts.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "thinepi"
+CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
+
+# Parameters kept although no call sets them, each with its reason.
+_SCALE_CENTER = "center of the scale check, an input of the paper's inequality"
+_OBSTACLE_CLASS = ("C^{k,gamma} obstacle class and its error constant, "
+                   "inputs of the paper's inequality")
+_FORCING = "forcing term of the paper's inequality"
+ALLOWED = {
+    "frequency.weiss_monotonicity_check.x0": _SCALE_CENTER,
+    "frequency.weiss_monotonicity_check.k": _OBSTACLE_CLASS,
+    "frequency.weiss_monotonicity_check.gamma": _OBSTACLE_CLASS,
+    "frequency.oscillation_bound_check.x0": _SCALE_CENTER,
+    "frequency.oscillation_bound_check.k": _OBSTACLE_CLASS,
+    "frequency.oscillation_bound_check.gamma": _OBSTACLE_CLASS,
+    "frequency.oscillation_bound_check.c_w": _OBSTACLE_CLASS,
+    "frequency.oscillation_bound_check.h": _FORCING,
+    "frequency.vanishing_on_Zdelta_check.x0": _SCALE_CENTER,
+    "frequency.linfty_l2_check.x0": _SCALE_CENTER,
+    "spectral.verify_spectral_convergence.cache_dir":
+        "deployment path of the eigenbasis cache",
+}
+
+
+def _defaulted(args: ast.arguments, skip_first: bool):
+    """(name, position or None) of each parameter that has a default."""
+    positional = args.posonlyargs + args.args
+    first = 1 if skip_first else 0
+    defaulted = positional[len(positional) - len(args.defaults):]
+    out = [(a.arg, positional.index(a) - first) for a in defaulted]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _public_api():
+    """{"module.function": [(parameter, position), ...]} for public
+    functions and public methods of public classes."""
+    api = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                api[f"{path.stem}.{node.name}"] = _defaulted(node.args, False)
+            else:
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        static = any(isinstance(d, ast.Name)
+                                     and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        api[f"{path.stem}.{node.name}.{item.name}"] = \
+                            _defaulted(item.args, not static)
+    return api
+
+
+def _calls():
+    """{called name: [(positional count, keyword names), ...]}; a call
+    with *args or **kwargs counts as passing everything."""
+    calls: dict = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name is None:
+                    continue
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                npos = 10 ** 6 if star else len(node.args)
+                calls.setdefault(name, []).append(
+                    (npos, {k.arg for k in node.keywords}))
+    return calls
+
+
+def unused_parameters() -> list[str]:
+    calls = _calls()
+    unused = []
+    for qualname, params in _public_api().items():
+        sites = calls.get(qualname.rsplit(".", 1)[1], [])
+        for name, position in params:
+            passed = any(name in keywords
+                         or (position is not None and npos > position)
+                         for npos, keywords in sites)
+            if not passed and f"{qualname}.{name}" not in ALLOWED:
+                unused.append(f"{qualname}.{name}")
+    return unused
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    unused = unused_parameters()
+    assert not unused, ("defaulted parameters that no call sets:\n"
+                        + "\n".join(unused))
+
+
+def test_allow_list_names_existing_parameters():
+    api = _public_api()
+    for entry in ALLOWED:
+        qualname, name = entry.rsplit(".", 1)
+        assert name in {p for p, _ in api.get(qualname, [])}, entry

@@ -284,3 +284,30 @@ def test_main_bad_pairs_exit_two(tmp_path, capsys):
     code = main(["gap-demo", "--pairs", "whoops", "--out", str(tmp_path)])
     assert code == 2
     assert "bad (m, n) pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["-1:1", "0:0"])
+def test_main_meaningless_pairs_exit_two(tmp_path, capsys, pair):
+    # m < 0 gives homogeneity 2m+1 < 1, and n = 0 has no thin plane.
+    code = main(["gap-demo", f"--pairs={pair}", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err and "need m >= 0 and n >= 1" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_main_zero_counts_name_the_flag(tmp_path, capsys):
+    for argv, flag in ((["epi-check", "--trials", "0"], "--trials"),
+                       (["spectral", "--vectors", "0"], "--vectors")):
+        code = main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {argv[0]} run failed: {flag} must be at least 1" in err
+
+
+def test_main_stratify_rejects_max_points_below_one(tmp_path, capsys):
+    code = main(["stratify", "--resolution", "16", "--max-points", "0",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "max_points must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "stratify.csv").exists()

@@ -343,6 +343,12 @@ def test_gap_demo_window_is_empty_for_n1():
         assert rep.window == (mu - 0.1, mu, mu + 0.4)
 
 
+@pytest.mark.parametrize("m, n", [(-1, 1), (0, 0)])
+def test_gap_demo_rejects_meaningless_pairs(m, n):
+    with pytest.raises(ValueError, match="need m >= 0 and n >= 1"):
+        gap_demo(m, n)
+
+
 def test_gap_demo_custom_grid_skips_zero():
     rep = gap_demo(0, 1, t_grid=[-0.05, 0.0, 0.05])
     assert len(rep.rows) == 2

@@ -459,6 +459,12 @@ def test_stratify_half_solution_origin_and_interior(sol_half64):
     assert all(r["label"] == 1.0 for r in interior)
 
 
+@pytest.mark.parametrize("max_points", [0, -3])
+def test_stratify_rejects_max_points_below_one(sol_profile32, max_points):
+    with pytest.raises(ValueError, match="max_points must be at least 1"):
+        stratify_contact(sol_profile32, max_points=max_points)
+
+
 def test_stratify_no_contact_is_empty():
     spec = ProblemSpec(dimension=2, h=1 / 32, obstacle={"kind": "zero"},
                        boundary={"kind": "constant", "value": 1.0},

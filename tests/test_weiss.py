@@ -9,7 +9,7 @@ from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import eigenbasis, even_circle_basis, half_sphere_basis
 from thinepi.traces import SphericalTrace, circle_dtheta, trace_from_basis, \
     trace_from_halfspace, trace_from_profile
-from thinepi.weiss import (BallFunction, EnergyReport, ball_sum, beta_pairing,
+from thinepi.weiss import (BallFunction, ball_sum, beta_pairing,
                            bilinear_R, default_radii, homogeneous_extension,
                            kappa, volume_integral, weiss_quadrature,
                            weiss_raised, weiss_spectral, weiss_tilde)
@@ -280,13 +280,6 @@ def test_ball_sum_energy_expands_bilinearly(circle, sin_basis):
     expected = weiss_quadrature(va, mu) + weiss_quadrature(vb, mu) \
         + 2.0 * bilinear_R(va, vb, mu)
     assert weiss_quadrature(v, mu) == pytest.approx(expected, rel=1e-12)
-
-
-def test_energy_report_row():
-    rep = EnergyReport(case_id="case", mu=1.0, alpha=1.5,
-                       w_quad=1.0 + 1e-9, w_spec=1.0)
-    assert rep.discrepancy == pytest.approx(1e-9)
-    assert rep.row()["case_id"] == "case"
 
 
 @given(st.floats(1.01, 5.0), st.floats(0.25, 4.0))
