@@ -218,6 +218,8 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
     eps = float(params.get("eps", DEFAULT_CONFIG.eps))
+    if not eps > 0.0:
+        raise ValueError(f"--eps must be positive, got {eps}")
     negative = bool(params.get("negative", False))
     resolution = int(params.get("resolution", 4096 if n == 1 else 48))
 
@@ -421,8 +423,10 @@ def _run_blowup(config: RunConfig, out: Path, timings: dict):
 
 def _run_stratify(config: RunConfig, out: Path, timings: dict):
     params = config.params
-    case, spec, sol = _solve_case(config, "halfspace", timings)
     max_points = int(params.get("max_points", 48))
+    if max_points < 1:          # before the solve, which dominates the run
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    case, spec, sol = _solve_case(config, "halfspace", timings)
 
     t0 = time.perf_counter()
     report = stratify_contact(sol, max_points=max_points)

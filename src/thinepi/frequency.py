@@ -6,7 +6,9 @@ All routines act on *fields*: callables mapping arrays of ambient points to
 values.  A solved grid state is adapted through its interpolating evaluator;
 exact constructions (catalog profiles, separated-variables modes, sums) are
 used directly.  Quadrature over centered spheres uses the same sphere grids
-as the spectral machinery.
+as the spectral machinery.  Every sphere read goes through ``_on_spheres``:
+one evaluation per block of radii and, for a grid field about a center on
+the thin plane, one node of each mirror pair of the sphere grid.
 """
 
 from __future__ import annotations
@@ -114,13 +116,29 @@ def _check_reach(adapter: FieldAdapter, x0: np.ndarray, radius: float):
 
 
 def _on_spheres(adapter: FieldAdapter, center: np.ndarray, radii,
-               nodes: np.ndarray) -> np.ndarray:
-    """Field values at center + r * nodes, one row per radius r (one
-    evaluation per sphere)."""
-    out = np.empty((len(radii), nodes.shape[0]))
-    for i, r in enumerate(radii):
-        out[i] = adapter.evaluate(center[None, :] + r * nodes)
-    return out
+                sphere: SphereGrid | np.ndarray) -> np.ndarray:
+    """Field values at center + r * u, one row per radius r, for the unit
+    vectors u of ``sphere``: the nodes of a whole grid, or an array of
+    directions.  All radii are read in one evaluation.
+
+    A grid field (the one kind with a mesh width h) folds |x_d|, so it is
+    exactly even; about a center on the thin plane, a grid node and its
+    ``reflect`` partner then fold to the same point bit for bit.  So on a whole grid only one node of each
+    mirror pair is evaluated, and the other is filled in by index.
+    """
+    radii = np.asarray(radii, dtype=float)
+    spread = None
+    if not isinstance(sphere, SphereGrid):
+        nodes = sphere
+    elif adapter.h is not None and center[-1] == 0.0:
+        representatives, spread = sphere.mirror_halves
+        nodes = sphere.nodes[representatives]
+    else:
+        nodes = sphere.nodes
+    points = center + radii[:, None, None] * nodes
+    values = np.asarray(adapter.evaluate(points.reshape(-1, center.size)),
+                        dtype=float).reshape(radii.size, nodes.shape[0])
+    return values if spread is None else values[:, spread]
 
 
 def _sphere_slope(adapter: FieldAdapter, x0: np.ndarray, r: float,
@@ -130,7 +148,7 @@ def _sphere_slope(adapter: FieldAdapter, x0: np.ndarray, r: float,
     on a grid field and 1e-4 r otherwise."""
     dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
     _check_reach(adapter, x0, r + dr)
-    vals, vp, vm = _on_spheres(adapter, x0, (r, r + dr, r - dr), grid.nodes)
+    vals, vp, vm = _on_spheres(adapter, x0, (r, r + dr, r - dr), grid)
     return vals, (vp - vm) / (2.0 * dr)
 
 
@@ -139,7 +157,7 @@ def _shell_sup_distance(adapter: FieldAdapter, x0: np.ndarray, r: float,
                         p_trace: np.ndarray) -> float:
     """Sup over the shells s and the grid nodes of |v_r - s^mu p|, where
     v_r(x) = v(x0 + r x) / r^mu and p has trace p_trace on the unit sphere."""
-    vr = _on_spheres(adapter, x0, r * shells, grid.nodes) / r ** mu
+    vr = _on_spheres(adapter, x0, r * shells, grid) / r ** mu
     return max((float(np.max(np.abs(v - s ** mu * p_trace)))
                 for s, v in zip(shells, vr)), default=0.0)
 
@@ -322,7 +340,7 @@ def rescale(v, x0, r: float, mode: str = "l2-normalized",
         if mu is None or rho is None:
             raise ValueError("double rescaling needs both rho and mu")
         _check_reach(adapter, x0, rho)
-        tr_rho = _on_spheres(adapter, x0, (rho,), grid.nodes)[0]
+        tr_rho = _on_spheres(adapter, x0, (rho,), grid)[0]
         norm_rho = math.sqrt(float(grid.weights @ (tr_rho * tr_rho)))
         if norm_rho < 1e-300:
             raise ValueError("zero normalizer at the outer scale")
@@ -336,7 +354,7 @@ def rescale(v, x0, r: float, mode: str = "l2-normalized",
     else:
         radii, rweights = np.ones(1), None
     # the last sphere read, of radius scale_r, is the trace sphere
-    values = _on_spheres(adapter, x0, scale_r * radii, grid.nodes)
+    values = _on_spheres(adapter, x0, scale_r * radii, grid)
     if denom is None:
         denom = math.sqrt(float(grid.weights @ (values[-1] * values[-1])))
         if denom < 1e-300:
@@ -685,7 +703,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
             center = x0 + r * ((rp / r) * worst)
             r1 = min(0.2, float(operator_T(p)(worst[None, :n])[0]) / (n + 1))
             spheres = _on_spheres(adapter, center, r * (r1 * ball_s),
-                                  grid.nodes) / r ** mu
+                                  grid) / r ** mu
             margins = []
             for s, w in zip(ball_s, spheres):
                 offs = (r1 * s) * grid.nodes
@@ -740,7 +758,7 @@ def linfty_l2_check(v, p: BlowupProfile, r: float,
     lo, hi = 1.0 / 8.0, 2.0
     s_nodes = lo + (hi - lo) * r01
     s_weights = (hi - lo) * w01
-    vr = _on_spheres(adapter, x0, r * s_nodes, grid.nodes) / r ** mu
+    vr = _on_spheres(adapter, x0, r * s_nodes, grid) / r ** mu
     total = 0.0
     for s, w, v in zip(s_nodes, s_weights, vr):
         diff = v - s ** mu * p_trace

@@ -65,6 +65,23 @@ class SphereGrid:
         return 0.5 * (values + values[self.reflect])
 
     @functools.cached_property
+    def mirror_halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """(representatives, spread): the lower index of each ``reflect``
+        orbit, ascending, and for every node the position of its orbit's
+        representative, so ``v[representatives][spread]`` equals ``v`` for
+        even node values ``v``.  Built from ``reflect`` alone on first use,
+        then kept with the grid as read-only arrays.
+        """
+        index = np.arange(self.size)
+        representatives = np.flatnonzero(index <= self.reflect)
+        position = np.empty(self.size, dtype=np.intp)
+        position[representatives] = np.arange(representatives.size)
+        spread = position[np.minimum(index, self.reflect)]
+        for shared in (representatives, spread):
+            shared.flags.writeable = False
+        return representatives, spread
+
+    @functools.cached_property
     def gradient_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid-only factors of the vertex gradients of a ``tri`` grid.
 

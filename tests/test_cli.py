@@ -305,9 +305,32 @@ def test_main_zero_counts_name_the_flag(tmp_path, capsys):
         assert f"error: {argv[0]} run failed: {flag} must be at least 1" in err
 
 
-def test_main_stratify_rejects_max_points_below_one(tmp_path, capsys):
+def test_main_stratify_rejects_max_points_below_one(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_solve(spec):
+        raise RuntimeError("max_points is checked after the solve")
+
+    # the check comes before the solve, which dominates the run
+    monkeypatch.setattr(thinepi.cli, "solve_thin_obstacle", no_solve)
     code = main(["stratify", "--resolution", "16", "--max-points", "0",
                  "--out", str(tmp_path)])
     assert code == 2
     assert "max_points must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "stratify.csv").exists()
+
+
+@pytest.mark.parametrize("eps", ["-0.1", "0"])
+def test_main_epi_check_rejects_nonpositive_eps(tmp_path, capsys,
+                                                monkeypatch, eps):
+    def no_basis(*args, **kwargs):
+        raise RuntimeError("--eps is checked after the basis work")
+
+    # a negative radius has no traces to sample, and a zero one passes
+    # vacuously with every trace equal to the profile trace
+    monkeypatch.setattr(thinepi.cli, "choose_delta", no_basis)
+    code = main(["epi-check", f"--eps={eps}", "--trials", "2",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: epi-check run failed: --eps must be positive" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out

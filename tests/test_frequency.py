@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from thinepi import frequency
 from thinepi.frequency import (
     BlowupFit,
     FrequencyParams,
@@ -21,7 +22,7 @@ from thinepi.frequency import (
     vanishing_on_Zdelta_check,
     weiss_monotonicity_check,
 )
-from thinepi.grids import radii_ladder
+from thinepi.grids import SphereGrid, radii_ladder
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.solver import ProblemSpec, reduce_to_zero_obstacle, \
     solve_thin_obstacle
@@ -92,6 +93,104 @@ def quartic_case():
         k=2, gamma=0.5)
     sol = solve_thin_obstacle(spec)
     return sol, reduce_to_zero_obstacle(sol)
+
+
+# ---------------------------------------------------------------------------
+# sphere sampler
+# ---------------------------------------------------------------------------
+
+def _spheres_reference(evaluate, center, radii, nodes):
+    """The per-sphere sampler: one evaluation at every node of each sphere."""
+    out = np.empty((len(radii), nodes.shape[0]))
+    for i, r in enumerate(radii):
+        out[i] = evaluate(center[None, :] + r * nodes)
+    return out
+
+
+@pytest.fixture
+def checked_spheres(monkeypatch):
+    """Run every ``_on_spheres`` call also through the per-sphere reference,
+    require bit-identical rows, and record (center, whether a whole grid
+    was read) per call."""
+    seen = []
+    batched = frequency._on_spheres
+
+    def checked(adapter, center, radii, sphere):
+        got = batched(adapter, center, radii, sphere)
+        grid = isinstance(sphere, SphereGrid)
+        nodes = sphere.nodes if grid else sphere
+        want = _spheres_reference(adapter.evaluate, center, radii, nodes)
+        assert np.array_equal(got, want)
+        seen.append((center.copy(), grid))
+        return got
+
+    monkeypatch.setattr(frequency, "_on_spheres", checked)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def sol_profile3d16():
+    spec = ProblemSpec(dimension=3, h=1 / 16, obstacle={"kind": "zero"},
+                       boundary={"kind": "profile", "m": 0, "n": 2},
+                       k=2, gamma=0.5)
+    return solve_thin_obstacle(spec)
+
+
+def test_sphere_sampler_matches_per_sphere_reference_2d(
+        checked_spheres, sol_near_p, p01):
+    truncated_frequency(sol_near_p, np.zeros(2), params=PARAMS)
+    truncated_frequency(sol_near_p, np.array([0.1, 0.05]), params=PARAMS,
+                        count=4)                              # off the plane
+    rep = vanishing_on_Zdelta_check(sol_near_p, 0.3, p01, 0.4)
+    linfty_l2_check(sol_near_p, p01, 0.3)
+    assert rep.barrier_rows
+    # the barrier spheres are centered on the thin plane, away from x0
+    centers = np.array([c for c, _ in checked_spheres])
+    assert np.any((centers[:, -1] == 0.0) & (centers[:, 0] != 0.0))
+    assert np.any(centers[:, -1] != 0.0)
+    assert not all(grid for _, grid in checked_spheres)   # Z_delta subset
+
+
+def test_sphere_sampler_matches_per_sphere_reference_3d(
+        checked_spheres, sol_profile3d16):
+    grid = default_sphere(2)
+    assert grid.kind == "latlong"
+    for x0 in ([0.0, 0.0, 0.0], [0.1, -0.05, 0.0], [0.0, 0.1, 0.1]):
+        truncated_frequency(sol_profile3d16, np.array(x0), count=4,
+                            r_max=0.45)
+    assert len(checked_spheres) == 12
+
+
+def test_sphere_sampler_halves_grid_fields_on_the_plane(sol_near_p):
+    grid = default_sphere(1, 1024)
+    reps, _ = grid.mirror_halves
+    sizes = []
+
+    def counted(points):
+        sizes.append(len(points))
+        return sol_near_p.evaluate(points)
+
+    adapter = frequency.FieldAdapter(evaluate=counted, dimension=2,
+                                     r_max=1.0, h=sol_near_p.h)
+    radii = (0.2, 0.3, 0.4)
+    for center, points in ((np.array([0.1, 0.0]), reps.size),
+                           (np.array([0.1, 0.1]), grid.size)):
+        sizes.clear()
+        got = frequency._on_spheres(adapter, center, radii, grid)
+        assert sizes == [len(radii) * points]
+        assert np.array_equal(got, _spheres_reference(
+            sol_near_p.evaluate, center, radii, grid.nodes))
+
+
+def test_sphere_sampler_keeps_odd_callables_odd():
+    grid = default_sphere(1, 1024)
+    odd = frequency.FieldAdapter.adapt(lambda x: x[..., -1], dimension=2)
+    radii = (0.5, 1.0)
+    got = frequency._on_spheres(odd, np.zeros(2), radii, grid)
+    assert np.array_equal(got, _spheres_reference(odd.evaluate, np.zeros(2),
+                                                  radii, grid.nodes))
+    assert np.array_equal(got[:, grid.reflect], -got)
+    assert np.max(got) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +331,16 @@ def test_rescale_ball_reads_each_sphere_once(p01):
         calls.append(len(points))
         return p01(points)
 
-    # 16 radial spheres and the trace sphere (radius 1), plus the rho
-    # sphere in double mode
+    # 16 radial spheres and the trace sphere (radius 1), read in one call,
+    # plus one call for the rho sphere in double mode
+    nodes = default_sphere(1).size
     for mode, extra in (("l2-normalized", 0), ("mu-homogeneous", 0),
                         ("double", 1)):
         calls.clear()
         rescale(counted, np.zeros(2), 0.5, mode=mode, mu=1.0, rho=0.5,
                 radial_count=16, as_ball=True)
-        assert len(calls) == 17 + extra
+        assert len(calls) == 1 + extra
+        assert sum(calls) == (17 + extra) * nodes
 
 
 # ---------------------------------------------------------------------------

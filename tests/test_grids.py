@@ -120,6 +120,29 @@ def test_radial_rule_is_shared_and_read_only():
         w[0] = 0.0
 
 
+@pytest.mark.parametrize("n, resolution, kind",
+                         [(1, 64, "circle"), (2, 16, "latlong"),
+                          (2, 32, "tri")])
+def test_mirror_halves_cover_each_reflect_orbit_once(n, resolution, kind):
+    g = build_grid(n, resolution, kind=kind)
+    reps, spread = g.mirror_halves
+    assert g.mirror_halves[0] is reps and g.mirror_halves[1] is spread
+    for shared in (reps, spread):
+        with pytest.raises(ValueError):
+            shared[0] = 0
+    # One representative per orbit {i, reflect[i]}.
+    orbits = np.minimum(np.arange(g.size), g.reflect)
+    assert np.array_equal(np.sort(orbits[reps]), np.unique(orbits))
+    assert reps.size == (g.size + g.equator.size) // 2
+    # Every node maps to the representative of its own orbit ...
+    assert np.array_equal(orbits[reps[spread]], orbits)
+    # ... so expanding the representatives gives back every node, up to the
+    # sign of the last coordinate.
+    expanded = g.nodes[reps][spread]
+    assert np.array_equal(expanded[:, :-1], g.nodes[:, :-1])
+    assert np.array_equal(np.abs(expanded[:, -1]), np.abs(g.nodes[:, -1]))
+
+
 def test_radii_ladder_geometric():
     r = radii_ladder(0.5, 12)
     assert r.size == 12
