@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__
 from .artifacts import CheckResult, RunManifest, hash_files, read_csv, write_csv
 from .epiperimetric import (DEFAULT_CONFIG, adapted_half_basis,
-                            build_competitor_negative, choose_delta, gap_demo,
-                            sample_negative_traces, sample_positive_traces,
-                            verify_epi)
+                            certify_negative, certify_positive, choose_delta,
+                            gap_demo, sample_negative_traces,
+                            sample_positive_traces)
 from .frequency import (FrequencyParams, blowup_fit, stratify_contact,
                         truncated_frequency)
 from .grids import build_grid, radii_ladder
@@ -33,9 +33,8 @@ from .profiles import halfspace_2d, make_profile
 from .solver import ProblemSpec, solve_thin_obstacle, zero_obstacle_field
 from .spectral import eigenbasis, half_sphere_basis
 from .svgplot import histogram, line_plot, loglog_plot
-from .traces import trace_from_basis
-from .weiss import homogeneous_extension, weiss_quadrature, weiss_raised, \
-    weiss_spectral
+from .traces import TraceColumns
+from .weiss import weiss_raised, weiss_rows, weiss_spectral
 
 SUBCOMMANDS = ("spectral", "epi-check", "solve", "frequency", "blowup",
                "stratify", "gap-demo")
@@ -176,30 +175,33 @@ def _run_spectral(config: RunConfig, out: Path, timings: dict):
     timings["basis"] = time.perf_counter() - t0
 
     rng = np.random.default_rng(config.seed)
-    rows, worst = [], 0.0
     t0 = time.perf_counter()
+    coeffs, alphas = np.empty((vectors, modes)), np.empty(vectors)
     for trial in range(vectors):
         c = rng.standard_normal(modes)
-        c /= np.linalg.norm(c)
-        alpha = mu + rng.uniform(0.1, 1.0)
-        spectral_mu = weiss_spectral(c, basis, mu)
-        raised = weiss_raised(c, basis, mu, alpha)
-        trace = trace_from_basis(basis, c)
-        quad_mu = weiss_quadrature(homogeneous_extension(trace, mu), mu)
-        quad_raised = weiss_quadrature(homogeneous_extension(trace, alpha), mu)
-        rel_mu = abs(quad_mu - spectral_mu) / max(abs(spectral_mu), 1e-30)
-        rel_raised = (abs(quad_raised - raised.value)
-                      / max(abs(raised.value), 1e-30))
-        worst = max(worst, rel_mu, rel_raised)
-        rows.append({
-            "trial": trial, "mu": mu, "alpha": alpha,
-            "w_mu_spectral": spectral_mu, "w_mu_quadrature": quad_mu,
-            "rel_diff_mu": rel_mu,
-            "w_raised_spectral": raised.value,
-            "w_raised_quadrature": quad_raised,
-            "rel_diff_raised": rel_raised,
-            "raising_residual": raised.residual,
-        })
+        coeffs[trial] = c / np.linalg.norm(c)
+        alphas[trial] = mu + rng.uniform(0.1, 1.0)
+    # Both routes for all vectors at once: eigenvalue sums, and the
+    # closed radial form over the basis's nodal-quadrature Gram matrices.
+    spectral_mu = weiss_spectral(coeffs, basis, mu)
+    raised = weiss_raised(coeffs, basis, mu, alphas)
+    columns = TraceColumns.of_basis(basis)
+    quad_mu = weiss_rows(columns, mu, [(mu, coeffs)])
+    quad_raised = weiss_rows(columns, mu, [(alphas, coeffs)])
+    rel_mu = abs(quad_mu - spectral_mu) / np.maximum(abs(spectral_mu), 1e-30)
+    rel_raised = (abs(quad_raised - raised.value)
+                  / np.maximum(abs(raised.value), 1e-30))
+    worst = float(max(rel_mu.max(), rel_raised.max()))
+    rows = [{
+        "trial": trial, "mu": mu, "alpha": float(alphas[trial]),
+        "w_mu_spectral": float(spectral_mu[trial]),
+        "w_mu_quadrature": float(quad_mu[trial]),
+        "rel_diff_mu": float(rel_mu[trial]),
+        "w_raised_spectral": float(raised.value[trial]),
+        "w_raised_quadrature": float(quad_raised[trial]),
+        "rel_diff_raised": float(rel_raised[trial]),
+        "raising_residual": float(raised.residual[trial]),
+    } for trial in range(vectors)]
     timings["trials"] = time.perf_counter() - t0
 
     files = [write_csv(out / "spectral.csv", rows)]
@@ -234,27 +236,21 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
     timings["basis"] = time.perf_counter() - t0
 
     rng = np.random.default_rng(config.seed)
-    rows = []
-    min_slack = np.inf
-    all_passed = True
     t0 = time.perf_counter()
+    # The run's trials are drawn first and then certified as one batch.
     if negative:
-        traces = sample_negative_traces(p, basis, m, trials, rng, eps)
-        alpha_ok = True
-        window_ok = True
-        for trial, trace in enumerate(traces):
-            _, alpha, rep = build_competitor_negative(trace, p, delta, m,
-                                                      basis_delta=basis)
-            min_slack = min(min_slack, rep.slack)
-            all_passed = all_passed and rep.passed
-            alpha_ok = alpha_ok and rep.alpha_in_range
-            window_ok = window_ok and -0.05 < rep.w_z < 0.0
-            rows.append({
-                "trial": trial, "mu": rep.mu, "alpha": alpha,
-                "kappa": rep.kappa, "w_z": rep.w_z, "w_zeta": rep.w_zeta,
-                "bound": rep.bound, "slack": rep.slack, "c_ell": rep.c_ell,
-                "alpha_in_range": rep.alpha_in_range, "passed": rep.passed,
-            })
+        reports = certify_negative(
+            sample_negative_traces(p, basis, m, trials, rng, eps), p, m, eps)
+        min_slack = min(rep.slack for rep in reports)
+        all_passed = all(rep.passed for rep in reports)
+        alpha_ok = all(rep.alpha_in_range for rep in reports)
+        window_ok = all(-0.05 < rep.w_z < 0.0 for rep in reports)
+        rows = [{
+            "trial": trial, "mu": rep.mu, "alpha": rep.alpha,
+            "kappa": rep.kappa, "w_z": rep.w_z, "w_zeta": rep.w_zeta,
+            "bound": rep.bound, "slack": rep.slack, "c_ell": rep.c_ell,
+            "alpha_in_range": rep.alpha_in_range, "passed": rep.passed,
+        } for trial, rep in enumerate(reports)]
         checks = [
             CheckResult("slack-floor", min_slack >= DEFAULT_CONFIG.slack_floor,
                         f"min slack {min_slack:.3e} over {trials} trials "
@@ -267,19 +263,19 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
                         "all competitor reports passed"),
         ]
     else:
-        traces = sample_positive_traces(p, basis, m, trials, rng, eps=eps)
-        for trial, trace in enumerate(traces):
-            rep = verify_epi(trace, p, delta, m, basis, half)
-            min_slack = min(min_slack, rep.slack)
-            all_passed = all_passed and rep.passed
-            rows.append({
-                "trial": trial, "mu": rep.mu, "alpha": rep.alpha,
-                "kappa": rep.kappa, "w_z": rep.w_z, "w_zeta": rep.w_zeta,
-                "bound": rep.bound, "slack": rep.slack,
-                "slack_quad": rep.slack_quad,
-                "route_discrepancy": rep.route_discrepancy,
-                "passed": rep.passed,
-            })
+        reports = certify_positive(
+            sample_positive_traces(p, basis, m, trials, rng, eps=eps),
+            p, m, half, eps)
+        min_slack = min(rep.slack for rep in reports)
+        all_passed = all(rep.passed for rep in reports)
+        rows = [{
+            "trial": trial, "mu": rep.mu, "alpha": rep.alpha,
+            "kappa": rep.kappa, "w_z": rep.w_z, "w_zeta": rep.w_zeta,
+            "bound": rep.bound, "slack": rep.slack,
+            "slack_quad": rep.slack_quad,
+            "route_discrepancy": rep.route_discrepancy,
+            "passed": rep.passed,
+        } for trial, rep in enumerate(reports)]
         checks = [
             CheckResult("slack-floor", min_slack >= DEFAULT_CONFIG.slack_floor,
                         f"min slack {min_slack:.3e} over {trials} trials "

@@ -17,6 +17,9 @@ Two competitors for the mu-homogeneous extension z = r^mu c are built:
   equals |W(z)|, giving the strengthened decay
   W(zeta) <= (1 + |W(z)|) W(z).
 
+A run's trials are certified as one batch (``TraceBatch``); ``verify_epi``
+and ``build_competitor_negative`` certify one trace through the same code.
+
 The module also houses the off-homogeneity energy identities used to test
 candidate frequencies, and the small-|t| sign-contradiction arithmetic that
 rules out homogeneities near 2m+1.
@@ -32,10 +35,11 @@ from .grids import SphereGrid
 from .profiles import BlowupProfile, admissible_frequencies, zero_set
 from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
                        mode_count_ell)
-from .traces import SphericalTrace, trace_from_basis, trace_from_profile
-from .weiss import (BallFunction, _degree_for, ball_sum, beta_pairing,
-                    bilinear_R, homogeneous_extension, kappa, weiss_quadrature,
-                    weiss_raised, weiss_spectral)
+from .traces import (SphericalTrace, TraceBatch, TraceColumns,
+                     trace_from_basis, trace_from_profile)
+from .weiss import (BallFunction, _degree_for, ball_sum, beta_rows,
+                    bilinear_rows, homogeneous_extension, kappa,
+                    weiss_quadrature, weiss_raised, weiss_rows, weiss_spectral)
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,76 @@ def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
 # Trace decomposition
 # ---------------------------------------------------------------------------
 
+def _raise_at(bad: np.ndarray, message) -> None:
+    """Raise ValueError naming the first failing trial, if any."""
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"trial {t}: {message(t)}")
+
+
+def _admissibility(batch: TraceBatch, p: BlowupProfile, eps: float):
+    """The batch's (T, N) block of node values and its admissibility flags,
+    one per trace; raises ValueError naming the first trial that fails any."""
+    grid, mask = batch.basis.grid, batch.basis.mask
+    values = batch.values()
+    dev = values[:, grid.reflect]
+    np.subtract(dev, values, out=dev)
+    flags = {
+        "even": np.max(np.abs(dev, out=dev), axis=1) <= 1e-10,
+        "nonneg_thin_set": np.min(values[:, grid.equator], axis=1) >= -1e-10,
+        "vanishes_on_mask":
+            np.max(np.abs(values[:, mask]), axis=1, initial=0.0) <= 1e-10,
+    }
+    np.subtract(values, p.shared_trace_on(grid), out=dev)
+    flags["within_eps"] = (np.sqrt(np.square(dev, out=dev) @ grid.weights)
+                           <= eps * (1 + 1e-8))
+    failed = ~np.all(list(flags.values()), axis=0)
+    _raise_at(failed, lambda t: "trace fails admissibility checks: "
+              f"{[k for k, ok in flags.items() if not ok[t]]}")
+    return values, flags
+
+
+def _per_trial(report, flags: dict, **fields) -> list:
+    """One report per trial; array fields are read at the trial."""
+    return [report(flags={k: bool(v[t]) for k, v in flags.items()},
+                   **{k: v[t].item() if isinstance(v, np.ndarray) else v
+                      for k, v in fields.items()})
+            for t in range(len(flags["even"]))]
+
+
+def _expand(block: np.ndarray, basis: EigenBasis):
+    """``basis.expand(block)``, raising ValueError naming the first trial
+    the basis cannot represent."""
+    coeffs, recon = basis.expand(block)
+    _raise_at(recon > 1e-8, lambda t: (
+        f"not representable in the constrained basis (residual "
+        f"{recon[t]:.3e}); enlarge the basis or refine the trace"))
+    return coeffs, recon
+
+
+def _decompose(batch: TraceBatch, p: BlowupProfile, half_basis: EigenBasis,
+               eps: float, cond_threshold: float):
+    """Moment-matched low-block extraction of every trace of a batch:
+    nu solves M nu = b, M_ij = <half_j, constrained_i>, b_i = <c,
+    constrained_i> over the first ell constrained modes, so phi = c - P has
+    no moments against them; phi is re-expanded in the constrained basis.
+    Returns nu (T, ell), phi's coefficients (T, count), the condition of M,
+    the flags and the reconstruction errors."""
+    basis = batch.basis
+    ell = mode_count_ell(basis.grid.n, p.m)
+    values, flags = _admissibility(batch, p, eps)
+    mass = basis.mass_rows(ell)
+    moment = mass @ half_basis.values[:, :ell]
+    cond = float(np.linalg.cond(moment))
+    if cond > cond_threshold:
+        raise ValueError(f"moment matrix condition {cond:.3e} exceeds "
+                         f"{cond_threshold:.1e}")
+    nu = np.linalg.solve(moment, mass @ values.T).T
+    values -= nu @ half_basis.values[:, :ell].T
+    phi, recon = _expand(values, basis)
+    return nu, phi, cond, flags, recon
+
+
 @dataclass
 class Decomposition:
     """Split c = P + phi with P in the low block and phi vanishing on Z_delta."""
@@ -161,72 +235,24 @@ class Decomposition:
     reconstruction_error: float       # L2 gap between c and P + phi
     flags: dict                       # admissibility checks, all passed
     mu: float
-    m: int
-    basis_delta: EigenBasis
-    half_basis: EigenBasis
-    profile: BlowupProfile
-
-
-def _check_admissible_trace(c: SphericalTrace, p: BlowupProfile,
-                            mask: np.ndarray, eps: float) -> dict:
-    """Admissibility flags of a trace; raises ValueError naming any that fail."""
-    grid = c.grid
-    flags = {
-        "even": bool(grid.is_even(c.values, 1e-10)),
-        "nonneg_thin_set": bool(np.min(c.values[grid.equator]) >= -1e-10),
-        "vanishes_on_mask": bool(
-            mask.size == 0 or np.max(np.abs(c.values[mask])) <= 1e-10),
-    }
-    diff = c.values - p.shared_trace_on(grid)
-    flags["within_eps"] = bool(np.sqrt(grid.inner(diff, diff)) <= eps * (1 + 1e-8))
-    bad = [k for k, ok in flags.items() if not ok]
-    if bad:
-        raise ValueError(f"trace fails admissibility checks: {bad}")
-    return flags
 
 
 def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
                     basis_delta: EigenBasis, half_basis: EigenBasis,
                     config: EpiConfig = DEFAULT_CONFIG) -> Decomposition:
-    """Moment-matched low-block extraction of an admissible trace.
-
-    The low-block coefficients solve M nu = b with
-    M_ij = <half_j, constrained_i> and b_i = <c, constrained_i> over the
-    first ell constrained modes, so that the remainder phi = c - P has
-    vanishing moments against all of them.
-    """
-    grid = c.grid
-    n = grid.n
-    m = p.m
-    mu = float(2 * m + 1)
-    ell = mode_count_ell(n, m)
-    flags = _check_admissible_trace(c, p, basis_delta.mask, config.eps)
-
-    mass = basis_delta.mass_rows(ell)
-    moment = mass @ half_basis.values[:, :ell]
-    cond = float(np.linalg.cond(moment))
-    if cond > config.cond_threshold:
-        raise ValueError(f"moment matrix condition {cond:.3e} exceeds "
-                         f"{config.cond_threshold:.1e}")
-    b = mass @ c.values
-    nu = np.linalg.solve(moment, b)
-    p_part = trace_from_basis(half_basis, nu)
-    resid_vals = c.values - p_part.values
-    phi_coeffs = basis_delta.project(resid_vals)
-    phi = trace_from_basis(basis_delta, phi_coeffs)
-    recon = resid_vals - phi.values
-    recon_err = float(np.sqrt(grid.inner(recon, recon)))
-    if recon_err > 1e-8:
-        raise ValueError(
-            f"remainder is not representable in the constrained basis "
-            f"(residual {recon_err:.3e}); enlarge the basis or refine the trace")
-    moments = mass @ resid_vals
-    return Decomposition(nu=nu, p_part=p_part, phi=phi, phi_coeffs=phi_coeffs,
-                         delta=float(delta), cond=cond,
+    """Decomposition of one admissible trace (see ``_decompose``)."""
+    nu, phi, cond, flags, recon = _decompose(
+        TraceBatch.of_trace(c, basis_delta), p, half_basis, config.eps,
+        config.cond_threshold)
+    p_part = trace_from_basis(half_basis, nu[0])
+    moments = basis_delta.mass_rows(nu.shape[1]) @ (c.values - p_part.values)
+    return Decomposition(nu=nu[0], p_part=p_part,
+                         phi=trace_from_basis(basis_delta, phi[0]),
+                         phi_coeffs=phi[0], delta=float(delta), cond=cond,
                          moment_residuals=moments,
-                         reconstruction_error=recon_err, flags=flags, mu=mu, m=m,
-                         basis_delta=basis_delta, half_basis=half_basis,
-                         profile=p)
+                         reconstruction_error=float(recon[0]),
+                         flags={k: bool(v[0]) for k, v in flags.items()},
+                         mu=float(2 * p.m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +261,7 @@ def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
 
 def build_competitor_positive(dec: Decomposition, m: int) -> BallFunction:
     """zeta = r^(2m+1) P + r^(2m+3/2) phi."""
-    alpha = 2 * m + 1.5
-    return ball_sum([(dec.mu, dec.p_part), (alpha, dec.phi)])
+    return ball_sum([(dec.mu, dec.p_part), (2 * m + 1.5, dec.phi)])
 
 
 @dataclass
@@ -262,52 +287,53 @@ class EpiReport:
         return self.slack >= DEFAULT_CONFIG.slack_floor and all(self.flags.values())
 
 
-def _energy_both_routes(dec: Decomposition, radial_power: float, mu: float):
-    """Spectral and quadrature W_mu of r^mu P + r^radial_power phi."""
-    n = dec.p_part.grid.n
-    half, delta_b = dec.half_basis, dec.basis_delta
-    w_p = weiss_spectral(dec.nu, half, mu)
-    if radial_power == mu:
-        w_phi = weiss_spectral(dec.phi_coeffs, delta_b, mu)
-    else:
-        w_phi = weiss_raised(dec.phi_coeffs, delta_b, mu, radial_power).value
-    cross = beta_pairing(dec.nu, dec.phi, mu, radial_power, basis=half).predicted_R
-    spectral = w_p + w_phi + 2.0 * cross
-    v = ball_sum([(mu, dec.p_part), (radial_power, dec.phi)])
-    quad = weiss_quadrature(v, mu)
-    return spectral, quad, w_p
+def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
+                     half_basis: EigenBasis, eps: float) -> list[EpiReport]:
+    """One report per trace within ``eps`` of the profile: decompose it,
+    build zeta = r^mu P + r^(2m+3/2) phi, and check W(zeta) <= (1-kappa) W(z)
+    by both routes: eigenvalue sums with the beta pairing of P with phi, and
+    the closed radial form over nodal-quadrature Gram matrices of the
+    [half | constrained] columns, which reads no eigenvalue."""
+    basis = batch.basis
+    n = basis.grid.n
+    mu = float(2 * m + 1)
+    alpha = 2 * m + 1.5
+    kap = kappa(alpha, mu, n)
+    nu, phi, _, flags, _ = _decompose(batch, p, half_basis, eps,
+                                      DEFAULT_CONFIG.cond_threshold)
+    w_p = weiss_spectral(nu, half_basis, mu)
+    beta = beta_rows(nu, half_basis, phi, basis.values, mu, mu).beta
+    w_z = w_p + weiss_spectral(phi, basis, mu) + 2.0 * beta / (n + 2 * mu - 1.0)
+    raised = weiss_raised(phi, basis, mu, alpha)
+    w_zeta = w_p + raised.value + 2.0 * beta / (n + alpha + mu - 1.0)
+    columns = TraceColumns.of_basis(half_basis).join(TraceColumns.of_basis(basis))
+    p_rows = np.column_stack([nu, np.zeros_like(phi)])
+    phi_rows = np.column_stack([np.zeros_like(nu), phi])
+    w_z_quad = weiss_rows(columns, mu, [(mu, p_rows), (mu, phi_rows)])
+    w_zeta_quad = weiss_rows(columns, mu, [(mu, p_rows), (alpha, phi_rows)])
+    slack_pred = kap * (-w_p) - raised.residual
+    bound = (1.0 - kap) * w_z
+    slack_quad = (1.0 - kap) * w_z_quad - w_zeta_quad
+    discrepancy = np.maximum(abs(w_z - w_z_quad), abs(w_zeta - w_zeta_quad))
+    return _per_trial(
+        EpiReport, flags, mu=mu, alpha=alpha, kappa=kap, w_z=w_z,
+        w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad, bound=bound,
+        slack=bound - w_zeta, slack_quad=slack_quad, profile_energy=w_p,
+        slack_predicted=slack_pred, route_discrepancy=discrepancy)
 
 
 def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
                basis_delta: EigenBasis | None = None,
                half_basis: EigenBasis | None = None) -> EpiReport:
-    """Decompose the trace, build the raised competitor, and report the
-    contraction W(zeta) <= (1-kappa) W(z) through both energy routes."""
+    """``certify_positive`` for one trace, within the default eps."""
     grid = c.grid
-    n = grid.n
-    mu = float(2 * m + 1)
-    alpha = 2 * m + 1.5
-    kap = kappa(alpha, mu, n)
     if basis_delta is None:
         basis_delta = _delta_basis(
-            p, grid, delta, mode_count_ell(n, m) + DEFAULT_CONFIG.extra_modes)
+            p, grid, delta, mode_count_ell(grid.n, m) + DEFAULT_CONFIG.extra_modes)
     if half_basis is None:
         half_basis = adapted_half_basis(p, grid)
-    dec = decompose_trace(c, p, delta, basis_delta, half_basis)
-    w_z, w_z_quad, w_p = _energy_both_routes(dec, mu, mu)
-    w_zeta, w_zeta_quad, _ = _energy_both_routes(dec, alpha, mu)
-    bound = (1.0 - kap) * w_z
-    lam_alpha = lambda_of(alpha, n)
-    lam = basis_delta.lambdas[:dec.phi_coeffs.size]
-    tail = float(np.sum((lam - lam_alpha) * dec.phi_coeffs ** 2))
-    slack_pred = kap * (-w_p) + kap / (n + 2 * alpha - 1.0) * tail
-    return EpiReport(
-        mu=mu, alpha=alpha, kappa=kap,
-        w_z=w_z, w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad,
-        bound=bound, slack=bound - w_zeta,
-        slack_quad=(1.0 - kap) * w_z_quad - w_zeta_quad,
-        profile_energy=w_p, slack_predicted=slack_pred, flags=dec.flags,
-        route_discrepancy=max(abs(w_z - w_z_quad), abs(w_zeta - w_zeta_quad)))
+    return certify_positive(TraceBatch.of_trace(c, basis_delta), p, m,
+                            half_basis, DEFAULT_CONFIG.eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,87 +362,79 @@ class NegativeEpiReport:
                 and self.sign_ok and all(self.flags.values()))
 
 
-def solve_alpha(target: float, m: int, mu: float, n: int,
-                tol: float = 1e-12) -> float:
-    """Bisection for alpha in (2m, mu) with (mu-alpha)/(n+alpha+mu-1) = target."""
-    if not 0.0 < target < (mu - 2 * m) / (n + 2 * m + mu - 1.0):
+def solve_alpha(target, m: int, mu: float, n: int, tol: float = 1e-12):
+    """Bisection for alpha in (2m, mu) with (mu-alpha)/(n+alpha+mu-1) = target;
+    elementwise over an array of targets."""
+    t = np.asarray(target, dtype=float)
+    if not np.all((0.0 < t) & (t < (mu - 2 * m) / (n + 2 * m + mu - 1.0))):
         raise ValueError(f"target {target} outside the reachable bracket")
-    lo, hi = float(2 * m), float(mu)
-    while hi - lo > tol:
+    lo, hi = np.full(t.shape, float(2 * m)), np.full(t.shape, float(mu))
+    while np.any(open_ := hi - lo > tol):
         mid = 0.5 * (lo + hi)
-        if (mu - mid) / (n + mid + mu - 1.0) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        below = (mu - mid) / (n + mid + mu - 1.0) > t
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    alpha = 0.5 * (lo + hi)
+    return float(alpha) if alpha.ndim == 0 else alpha
+
+
+def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
+                     eps: float) -> list[NegativeEpiReport]:
+    """One report per trace within ``eps`` of the profile with W(z) < 0:
+    split off the top-mode component h, lower the remainder's radial power
+    to alpha in (2m, 2m+1) solving (mu-alpha)/(n+alpha+mu-1) = |W(z)|, and
+    check W(zeta) <= (1+|W(z)|) W(z).  Flag ``energy_in_window``: |W(z)| <
+    ``EpiConfig.eta``.  Quadrature energies are Gram quadratic forms over
+    the batch's [offset | basis] columns."""
+    basis = batch.basis
+    n = basis.grid.n
+    mu = float(2 * m + 1)
+    ell = mode_count_ell(n, m)
+    values, flags = _admissibility(batch, p, eps)
+    coeffs, _ = _expand(values, basis)
+    w_z = weiss_spectral(coeffs, basis, mu)
+    _raise_at(~(w_z < 0.0), lambda t: f"W(z) = {w_z[t]:.3e} is not negative")
+    absw = -w_z
+    flags["energy_in_window"] = absw < DEFAULT_CONFIG.eta
+    alpha = solve_alpha(absw, m, mu, n, tol=DEFAULT_CONFIG.bisect_tol)
+
+    top = np.arange(basis.count) == ell - 1
+    h, phi = coeffs * top, coeffs * ~top
+    columns = batch.columns()
+    h_rows, phi_rows = (np.column_stack([np.zeros(len(batch)), x])
+                        for x in (h, phi))
+    if basis.equator_dn is not None:
+        cross = beta_rows(h, basis, phi, basis.values, mu, alpha).predicted_R
+    else:
+        cross = bilinear_rows(columns, mu, (mu, h_rows), (alpha, phi_rows))
+    w_zeta = (weiss_spectral(h, basis, mu)
+              + weiss_raised(phi, basis, mu, alpha).value + 2.0 * cross)
+    w_zeta_quad = weiss_rows(columns, mu, [(mu, h_rows), (alpha, phi_rows)])
+    w_z_quad = weiss_rows(columns, mu, [(mu, batch.rows())])
+    sign = bilinear_rows(columns, mu, (mu, h_rows), (mu, batch.rows()))
+    bound = (1.0 + absw) * w_z
+    return _per_trial(
+        NegativeEpiReport, flags, mu=mu, alpha=alpha, kappa=absw, w_z=w_z,
+        w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad, bound=bound,
+        slack=bound - w_zeta, c_ell=coeffs[:, ell - 1],
+        alpha_in_range=(2 * m < alpha) & (alpha < mu), sign_ok=sign >= -1e-9)
 
 
 def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
                               m: int, basis_delta: EigenBasis | None = None):
-    """Competitor for traces with W(z) < 0: split off the top-mode component
-    h, lower the remainder's radial power to alpha in (2m, 2m+1) solving
-    (mu-alpha)/(n+alpha+mu-1) = |W(z)|, and certify
-    W(zeta) <= (1+|W(z)|) W(z).  The flag ``energy_in_window`` records
-    whether |W(z)| lies below the negative-case budget ``EpiConfig.eta``.
-
-    Returns (zeta, alpha, report).
-    """
-    grid = c.grid
-    n = grid.n
-    mu = float(2 * m + 1)
-    ell = mode_count_ell(n, m)
+    """``certify_negative`` for one trace, within the default eps, with the
+    competitor zeta = r^mu h + r^alpha phi.  Returns (zeta, alpha, report)."""
+    ell = mode_count_ell(c.grid.n, m)
     if basis_delta is None:
-        basis_delta = _delta_basis(p, grid, delta,
+        basis_delta = _delta_basis(p, c.grid, delta,
                                    ell + DEFAULT_CONFIG.extra_modes)
-    flags = _check_admissible_trace(c, p, basis_delta.mask, DEFAULT_CONFIG.eps)
-
+    report = certify_negative(TraceBatch.of_trace(c, basis_delta), p, m,
+                              DEFAULT_CONFIG.eps)[0]
     coeffs = basis_delta.project(c.values)
-    recon = c.values - basis_delta.reconstruct(coeffs)
-    recon_err = float(np.sqrt(grid.inner(recon, recon)))
-    if recon_err > 1e-8:
-        raise ValueError(f"trace not representable in the constrained basis "
-                         f"(residual {recon_err:.3e})")
-    c_ell = float(coeffs[ell - 1])
-    h_coeffs = np.zeros_like(coeffs)
-    h_coeffs[ell - 1] = c_ell
-    phi_coeffs = coeffs.copy()
-    phi_coeffs[ell - 1] = 0.0
-    h = trace_from_basis(basis_delta, h_coeffs)
-    phi = trace_from_basis(basis_delta, phi_coeffs)
-
-    lam = basis_delta.lambdas[:coeffs.size]
-    w_z = weiss_spectral(coeffs, basis_delta, mu)
-    if not w_z < 0.0:
-        raise ValueError(f"W(z) = {w_z:.3e} is not negative")
-    absw = -w_z
-    flags["energy_in_window"] = bool(absw < DEFAULT_CONFIG.eta)
-
-    alpha = solve_alpha(absw, m, mu, n, tol=DEFAULT_CONFIG.bisect_tol)
-    alpha_in_range = bool(2 * m < alpha < mu)
-
-    w_h = float(c_ell ** 2 * (lam[ell - 1] - lambda_of(mu, n)) / (n + 2 * mu - 1.0))
-    w_phi_alpha = weiss_raised(phi_coeffs, basis_delta, mu, alpha).value
-    if basis_delta.equator_dn is not None:
-        cross_alpha = beta_pairing(h_coeffs, phi, mu, alpha,
-                                   basis=basis_delta).predicted_R
-    else:
-        cross_alpha = bilinear_R(homogeneous_extension(h, mu),
-                                 homogeneous_extension(phi, alpha), mu)
-    w_zeta = w_h + w_phi_alpha + 2.0 * cross_alpha
-
-    zeta = ball_sum([(mu, h), (alpha, phi)])
-    w_zeta_quad = weiss_quadrature(zeta, mu)
-    z_ball = homogeneous_extension(c, mu)
-    w_z_quad = weiss_quadrature(z_ball, mu)
-    sign_ok = bool(bilinear_R(homogeneous_extension(h, mu), z_ball, mu) >= -1e-9)
-
-    bound = (1.0 + absw) * w_z
-    report = NegativeEpiReport(
-        mu=mu, alpha=alpha, kappa=absw,
-        w_z=w_z, w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad,
-        bound=bound, slack=bound - w_zeta, c_ell=c_ell,
-        alpha_in_range=alpha_in_range, sign_ok=sign_ok, flags=flags)
-    return zeta, alpha, report
+    top = np.arange(basis_delta.count) == ell - 1
+    zeta = ball_sum([(report.mu, trace_from_basis(basis_delta, coeffs * top)),
+                     (report.alpha, trace_from_basis(basis_delta, coeffs * ~top))])
+    return zeta, report.alpha, report
 
 
 # ---------------------------------------------------------------------------
@@ -532,73 +550,53 @@ def gap_demo(m: int, n: int, t_grid=None) -> GapDemoReport:
 
 def sample_positive_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
                            count: int, rng: np.random.Generator,
-                           eps: float = DEFAULT_CONFIG.eps) -> list[SphericalTrace]:
+                           eps: float = DEFAULT_CONFIG.eps) -> TraceBatch:
     """Admissible traces near the profile: profile plus a random tail in the
     constrained modes above the low block, scaled inside the eps ball."""
-    grid = basis_delta.grid
-    ell = mode_count_ell(grid.n, m)
-    ptr = trace_from_profile(p, grid)
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 50 * count:
-            raise RuntimeError("rejection sampling failed to produce traces")
+    ell = mode_count_ell(basis_delta.grid.n, m)
+
+    def propose():
         a = rng.standard_normal(basis_delta.count - ell)
         a /= (1.0 + basis_delta.lambdas[ell:])   # calm the high modes
         a *= eps * rng.uniform(0.2, 0.95) / np.linalg.norm(a)
-        coeffs = np.concatenate([np.zeros(ell), a])
-        c = ptr + trace_from_basis(basis_delta, coeffs)
-        if np.min(c.values[grid.equator]) < -1e-12:
-            continue
-        diff = c.values - ptr.values
-        if np.sqrt(grid.inner(diff, diff)) > eps:
-            continue
-        out.append(c)
-    return out
+        return np.concatenate([np.zeros(ell), a])
+
+    return TraceBatch.sample(trace_from_profile(p, basis_delta.grid),
+                             basis_delta, count, eps, propose)
 
 
 def sample_negative_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
                            count: int, rng: np.random.Generator,
-                           eps: float = DEFAULT_CONFIG.eps) -> list[SphericalTrace]:
+                           eps: float = DEFAULT_CONFIG.eps) -> TraceBatch:
     """Admissible traces whose mu-homogeneous extension has negative energy:
     profile plus low constrained modes (eigenvalue below the profile's),
     exactly scaled to land the energy in the window (-0.045, -0.001), cut
     to what the eps ball reaches."""
-    grid = basis_delta.grid
-    n = grid.n
+    n = basis_delta.grid.n
     m_mu = float(2 * m + 1)
     ell = mode_count_ell(n, m)
     if ell < 2:
         raise ValueError("no constrained modes below the profile level; "
                          "negative-energy traces need m >= 1")
-    lam = basis_delta.lambdas
     low = np.arange(ell - 1)
-    per_unit = (lam[low] - lambda_of(m_mu, n)) / (n + 2 * m_mu - 1.0)
+    per_unit = (basis_delta.lambdas[low] - lambda_of(m_mu, n)) / (n + 2 * m_mu - 1.0)
     if np.max(per_unit) >= 0:
         raise ValueError("low modes do not lower the energy")
-    ptr = trace_from_profile(p, grid)
     reach = -np.min(per_unit) * (0.98 * eps) ** 2
-    lo = max(-0.045, -0.9 * reach)
-    hi = -0.001
+    lo, hi = max(-0.045, -0.9 * reach), -0.001
     if not lo < hi:
         raise ValueError("energy window unreachable within the eps ball")
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 50 * count:
-            raise RuntimeError("rejection sampling failed to produce traces")
+
+    def propose():
         a = np.abs(rng.standard_normal(low.size)) + 0.05
         target = rng.uniform(lo, hi)
         w0 = float(np.sum(per_unit * a * a))
         a *= np.sqrt(target / w0)
         if np.linalg.norm(a) > 0.99 * eps:
-            continue
+            return None
         coeffs = np.zeros(basis_delta.count)
         coeffs[low] = a
-        c = ptr + trace_from_basis(basis_delta, coeffs)
-        if np.min(c.values[grid.equator]) < -1e-12:
-            continue
-        out.append(c)
-    return out
+        return coeffs
+
+    return TraceBatch.sample(trace_from_profile(p, basis_delta.grid),
+                             basis_delta, count, eps, propose)

@@ -41,8 +41,9 @@ TIE_TOL = 1e-9
 
 
 def lambda_of(alpha: float, n: int) -> float:
-    """Eigenvalue whose homogeneous harmonic extension has exponent alpha."""
-    if alpha < 0:
+    """Eigenvalue whose homogeneous harmonic extension has exponent alpha
+    (elementwise over an array of exponents)."""
+    if np.min(alpha) < 0:
         raise ValueError(f"homogeneity must be nonnegative, got {alpha}")
     return alpha * (n + alpha - 1)
 
@@ -110,6 +111,14 @@ class EigenBasis:
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return self.values @ np.asarray(coeffs, dtype=float)
+
+    def expand(self, block: np.ndarray):
+        """Coefficient rows of a (T, N) block of node values, one row per
+        function, and the L2 error of re-expanding each; overwrites the
+        block with the squared re-expansion residuals."""
+        coeffs = block @ self.mass_rows(self.count).T
+        block -= coeffs @ self.values.T
+        return coeffs, np.sqrt(np.square(block, out=block) @ self.grid.weights)
 
     def orthonormality_defect(self) -> float:
         gram = self.values.T @ (self.grid.weights[:, None] * self.values)

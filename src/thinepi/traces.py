@@ -14,10 +14,16 @@ numerically:
 The squared surface gradient of an even trace is continuous across the
 equator even when the trace kinks, so lumped quadrature of Dirichlet energies
 remains second-order accurate.
+
+Many traces at once: ``TraceColumns`` holds k traces as columns with their
+derivative data and their mass and gradient Gram matrices, and
+``TraceBatch`` holds traces as an offset plus rows of basis coefficients.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +164,61 @@ def vertex_gradients(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _closed_form_derivs(basis):
+    """A basis's closed-form derivative data for its grid, or None."""
+    return basis.dtheta if basis.grid.n == 1 else basis.grads
+
+
+@dataclass
+class TraceColumns:
+    """k traces on one grid as node-value columns (N, k) with their
+    surface-derivative data: (N, k) folded-angle derivatives on S^1,
+    (k, N, 3) tangential gradients on S^2.  A block of traces is a (T, k)
+    array of coefficient rows over the columns, and its quadrature pairings
+    are quadratic forms in ``grams``."""
+
+    grid: SphereGrid
+    values: np.ndarray
+    derivs: np.ndarray
+
+    @classmethod
+    def of_basis(cls, basis) -> "TraceColumns":
+        """The modes of a basis, with its closed-form derivative data or,
+        lacking that, derivatives reconstructed mode by mode."""
+        grid = basis.grid
+        derivs = _closed_form_derivs(basis)
+        if derivs is None and grid.n == 1:
+            derivs = np.column_stack([circle_dtheta(grid, v) for v in basis.values.T])
+        elif derivs is None:
+            derivs = np.stack([vertex_gradients(grid, v) for v in basis.values.T])
+        return cls(grid, basis.values, derivs)
+
+    @classmethod
+    def of_trace(cls, trace: SphericalTrace) -> "TraceColumns":
+        g = trace._surface_gradient()
+        return cls(trace.grid, trace.values[:, None],
+                   g[:, None] if trace.grid.n == 1 else g[None])
+
+    def join(self, other: "TraceColumns") -> "TraceColumns":
+        """The columns of ``self`` followed by those of ``other``."""
+        axis = 1 if self.grid.n == 1 else 0
+        return TraceColumns(self.grid,
+                            np.column_stack([self.values, other.values]),
+                            np.concatenate([self.derivs, other.derivs], axis))
+
+    @functools.cached_property
+    def grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mass, gradient) Gram matrices by nodal quadrature:
+        <t_i, t_j> and <grad t_i, grad t_j> (upper-sided at kinks)."""
+        w = self.grid.weights
+        mass = self.values.T @ (w[:, None] * self.values)
+        d = self.derivs
+        if self.grid.n == 1:
+            return mass, d.T @ (w[:, None] * d)
+        return mass, sum((d[:, :, j] * w) @ d[:, :, j].T
+                         for j in range(d.shape[2]))
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -189,3 +250,68 @@ def trace_from_basis(basis, coeffs) -> SphericalTrace:
     if basis.grads is not None:
         gr = np.einsum("k,kij->ij", c, basis.grads)
     return SphericalTrace(basis.grid, vals, dtheta=dth, grad=gr)
+
+
+@dataclass
+class TraceBatch(Sequence):
+    """Traces c_t = offset + sum_j coeffs[t, j] basis_j on one grid, such as
+    a run's sampled trials, which are certified together.  Indexing gives
+    one trace, with the derivative data a sum of traces carries."""
+
+    offset: SphericalTrace
+    basis: object                     # an EigenBasis
+    coeffs: np.ndarray                # (T, basis.count)
+
+    @classmethod
+    def of_trace(cls, c: SphericalTrace, basis) -> "TraceBatch":
+        return cls(c, basis, np.zeros((1, basis.count)))
+
+    @classmethod
+    def sample(cls, offset: SphericalTrace, basis, count: int, eps: float,
+               propose) -> "TraceBatch":
+        """Rejection sampling: each ``propose()`` draws one coefficient
+        vector (or None, rejecting it outright), kept when the trace is
+        nonnegative on the thin set and within eps of the offset; at most
+        50 proposals per trace."""
+        grid = offset.grid
+        out = []
+        for _ in range(50 * count):
+            if len(out) == count:
+                break
+            coeffs = propose()
+            if coeffs is None:
+                continue
+            values = offset.values + basis.reconstruct(coeffs)
+            diff = values - offset.values
+            if (np.min(values[grid.equator]) >= -1e-12
+                    and np.sqrt(grid.inner(diff, diff)) <= eps):
+                out.append(coeffs)
+        if len(out) < count:
+            raise RuntimeError("rejection sampling failed to produce traces")
+        return cls(offset, basis, np.array(out))
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, t: int) -> SphericalTrace:
+        return self.offset + trace_from_basis(self.basis, self.coeffs[t])
+
+    def values(self) -> np.ndarray:
+        """Node values, one row per trace: a fresh (T, N) block."""
+        block = self.coeffs @ self.basis.values.T
+        block += self.offset.values
+        return block
+
+    def columns(self) -> TraceColumns:
+        """[offset | basis] columns, over which the traces are the rows
+        [1, coeffs[t]].  As for a sum of traces, the offset keeps its own
+        derivative data only when the basis carries closed-form data or
+        the batch adds nothing to the offset."""
+        offset = self.offset
+        if _closed_form_derivs(self.basis) is None and self.coeffs.any():
+            offset = SphericalTrace(offset.grid, offset.values)
+        return TraceColumns.of_trace(offset).join(TraceColumns.of_basis(self.basis))
+
+    def rows(self) -> np.ndarray:
+        """The traces' coefficient rows over ``columns``."""
+        return np.column_stack([np.ones(len(self)), self.coeffs])

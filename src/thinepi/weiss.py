@@ -27,6 +27,11 @@ with a surface functional beta_mu via
 
 where beta_mu is computed from phi's coefficients in the unconstrained
 even eigenbasis plus an equator flux term; see beta_pairing.
+
+For a block of traces given as coefficient rows, ``weiss_rows``,
+``bilinear_rows`` and ``beta_rows`` give one value per row: the quadrature
+route there takes its angular pairings from the Gram matrices of
+``TraceColumns``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from .grids import SphereGrid, radial_rule
 from .spectral import EigenBasis, half_sphere_basis, lambda_of, multiplicity
-from .traces import SphericalTrace
+from .traces import SphericalTrace, TraceColumns
 
 
 def kappa(alpha: float, mu: float, n: int) -> float:
@@ -148,23 +153,72 @@ def _gradient_pair_on_sphere(a: SphericalTrace, b: SphericalTrace,
     return float(a.grid.weights @ a.gradient_dot(b))
 
 
-def _radial_moment(n: int, power: float) -> float:
+def _radial_moment(n: int, power):
     """int_0^1 r^(n+power-2) dr, requiring integrability."""
     expo = n + power - 2.0
-    if expo <= -1.0:
+    if np.any(expo <= -1.0):
         raise ValueError(f"non-integrable radial power {power} in dimension n={n}")
     return 1.0 / (expo + 1.0)
+
+
+def _pair_energy(n: int, a, b, mass, grad):
+    """int_B grad(r^a s) . grad(r^b t) in closed radial form, from the
+    angular pairings mass = <s, t> and grad = <grad s, grad t>; elementwise
+    over arrays of pairings and powers."""
+    num = a * b * mass + grad
+    if np.ndim(num) == 0 and num == 0.0:
+        return 0.0
+    return num * _radial_moment(n, a + b)
+
 
 def _pair_dirichlet(n: int, a: float, ta: SphericalTrace,
                     b: float, tb: SphericalTrace,
                     use_derivative_data: bool) -> float:
     """int_B grad(r^a ta) . grad(r^b tb) in closed radial form."""
-    mass = ta.inner(tb)
-    grad = _gradient_pair_on_sphere(ta, tb, use_derivative_data)
-    num = a * b * mass + grad
-    if num == 0.0:
-        return 0.0
-    return num * _radial_moment(n, a + b)
+    return _pair_energy(n, a, b, ta.inner(tb),
+                        _gradient_pair_on_sphere(ta, tb, use_derivative_data))
+
+
+def _weiss_of_pairings(n: int, mu: float, degrees, pairing):
+    """W_mu(sum_i r^a_i t_i) in closed radial form; ``pairing(i, j)`` gives
+    (<t_i, t_j>, <grad t_i, grad t_j>) for i <= j, as numbers or as arrays
+    holding one value per trace of a block."""
+    total = boundary = 0.0
+    for i, a in enumerate(degrees):
+        for j in range(i, len(degrees)):
+            mass, grad = pairing(i, j)
+            factor = 1.0 if i == j else 2.0
+            total = total + factor * _pair_energy(n, a, degrees[j], mass, grad)
+            boundary = boundary + factor * mass
+    return total - mu * boundary
+
+
+def _row_pairing(columns: TraceColumns, x: np.ndarray, y: np.ndarray):
+    """(<s_t, u_t>, <grad s_t, grad u_t>) for the traces s_t = x[t] and
+    u_t = y[t] over ``columns``: quadratic forms in its Gram matrices."""
+    mass, grad = columns.grams
+    return (np.sum(x * (y @ mass.T), axis=-1),
+            np.sum(x * (y @ grad.T), axis=-1))
+
+
+def weiss_rows(columns: TraceColumns, mu: float, pieces) -> np.ndarray:
+    """W_mu(sum_i r^a_i t_i) for each trace of a block: ``pieces`` lists
+    (a_i, rows_i), where row t of rows_i holds the coefficients of the
+    block's t-th t_i over ``columns`` and a_i is a power or one power per
+    row.  The closed radial form of ``weiss_quadrature`` with its angular
+    pairings as Gram quadratic forms; no spectral data is consulted."""
+    degrees = [a for a, _ in pieces]
+    return _weiss_of_pairings(
+        columns.grid.n, mu, degrees,
+        lambda i, j: _row_pairing(columns, pieces[i][1], pieces[j][1]))
+
+
+def bilinear_rows(columns: TraceColumns, mu: float, left, right) -> np.ndarray:
+    """R_mu(r^a s_t, r^b u_t) for each row t, with left = (a, rows of s)
+    and right = (b, rows of u) over ``columns``, as in ``bilinear_R``."""
+    (a, x), (b, y) = left, right
+    mass, grad = _row_pairing(columns, x, y)
+    return _pair_energy(columns.grid.n, a, b, mass, grad) - mu * mass
 
 
 def _sampled_dirichlet(v: BallFunction, w: BallFunction):
@@ -209,15 +263,10 @@ def weiss_quadrature(v: BallFunction, mu: float,
     """
     n = v.grid.n
     if v.parts is not None:
-        dir_total = 0.0
-        for i, (a, ta) in enumerate(v.parts):
-            for j, (b, tb) in enumerate(v.parts):
-                if j < i:
-                    continue
-                factor = 1.0 if i == j else 2.0
-                dir_total += factor * _pair_dirichlet(
-                    n, a, ta, b, tb, use_derivative_data)
-        value = dir_total - mu * v.boundary_sq_integral()
+        traces = [t for _, t in v.parts]
+        value = _weiss_of_pairings(n, mu, [a for a, _ in v.parts], lambda i, j: (
+            traces[i].inner(traces[j]),
+            _gradient_pair_on_sphere(traces[i], traces[j], use_derivative_data)))
         return (value, 0.0) if with_error else value
 
     # Imported here: only the sampled route needs it, and scipy.integrate
@@ -280,12 +329,20 @@ def weiss_tilde(v: BallFunction, h, mu: float) -> float:
 # Spectral route
 # ---------------------------------------------------------------------------
 
-def weiss_spectral(coeffs, basis: EigenBasis, mu: float) -> float:
-    """W_mu of the mu-homogeneous extension of sum_j c_j phi_j."""
+def _per_row(total):
+    """A reduction over the last axis: a float for one coefficient vector,
+    an array for a block of coefficient rows."""
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def weiss_spectral(coeffs, basis: EigenBasis, mu: float):
+    """W_mu of the mu-homogeneous extension of sum_j c_j phi_j; a (T, k)
+    block of coefficient rows gives one value per row."""
     c = np.asarray(coeffs, dtype=float)
     n = basis.grid.n
-    lam = basis.lambdas[:c.size]
-    return float(np.sum((lam - lambda_of(mu, n)) * c * c) / (n + 2.0 * mu - 1.0))
+    lam = basis.lambdas[:c.shape[-1]]
+    return _per_row(np.sum((lam - lambda_of(mu, n)) * c * c, axis=-1)
+                    / (n + 2.0 * mu - 1.0))
 
 
 @dataclass
@@ -300,19 +357,24 @@ class RaisedWeissReport:
     mu: float
 
 
-def weiss_raised(coeffs, basis: EigenBasis, mu: float, alpha: float) -> RaisedWeissReport:
+def weiss_raised(coeffs, basis: EigenBasis, mu: float, alpha) -> RaisedWeissReport:
     """Closed-form W_mu(r^alpha psi) together with the raising-identity defect
 
         residual = kappa/(n+2alpha-1) * sum_j (lambda(alpha) - lambda_j) c_j^2.
+
+    A (T, k) block of coefficient rows, with alpha a power or one power per
+    row, gives arrays of one value per row.
     """
     c = np.asarray(coeffs, dtype=float)
     n = basis.grid.n
-    lam = basis.lambdas[:c.size]
-    value = float(np.sum(c * c * ((alpha ** 2 + lam) / (n + 2.0 * alpha - 1.0) - mu)))
+    lam = basis.lambdas[:c.shape[-1]]
+    a = np.asarray(alpha, dtype=float)[..., None]
+    value = _per_row(np.sum(c * c * ((a ** 2 + lam) / (n + 2.0 * a - 1.0) - mu),
+                            axis=-1))
     base = weiss_spectral(c, basis, mu)
     kap = kappa(alpha, mu, n)
-    residual = float(kap / (n + 2.0 * alpha - 1.0)
-                     * np.sum((lambda_of(alpha, n) - lam) * c * c))
+    residual = _per_row(kap / (n + 2.0 * alpha - 1.0)
+                        * np.sum((lambda_of(a, n) - lam) * c * c, axis=-1))
     return RaisedWeissReport(value=value, base_value=base, kappa=kap,
                              residual=residual, alpha=alpha, mu=mu)
 
@@ -347,17 +409,27 @@ def beta_pairing(phi_coeffs, psi: SphericalTrace, mu: float, alpha: float,
     c = np.asarray(phi_coeffs, dtype=float)
     if c.size > basis.count:
         raise ValueError("more coefficients than basis modes")
-    lam = basis.lambdas[:c.size]
-    inner = basis.mass_rows(c.size) @ psi.values
-    spectral_term = float(np.sum((lam - lambda_of(mu, n)) * c * inner))
-    dn = basis.equator_dn[:c.size].T @ c          # d_up phi at equator nodes
-    psi_eq = psi.values[grid.equator]
-    equator_term = float(-2.0 * np.sum(grid.equator_weights * dn * psi_eq))
+    rows = beta_rows(c[None], basis, np.ones((1, 1)), psi.values[:, None],
+                     mu, alpha)
+    return BetaReport(**{k: float(v[0]) for k, v in vars(rows).items()})
+
+
+def beta_rows(x: np.ndarray, basis: EigenBasis, y: np.ndarray,
+              columns: np.ndarray, mu: float, alpha) -> BetaReport:
+    """``beta_pairing`` for each row t of a block, as arrays of one value
+    per row: phi_t = sum_j x[t, j] basis_j, and psi_t = columns @ y[t] for
+    node-value columns (N, K); alpha is a power or one power per row."""
+    grid = basis.grid
+    k = x.shape[1]
+    lam = basis.lambdas[:k]
+    inner = y @ (basis.mass_rows(k) @ columns).T        # <basis_j, psi_t>
+    dn = x @ basis.equator_dn[:k]                       # d_up phi_t at the equator
+    psi_eq = y @ columns[grid.equator].T
+    spectral_term = np.sum((lam - lambda_of(mu, grid.n)) * x * inner, axis=1)
+    equator_term = -2.0 * np.sum(grid.equator_weights * dn * psi_eq, axis=1)
     beta = spectral_term + equator_term
-    return BetaReport(beta=beta,
-                      predicted_R=beta / (n + alpha + mu - 1.0),
-                      spectral_term=spectral_term,
-                      equator_term=equator_term)
+    return BetaReport(beta=beta, predicted_R=beta / (grid.n + alpha + mu - 1.0),
+                      spectral_term=spectral_term, equator_term=equator_term)
 
 
 def _degree_for(count: int, n: int) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 
 import thinepi
 from thinepi.artifacts import load_manifest, read_csv, sha256_file
-from thinepi.cli import (RunConfig, case_spec, emit_plots, main, run)
+from thinepi.cli import (RunConfig, _run_epi, case_spec, emit_plots, main,
+                         run)
 from thinepi.solver import load_solution
+from thinepi.traces import TraceBatch, trace_from_profile
 
 
 def _config(subcommand, out_dir, **params):
@@ -334,3 +337,62 @@ def test_main_epi_check_rejects_nonpositive_eps(tmp_path, capsys,
     assert code == 2
     assert "error: epi-check run failed: --eps must be positive" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_main_epi_check_certifies_beyond_default_eps(tmp_path, capsys):
+    # the sampler draws traces up to 0.95 * eps from the profile trace, and
+    # the admissibility check must bound them by the same eps
+    code = main(["epi-check", "--eps", "0.2", "--trials", "20",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert "PASS  reports-passed" in capsys.readouterr().out
+
+
+def test_main_epi_check_eps_bounds_the_trace_distance(tmp_path, capsys,
+                                                      monkeypatch):
+    def at_distance(p, basis, m, count, rng, eps):
+        # one unit-norm tail mode: every trace is 0.08 from the profile
+        coeffs = np.zeros((count, basis.count))
+        coeffs[:, -1] = 0.08
+        return TraceBatch(trace_from_profile(p, basis.grid), basis, coeffs)
+
+    monkeypatch.setattr(thinepi.cli, "sample_positive_traces", at_distance)
+    code = main(["epi-check", "--eps", "0.05", "--trials", "3",
+                 "--out", str(tmp_path / "narrow")])
+    assert code == 2
+    assert ("trial 0: trace fails admissibility checks: ['within_eps']"
+            in capsys.readouterr().err)
+    assert main(["epi-check", "--eps", "0.1", "--trials", "3",
+                 "--out", str(tmp_path / "wide")]) == 0
+
+
+def test_epi_check_batch_memory(tmp_path):
+    # One (T, N) block of trace values at a time: at n = 2, 200 trials and
+    # resolution 48 (N = 4704) a block is 7.2 MiB.  The batch peaks at about
+    # 17.7 MiB of traced allocation; certifying trace by trace with
+    # per-trace (N, 3) gradients peaked at 32.0 MiB, and a stacked
+    # (T, N, 3) gradient array alone would add 21.5 MiB.
+    config = _config("epi-check", tmp_path, n=2, trials=200)
+    config.cache_dir = str(tmp_path / "cache")
+    tracemalloc.start()
+    try:
+        _run_epi(config, tmp_path, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
+
+
+def test_epi_check_bytes_do_not_depend_on_blas_threads(tmp_path):
+    code = "import sys, thinepi.cli; sys.exit(thinepi.cli.main(sys.argv[1:]))"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(thinepi.__file__).parents[1]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", code, "epi-check", "--n", "2",
+                        "--trials", "20", "--out", str(out),
+                        "--cache-dir", str(tmp_path / "cache")],
+                       env=env, check=True, capture_output=True, timeout=300)
+        digests.append(sha256_file(out / "epi.csv"))
+    assert digests[0] == digests[1]

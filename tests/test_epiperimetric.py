@@ -7,7 +7,9 @@ import pytest
 from thinepi import epiperimetric
 from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis,
                                    build_competitor_negative,
-                                   build_competitor_positive, choose_delta,
+                                   build_competitor_positive,
+                                   certify_negative, certify_positive,
+                                   choose_delta,
                                    decompose_trace, gap_demo,
                                    sample_negative_traces,
                                    sample_positive_traces, solve_alpha,
@@ -15,8 +17,8 @@ from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import lambda_of, mode_count_ell
-from thinepi.traces import trace_from_basis, trace_from_halfspace, \
-    trace_from_profile
+from thinepi.traces import TraceBatch, trace_from_basis, \
+    trace_from_halfspace, trace_from_profile
 from thinepi.weiss import weiss_quadrature
 
 
@@ -142,21 +144,27 @@ def test_decompose_rejects_bad_traces(setup01, circle):
 
 
 def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup11):
+    # One vectorised check per batch, so one per one-trace certificate.
     checked = []
-    real = epiperimetric._check_admissible_trace
+    real = epiperimetric._admissibility
 
     def counting(*args):
         checked.append(args)
         return real(*args)
 
-    monkeypatch.setattr(epiperimetric, "_check_admissible_trace", counting)
+    monkeypatch.setattr(epiperimetric, "_admissibility", counting)
     rng = np.random.default_rng(24)
     p, delta, basis, half = setup01
-    for c in sample_positive_traces(p, basis, 0, 3, rng):
+    batch = sample_positive_traces(p, basis, 0, 3, rng)
+    reports = certify_positive(batch, p, 0, half, DEFAULT_CONFIG.eps)
+    assert len(checked) == 1
+    for c, batch_rep in zip(batch, reports):
         checked.clear()
         rep = verify_epi(c, p, delta, 0, basis_delta=basis, half_basis=half)
         assert len(checked) == 1
-        assert rep.flags == real(c, p, basis.mask, DEFAULT_CONFIG.eps)
+        _, flags = real(TraceBatch.of_trace(c, basis), p, DEFAULT_CONFIG.eps)
+        assert rep.flags == batch_rep.flags == {k: bool(v[0])
+                                                for k, v in flags.items()}
     p, delta, basis, _ = setup11
     for c in sample_negative_traces(p, basis, 1, 3, rng):
         checked.clear()
@@ -213,6 +221,48 @@ def test_positive_competitor_boundary_matches_trace(setup01):
     dec = decompose_trace(c, p, delta, basis, half)
     zeta = build_competitor_positive(dec, 0)
     assert np.max(np.abs(zeta.boundary_trace() - c.values)) < 1e-10
+
+
+def _assert_reports_match(batch_report, single):
+    for name, value in vars(single).items():
+        got = getattr(batch_report, name)
+        if isinstance(value, (bool, dict)):
+            assert got == value, name
+        else:
+            # route_discrepancy compares two routes that agree to rounding,
+            # so it gets an absolute floor at rounding level
+            assert got == pytest.approx(value, rel=1e-10, abs=1e-15), name
+
+
+def test_batch_matches_one_trace_api(circle, setup01, setup02, setup11):
+    rng = np.random.default_rng(31)
+    for (p, delta, basis, half), m in ((setup01, 0), (setup02, 0)):
+        batch = sample_positive_traces(p, basis, m, 6, rng)
+        reports = certify_positive(batch, p, m, half, DEFAULT_CONFIG.eps)
+        assert len(reports) == 6
+        for c, rep in zip(batch, reports):
+            single = verify_epi(c, p, delta, m, basis_delta=basis,
+                                half_basis=half)
+            _assert_reports_match(rep, single)
+    p2 = make_profile(2, 1)
+    delta2, basis2 = choose_delta(p2, circle, 2)
+    for (p, delta, basis), m in ((setup11[:3], 1), ((p2, delta2, basis2), 2)):
+        batch = sample_negative_traces(p, basis, m, 6, rng)
+        reports = certify_negative(batch, p, m, DEFAULT_CONFIG.eps)
+        for c, rep in zip(batch, reports):
+            _, alpha, single = build_competitor_negative(c, p, delta, m,
+                                                         basis_delta=basis)
+            assert alpha == single.alpha
+            _assert_reports_match(rep, single)
+
+
+def test_batch_names_the_inadmissible_trial(setup01):
+    p, delta, basis, half = setup01
+    batch = sample_positive_traces(p, basis, 0, 4, np.random.default_rng(32))
+    batch.coeffs[2] *= 0.3 / np.linalg.norm(batch.coeffs[2])
+    with pytest.raises(ValueError, match=r"trial 2: trace fails admissibility "
+                                         r"checks: \['within_eps'\]"):
+        certify_positive(batch, p, 0, half, DEFAULT_CONFIG.eps)
 
 
 # ---------------------------------------------------------------------------
