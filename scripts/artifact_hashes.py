@@ -8,9 +8,15 @@ solution.bin written.  Two checkouts that print the same object write the
 same artifact bytes.  The commands' own gate lines go to standard error; the
 exit status is 1 if any command did not pass.
 
-Usage: python3 scripts/artifact_hashes.py
+With ``--against FILE`` the object is compared with a saved one instead of
+printed: every key whose hash moved, appeared or vanished is printed, and
+the exit status is 1 on any difference (or if a command did not pass).
+
+Usage: python3 scripts/artifact_hashes.py > parent.json
+       python3 scripts/artifact_hashes.py --against parent.json
 """
 
+import argparse
 import contextlib
 import json
 import sys
@@ -43,7 +49,28 @@ COMMANDS = (
 HASHED = ("*.csv", "*.svg", "solution.bin")
 
 
-def main() -> int:
+def compare(saved: dict, hashes: dict) -> list[str]:
+    """One line per key whose hash moved, appeared or vanished."""
+    lines = []
+    for key in sorted(saved.keys() | hashes.keys()):
+        if key not in hashes:
+            lines.append(f"vanished: {key}")
+        elif key not in saved:
+            lines.append(f"appeared: {key}")
+        elif saved[key] != hashes[key]:
+            lines.append(f"moved:    {key}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Hash the artifacts of a fixed set of CLI runs.")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a hash object saved from a plain run")
+    args = parser.parse_args(argv)
+    saved = None
+    if args.against:
+        saved = json.loads(Path(args.against).read_text())
     hashes, failed = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         for k, command in enumerate(COMMANDS):
@@ -58,10 +85,17 @@ def main() -> int:
             files = sorted({path for pattern in HASHED for path in out.rglob(pattern)})
             for path in files:
                 hashes[f"{command}/{path.relative_to(out)}"] = sha256_file(path)
-    print(json.dumps(hashes, indent=1, sort_keys=True))
     for command in failed:
         print(f"did not pass: thin-epi {command}", file=sys.stderr)
-    return 1 if failed else 0
+    if saved is None:
+        print(json.dumps(hashes, indent=1, sort_keys=True))
+        return 1 if failed else 0
+    differences = compare(saved, hashes)
+    for line in differences:
+        print(line)
+    print(f"{len(differences)} of {len(saved.keys() | hashes.keys())} "
+          f"keys differ from {args.against}")
+    return 1 if failed or differences else 0
 
 
 if __name__ == "__main__":

@@ -232,7 +232,8 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
         grid = build_grid(2, resolution, kind="latlong")
     p = make_profile(m, n)
     delta, basis = choose_delta(p, grid, m, cache_dir=config.cache_dir)
-    half = adapted_half_basis(p, grid)
+    # only the positive certificate splits off the half-sphere modes
+    half = None if negative else adapted_half_basis(p, grid)
     timings["basis"] = time.perf_counter() - t0
 
     rng = np.random.default_rng(config.seed)

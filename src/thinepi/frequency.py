@@ -7,8 +7,10 @@ values.  A solved grid state is adapted through its interpolating evaluator;
 exact constructions (catalog profiles, separated-variables modes, sums) are
 used directly.  Quadrature over centered spheres uses the same sphere grids
 as the spectral machinery.  Every sphere read goes through ``_on_spheres``:
-one evaluation per block of radii and, for a grid field about a center on
-the thin plane, one node of each mirror pair of the sphere grid.
+one evaluation per block of radii and, for an exactly even field about a
+center on the thin plane, one node of each mirror pair of the sphere grid.
+Radius ladders are read through ``_read_ladder``, whole rungs at a time and
+at most ``_READ_POINTS`` points per evaluation.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from .weiss import BallFunction, default_radii, homogeneous_extension, \
 
 _GRID_CACHE: dict = {}
 
+# Points per field evaluation of a ladder read.  About the size of the
+# largest single sphere read (the 48-sphere radial rule of linfty_l2_check),
+# so blocked ladder reads add little to the peak memory, where reading a
+# whole ladder in one evaluation adds much more.
+_READ_POINTS = 1 << 15
+
 
 def default_sphere(n: int, resolution: int | None = None) -> SphereGrid:
     """Shared quadrature sphere for moment integrals."""
@@ -53,12 +61,15 @@ def _diagnostic_sphere(n: int) -> SphereGrid:
 @dataclass
 class FieldAdapter:
     """Uniform access to a field: evaluator, dimension, reachable radius,
-    and (for grid-backed fields) the mesh width."""
+    (for grid-backed fields) the mesh width, and whether the field is exactly
+    even in the last coordinate: it folds |x_d| before anything else, so a
+    point and its mirror image give the same bits."""
 
     evaluate: object
     dimension: int
     r_max: float
     h: float | None
+    even: bool
 
     @staticmethod
     def adapt(v, dimension: int | None = None) -> "FieldAdapter":
@@ -66,20 +77,20 @@ class FieldAdapter:
             return v
         if isinstance(v, GridSolution):
             return FieldAdapter(evaluate=v.evaluate, dimension=v.spec.dimension,
-                                r_max=1.0, h=v.spec.h)
+                                r_max=1.0, h=v.spec.h, even=True)
         if isinstance(v, BlowupProfile):
             return FieldAdapter(evaluate=v, dimension=v.n + 1,
-                                r_max=math.inf, h=None)
+                                r_max=math.inf, h=None, even=True)
         if isinstance(v, HalfspaceSolution2D):
             return FieldAdapter(evaluate=v, dimension=2,
-                                r_max=math.inf, h=None)
+                                r_max=math.inf, h=None, even=True)
         if callable(v):
             if dimension is None:
                 raise ValueError(
                     "plain callables need an explicit dimension or a "
                     "full-coordinate center")
             return FieldAdapter(evaluate=v, dimension=dimension,
-                                r_max=math.inf, h=None)
+                                r_max=math.inf, h=None, even=False)
         raise TypeError(f"cannot adapt {type(v).__name__} as a field")
 
 
@@ -115,49 +126,78 @@ def _check_reach(adapter: FieldAdapter, x0: np.ndarray, radius: float):
             f"{3 * adapter.h:.4g})")
 
 
+def _sphere_nodes(adapter: FieldAdapter, center: np.ndarray,
+                  sphere: SphereGrid | np.ndarray):
+    """(nodes, spread): the unit vectors a sphere read evaluates and, when
+    it evaluates one node of each mirror pair, the index map that fills in
+    every node from them (None otherwise).
+
+    An even field about a center on the thin plane takes the same bits at a
+    grid node and at its ``reflect`` partner, so on a whole grid only one
+    node of each mirror pair is evaluated.
+    """
+    if not isinstance(sphere, SphereGrid):
+        return sphere, None
+    if adapter.even and center[-1] == 0.0:
+        representatives, spread = sphere.mirror_halves
+        return sphere.nodes[representatives], spread
+    return sphere.nodes, None
+
+
 def _on_spheres(adapter: FieldAdapter, center: np.ndarray, radii,
                 sphere: SphereGrid | np.ndarray) -> np.ndarray:
     """Field values at center + r * u, one row per radius r, for the unit
     vectors u of ``sphere``: the nodes of a whole grid, or an array of
-    directions.  All radii are read in one evaluation.
-
-    A grid field (the one kind with a mesh width h) folds |x_d|, so it is
-    exactly even; about a center on the thin plane, a grid node and its
-    ``reflect`` partner then fold to the same point bit for bit.  So on a whole grid only one node of each
-    mirror pair is evaluated, and the other is filled in by index.
+    directions.  All radii are read in one evaluation, at the nodes that
+    ``_sphere_nodes`` picks.
     """
     radii = np.asarray(radii, dtype=float)
-    spread = None
-    if not isinstance(sphere, SphereGrid):
-        nodes = sphere
-    elif adapter.h is not None and center[-1] == 0.0:
-        representatives, spread = sphere.mirror_halves
-        nodes = sphere.nodes[representatives]
-    else:
-        nodes = sphere.nodes
+    nodes, spread = _sphere_nodes(adapter, center, sphere)
     points = center + radii[:, None, None] * nodes
     values = np.asarray(adapter.evaluate(points.reshape(-1, center.size)),
                         dtype=float).reshape(radii.size, nodes.shape[0])
     return values if spread is None else values[:, spread]
 
 
-def _sphere_slope(adapter: FieldAdapter, x0: np.ndarray, r: float,
-                  grid: SphereGrid):
-    """Values on the sphere of radius r about x0 and their radial derivative,
-    a central difference over the spheres r - dr and r + dr, with dr = h/2
-    on a grid field and 1e-4 r otherwise."""
-    dr = adapter.h / 2.0 if adapter.h is not None else 1e-4 * r
-    _check_reach(adapter, x0, r + dr)
-    vals, vp, vm = _on_spheres(adapter, x0, (r, r + dr, r - dr), grid)
-    return vals, (vp - vm) / (2.0 * dr)
+def _read_ladder(adapter: FieldAdapter, center: np.ndarray, rungs,
+                 sphere: SphereGrid | np.ndarray):
+    """Yield the ``_on_spheres`` rows of each rung of a radius ladder, given
+    as an array with one row of radii per rung.  Whole rungs are read
+    together, as many per evaluation as fit in ``_READ_POINTS`` evaluated
+    points (at least one rung)."""
+    rungs = np.asarray(rungs, dtype=float)
+    nodes, _ = _sphere_nodes(adapter, center, sphere)
+    step = max(1, _READ_POINTS // (rungs.shape[1] * nodes.shape[0]))
+    for start in range(0, rungs.shape[0], step):
+        block = rungs[start:start + step]
+        yield from _on_spheres(adapter, center, block.ravel(),
+                               sphere).reshape(block.shape + (-1,))
 
 
-def _shell_sup_distance(adapter: FieldAdapter, x0: np.ndarray, r: float,
-                        mu: float, shells, grid: SphereGrid,
+def _sphere_slopes(adapter: FieldAdapter, x0: np.ndarray, radii,
+                   grid: SphereGrid):
+    """Yield, for each radius r of a ladder, r, the values on the sphere of
+    radius r about x0 and their radial derivative: a central difference
+    over the spheres r - dr and r + dr, with dr = h/2 on a grid field and
+    1e-4 r otherwise.  The reach of every rung is checked before the first
+    read."""
+    radii = np.asarray(radii, dtype=float)
+    dr = (np.full(radii.shape, adapter.h / 2.0) if adapter.h is not None
+          else 1e-4 * radii)
+    for r, d in zip(radii, dr):
+        _check_reach(adapter, x0, float(r + d))
+    rungs = np.stack([radii, radii + dr, radii - dr], axis=1)
+    for r, d, (vals, vp, vm) in zip(radii, dr,
+                                    _read_ladder(adapter, x0, rungs, grid)):
+        yield float(r), vals, (vp - vm) / (2.0 * d)
+
+
+def _shell_sup_distance(values: np.ndarray, r: float, mu: float, shells,
                         p_trace: np.ndarray) -> float:
     """Sup over the shells s and the grid nodes of |v_r - s^mu p|, where
-    v_r(x) = v(x0 + r x) / r^mu and p has trace p_trace on the unit sphere."""
-    vr = _on_spheres(adapter, x0, r * shells, grid) / r ** mu
+    v_r(x) = v(x0 + r x) / r^mu, from the field values on the spheres of
+    radius r * s about x0, and p has trace p_trace on the unit sphere."""
+    vr = values / r ** mu
     return max((float(np.max(np.abs(v - s ** mu * p_trace)))
                 for s, v in zip(shells, vr)), default=0.0)
 
@@ -166,21 +206,30 @@ def _shell_sup_distance(adapter: FieldAdapter, x0: np.ndarray, r: float,
 # Surface moments and truncated frequency
 # ---------------------------------------------------------------------------
 
-def surface_moments(v, x0, r: float,
-                    grid: SphereGrid | None = None) -> tuple[float, float]:
-    """(H, I) on the sphere of radius r about x0: the squared-trace integral
-    and the trace/normal-derivative pairing, by sphere quadrature with a
-    central radial difference."""
+def _surface_moments(adapter: FieldAdapter, x0: np.ndarray, radii,
+                     grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(H, I) per ladder radius r: the squared-trace integral and the
+    trace/normal-derivative pairing on the sphere of radius r about x0, by
+    sphere quadrature with a central radial difference."""
+    n = adapter.dimension - 1
+    H = np.empty(len(radii))
+    I = np.empty(len(radii))
+    for i, (r, vals, dv) in enumerate(_sphere_slopes(adapter, x0, radii,
+                                                     grid)):
+        scale = r ** n
+        H[i] = scale * float(grid.weights @ (vals * vals))
+        I[i] = scale * float(grid.weights @ (vals * dv))
+    return H, I
+
+
+def surface_moments(v, x0, r: float) -> tuple[float, float]:
+    """(H, I) on the sphere of radius r about x0, on the moment sphere: the
+    squared-trace integral and the trace/normal-derivative pairing."""
     adapter = _adapt(v, x0)
     d = adapter.dimension
     x0 = _center(x0, d)
-    n = d - 1
-    grid = grid or default_sphere(n)
-    vals, dv = _sphere_slope(adapter, x0, r, grid)
-    scale = r ** n
-    H = scale * float(grid.weights @ (vals * vals))
-    I = scale * float(grid.weights @ (vals * dv))
-    return H, I
+    H, I = _surface_moments(adapter, x0, (r,), default_sphere(d - 1))
+    return float(H[0]), float(I[0])
 
 
 @dataclass
@@ -283,10 +332,7 @@ def truncated_frequency(v, x0, params: FrequencyParams | None = None,
     if radii.size < 2:
         raise ValueError("need at least two usable ladder radii")
 
-    H = np.empty(radii.size)
-    I = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        H[i], I[i] = surface_moments(adapter, x0, float(r), grid=grid)
+    H, I = _surface_moments(adapter, x0, radii, grid)
 
     power = n + 2.0 * (params.k + params.gamma - theta)
     floor = radii ** power
@@ -428,7 +474,7 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
     def deviation_at(r: float) -> float:
         """Integral over the unit sphere of (radial derivative of the
         rescaling minus mu times the rescaling)^2."""
-        a, dv = _sphere_slope(adapter, x0, r, grid)
+        _, a, dv = next(_sphere_slopes(adapter, x0, (r,), grid))
         dev = (r * dv - mu * a) / r ** mu
         return float(grid.weights @ (dev * dev))
 
@@ -571,8 +617,11 @@ def blowup_fit(v, x0, m: int, radii,
         _profile_from_slope(m, n, Polynomial.monomial(n, e)) for e in monos]
     A = np.stack([bp.trace_on(grid) for bp in basis_profiles], axis=1)
 
-    traces = [rescale(adapter, x0, float(r), mode="mu-homogeneous", mu=mu,
-                      grid=grid).values for r in radii]
+    # homogeneous rescalings at every ladder radius, one sphere per rung
+    for r in radii:
+        _check_reach(adapter, x0, float(r))
+    traces = [row[0] / float(r) ** mu for r, row in
+              zip(radii, _read_ladder(adapter, x0, radii[:, None], grid))]
     t_fit = traces[-1]
     W = grid.weights
     Gm = A.T @ (W[:, None] * A)
@@ -591,8 +640,9 @@ def blowup_fit(v, x0, m: int, radii,
                         for t in traces])
     shells = np.linspace(1.0 / 16, 1.0, 16)
     dist_linf = np.array([
-        _shell_sup_distance(adapter, x0, r, mu, shells, grid, p_trace)
-        for r in radii])
+        _shell_sup_distance(values, r, mu, shells, p_trace)
+        for r, values in zip(radii, _read_ladder(
+            adapter, x0, radii[:, None] * shells, grid))])
 
     sel = dist_linf > 1e-13
     if np.count_nonzero(sel) < 4:
@@ -674,8 +724,8 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
         if top < 1.2:           # the barrier neighborhoods need scale 1.2 r
             raise ValueError("scale r too large to sample the annulus")
         shells = shells[shells <= top]
-    linf = _shell_sup_distance(adapter, x0, r, mu, shells, grid,
-                               p.trace_on(grid))
+    linf = _shell_sup_distance(_on_spheres(adapter, x0, r * shells, grid),
+                               r, mu, shells, p.trace_on(grid))
     if linf > eta3:
         return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
                             skipped=True)
@@ -749,9 +799,9 @@ def linfty_l2_check(v, p: BlowupProfile, r: float,
                 f"scale r={r} too large: the outer annulus needs radius {need}")
     p_trace = p.trace_on(grid)
 
-    linf = _shell_sup_distance(adapter, x0, r, mu,
-                               np.linspace(0.25, 1.5, 26), grid,
-                               p_trace)
+    shells = np.linspace(0.25, 1.5, 26)
+    linf = _shell_sup_distance(_on_spheres(adapter, x0, r * shells, grid),
+                               r, mu, shells, p_trace)
 
     # Gauss-Legendre radial rule transplanted to (1/8, 2)
     r01, w01 = radial_rule(48)

@@ -1,6 +1,7 @@
 """Scale-analysis tests: moments, truncated frequency, rescalings,
 monotonicity bounds, blow-up fits, and contact stratification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from thinepi.frequency import (
     weiss_monotonicity_check,
 )
 from thinepi.grids import SphereGrid, radii_ladder
-from thinepi.profiles import halfspace_2d, make_profile
+from thinepi.polynomials import Polynomial, monomials_of_degree
+from thinepi.profiles import _profile_from_slope, halfspace_2d, make_profile
 from thinepi.solver import ProblemSpec, reduce_to_zero_obstacle, \
     solve_thin_obstacle
 
@@ -158,7 +160,31 @@ def test_sphere_sampler_matches_per_sphere_reference_3d(
     for x0 in ([0.0, 0.0, 0.0], [0.1, -0.05, 0.0], [0.0, 0.1, 0.1]):
         truncated_frequency(sol_profile3d16, np.array(x0), count=4,
                             r_max=0.45)
-    assert len(checked_spheres) == 12
+    # each 4-rung ladder fits in one block: one read per ladder
+    assert len(checked_spheres) == 3
+
+
+def test_sphere_sampler_halves_exact_even_fields(checked_spheres, p01, h32):
+    origin = np.zeros(2)
+    for v in (p01, h32):
+        assert frequency.FieldAdapter.adapt(v).even
+        truncated_frequency(v, origin, params=PARAMS)
+        blowup_fit(v, origin, 0, radii_ladder(0.6, 6)[::-1])
+    assert checked_spheres and all(c[-1] == 0.0 for c, _ in checked_spheres)
+
+
+def test_sphere_sampler_reads_plain_callables_at_every_node(p01, h32):
+    origin = np.zeros(2)
+    sizes = []
+
+    def constructed(points):
+        sizes.append(len(points))
+        return p01(points) + 0.3 * h32(points)
+
+    assert not frequency.FieldAdapter.adapt(constructed, dimension=2).even
+    truncated_frequency(constructed, origin, params=PARAMS)
+    # every node of the 24 rungs of r - dr, r, r + dr spheres
+    assert sum(sizes) == 24 * 3 * default_sphere(1).size
 
 
 def test_sphere_sampler_halves_grid_fields_on_the_plane(sol_near_p):
@@ -171,7 +197,7 @@ def test_sphere_sampler_halves_grid_fields_on_the_plane(sol_near_p):
         return sol_near_p.evaluate(points)
 
     adapter = frequency.FieldAdapter(evaluate=counted, dimension=2,
-                                     r_max=1.0, h=sol_near_p.h)
+                                     r_max=1.0, h=sol_near_p.h, even=True)
     radii = (0.2, 0.3, 0.4)
     for center, points in ((np.array([0.1, 0.0]), reps.size),
                            (np.array([0.1, 0.1]), grid.size)):
@@ -191,6 +217,103 @@ def test_sphere_sampler_keeps_odd_callables_odd():
                                                   radii, grid.nodes))
     assert np.array_equal(got[:, grid.reflect], -got)
     assert np.max(got) > 0.0
+
+
+def _counted(adapter, sizes):
+    """The adapter with its evaluations' point counts appended to sizes."""
+    def evaluate(points):
+        sizes.append(len(points))
+        return adapter.evaluate(points)
+    return dataclasses.replace(adapter, evaluate=evaluate)
+
+
+def _reference_moments(evaluate, x0, radii, grid, h):
+    """(H, I) rung by rung: one evaluation per sphere, at every node."""
+    H, I = np.empty(len(radii)), np.empty(len(radii))
+    for i, r in enumerate(radii):
+        r = float(r)
+        dr = h / 2.0 if h is not None else 1e-4 * r
+        vals, vp, vm = _spheres_reference(evaluate, x0, (r, r + dr, r - dr),
+                                          grid.nodes)
+        dv = (vp - vm) / (2.0 * dr)
+        H[i] = r * float(grid.weights @ (vals * vals))      # r^n, n = 1
+        I[i] = r * float(grid.weights @ (vals * dv))
+    return H, I
+
+
+def _reference_frequency(H, radii, params):
+    theta = params.resolved_theta()
+    floor = radii ** (1 + 2.0 * (params.k + params.gamma - theta))
+    logM, logr = np.log(np.maximum(H, floor)), np.log(radii)
+    dlog = np.empty(radii.size)
+    dlog[1:-1] = (logM[:-2] - logM[2:]) / (logr[:-2] - logr[2:])
+    dlog[0] = (logM[0] - logM[1]) / (logr[0] - logr[1])
+    dlog[-1] = (logM[-2] - logM[-1]) / (logr[-2] - logr[-1])
+    return (1.0 + params.c_phi * radii ** theta) * dlog
+
+
+def _reference_blowup(evaluate, x0, radii, grid, mu):
+    """(coefficients, dist_l2, dist_linf) of a 2D m = 0 fit, rung by rung."""
+    monos = monomials_of_degree(1, 0)
+    A = np.stack([_profile_from_slope(0, 1, Polynomial.monomial(1, e))
+                  .trace_on(grid) for e in monos], axis=1)
+    traces = [_spheres_reference(evaluate, x0, (float(r),), grid.nodes)[0]
+              / float(r) ** mu for r in radii]
+    W = grid.weights
+    coeffs = np.linalg.solve(A.T @ (W[:, None] * A), A.T @ (W * traces[-1]))
+    p_trace = A @ coeffs
+    dist_l2 = np.array([math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
+                        for t in traces])
+    shells = np.linspace(1.0 / 16, 1.0, 16)
+    dist_linf = []
+    for r in radii:
+        vr = _spheres_reference(evaluate, x0, r * shells, grid.nodes) / r ** mu
+        dist_linf.append(max(float(np.max(np.abs(v - s ** mu * p_trace)))
+                             for s, v in zip(shells, vr)))
+    return coeffs, dist_l2, np.array(dist_linf)
+
+
+def test_ladder_reads_match_per_rung_reference(sol_near_p, h32):
+    origin = np.zeros(2)
+    radii = np.geomspace(0.6, 0.1, 24)         # all above 3h = 0.094
+    blocked = False
+    for v in (sol_near_p, h32):
+        sizes = []
+        plain = frequency.FieldAdapter.adapt(v)
+        adapter = _counted(plain, sizes)
+        prof = truncated_frequency(adapter, origin, params=PARAMS,
+                                   radii=radii)
+        assert prof.radii.size == 24
+        H, I = _reference_moments(plain.evaluate, origin, radii,
+                                  default_sphere(1), plain.h)
+        assert np.array_equal(prof.H, H)
+        assert np.array_equal(prof.I, I)
+        assert np.array_equal(prof.Phi, _reference_frequency(H, radii, PARAMS))
+        blocked = blocked or len(sizes) > 1
+
+        fit = blowup_fit(adapter, origin, 0, radii)
+        coeffs, dist_l2, dist_linf = _reference_blowup(
+            plain.evaluate, origin, radii, frequency._diagnostic_sphere(1),
+            fit.mu)
+        assert np.array_equal(fit.coefficients, coeffs)
+        assert np.array_equal(fit.dist_l2, dist_l2)
+        assert np.array_equal(fit.dist_linf, dist_linf)
+        assert max(sizes) <= frequency._READ_POINTS
+    assert blocked
+
+
+def test_ladder_reach_checked_before_any_read(sol_half64):
+    sizes = []
+    grid_field = _counted(frequency.FieldAdapter.adapt(sol_half64), sizes)
+    with pytest.raises(ValueError, match="domain"):
+        surface_moments(grid_field, np.array([0.8, 0.0]), 0.5)
+    # a finite reach without a mesh width: no rung is dropped beforehand
+    unmeshed = dataclasses.replace(grid_field, h=None)
+    radii = radii_ladder(0.6, 24)[::-1]          # top rung 0.6 from 0.5
+    with pytest.raises(ValueError, match="domain"):
+        truncated_frequency(unmeshed, np.array([0.5, 0.0]), params=PARAMS,
+                            radii=radii)
+    assert sizes == []
 
 
 # ---------------------------------------------------------------------------
