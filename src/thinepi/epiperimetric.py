@@ -38,8 +38,8 @@ from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
 from .traces import (SphericalTrace, TraceBatch, TraceColumns,
                      trace_from_basis, trace_from_profile)
 from .weiss import (BallFunction, _degree_for, ball_sum, beta_rows,
-                    bilinear_rows, homogeneous_extension, kappa,
-                    weiss_quadrature, weiss_raised, weiss_rows, weiss_spectral)
+                    bilinear_rows, kappa, weiss_raised, weiss_rows,
+                    weiss_spectral)
 
 
 @dataclass(frozen=True)
@@ -458,12 +458,17 @@ def weiss_of_offdegree(c: SphericalTrace, mu: float, t: float,
 
         W_mu(r^(mu+t) c) = t |c|^2,
         W_mu(r^mu c)     = (1 + t/(n+2mu-1)) W_mu(r^(mu+t) c).
+
+    Both energies come from one ``weiss_rows`` call, one power per row.
+    Without derivative data, the trace's surface derivatives are
+    reconstructed from its node values.
     """
     n = c.grid.n
-    w_off = weiss_quadrature(homogeneous_extension(c, mu + t), mu,
-                             use_derivative_data=use_derivative_data)
-    w_mu = weiss_quadrature(homogeneous_extension(c, mu), mu,
-                            use_derivative_data=use_derivative_data)
+    if not use_derivative_data:
+        c = SphericalTrace(c.grid, c.values)
+    w_off, w_mu = (float(w) for w in weiss_rows(
+        TraceColumns.of_trace(c), mu,
+        [(np.array([mu + t, mu]), np.ones((2, 1)))]))
     norm_sq = c.norm_sq
     return OffDegreeReport(
         mu=mu, t=t, w_offdegree=w_off, trace_norm_sq=norm_sq,

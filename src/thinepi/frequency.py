@@ -1,6 +1,6 @@
 """Scale analysis of solutions: surface moments, truncated frequency,
-rescalings, energy monotonicity along scales, blow-up fitting, and contact
-stratification.
+mu-homogeneous rescalings v(x0 + r.)/r^mu and their scale energy, energy
+monotonicity along scales, blow-up fitting, and contact stratification.
 
 All routines act on *fields*: callables mapping arrays of ambient points to
 values.  A solved grid state is adapted through its interpolating evaluator;
@@ -30,7 +30,7 @@ from .profiles import BlowupProfile, HalfspaceSolution2D, \
 from .solver import GridSolution, zero_obstacle_field
 from .traces import SphericalTrace
 from .weiss import BallFunction, default_radii, homogeneous_extension, \
-    volume_integral, weiss_quadrature
+    weiss_quadrature, weiss_tilde
 
 _GRID_CACHE: dict = {}
 
@@ -358,57 +358,32 @@ def truncated_frequency(v, x0, params: FrequencyParams | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Rescalings
+# Homogeneous rescalings and their scale energy
 # ---------------------------------------------------------------------------
 
-def rescale(v, x0, r: float, mode: str = "l2-normalized",
-            grid: SphereGrid | None = None, mu: float | None = None,
-            rho: float | None = None, radial_count: int = 64,
-            as_ball: bool = False):
-    """Rescaled trace (or sampled ball function) at scale r about x0.
+def _homogeneous_rescaling(adapter: FieldAdapter, x0: np.ndarray, r: float,
+                           mu: float, grid: SphereGrid,
+                           count: int) -> BallFunction:
+    """The mu-homogeneous rescaling v(x0 + r.)/r^mu sampled on the ball at
+    ``default_radii(count)``, all spheres in one read; the last row, of
+    radius r, is the rescaled trace."""
+    _check_reach(adapter, x0, r)
+    radii, weights = default_radii(count)
+    values = _on_spheres(adapter, x0, r * radii, grid)
+    return BallFunction(grid=grid, radii=radii, values=values / r ** mu,
+                        radial_weights=weights)
 
-    Modes: "l2-normalized" divides v(x0 + r.) by its sphere trace norm;
-    "mu-homogeneous" divides by r^mu; "double" first normalizes at scale rho,
-    then rescales homogeneously at r.
-    """
-    adapter = _adapt(v, x0)
-    d = adapter.dimension
-    x0 = _center(x0, d)
-    grid = grid or default_sphere(d - 1)
 
-    if mode == "l2-normalized":
-        scale_r, denom = r, None
-    elif mode == "mu-homogeneous":
-        if mu is None:
-            raise ValueError("mu-homogeneous rescaling needs mu")
-        scale_r, denom = r, r ** mu
-    elif mode == "double":
-        if mu is None or rho is None:
-            raise ValueError("double rescaling needs both rho and mu")
-        _check_reach(adapter, x0, rho)
-        tr_rho = _on_spheres(adapter, x0, (rho,), grid)[0]
-        norm_rho = math.sqrt(float(grid.weights @ (tr_rho * tr_rho)))
-        if norm_rho < 1e-300:
-            raise ValueError("zero normalizer at the outer scale")
-        scale_r, denom = rho * r, norm_rho * r ** mu
-    else:
-        raise ValueError(f"unknown rescaling mode {mode!r}")
-
-    _check_reach(adapter, x0, scale_r)
-    if as_ball:
-        radii, rweights = default_radii(radial_count)
-    else:
-        radii, rweights = np.ones(1), None
-    # the last sphere read, of radius scale_r, is the trace sphere
-    values = _on_spheres(adapter, x0, scale_r * radii, grid)
-    if denom is None:
-        denom = math.sqrt(float(grid.weights @ (values[-1] * values[-1])))
-        if denom < 1e-300:
-            raise ValueError("zero normalizer: trace vanishes at this scale")
-    if not as_ball:
-        return SphericalTrace(grid, values[0] / denom)
-    return BallFunction(grid=grid, radii=radii, values=values / denom,
-                        radial_weights=rweights)
+def _scale_energy(adapter: FieldAdapter, x0: np.ndarray, r: float, mu: float,
+                  grid: SphereGrid, count: int,
+                  h) -> tuple[float, BallFunction]:
+    """(G, ball): the homogeneous rescaling at scale r and its energy
+    W_mu, plus the volume term of the rescaled forcing field when h is
+    given."""
+    ball = _homogeneous_rescaling(adapter, x0, r, mu, grid, count)
+    if h is None:
+        return weiss_quadrature(ball, mu), ball
+    return weiss_tilde(ball, _rescaled_forcing(h, x0, r, mu), mu), ball
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +437,7 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
         raise ValueError("radii must be strictly decreasing")
 
     def energy_at(r: float) -> tuple[float, float]:
-        ball = rescale(adapter, x0, r, mode="mu-homogeneous", mu=mu,
-                       grid=grid, radial_count=48, as_ball=True)
-        w = weiss_quadrature(ball, mu)
-        if h is not None:
-            w = w + volume_integral(ball, _rescaled_forcing(h, x0, r, mu))
+        w, ball = _scale_energy(adapter, x0, r, mu, grid, 48, h)
         trace = SphericalTrace(grid, ball.values[-1])
         z = homogeneous_extension(trace, mu)
         return w, weiss_quadrature(z, mu) - w
@@ -541,15 +512,10 @@ def oscillation_bound_check(v, mu: float, r: float, r_prime: float,
     d = adapter.dimension
     x0 = _center(x0, d)
     grid = _diagnostic_sphere(d - 1)
-    t_r = rescale(adapter, x0, r, mode="mu-homogeneous", mu=mu, grid=grid)
-    t_rp = rescale(adapter, x0, r_prime, mode="mu-homogeneous", mu=mu,
-                   grid=grid)
-    left = float(grid.weights @ np.abs(t_r.values - t_rp.values))
-    ball = rescale(adapter, x0, r, mode="mu-homogeneous", mu=mu, grid=grid,
-                   as_ball=True)
-    G = weiss_quadrature(ball, mu)
-    if h is not None:
-        G += volume_integral(ball, _rescaled_forcing(h, x0, r, mu))
+    G, ball = _scale_energy(adapter, x0, r, mu, grid, 64, h)
+    _check_reach(adapter, x0, r_prime)
+    t_rp = _on_spheres(adapter, x0, (r_prime,), grid)[0] / r_prime ** mu
+    left = float(grid.weights @ np.abs(ball.values[-1] - t_rp))
     G += c_w * r ** (k + gamma - mu)
     negative = G < 0.0
     right_base = math.sqrt(math.log(r / r_prime)) * math.sqrt(max(G, 0.0))
@@ -617,12 +583,11 @@ def blowup_fit(v, x0, m: int, radii,
         _profile_from_slope(m, n, Polynomial.monomial(n, e)) for e in monos]
     A = np.stack([bp.trace_on(grid) for bp in basis_profiles], axis=1)
 
-    # homogeneous rescalings at every ladder radius, one sphere per rung
+    # catalog fit to the homogeneous rescaling at the finest radius
     for r in radii:
         _check_reach(adapter, x0, float(r))
-    traces = [row[0] / float(r) ** mu for r, row in
-              zip(radii, _read_ladder(adapter, x0, radii[:, None], grid))]
-    t_fit = traces[-1]
+    t_fit = (_on_spheres(adapter, x0, radii[-1:], grid)[0]
+             / float(radii[-1]) ** mu)
     W = grid.weights
     Gm = A.T @ (W[:, None] * A)
     rhs = A.T @ (W * t_fit)
@@ -636,13 +601,14 @@ def blowup_fit(v, x0, m: int, radii,
         admissible = verify_admissible(profile).passed
     p_trace = A @ coeffs
 
-    dist_l2 = np.array([math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
-                        for t in traces])
+    # per rung, 16 evenly spaced shells; the last, s = 1, is the rung's trace
     shells = np.linspace(1.0 / 16, 1.0, 16)
-    dist_linf = np.array([
-        _shell_sup_distance(values, r, mu, shells, p_trace)
-        for r, values in zip(radii, _read_ladder(
-            adapter, x0, radii[:, None] * shells, grid))])
+    dist_l2, dist_linf = np.empty(radii.size), np.empty(radii.size)
+    for i, (r, values) in enumerate(zip(radii, _read_ladder(
+            adapter, x0, radii[:, None] * shells, grid))):
+        t = values[-1] / float(r) ** mu
+        dist_l2[i] = math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
+        dist_linf[i] = _shell_sup_distance(values, r, mu, shells, p_trace)
 
     sel = dist_linf > 1e-13
     if np.count_nonzero(sel) < 4:

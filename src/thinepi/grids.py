@@ -57,8 +57,9 @@ class SphereGrid:
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
-    def is_even(self, values: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(values - values[self.reflect])) <= tol)
+    def is_even(self, values: np.ndarray) -> bool:
+        """Whether every node and its mirror image carry the same value."""
+        return bool(np.array_equal(values, values[self.reflect]))
 
     def evenize(self, values: np.ndarray) -> np.ndarray:
         """Project node values onto the even subspace (exact symmetrization)."""

@@ -565,13 +565,13 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
 def contact_set(sol: GridSolution):
     """(contact mask over thin-plane nodes, free-boundary node index list).
 
-    The mask marks nodes with u - phi <= 10 tol, tol the solver tolerance;
-    the boundary list contains contact nodes with at least one non-contact
-    neighbor in the thin-plane grid topology (the discrete free boundary).
+    The mask is the solution's ``contact``: nodes with u - phi <= 10 tol,
+    tol the solver tolerance; the boundary list contains contact nodes with
+    at least one non-contact neighbor in the thin-plane grid topology (the
+    discrete free boundary).
     """
     thin_sel = sol.kind[..., 0] == 2
-    slack = sol.values[..., 0] - sol.phi_thin
-    mask = thin_sel & (slack <= 10.0 * sol.spec.tol)
+    mask = sol.contact
     near_open = _neighbor_sum((thin_sel & ~mask).astype(float)) > 0
     boundary = [tuple(int(i) for i in idx)
                 for idx in np.argwhere(mask & near_open)]

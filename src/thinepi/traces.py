@@ -52,13 +52,6 @@ class SphericalTrace:
     def norm_sq(self) -> float:
         return float(self.grid.inner(self.values, self.values))
 
-    def inner(self, other: "SphericalTrace | np.ndarray") -> float:
-        vals = other.values if isinstance(other, SphericalTrace) else other
-        return float(self.grid.inner(self.values, vals))
-
-    def is_even(self, tol: float = 0.0) -> bool:
-        return self.grid.is_even(self.values, tol)
-
     def scaled(self, s: float) -> "SphericalTrace":
         return SphericalTrace(
             grid=self.grid, values=s * self.values,

@@ -4,14 +4,20 @@ The energy of a function v on B_1 at parameter mu is
 
     W_mu(v) = int_B |grad v|^2 dx  -  mu * int_{dB} v^2 dH^n.
 
-Two independent evaluation routes are provided:
+Three evaluation routes are provided:
 
-* a quadrature route working from sampled values (polar product rule,
-  closed-form radial integrals whenever v is a finite sum of homogeneous
-  pieces), and
-* a spectral route working from eigenbasis coefficients via exact
+* eigenvalue sums over eigenbasis coefficients, via the exact
 
-      W_mu(r^mu psi) = sum_j (lambda_j - mu(n+mu-1)) c_j^2 / (n+2mu-1).
+      W_mu(r^mu psi) = sum_j (lambda_j - mu(n+mu-1)) c_j^2 / (n+2mu-1);
+
+* the Gram-row closed form for finite sums of homogeneous pieces: the
+  radial integrals are closed-form, and the angular pairings are quadratic
+  forms in the mass and surface-gradient Gram matrices of ``TraceColumns``
+  (``weiss_rows`` and ``bilinear_rows``, one value per coefficient row;
+  ``weiss_quadrature`` and ``bilinear_R`` on ``BallFunction.parts`` use one
+  unit row per part);
+* the sampled polar rule for functions given by values on polar product
+  nodes, with second-order radial differencing.
 
 Raising the radial power from mu to alpha has the closed form
 
@@ -28,10 +34,8 @@ with a surface functional beta_mu via
 where beta_mu is computed from phi's coefficients in the unconstrained
 even eigenbasis plus an equator flux term; see beta_pairing.
 
-For a block of traces given as coefficient rows, ``weiss_rows``,
-``bilinear_rows`` and ``beta_rows`` give one value per row: the quadrature
-route there takes its angular pairings from the Gram matrices of
-``TraceColumns``.
+For a block of traces given as coefficient rows, ``beta_rows`` gives the
+pairing for each row.
 """
 
 from __future__ import annotations
@@ -84,12 +88,6 @@ class BallFunction:
             self.values = np.asarray(self.values, dtype=float)
             if self.values.shape != (self.radii.size, self.grid.size):
                 raise ValueError("values shape does not match radii x grid")
-
-    @property
-    def homogeneity(self) -> float | None:
-        if self.parts is not None and len(self.parts) == 1:
-            return self.parts[0][0]
-        return None
 
     def sample_values(self) -> np.ndarray:
         if self.values is not None:
@@ -144,15 +142,6 @@ def ball_sum(parts: list[tuple[float, SphericalTrace]]) -> BallFunction:
 # Quadrature route
 # ---------------------------------------------------------------------------
 
-def _gradient_pair_on_sphere(a: SphericalTrace, b: SphericalTrace,
-                             use_derivative_data: bool) -> float:
-    if not use_derivative_data:
-        stripped = SphericalTrace(a.grid, a.values)
-        b = stripped if b is a else SphericalTrace(b.grid, b.values)
-        a = stripped
-    return float(a.grid.weights @ a.gradient_dot(b))
-
-
 def _radial_moment(n: int, power):
     """int_0^1 r^(n+power-2) dr, requiring integrability."""
     expo = n + power - 2.0
@@ -164,33 +153,20 @@ def _radial_moment(n: int, power):
 def _pair_energy(n: int, a, b, mass, grad):
     """int_B grad(r^a s) . grad(r^b t) in closed radial form, from the
     angular pairings mass = <s, t> and grad = <grad s, grad t>; elementwise
-    over arrays of pairings and powers."""
+    over arrays of pairings and powers.  A zero numerator gives an exact
+    zero whatever the power."""
     num = a * b * mass + grad
-    if np.ndim(num) == 0 and num == 0.0:
-        return 0.0
+    if not np.any(num):
+        return np.zeros_like(num)
     return num * _radial_moment(n, a + b)
 
 
-def _pair_dirichlet(n: int, a: float, ta: SphericalTrace,
-                    b: float, tb: SphericalTrace,
-                    use_derivative_data: bool) -> float:
-    """int_B grad(r^a ta) . grad(r^b tb) in closed radial form."""
-    return _pair_energy(n, a, b, ta.inner(tb),
-                        _gradient_pair_on_sphere(ta, tb, use_derivative_data))
-
-
-def _weiss_of_pairings(n: int, mu: float, degrees, pairing):
-    """W_mu(sum_i r^a_i t_i) in closed radial form; ``pairing(i, j)`` gives
-    (<t_i, t_j>, <grad t_i, grad t_j>) for i <= j, as numbers or as arrays
-    holding one value per trace of a block."""
-    total = boundary = 0.0
-    for i, a in enumerate(degrees):
-        for j in range(i, len(degrees)):
-            mass, grad = pairing(i, j)
-            factor = 1.0 if i == j else 2.0
-            total = total + factor * _pair_energy(n, a, degrees[j], mass, grad)
-            boundary = boundary + factor * mass
-    return total - mu * boundary
+def _parts_columns(parts) -> tuple[TraceColumns, np.ndarray]:
+    """The traces of homogeneous parts as columns, each with its own
+    derivative data, and one unit coefficient row per part."""
+    columns = functools.reduce(
+        TraceColumns.join, (TraceColumns.of_trace(t) for _, t in parts))
+    return columns, np.eye(len(parts))
 
 
 def _row_pairing(columns: TraceColumns, x: np.ndarray, y: np.ndarray):
@@ -205,12 +181,18 @@ def weiss_rows(columns: TraceColumns, mu: float, pieces) -> np.ndarray:
     """W_mu(sum_i r^a_i t_i) for each trace of a block: ``pieces`` lists
     (a_i, rows_i), where row t of rows_i holds the coefficients of the
     block's t-th t_i over ``columns`` and a_i is a power or one power per
-    row.  The closed radial form of ``weiss_quadrature`` with its angular
-    pairings as Gram quadratic forms; no spectral data is consulted."""
-    degrees = [a for a, _ in pieces]
-    return _weiss_of_pairings(
-        columns.grid.n, mu, degrees,
-        lambda i, j: _row_pairing(columns, pieces[i][1], pieces[j][1]))
+    row.  The closed radial form, with its angular pairings as Gram
+    quadratic forms; no spectral data is consulted."""
+    n = columns.grid.n
+    total = boundary = 0.0
+    for i, (a, x) in enumerate(pieces):
+        for j in range(i, len(pieces)):
+            b, y = pieces[j]
+            mass, grad = _row_pairing(columns, x, y)
+            factor = 1.0 if i == j else 2.0
+            total = total + factor * _pair_energy(n, a, b, mass, grad)
+            boundary = boundary + factor * mass
+    return total - mu * boundary
 
 
 def bilinear_rows(columns: TraceColumns, mu: float, left, right) -> np.ndarray:
@@ -249,24 +231,22 @@ def _sampled_dirichlet(v: BallFunction, w: BallFunction):
 
 def weiss_quadrature(v: BallFunction, mu: float,
                      error_threshold: float | None = None,
-                     use_derivative_data: bool = True,
                      with_error: bool = False):
     """Quadrature evaluation of W_mu(v); no spectral data is consulted.
 
     For piecewise-homogeneous inputs the radial integrals are closed-form
-    and only the angular quadrature is numerical.  For sampled inputs a
-    polar product rule with second-order radial differencing is used and a
+    and only the angular quadrature is numerical: ``weiss_rows`` over the
+    parts' traces, one unit row per part.  For sampled inputs a polar
+    product rule with second-order radial differencing is used and a
     quadrature error estimate is formed by comparing the attached radial
     rule against Simpson integration of the radial energy profile; if
     ``error_threshold`` is given and the estimate exceeds it, a ValueError
     is raised.
     """
-    n = v.grid.n
     if v.parts is not None:
-        traces = [t for _, t in v.parts]
-        value = _weiss_of_pairings(n, mu, [a for a, _ in v.parts], lambda i, j: (
-            traces[i].inner(traces[j]),
-            _gradient_pair_on_sphere(traces[i], traces[j], use_derivative_data)))
+        columns, unit = _parts_columns(v.parts)
+        value = float(weiss_rows(columns, mu, [
+            (a, unit[i:i + 1]) for i, (a, _) in enumerate(v.parts)])[0])
         return (value, 0.0) if with_error else value
 
     # Imported here: only the sampled route needs it, and scipy.integrate
@@ -284,21 +264,23 @@ def weiss_quadrature(v: BallFunction, mu: float,
 
 
 def bilinear_R(v: BallFunction, w: BallFunction, mu: float) -> float:
-    """R_mu(v,w) = int_B grad v . grad w - mu int_{dB} v w."""
+    """R_mu(v,w) = int_B grad v . grad w - mu int_{dB} v w.  For two sums
+    of homogeneous parts, the sum over all pairs of parts of
+    ``bilinear_rows`` over the parts' traces, one unit row per part."""
     if v.grid is not w.grid:
         raise ValueError("ball functions live on different grids")
-    n = v.grid.n
-    boundary = float(v.grid.inner(v.boundary_trace(), w.boundary_trace()))
     if v.parts is not None and w.parts is not None:
-        dir_total = 0.0
-        for a, ta in v.parts:
-            for b, tb in w.parts:
-                dir_total += _pair_dirichlet(n, a, ta, b, tb, True)
-        return dir_total - mu * boundary
+        columns, unit = _parts_columns(v.parts + w.parts)
+        i, j = np.divmod(np.arange(len(v.parts) * len(w.parts)), len(w.parts))
+        a = np.array([d for d, _ in v.parts])[i]
+        b = np.array([d for d, _ in w.parts])[j]
+        return float(np.sum(bilinear_rows(
+            columns, mu, (a, unit[i]), (b, unit[len(v.parts) + j]))))
     if not np.array_equal(v.radii, w.radii):
         raise ValueError("sampled ball functions need matching radii")
     dirichlet, _ = _sampled_dirichlet(v, w)
-    return dirichlet - mu * boundary
+    return dirichlet - mu * float(
+        v.grid.inner(v.boundary_trace(), w.boundary_trace()))
 
 
 def volume_integral(v: BallFunction, h) -> float:

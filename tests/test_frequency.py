@@ -16,7 +16,6 @@ from thinepi.frequency import (
     default_sphere,
     linfty_l2_check,
     oscillation_bound_check,
-    rescale,
     stratify_contact,
     surface_moments,
     truncated_frequency,
@@ -415,36 +414,33 @@ def test_frequency_rows_for_reporting(p01):
 
 
 # ---------------------------------------------------------------------------
-# rescalings
+# homogeneous rescalings
 # ---------------------------------------------------------------------------
 
-def test_rescale_three_modes_exact(p01):
-    grid = default_sphere(1)
-    tr = rescale(p01, None, 0.4, mode="l2-normalized")
-    assert math.sqrt(tr.norm_sq) == pytest.approx(1.0, abs=1e-12)
-    tr2 = rescale(p01, None, 0.4, mode="mu-homogeneous", mu=1.0)
-    assert np.abs(tr2.values - p01.trace_on(grid)).max() <= 1e-14
-    tr3 = rescale(p01, None, 0.5, mode="double", mu=1.0, rho=0.3)
-    nrm = math.sqrt(float(grid.weights @ p01.trace_on(grid) ** 2))
-    assert np.abs(tr3.values - p01.trace_on(grid) / nrm).max() <= 1e-13
+def _rescaling(v, r, count, dimension=None, grid=None):
+    """The mu = 1 homogeneous rescaling of v about the origin."""
+    adapter = frequency.FieldAdapter.adapt(v, dimension)
+    d = adapter.dimension
+    return frequency._homogeneous_rescaling(
+        adapter, np.zeros(d), r, 1.0, grid or default_sphere(d - 1), count)
 
 
-def test_rescale_guards():
-    zero = lambda pts: np.zeros(np.asarray(pts).shape[0])
-    with pytest.raises(ValueError, match="normalizer"):
-        rescale(zero, np.zeros(2), 0.3, mode="l2-normalized")
-    with pytest.raises(ValueError, match="unknown rescaling"):
-        rescale(zero, np.zeros(2), 0.3, mode="affine")
-    with pytest.raises(ValueError, match="needs mu"):
-        rescale(zero, np.zeros(2), 0.3, mode="mu-homogeneous")
+def test_rescale_guards(sol_profile32):
+    with pytest.raises(ValueError, match="leaves the computational domain"):
+        _rescaling(sol_profile32, 0.99, 16)
+    with pytest.raises(ValueError, match="too small for the grid"):
+        _rescaling(sol_profile32, 0.05, 16)
 
 
 def test_rescale_ball_has_zero_scale_energy(p01):
-    from thinepi.weiss import weiss_quadrature
-
-    ball = rescale(p01, None, 0.6, mode="mu-homogeneous", mu=1.0,
-                   as_ball=True)
-    assert abs(weiss_quadrature(ball, 1.0)) <= 1e-9
+    ball = _rescaling(p01, 0.6, 64)
+    grid = default_sphere(1)
+    assert np.abs(ball.values[-1] - p01.trace_on(grid)).max() <= 1e-14
+    energy, same = frequency._scale_energy(
+        frequency.FieldAdapter.adapt(p01), np.zeros(2), 0.6, 1.0, grid, 64,
+        None)
+    assert np.array_equal(same.values, ball.values)
+    assert abs(energy) <= 1e-9
 
 
 def test_rescale_ball_reads_each_sphere_once(p01):
@@ -454,16 +450,15 @@ def test_rescale_ball_reads_each_sphere_once(p01):
         calls.append(len(points))
         return p01(points)
 
-    # 16 radial spheres and the trace sphere (radius 1), read in one call,
-    # plus one call for the rho sphere in double mode
+    # 16 radial spheres and the trace sphere (radius 1), read in one call
     nodes = default_sphere(1).size
-    for mode, extra in (("l2-normalized", 0), ("mu-homogeneous", 0),
-                        ("double", 1)):
-        calls.clear()
-        rescale(counted, np.zeros(2), 0.5, mode=mode, mu=1.0, rho=0.5,
-                radial_count=16, as_ball=True)
-        assert len(calls) == 1 + extra
-        assert sum(calls) == (17 + extra) * nodes
+    _rescaling(counted, 0.5, 16, dimension=2)
+    assert calls == [17 * nodes]
+    # the oscillation check reads its r-trace from the ball at r: one read
+    # for the ball and one for the trace at r'
+    calls.clear()
+    oscillation_bound_check(counted, 1.0, 0.5, 0.1, dimension=2)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

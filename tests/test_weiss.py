@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import eigenbasis, even_circle_basis, half_sphere_basis
-from thinepi.traces import SphericalTrace, circle_dtheta, trace_from_basis, \
-    trace_from_halfspace, trace_from_profile
+from thinepi.traces import SphericalTrace, TraceColumns, circle_dtheta, \
+    trace_from_basis, trace_from_halfspace, trace_from_profile
 from thinepi.weiss import (BallFunction, ball_sum, beta_pairing,
-                           bilinear_R, default_radii, homogeneous_extension,
-                           kappa, volume_integral, weiss_quadrature,
-                           weiss_raised, weiss_spectral, weiss_tilde)
+                           bilinear_R, bilinear_rows, default_radii,
+                           homogeneous_extension, kappa, volume_integral,
+                           weiss_quadrature, weiss_raised, weiss_rows,
+                           weiss_spectral, weiss_tilde)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,15 @@ def test_constant_function_energy_is_minus_mu_times_sphere_area(circle):
     v = homogeneous_extension(const, 0.0)
     for mu in (0.5, 1.0, 2.0):
         assert weiss_quadrature(v, mu) == pytest.approx(-mu * 2.0 * np.pi, rel=1e-12)
+
+
+def test_row_form_zero_numerator_is_exact_zero(circle):
+    # degree 0 on S^1 has the non-integrable radial power r^-1, but the
+    # constant's Dirichlet numerator vanishes, so only the boundary remains
+    const = SphericalTrace(circle, np.ones(circle.size),
+                           dtheta=np.zeros(circle.size))
+    w = weiss_rows(TraceColumns.of_trace(const), 1.0, [(0.0, np.ones((1, 1)))])
+    assert w[0] == pytest.approx(-2.0 * np.pi, rel=1e-12)
 
 
 def test_constant_function_energy_n2():
@@ -128,6 +138,30 @@ def test_discrete_n2_routes_agree_and_improve():
         worsts.append(worst)
     assert worsts[1] < 3e-3
     assert worsts[1] < 0.5 * worsts[0]
+
+
+def test_parts_energies_are_the_gram_row_forms():
+    # One route for homogeneous sums: the energy of a sum of parts and the
+    # bilinear form of two such sums are the row forms over the parts'
+    # traces, bit for bit.
+    g = build_grid(2, 256)
+    basis = eigenbasis(g, g.equator, 6, use_cache=False)
+    rng = np.random.default_rng(13)
+    a, b = (SphericalTrace(g, basis.reconstruct(rng.standard_normal(6)))
+            for _ in range(2))
+    mu = 0.5
+    unit = np.eye(3)
+    columns = TraceColumns.of_trace(a).join(TraceColumns.of_trace(b))
+    w = weiss_quadrature(ball_sum([(0.5, a), (1.5, b)]), mu)
+    rows = weiss_rows(columns, mu, [(0.5, unit[:1, :2]), (1.5, unit[1:2, :2])])
+    assert np.array_equal(w, rows[0])
+
+    r = bilinear_R(homogeneous_extension(a, 0.5),
+                   ball_sum([(1.5, b), (2.0, a)]), mu)
+    pairs = bilinear_rows(columns.join(TraceColumns.of_trace(a)), mu,
+                          (np.array([0.5, 0.5]), unit[[0, 0]]),
+                          (np.array([1.5, 2.0]), unit[[1, 2]]))
+    assert np.array_equal(r, np.sum(pairs))
 
 
 def test_quadratic_scaling_of_energy(sin_basis):
