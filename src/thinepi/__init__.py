@@ -11,8 +11,8 @@ Subpackages by role:
                        energies and the associated bilinear pairing;
 * ``epiperimetric`` -- competitor constructions certifying energy decay on
                        both sides of an odd frequency, plus gap arithmetic;
-* ``solver``        -- projected SOR solver for the variational inequality on
-                       an upper-half Cartesian grid;
+* ``solver``        -- primal-dual active-set solver for the variational
+                       inequality on an upper-half Cartesian grid;
 * ``frequency``     -- truncated frequency functions, blow-up rate fits,
                        contact-set stratification diagnostics;
 * ``artifacts``     -- deterministic CSV/JSON/SVG output with run manifests;

@@ -434,8 +434,7 @@ def _run_stratify(config: RunConfig, out: Path, timings: dict):
         x0 = np.atleast_1d(np.asarray(entry["x0"], dtype=float))
         row = {f"x{axis + 1}": x0[axis] for axis in range(x0.size)}
         row["mu_estimate"] = entry["mu_estimate"]
-        row["label"] = ("unresolved" if entry["label"] == "unresolved"
-                        else entry["label"])
+        row["label"] = entry["label"]
         rows.append(row)
     fieldnames = None
     if not rows:

@@ -368,10 +368,9 @@ def _homogeneous_rescaling(adapter: FieldAdapter, x0: np.ndarray, r: float,
     ``default_radii(count)``, all spheres in one read; the last row, of
     radius r, is the rescaled trace."""
     _check_reach(adapter, x0, r)
-    radii, weights = default_radii(count)
+    radii, _ = default_radii(count)
     values = _on_spheres(adapter, x0, r * radii, grid)
-    return BallFunction(grid=grid, radii=radii, values=values / r ** mu,
-                        radial_weights=weights)
+    return BallFunction(grid=grid, values=values / r ** mu)
 
 
 def _scale_energy(adapter: FieldAdapter, x0: np.ndarray, r: float, mu: float,

@@ -271,7 +271,6 @@ class GridSolution:
     laplace_residual: float           # max |Au - b|, off-contact free nodes
     complementarity: np.ndarray       # min(u - phi, (Au - b)/2d), thin nodes
     sweeps: int                       # outer active-set iterations
-    final_update: float               # max |u_k - u_(k-1)|, last iteration
     converged: bool                   # KKT conditions hold
     runtime: float
     _interp: object = field(default=None, repr=False, compare=False)
@@ -315,7 +314,7 @@ class GridSolution:
     def stats(self) -> dict:
         return {
             "method": "pdas-cg",
-            "sweeps": self.sweeps, "final_update": self.final_update,
+            "sweeps": self.sweeps,
             "converged": self.converged, "runtime_seconds": self.runtime,
             "laplace_residual": self.laplace_residual,
             "complementarity_max": float(np.max(np.abs(self.complementarity)))
@@ -379,8 +378,8 @@ def load_solution(base_path) -> GridSolution:
         phi_thin=arrays["phi_thin"], contact=arrays["contact"].astype(bool),
         laplace_residual=stats["laplace_residual"],
         complementarity=arrays["complementarity"],
-        sweeps=stats["sweeps"], final_update=stats["final_update"],
-        converged=stats["converged"], runtime=stats["runtime_seconds"],
+        sweeps=stats["sweeps"], converged=stats["converged"],
+        runtime=stats["runtime_seconds"],
     )
 
 
@@ -520,10 +519,9 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
 
     x = u[free]
     steps = _pdas(A, b, x, obstacle[free], spec.tol)
-    for sweeps, (x_next, active, repeated) in enumerate(
+    for sweeps, (x, active, repeated) in enumerate(
             itertools.islice(steps, spec.max_sweeps), start=1):
-        update = float(np.max(np.abs(x_next - x)))
-        x = x_next
+        pass
     u[free] = x
 
     # residual of the 2d-point stencil on the lattice, apart from A; at
@@ -553,7 +551,7 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
                                       initial=0.0)),
         complementarity=np.minimum(slack, resid[..., 0] / (2 * spec.dimension))
         [thin_sel],
-        sweeps=sweeps, final_update=update, converged=converged,
+        sweeps=sweeps, converged=converged,
         runtime=time.perf_counter() - t0,
     )
 
@@ -626,16 +624,14 @@ class ReducedProblem:
     spec: ProblemSpec
 
     def v_solution(self, base: GridSolution) -> GridSolution:
-        """Wrap v in a GridSolution sharing the parent's grid metadata."""
-        thin_sel = base.kind[..., 0] == 2
+        """Wrap v in a GridSolution sharing the parent's grid metadata and
+        contact set: on the thin plane v = u - phi, the parent's slack."""
         return GridSolution(
             spec=self.spec, values=self.v_values, kind=base.kind,
-            phi_thin=np.zeros_like(base.phi_thin),
-            contact=thin_sel & (np.abs(self.v_values[..., 0]) <= 10 * self.spec.tol),
+            phi_thin=np.zeros_like(base.phi_thin), contact=base.contact,
             laplace_residual=base.laplace_residual,
             complementarity=base.complementarity,
-            sweeps=base.sweeps, final_update=base.final_update,
-            converged=base.converged, runtime=base.runtime,
+            sweeps=base.sweeps, converged=base.converged, runtime=base.runtime,
         )
 
     def h_field(self):

@@ -16,8 +16,9 @@ Three evaluation routes are provided:
   (``weiss_rows`` and ``bilinear_rows``, one value per coefficient row;
   ``weiss_quadrature`` and ``bilinear_R`` on ``BallFunction.parts`` use one
   unit row per part);
-* the sampled polar rule for functions given by values on polar product
-  nodes, with second-order radial differencing.
+* the sampled polar rule for ``BallFunction.values`` on the radii of
+  ``default_radii``, with second-order radial differencing (W_mu, and
+  ``volume_integral`` against a forcing field).
 
 Raising the radial power from mu to alpha has the closed form
 
@@ -61,41 +62,27 @@ def kappa(alpha: float, mu: float, n: int) -> float:
 
 @dataclass
 class BallFunction:
-    """Function on the unit ball sampled on polar product nodes.
+    """Function on the unit ball, in one of two representations.
 
-    Either ``parts`` is given -- a finite list of (degree, trace) pairs with
-    v = sum_i r^degree_i * trace_i(angle) -- in which case radial integrals
-    are evaluated in closed form, or explicit ``values`` of shape
-    (len(radii), grid.size) are stored.  ``radii`` must be ascending and end
-    at 1.0 so the boundary term is available.
+    ``parts`` -- a finite list of (degree, trace) pairs with
+    v = sum_i r^degree_i * trace_i(angle), whose radial integrals are
+    evaluated in closed form -- or ``values`` of shape (R + 1, grid.size),
+    row k sampled at the k-th radius of ``default_radii(R)``, so the last
+    row is the boundary trace.
     """
 
     grid: SphereGrid
-    radii: np.ndarray
     values: np.ndarray | None = None
     parts: list[tuple[float, SphericalTrace]] | None = None
-    radial_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.radii = np.asarray(self.radii, dtype=float)
-        if self.radii.ndim != 1 or np.any(np.diff(self.radii) <= 0):
-            raise ValueError("radii must be strictly ascending")
-        if abs(self.radii[-1] - 1.0) > 1e-12:
-            raise ValueError("radii must end at 1.0 for the boundary term")
         if self.values is None and self.parts is None:
             raise ValueError("either values or parts must be given")
         if self.values is not None:
             self.values = np.asarray(self.values, dtype=float)
-            if self.values.shape != (self.radii.size, self.grid.size):
-                raise ValueError("values shape does not match radii x grid")
-
-    def sample_values(self) -> np.ndarray:
-        if self.values is not None:
-            return self.values
-        out = np.zeros((self.radii.size, self.grid.size))
-        for deg, tr in self.parts:
-            out += np.power(self.radii, deg)[:, None] * tr.values[None, :]
-        return out
+            if (self.values.ndim != 2 or self.values.shape[0] < 2
+                    or self.values.shape[1] != self.grid.size):
+                raise ValueError("values must have shape (R + 1, grid.size)")
 
     def boundary_trace(self) -> np.ndarray:
         if self.parts is not None:
@@ -119,23 +106,16 @@ def default_radii(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def homogeneous_extension(c: SphericalTrace, degree: float) -> BallFunction:
-    """Extend a trace to the ball as r^degree * c(angle), with the 64-point
-    radial rule."""
-    radii, weights = default_radii(64)
-    return BallFunction(grid=c.grid, radii=radii, parts=[(float(degree), c)],
-                        radial_weights=weights)
+    """Extend a trace to the ball as r^degree * c(angle)."""
+    return BallFunction(grid=c.grid, parts=[(float(degree), c)])
 
 
 def ball_sum(parts: list[tuple[float, SphericalTrace]]) -> BallFunction:
-    """Finite sum of homogeneous pieces sharing one grid, with the 64-point
-    radial rule."""
+    """Finite sum of homogeneous pieces sharing one grid."""
     if not parts:
         raise ValueError("need at least one part")
-    grid = parts[0][1].grid
-    radii, weights = default_radii(64)
-    return BallFunction(grid=grid, radii=radii,
-                        parts=[(float(d), t) for d, t in parts],
-                        radial_weights=weights)
+    return BallFunction(grid=parts[0][1].grid,
+                        parts=[(float(d), t) for d, t in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -203,103 +183,71 @@ def bilinear_rows(columns: TraceColumns, mu: float, left, right) -> np.ndarray:
     return _pair_energy(columns.grid.n, a, b, mass, grad) - mu * mass
 
 
-def _sampled_dirichlet(v: BallFunction, w: BallFunction):
-    """int_B grad v . grad w by the polar product rule on sampled values.
+def _radial_samples(v: BallFunction):
+    """(values, radii, weights) of a sampled ball function."""
+    if v.values is None:
+        raise ValueError("need a ball function given by sampled values")
+    radii, weights = default_radii(v.values.shape[0] - 1)
+    return v.values, radii, weights
+
+
+def _sampled_dirichlet(v: BallFunction) -> float:
+    """int_B |grad v|^2 by the polar product rule on sampled values.
 
     Radial derivatives are second-order differences; the angular part uses
-    the surface-gradient pairing at each radius.  Returns the integral (the
-    attached radial rule, else the trapezoidal rule) and the radial
-    integrand r^n * profile(r) it integrates.
+    the surface-gradient pairing at each radius, and the radial integrand
+    r^n * profile(r) is integrated with the weights of ``default_radii``.
     """
-    radii = v.radii
-    va = v.sample_values()
-    wa = va if w is v else w.sample_values()
+    va, radii, weights = _radial_samples(v)
     dva = np.gradient(va, radii, axis=0)
-    dwa = dva if w is v else np.gradient(wa, radii, axis=0)
     ang_w = v.grid.weights
     cross = np.empty(radii.size)
     for k in range(radii.size):
         ta = SphericalTrace(v.grid, va[k])
-        tb = ta if w is v else SphericalTrace(w.grid, wa[k])
-        cross[k] = float(ang_w @ ta.gradient_dot(tb))
-    radial_profile = (dva * dwa) @ ang_w + cross / radii ** 2
-    integrand = radial_profile * radii ** v.grid.n
-    if v.radial_weights is not None:
-        return float(v.radial_weights @ integrand), integrand
-    return float(np.trapezoid(integrand, radii)), integrand
+        cross[k] = float(ang_w @ ta.gradient_dot(ta))
+    radial_profile = (dva * dva) @ ang_w + cross / radii ** 2
+    return float(weights @ (radial_profile * radii ** v.grid.n))
 
 
-def weiss_quadrature(v: BallFunction, mu: float,
-                     error_threshold: float | None = None,
-                     with_error: bool = False):
+def weiss_quadrature(v: BallFunction, mu: float) -> float:
     """Quadrature evaluation of W_mu(v); no spectral data is consulted.
 
-    For piecewise-homogeneous inputs the radial integrals are closed-form
-    and only the angular quadrature is numerical: ``weiss_rows`` over the
-    parts' traces, one unit row per part.  For sampled inputs a polar
-    product rule with second-order radial differencing is used and a
-    quadrature error estimate is formed by comparing the attached radial
-    rule against Simpson integration of the radial energy profile; if
-    ``error_threshold`` is given and the estimate exceeds it, a ValueError
-    is raised.
+    For sums of homogeneous parts the radial integrals are closed-form and
+    only the angular quadrature is numerical: ``weiss_rows`` over the
+    parts' traces, one unit row per part.  For sampled values, the polar
+    product rule with second-order radial differencing.
     """
     if v.parts is not None:
         columns, unit = _parts_columns(v.parts)
-        value = float(weiss_rows(columns, mu, [
+        return float(weiss_rows(columns, mu, [
             (a, unit[i:i + 1]) for i, (a, _) in enumerate(v.parts)])[0])
-        return (value, 0.0) if with_error else value
-
-    # Imported here: only the sampled route needs it, and scipy.integrate
-    # is a large share of the CLI's import time and memory.
-    from scipy.integrate import simpson
-
-    dirichlet, integrand = _sampled_dirichlet(v, v)
-    alt = float(simpson(integrand, x=v.radii))
-    err = abs(dirichlet - alt)
-    if error_threshold is not None and err > error_threshold:
-        raise ValueError(
-            f"radial quadrature error estimate {err:.3e} exceeds {error_threshold:.3e}")
-    value = dirichlet - mu * v.boundary_sq_integral()
-    return (value, err) if with_error else value
+    return _sampled_dirichlet(v) - mu * v.boundary_sq_integral()
 
 
 def bilinear_R(v: BallFunction, w: BallFunction, mu: float) -> float:
-    """R_mu(v,w) = int_B grad v . grad w - mu int_{dB} v w.  For two sums
-    of homogeneous parts, the sum over all pairs of parts of
-    ``bilinear_rows`` over the parts' traces, one unit row per part."""
+    """R_mu(v,w) = int_B grad v . grad w - mu int_{dB} v w for two sums of
+    homogeneous parts: the sum over all pairs of parts of ``bilinear_rows``
+    over the parts' traces, one unit row per part."""
     if v.grid is not w.grid:
         raise ValueError("ball functions live on different grids")
-    if v.parts is not None and w.parts is not None:
-        columns, unit = _parts_columns(v.parts + w.parts)
-        i, j = np.divmod(np.arange(len(v.parts) * len(w.parts)), len(w.parts))
-        a = np.array([d for d, _ in v.parts])[i]
-        b = np.array([d for d, _ in w.parts])[j]
-        return float(np.sum(bilinear_rows(
-            columns, mu, (a, unit[i]), (b, unit[len(v.parts) + j]))))
-    if not np.array_equal(v.radii, w.radii):
-        raise ValueError("sampled ball functions need matching radii")
-    dirichlet, _ = _sampled_dirichlet(v, w)
-    return dirichlet - mu * float(
-        v.grid.inner(v.boundary_trace(), w.boundary_trace()))
+    if v.parts is None or w.parts is None:
+        raise ValueError("bilinear_R needs two sums of homogeneous parts")
+    columns, unit = _parts_columns(v.parts + w.parts)
+    i, j = np.divmod(np.arange(len(v.parts) * len(w.parts)), len(w.parts))
+    a = np.array([d for d, _ in v.parts])[i]
+    b = np.array([d for d, _ in w.parts])[j]
+    return float(np.sum(bilinear_rows(
+        columns, mu, (a, unit[i]), (b, unit[len(v.parts) + j]))))
 
 
 def volume_integral(v: BallFunction, h) -> float:
-    """int_B v * h for h either callable on points or an (R,N) array."""
-    vals = v.sample_values()
-    if callable(h):
-        hv = np.empty_like(vals)
-        for k, r in enumerate(v.radii):
-            hv[k] = h(r * v.grid.nodes)
-    else:
-        hv = np.asarray(h, dtype=float)
-        if hv.shape != vals.shape:
-            raise ValueError("h array must match the sampling shape")
-    if v.radial_weights is not None:
-        rw = v.radial_weights
-    else:
-        rw = np.gradient(v.radii)
+    """int_B v * h for a sampled v and h callable on points."""
+    vals, radii, weights = _radial_samples(v)
+    hv = np.empty_like(vals)
+    for k, r in enumerate(radii):
+        hv[k] = h(r * v.grid.nodes)
     radial_profile = (vals * hv) @ v.grid.weights
-    return float(rw @ (radial_profile * v.radii ** v.grid.n))
+    return float(weights @ (radial_profile * radii ** v.grid.n))
 
 
 def weiss_tilde(v: BallFunction, h, mu: float) -> float:

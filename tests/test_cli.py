@@ -48,7 +48,7 @@ def test_config_dict_round_trip(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # Only the sampled energy route needs scipy.integrate; every command
+    # No module of the package imports scipy.integrate, and every command
     # pays for what importing the CLI loads.
     env = dict(os.environ, PYTHONPATH=str(Path(thinepi.__file__).parents[1]))
     code = "import sys, thinepi.cli; print('scipy.integrate' in sys.modules)"

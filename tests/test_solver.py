@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinepi.cli import case_spec
 from thinepi.polynomials import Polynomial, even_harmonic_extension
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.solver import (NEG_INF, Mode2D, ProblemSpec, _assemble,
@@ -424,6 +425,18 @@ def test_reduction_taylor_exact_gives_zero_rhs():
                                                  .reshape(sol.phi_thin.shape)))) < 1e-12
 
 
+def test_reduced_solution_shares_the_contact_set():
+    # on the thin plane v = u - phi exactly, so the reduced field's contact
+    # set is the solver's
+    sol = solve_thin_obstacle(case_spec("quartic", 32))
+    red = reduce_to_zero_obstacle(sol)
+    thin = sol.kind[..., 0] == 2
+    assert np.array_equal(red.v_values[..., 0][thin],
+                          (sol.values[..., 0] - sol.phi_thin)[thin])
+    assert sol.contact.any()
+    assert np.array_equal(red.v_solution(sol).contact, sol.contact)
+
+
 def test_even_harmonic_extension_example():
     q = Polynomial.monomial(1, (2,))
     ext = even_harmonic_extension(q)
@@ -459,12 +472,14 @@ def test_dump_load_roundtrip(tmp_path, halfspace_solution):
 
 def test_load_reads_projected_sor_header(tmp_path, halfspace_solution):
     # The header as the projected SOR solver wrote it: ``omega`` and
-    # ``max_sweeps`` in the spec, no ``method`` in the stats.
+    # ``max_sweeps`` in the spec, ``final_update`` but no ``method`` in the
+    # stats.
     _, _, sol = halfspace_solution
     base = tmp_path / "case"
     _, json_path = sol.dump(base)
     header = json.loads(json_path.read_text())
     header["spec"].update(omega=1.8, max_sweeps=5000)
+    header["stats"]["final_update"] = 3.2e-11
     del header["stats"]["method"]
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
     back = load_solution(base)
