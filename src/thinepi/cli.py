@@ -387,7 +387,8 @@ def _run_blowup(config: RunConfig, out: Path, timings: dict):
         radii = radii_ladder(r_max, rungs)[::-1]
         fit = blowup_fit(v, np.zeros(2), m, radii)
         expected = "0.5 +/- 0.05"
-        exponent_ok = abs(fit.exponent - 0.5) <= 0.05
+        exponent_ok = (fit.exponent is not None
+                       and abs(fit.exponent - 0.5) <= 0.05)
     elif case == "solved":
         rungs = int(params.get("rungs", 10))
         r_max = float(params.get("r_max", 0.45))
@@ -400,20 +401,26 @@ def _run_blowup(config: RunConfig, out: Path, timings: dict):
         radii = radii_ladder(r_max, rungs)[::-1]
         fit = blowup_fit(sol, np.zeros(2), m, radii)
         expected = "> 0"
-        exponent_ok = fit.exponent > 0.0
+        exponent_ok = fit.exponent is not None and fit.exponent > 0.0
     else:
         raise ValueError(f"unknown blowup case {case!r}; "
                          "available: constructed, solved")
     timings["fit"] = time.perf_counter() - t0
 
     files = [write_csv(out / "blowup.csv", fit.rows())]
+    if fit.exponent is None:
+        resolved = (f"no exponent was fitted: degenerate fit over "
+                    f"{len(fit.radii)} radii")
+        fitted = f"{resolved}, expected {expected}"
+    else:
+        resolved = f"catalog fit admissible over {len(fit.radii)} radii"
+        fitted = (f"fitted exponent {fit.exponent:.4f} "
+                  f"(band [{fit.band[0]:.4f}, {fit.band[1]:.4f}], "
+                  f"expected {expected})")
     checks = [
         CheckResult("fit-resolved", not fit.degenerate and fit.admissible,
-                    f"catalog fit admissible over {len(fit.radii)} radii"),
-        CheckResult("decay-exponent", exponent_ok,
-                    f"fitted exponent {fit.exponent:.4f} "
-                    f"(band [{fit.band[0]:.4f}, {fit.band[1]:.4f}], "
-                    f"expected {expected})"),
+                    resolved),
+        CheckResult("decay-exponent", exponent_ok, fitted),
     ]
     return files, checks
 

@@ -89,24 +89,14 @@ def adapted_half_basis(p: BlowupProfile, grid: SphereGrid) -> EigenBasis:
     values = base.values.copy()
     values[:, top] = block @ rot
     values[:, top[-1]] = ptr.values    # exact nodal profile trace
-    dtheta = None
-    if base.dtheta is not None:
-        dtheta = base.dtheta.copy()
-        dtheta[:, top] = base.dtheta[:, top] @ rot
-        if ptr.dtheta is not None:
-            dtheta[:, top[-1]] = ptr.dtheta
-    grads = None
-    if base.grads is not None:
-        grads = base.grads.copy()
-        grads[top] = np.einsum("ab,bij->aij", rot.T, base.grads[top])
-        if ptr.grad is not None:
-            grads[top[-1]] = ptr.grad
-    equator_dn = base.equator_dn.copy() if base.equator_dn is not None else None
-    if equator_dn is not None:
-        equator_dn[top] = rot.T @ base.equator_dn[top]
+    grads = base.grads.copy()
+    grads[top] = np.einsum("ab,bij->aij", rot.T, base.grads[top])
+    grads[top[-1]] = ptr.grad
+    equator_dn = base.equator_dn.copy()
+    equator_dn[top] = rot.T @ base.equator_dn[top]
     return EigenBasis(grid=grid, mask=base.mask, lambdas=base.lambdas.copy(),
                       values=values, source="analytic-adapted",
-                      degrees=base.degrees.copy(), dtheta=dtheta, grads=grads,
+                      degrees=base.degrees.copy(), grads=grads,
                       equator_dn=equator_dn)
 
 

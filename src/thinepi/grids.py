@@ -38,7 +38,6 @@ class SphereGrid:
     weights: np.ndarray        # (N,) surface-measure quadrature weights
     reflect: np.ndarray        # (N,) index involution for x_{n+1} -> -x_{n+1}
     equator: np.ndarray        # sorted indices of nodes with last coordinate 0
-    theta: np.ndarray | None = None       # (N,) angles, circle only
     theta_folded: np.ndarray | None = None  # (N,) angles folded to [0, pi]
     triangles: np.ndarray | None = None   # (T, 3) vertex indices, tri only
     shape: tuple[int, int] | None = None  # (lat, lon), latlong only
@@ -81,6 +80,18 @@ class SphereGrid:
         for shared in (representatives, spread):
             shared.flags.writeable = False
         return representatives, spread
+
+    @functools.cached_property
+    def folded_tangents(self) -> np.ndarray:
+        """Circle only: (N, 2) unit tangents in the direction of increasing
+        folded angle, (-y, x) on the closed upper half and its mirror image
+        below, so the gradient of an even function at a node is its
+        folded-angle derivative times the node's row (upper-sided at the
+        equator).  Built on first use, then kept read-only."""
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        tangents = np.column_stack([-np.abs(y), np.where(y < 0.0, -x, x)])
+        tangents.flags.writeable = False
+        return tangents
 
     @functools.cached_property
     def gradient_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,7 +159,6 @@ def build_grid(n: int, resolution: int, kind: str | None = None) -> SphereGrid:
 def _circle_grid(resolution: int) -> SphereGrid:
     num = resolution
     half = num // 2
-    theta = np.arange(num) * (TWO_PI / num)
     reflect = (-np.arange(num)) % num
     # Fold through the reflection index map so folded angles of mirror-partner
     # nodes are bit-identical: even traces evaluated through them are exactly
@@ -164,15 +174,9 @@ def _circle_grid(resolution: int) -> SphereGrid:
     # The thin set boundary on S^1 consists of two points: counting measure.
     return SphereGrid(
         n=1, kind="circle", resolution=resolution, nodes=nodes, weights=weights,
-        reflect=reflect, equator=equator, theta=theta, theta_folded=theta_folded,
+        reflect=reflect, equator=equator, theta_folded=theta_folded,
         equator_weights=np.ones(2),
     )
-
-
-def fold_theta(theta: np.ndarray) -> np.ndarray:
-    """Map circle angles to [0, pi] using the even reflection."""
-    th = np.asarray(theta, dtype=float) % TWO_PI
-    return np.where(th > np.pi, TWO_PI - th, th)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,18 @@ class Polynomial:
     def gradient(self) -> list["Polynomial"]:
         return [self.diff(v) for v in range(self.nvars)]
 
+    def reflected_sphere_gradient(self, nodes: np.ndarray) -> np.ndarray:
+        """Tangential gradient rows, at unit vectors ``nodes`` (N, nvars),
+        of the even reflection x -> P(x', |x_last|) restricted to the
+        sphere; at the equator the upper side's."""
+        folded = nodes.copy()
+        folded[:, -1] = np.abs(folded[:, -1])
+        sign = np.where(nodes[:, -1] < 0.0, -1.0, 1.0)
+        g = np.stack([dp(folded) for dp in self.gradient()], axis=1)
+        g[:, -1] *= sign
+        g -= np.sum(g * nodes, axis=1, keepdims=True) * nodes
+        return g
+
     # -- exact sphere moments ----------------------------------------------
 
     def sphere_integral(self) -> float:

@@ -111,14 +111,7 @@ class BlowupProfile:
     def trace_gradient_on(self, grid: SphereGrid) -> np.ndarray:
         """Tangential gradient of the sphere trace, upper one-sided at the
         equator; shape (N, n+1)."""
-        folded = grid.nodes.copy()
-        folded[:, -1] = np.abs(folded[:, -1])
-        sign = np.where(grid.nodes[:, -1] < 0.0, -1.0, 1.0)
-        gp = self.upper_polynomial().gradient()
-        g = np.stack([gp[v](folded) for v in range(self.n + 1)], axis=1)
-        g[:, -1] *= sign
-        g -= np.sum(g * grid.nodes, axis=1, keepdims=True) * grid.nodes
-        return g
+        return self.upper_polynomial().reflected_sphere_gradient(grid.nodes)
 
     def trace_norm_exact(self) -> float:
         """Exact L^2(S^n) norm of the trace via sphere moments."""
@@ -341,16 +334,19 @@ class HalfspaceSolution2D:
             return -self.sign * np.sin(self.mu * th)
         return self.sign * np.cos(self.mu * th)
 
-    def trace_dtheta(self, theta_folded: np.ndarray) -> np.ndarray:
-        th = np.asarray(theta_folded, dtype=float)
-        if self.family == "odd":
-            return -self.sign * self.mu * np.cos(self.mu * th)
-        return -self.sign * self.mu * np.sin(self.mu * th)
-
     def trace_on(self, grid: SphereGrid) -> np.ndarray:
-        if grid.n != 1:
-            raise ValueError("2D solutions trace onto S^1 grids only")
-        return self.trace(grid.theta_folded)
+        return self.trace(_circle_angles(grid))
+
+    def trace_gradient_on(self, grid: SphereGrid) -> np.ndarray:
+        """Tangential gradient of the circle trace, upper one-sided at the
+        equator: the folded-angle derivative times ``grid.folded_tangents``;
+        shape (N, 2)."""
+        th = _circle_angles(grid)
+        if self.family == "odd":
+            slope = -self.sign * self.mu * np.cos(self.mu * th)
+        else:
+            slope = -self.sign * self.mu * np.sin(self.mu * th)
+        return slope[:, None] * grid.folded_tangents
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -362,6 +358,12 @@ class HalfspaceSolution2D:
         with np.errstate(invalid="ignore"):
             out = np.where(r > 0.0, r**self.mu * self.trace(th), 0.0)
         return out[0] if scalar else out
+
+
+def _circle_angles(grid: SphereGrid) -> np.ndarray:
+    if grid.n != 1:
+        raise ValueError("2D solutions trace onto S^1 grids only")
+    return grid.theta_folded
 
 
 def halfspace_2d(mu: float) -> HalfspaceSolution2D:

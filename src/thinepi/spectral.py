@@ -71,10 +71,11 @@ class EigenBasis:
     """Ordered even eigenmodes vanishing on the masked equator nodes.
 
     ``values`` has one column per mode, normalized to unit L^2 norm on the
-    sphere.  For analytic bases, ``dtheta`` (n=1) or ``grads`` (n=2) hold
-    closed-form tangential derivatives, and ``equator_dn`` holds the one-sided
-    derivative taken from the upper half sphere in the direction of the upper
-    pole, evaluated at the equator nodes.
+    sphere.  For analytic bases, ``grads`` holds the closed-form tangential
+    gradient rows of every mode in ambient coordinates, upper-sided at the
+    equator, and ``equator_dn`` holds the one-sided derivative taken from the
+    upper half sphere in the direction of the upper pole, evaluated at the
+    equator nodes.
     """
 
     grid: SphereGrid
@@ -83,8 +84,7 @@ class EigenBasis:
     values: np.ndarray             # (N, count)
     source: str = "discrete"       # "discrete" or "analytic"
     degrees: np.ndarray | None = None      # per-mode homogeneity (analytic)
-    dtheta: np.ndarray | None = None       # (N, count), n=1 analytic
-    grads: np.ndarray | None = None        # (count, N, 3), n=2 analytic
+    grads: np.ndarray | None = None        # (count, N, n+1), analytic
     equator_dn: np.ndarray | None = None   # (count, n_equator)
     polys: list = field(default_factory=list, repr=False)  # n=2 analytic
     _mass_rows: dict = field(default_factory=dict, init=False, repr=False,
@@ -197,7 +197,8 @@ def _circle_analytic_basis(grid: SphereGrid, max_degree: int, dirichlet: bool) -
         grid=grid,
         mask=np.array(grid.equator if dirichlet else [], dtype=int),
         lambdas=np.array(lams), values=values, source="analytic",
-        degrees=np.array(degs), dtheta=np.column_stack(dcols),
+        degrees=np.array(degs),
+        grads=np.stack(dcols)[:, :, None] * grid.folded_tangents,
         equator_dn=np.array(eq_dn),
     )
     if dirichlet:
@@ -208,7 +209,6 @@ def _circle_analytic_basis(grid: SphereGrid, max_degree: int, dirichlet: bool) -
 def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     pts = grid.nodes.copy()
     pts[:, 2] = np.abs(pts[:, 2])
-    upper_sign = np.where(grid.nodes[:, 2] < 0.0, -1.0, 1.0)
     eq_pts = grid.nodes[grid.equator]
 
     cols, lams, degs, polys = [], [], [], []
@@ -228,11 +228,8 @@ def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
             cols.append(P(pts))
             lams.append(float(lambda_of(j, 2)))
             degs.append(j)
-            gP = P.gradient()
-            g = np.stack([gP[0](pts), gP[1](pts), upper_sign * gP[2](pts)], axis=1)
-            g -= (np.sum(g * grid.nodes, axis=1, keepdims=True)) * grid.nodes
-            grads_list.append(g)
-            eq_dn_rows.append(gP[2](eq_pts))
+            grads_list.append(P.reflected_sphere_gradient(grid.nodes))
+            eq_dn_rows.append(P.diff(2)(eq_pts))
     values = np.column_stack(cols)
     values[grid.equator, :] = 0.0
     return EigenBasis(

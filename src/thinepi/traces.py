@@ -1,12 +1,14 @@
 """Spherical trace functions: inner products and surface gradients.
 
 A trace couples node values on a SphereGrid with optional closed-form
-derivative data.  When derivatives are not supplied they are reconstructed
-numerically:
+derivative data.  On every sphere that data has one format: tangential
+gradient rows in ambient coordinates, shape (N, n+1), taken from the upper
+side at the equator (traces are even, so they may kink there).  When it is
+not supplied it is reconstructed from the node values:
 
-* circle: fourth-order-consistent centered differences in the angle away from
-  the equator, one-sided second-order stencils from the upper half at the two
-  equator nodes (traces are even, so they may kink there);
+* circle: fourth-order-consistent centered differences in the folded angle
+  away from the equator, one-sided second-order stencils from the upper half
+  at the two equator nodes, times the grid's ``folded_tangents``;
 * triangulated sphere: per-triangle P1 gradients averaged to vertices with
   area weights, restricted to upper triangles at equator vertices, then
   projected tangentially.
@@ -16,7 +18,7 @@ equator even when the trace kinks, so lumped quadrature of Dirichlet energies
 remains second-order accurate.
 
 Many traces at once: ``TraceColumns`` holds k traces as columns with their
-derivative data and their mass and gradient Gram matrices, and
+gradient rows and their mass and gradient Gram matrices, and
 ``TraceBatch`` holds traces as an offset plus rows of basis coefficients.
 """
 
@@ -33,11 +35,11 @@ from .grids import SphereGrid
 
 @dataclass
 class SphericalTrace:
-    """Node values of an even function on S^n with optional derivative data."""
+    """Node values of an even function on S^n with optional closed-form
+    gradient rows."""
 
     grid: SphereGrid
     values: np.ndarray
-    dtheta: np.ndarray | None = None   # n=1: derivative in the folded angle
     grad: np.ndarray | None = None     # (N, n+1) tangential, upper-sided at kinks
 
     def __post_init__(self):
@@ -52,47 +54,35 @@ class SphericalTrace:
     def norm_sq(self) -> float:
         return float(self.grid.inner(self.values, self.values))
 
-    def scaled(self, s: float) -> "SphericalTrace":
-        return SphericalTrace(
-            grid=self.grid, values=s * self.values,
-            dtheta=None if self.dtheta is None else s * self.dtheta,
-            grad=None if self.grad is None else s * self.grad)
-
     def __add__(self, other: "SphericalTrace") -> "SphericalTrace":
         if other.grid is not self.grid:
             raise ValueError("traces live on different grids")
-        dth = None
-        if self.dtheta is not None and other.dtheta is not None:
-            dth = self.dtheta + other.dtheta
         gr = None
         if self.grad is not None and other.grad is not None:
             gr = self.grad + other.grad
-        return SphericalTrace(self.grid, self.values + other.values, dth, gr)
-
-    def __sub__(self, other: "SphericalTrace") -> "SphericalTrace":
-        return self + other.scaled(-1.0)
+        return SphericalTrace(self.grid, self.values + other.values, gr)
 
     # -- derivatives --------------------------------------------------------
 
     def _surface_gradient(self) -> np.ndarray:
-        """Folded-angle derivative (n=1) or tangential gradient rows,
-        supplied or reconstructed from the node values."""
-        if self.grid.n == 1:
-            if self.dtheta is not None:
-                return self.dtheta
-            return circle_dtheta(self.grid, self.values)
+        """Tangential gradient rows, supplied or reconstructed."""
         if self.grad is not None:
             return self.grad
-        return vertex_gradients(self.grid, self.values)
+        return _reconstructed_gradient(self.grid, self.values)
 
     def gradient_dot(self, other: "SphericalTrace") -> np.ndarray:
         """Nodewise dot product of surface gradients (upper-sided at kinks);
         ``gradient_dot(self)`` is the squared surface gradient."""
         g1 = self._surface_gradient()
         g2 = g1 if other is self else other._surface_gradient()
-        if self.grid.n == 1:
-            return g1 * g2
         return np.sum(g1 * g2, axis=1)
+
+
+def _reconstructed_gradient(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """Tangential gradient rows of even node values, from the values alone."""
+    if grid.n == 1:
+        return circle_dtheta(grid, values)
+    return vertex_gradients(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +90,13 @@ class SphericalTrace:
 # ---------------------------------------------------------------------------
 
 def circle_dtheta(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """Derivative with respect to the folded angle at every node.
+    """Tangential gradient rows (N, 2) from the derivative with respect to
+    the folded angle at every node.
 
     Centered fourth-order stencils away from the equator; one-sided
     second-order stencils from the smooth side at the two equator nodes.
-    The result is expressed in the folded-angle convention, so it is an even
-    array for even inputs.
+    The folded-angle derivative is an even array for even inputs; each row
+    is that derivative times the node's ``grid.folded_tangents`` row.
     """
     num = grid.size
     half = num // 2
@@ -128,7 +119,7 @@ def circle_dtheta(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     d[half - 1] = (v[half] - v[half - 2]) / (2.0 * h)
     d[half + 1] = -(v[half + 2] - v[half]) / (2.0 * h)
     d[num - 1] = -(v[0] - v[num - 2]) / (2.0 * h)
-    return d
+    return d[:, None] * grid.folded_tangents
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +148,10 @@ def vertex_gradients(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_form_derivs(basis):
-    """A basis's closed-form derivative data for its grid, or None."""
-    return basis.dtheta if basis.grid.n == 1 else basis.grads
-
-
 @dataclass
 class TraceColumns:
     """k traces on one grid as node-value columns (N, k) with their
-    surface-derivative data: (N, k) folded-angle derivatives on S^1,
-    (k, N, 3) tangential gradients on S^2.  A block of traces is a (T, k)
+    tangential gradient rows (k, N, n+1).  A block of traces is a (T, k)
     array of coefficient rows over the columns, and its quadrature pairings
     are quadratic forms in ``grams``."""
 
@@ -176,28 +161,25 @@ class TraceColumns:
 
     @classmethod
     def of_basis(cls, basis) -> "TraceColumns":
-        """The modes of a basis, with its closed-form derivative data or,
-        lacking that, derivatives reconstructed mode by mode."""
+        """The modes of a basis, with its closed-form gradient rows or,
+        lacking those, rows reconstructed mode by mode."""
         grid = basis.grid
-        derivs = _closed_form_derivs(basis)
-        if derivs is None and grid.n == 1:
-            derivs = np.column_stack([circle_dtheta(grid, v) for v in basis.values.T])
-        elif derivs is None:
-            derivs = np.stack([vertex_gradients(grid, v) for v in basis.values.T])
+        derivs = basis.grads
+        if derivs is None:
+            derivs = np.stack([_reconstructed_gradient(grid, v)
+                               for v in basis.values.T])
         return cls(grid, basis.values, derivs)
 
     @classmethod
     def of_trace(cls, trace: SphericalTrace) -> "TraceColumns":
-        g = trace._surface_gradient()
         return cls(trace.grid, trace.values[:, None],
-                   g[:, None] if trace.grid.n == 1 else g[None])
+                   trace._surface_gradient()[None])
 
     def join(self, other: "TraceColumns") -> "TraceColumns":
         """The columns of ``self`` followed by those of ``other``."""
-        axis = 1 if self.grid.n == 1 else 0
         return TraceColumns(self.grid,
                             np.column_stack([self.values, other.values]),
-                            np.concatenate([self.derivs, other.derivs], axis))
+                            np.concatenate([self.derivs, other.derivs]))
 
     @functools.cached_property
     def grams(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +188,6 @@ class TraceColumns:
         w = self.grid.weights
         mass = self.values.T @ (w[:, None] * self.values)
         d = self.derivs
-        if self.grid.n == 1:
-            return mass, d.T @ (w[:, None] * d)
         return mass, sum((d[:, :, j] * w) @ d[:, :, j].T
                          for j in range(d.shape[2]))
 
@@ -217,20 +197,10 @@ class TraceColumns:
 # ---------------------------------------------------------------------------
 
 def trace_from_profile(p, grid: SphereGrid) -> SphericalTrace:
-    tr = SphericalTrace(grid, p.trace_on(grid), grad=p.trace_gradient_on(grid))
-    if grid.n == 1:
-        # convert the (upper-sided) planar gradient to a folded-angle
-        # derivative; only strictly-lower nodes flip orientation
-        tangent = np.column_stack([-grid.nodes[:, 1], grid.nodes[:, 0]])
-        sign = np.ones(grid.size)
-        sign[grid.size // 2 + 1:] = -1.0
-        tr.dtheta = np.sum(tr.grad * tangent, axis=1) * sign
-    return tr
-
-
-def trace_from_halfspace(sol, grid: SphereGrid) -> SphericalTrace:
-    return SphericalTrace(grid, sol.trace_on(grid),
-                          dtheta=sol.trace_dtheta(grid.theta_folded))
+    """The trace of any field with ``trace_on`` and ``trace_gradient_on``
+    (a blow-up profile or an explicit 2D solution), with its closed-form
+    gradient rows."""
+    return SphericalTrace(grid, p.trace_on(grid), grad=p.trace_gradient_on(grid))
 
 
 def trace_from_basis(basis, coeffs) -> SphericalTrace:
@@ -238,11 +208,10 @@ def trace_from_basis(basis, coeffs) -> SphericalTrace:
     if c.size < basis.count:
         c = np.append(c, np.zeros(basis.count - c.size))
     vals = basis.reconstruct(c)
-    dth = None if basis.dtheta is None else basis.dtheta @ c
     gr = None
     if basis.grads is not None:
         gr = np.einsum("k,kij->ij", c, basis.grads)
-    return SphericalTrace(basis.grid, vals, dtheta=dth, grad=gr)
+    return SphericalTrace(basis.grid, vals, grad=gr)
 
 
 @dataclass
@@ -301,7 +270,7 @@ class TraceBatch(Sequence):
         derivative data only when the basis carries closed-form data or
         the batch adds nothing to the offset."""
         offset = self.offset
-        if _closed_form_derivs(self.basis) is None and self.coeffs.any():
+        if self.basis.grads is None and self.coeffs.any():
             offset = SphericalTrace(offset.grid, offset.values)
         return TraceColumns.of_trace(offset).join(TraceColumns.of_basis(self.basis))
 

@@ -19,8 +19,7 @@ from thinepi.solver import (ProblemSpec, reduce_to_zero_obstacle,
                             solve_thin_obstacle)
 from thinepi.spectral import (eigenbasis, even_circle_basis,
                               half_sphere_basis)
-from thinepi.traces import trace_from_basis, trace_from_halfspace, \
-    trace_from_profile
+from thinepi.traces import trace_from_basis, trace_from_profile
 from thinepi.weiss import (beta_pairing, bilinear_R, homogeneous_extension,
                            weiss_quadrature, weiss_raised, weiss_spectral)
 
@@ -222,12 +221,12 @@ def test_criterion_05_offdegree_identities():
     for hom in (1.5, 2.0, 3.0):
         sol = halfspace_2d(hom)
         t = hom - 1.0
-        rep = weiss_of_offdegree(trace_from_halfspace(sol, fine), 1.0, t)
+        rep = weiss_of_offdegree(trace_from_profile(sol, fine), 1.0, t)
         worst_exact = max(worst_exact, abs(rep.identity1_defect),
                           abs(rep.identity2_defect))
         if hom == 1.5:
             w_three_halves = rep.w_offdegree
-        rep_q = weiss_of_offdegree(trace_from_halfspace(sol, coarse), 1.0, t,
+        rep_q = weiss_of_offdegree(trace_from_profile(sol, coarse), 1.0, t,
                                    use_derivative_data=False)
         worst_quad = max(worst_quad, abs(rep_q.identity1_defect),
                          abs(rep_q.identity2_defect))

@@ -199,6 +199,17 @@ def test_blowup_run_constructed(tmp_path):
     assert "circle" in svg and "stroke-dasharray" in svg
 
 
+def test_main_blowup_without_decay_fails_named_checks(tmp_path, capsys):
+    # amplitude 0 leaves the profile alone: every sup distance is rounding
+    # noise, so no decay exponent can be fitted
+    code = main(["blowup", "--amplitude", "0", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    for name in ("fit-resolved", "decay-exponent"):
+        line = next(ln for ln in out.splitlines() if f"  {name}  " in ln)
+        assert line.startswith("FAIL") and "no exponent was fitted" in line
+
+
 def test_stratify_run(tmp_path):
     manifest = run(_config("stratify", tmp_path, case="halfspace",
                            resolution=32, max_points=24))
@@ -383,14 +394,16 @@ def test_epi_check_batch_memory(tmp_path):
     assert peak < 24 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
 
 
-def test_epi_check_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("flags", [pytest.param(["--n", "2"], id="n2"),
+                                   pytest.param(["--m", "1"], id="m1")])
+def test_epi_check_bytes_do_not_depend_on_blas_threads(tmp_path, flags):
     code = "import sys, thinepi.cli; sys.exit(thinepi.cli.main(sys.argv[1:]))"
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(thinepi.__file__).parents[1]))
         out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-c", code, "epi-check", "--n", "2",
+        subprocess.run([sys.executable, "-c", code, "epi-check", *flags,
                         "--trials", "20", "--out", str(out),
                         "--cache-dir", str(tmp_path / "cache")],
                        env=env, check=True, capture_output=True, timeout=300)

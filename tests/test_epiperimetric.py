@@ -17,8 +17,7 @@ from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import lambda_of, mode_count_ell
-from thinepi.traces import TraceBatch, trace_from_basis, \
-    trace_from_halfspace, trace_from_profile
+from thinepi.traces import TraceBatch, trace_from_basis, trace_from_profile
 from thinepi.weiss import weiss_quadrature
 
 
@@ -132,13 +131,13 @@ def test_decompose_rejects_bad_traces(setup01, circle):
     vals[1:circle.size // 2] *= 1.0
     bad = trace_from_profile(p, circle)
     bad.values = vals + 0.3
-    bad.dtheta = None
+    bad.grad = None
     with pytest.raises(ValueError, match="admissibility"):
         decompose_trace(bad, p, delta, basis, half)
     # negative on the thin set
     neg = trace_from_profile(p, circle)
     neg.values = neg.values - 0.01
-    neg.dtheta = None
+    neg.grad = None
     with pytest.raises(ValueError, match="admissibility"):
         decompose_trace(neg, p, delta, basis, half)
 
@@ -354,7 +353,7 @@ def test_offdegree_identities_explicit_solutions(circle):
     cases = ((1.5, np.pi / 2.0), (2.0, np.pi), (3.0, 2.0 * np.pi))
     mu = 1.0
     for hom, expected in cases:
-        c = trace_from_halfspace(halfspace_2d(hom), circle)
+        c = trace_from_profile(halfspace_2d(hom), circle)
         rep = weiss_of_offdegree(c, mu, hom - mu)
         assert rep.w_offdegree == pytest.approx(expected, rel=1e-12)
         assert abs(rep.identity1_defect) < 1e-10
@@ -362,7 +361,7 @@ def test_offdegree_identities_explicit_solutions(circle):
 
 
 def test_offdegree_numeric_derivative_route(circle):
-    c = trace_from_halfspace(halfspace_2d(1.5), circle)
+    c = trace_from_profile(halfspace_2d(1.5), circle)
     rep = weiss_of_offdegree(c, 1.0, 0.5, use_derivative_data=False)
     assert rep.w_offdegree == pytest.approx(np.pi / 2.0, rel=1e-3)
     assert abs(rep.identity1_defect) < 1e-3

@@ -44,7 +44,7 @@ def test_half_circle_analytic_basis():
     assert np.allclose(basis.lambdas, [1.0, 4.0, 9.0, 16.0])
     assert basis.orthonormality_defect() < 1e-12
     # Mode 1 is |sin theta|/sqrt(pi), evenly reflected.
-    expect = np.abs(np.sin(grid.theta)) / np.sqrt(np.pi)
+    expect = np.sin(grid.theta_folded) / np.sqrt(np.pi)
     assert np.allclose(basis.values[:, 0], expect, atol=1e-12)
     # Exact evenness and exact vanishing on the equator.
     for k in range(basis.count):

@@ -1,4 +1,5 @@
-"""Vertex gradients on the triangulated sphere against a plain reference."""
+"""Vertex gradients on the triangulated sphere against a plain reference,
+and the gradient Gram matrix of trace columns against pairwise products."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from thinepi.grids import build_grid
-from thinepi.traces import vertex_gradients
+from thinepi.spectral import eigenbasis, half_sphere_basis
+from thinepi.traces import SphericalTrace, TraceColumns, vertex_gradients
 
 
 def reference_vertex_gradients(grid, values):
@@ -75,3 +77,20 @@ def test_vertex_gradients_need_triangles():
     grid = build_grid(2, 24, kind="latlong")
     with pytest.raises(ValueError):
         vertex_gradients(grid, np.zeros(grid.size))
+
+
+@pytest.mark.parametrize("kind", ["circle", "tri"])
+def test_gradient_gram_matches_pairwise_products(kind, tmp_path):
+    if kind == "circle":
+        basis = half_sphere_basis(1, 6, grid=build_grid(1, 512))
+        grads = basis.grads
+    else:
+        grid = build_grid(2, 32)
+        basis = eigenbasis(grid, grid.equator, 6, cache_dir=tmp_path)
+        grads = [None] * basis.count
+    grid = basis.grid
+    traces = [SphericalTrace(grid, v, grad=g) for v, g in zip(basis.values.T, grads)]
+    expected = np.array([[grid.weights @ a.gradient_dot(b) for b in traces]
+                         for a in traces])
+    gram = TraceColumns.of_basis(basis).grams[1]
+    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))

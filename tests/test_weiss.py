@@ -8,7 +8,7 @@ from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import eigenbasis, even_circle_basis, half_sphere_basis
 from thinepi.traces import SphericalTrace, TraceColumns, circle_dtheta, \
-    trace_from_basis, trace_from_halfspace, trace_from_profile
+    trace_from_basis, trace_from_profile
 from thinepi.weiss import (BallFunction, ball_sum, beta_pairing,
                            bilinear_R, bilinear_rows, default_radii,
                            homogeneous_extension, kappa, volume_integral,
@@ -32,7 +32,7 @@ def sin_basis(circle):
 
 def test_constant_function_energy_is_minus_mu_times_sphere_area(circle):
     const = SphericalTrace(circle, np.ones(circle.size),
-                           dtheta=np.zeros(circle.size))
+                           grad=np.zeros((circle.size, 2)))
     v = homogeneous_extension(const, 0.0)
     for mu in (0.5, 1.0, 2.0):
         assert weiss_quadrature(v, mu) == pytest.approx(-mu * 2.0 * np.pi, rel=1e-12)
@@ -42,7 +42,7 @@ def test_row_form_zero_numerator_is_exact_zero(circle):
     # degree 0 on S^1 has the non-integrable radial power r^-1, but the
     # constant's Dirichlet numerator vanishes, so only the boundary remains
     const = SphericalTrace(circle, np.ones(circle.size),
-                           dtheta=np.zeros(circle.size))
+                           grad=np.zeros((circle.size, 2)))
     w = weiss_rows(TraceColumns.of_trace(const), 1.0, [(0.0, np.ones((1, 1)))])
     assert w[0] == pytest.approx(-2.0 * np.pi, rel=1e-12)
 
@@ -61,7 +61,7 @@ def test_profile_extension_has_zero_energy(circle):
 
 
 def test_halfspace_three_halves_energy(circle):
-    c = trace_from_halfspace(halfspace_2d(1.5), circle)
+    c = trace_from_profile(halfspace_2d(1.5), circle)
     assert weiss_quadrature(homogeneous_extension(c, 1.5), 1.0) == \
         pytest.approx(np.pi / 2.0, rel=1e-12)
     assert weiss_quadrature(homogeneous_extension(c, 1.0), 1.0) == \
@@ -69,10 +69,10 @@ def test_halfspace_three_halves_energy(circle):
 
 
 def test_halfspace_integer_homogeneity_energies(circle):
-    c2 = trace_from_halfspace(halfspace_2d(2.0), circle)
+    c2 = trace_from_profile(halfspace_2d(2.0), circle)
     assert weiss_quadrature(homogeneous_extension(c2, 2.0), 1.0) == \
         pytest.approx(np.pi, rel=1e-12)
-    c3 = trace_from_halfspace(halfspace_2d(3.0), circle)
+    c3 = trace_from_profile(halfspace_2d(3.0), circle)
     assert weiss_quadrature(homogeneous_extension(c3, 3.0), 1.0) == \
         pytest.approx(2.0 * np.pi, rel=1e-12)
 
@@ -278,7 +278,7 @@ def test_bilinear_R_needs_parts(sin_basis):
 
 def test_volume_integral_and_tilde_energy(circle):
     const = SphericalTrace(circle, np.ones(circle.size),
-                           dtheta=np.zeros(circle.size))
+                           grad=np.zeros((circle.size, 2)))
     v = _sampled(1.0, const)
     # int_B r * 1 dx = 2*pi * int_0^1 r * r dr = 2*pi/3
     assert volume_integral(v, lambda pts: np.ones(len(pts))) == \
@@ -307,8 +307,28 @@ def test_kappa_matches_its_definition(alpha, mu):
     assert kappa(alpha, mu, n) == pytest.approx((alpha - mu) / (n + alpha + mu - 1))
 
 
-def test_numeric_circle_derivative_consistency(circle):
-    p = make_profile(1, 1)
-    tr = trace_from_profile(p, circle)
-    d_num = circle_dtheta(circle, tr.values)
-    assert np.max(np.abs(d_num - tr.dtheta)) < 1e-4
+def _circle_closed_forms(name, grid):
+    """(values, gradient rows) pairs with closed-form gradients."""
+    if name == "half-basis":
+        basis = half_sphere_basis(1, 6, grid=grid)
+        return list(zip(basis.values.T, basis.grads))
+    field = {"profile-m1": lambda: make_profile(1, 1),
+             "halfspace-1.5": lambda: halfspace_2d(1.5),
+             "halfspace-3": lambda: halfspace_2d(3.0)}[name]()
+    tr = trace_from_profile(field, grid)
+    return [(tr.values, tr.grad)]
+
+
+# The reconstruction error relative to the largest row norm grows with the
+# degree: 2.8e-5 for the profile, 1.1e-4 for the degree-6 mode.  At 5e-5
+# the profile's bound is below 1e-4 absolute (its row norms reach 1.69).
+@pytest.mark.parametrize("name, rtol", [
+    pytest.param(name, rtol, id=name) for name, rtol in (
+        ("profile-m1", 5e-5), ("halfspace-1.5", 5e-5), ("halfspace-3", 5e-5),
+        ("half-basis", 2e-4))])
+def test_circle_gradient_rows_match_reconstruction(circle, name, rtol):
+    for values, grad in _circle_closed_forms(name, circle):
+        assert np.max(np.abs(np.sum(grad * circle.nodes, axis=1))) <= 1e-12
+        scale = np.max(np.linalg.norm(grad, axis=1))
+        err = np.linalg.norm(circle_dtheta(circle, values) - grad, axis=1)
+        assert np.max(err) <= rtol * scale
