@@ -37,9 +37,8 @@ from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
                        mode_count_ell)
 from .traces import (SphericalTrace, TraceBatch, TraceColumns,
                      trace_from_basis, trace_from_profile)
-from .weiss import (BallFunction, _degree_for, ball_sum, beta_rows,
-                    bilinear_rows, kappa, weiss_raised, weiss_rows,
-                    weiss_spectral)
+from .weiss import (_degree_for, beta_rows, bilinear_rows, kappa,
+                    weiss_raised, weiss_rows, weiss_spectral)
 
 
 @dataclass(frozen=True)
@@ -249,11 +248,6 @@ def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
 # Positive-case competitor
 # ---------------------------------------------------------------------------
 
-def build_competitor_positive(dec: Decomposition, m: int) -> BallFunction:
-    """zeta = r^(2m+1) P + r^(2m+3/2) phi."""
-    return ball_sum([(dec.mu, dec.p_part), (2 * m + 1.5, dec.phi)])
-
-
 @dataclass
 class EpiReport:
     mu: float
@@ -411,20 +405,15 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
 
 
 def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
-                              m: int, basis_delta: EigenBasis | None = None):
-    """``certify_negative`` for one trace, within the default eps, with the
-    competitor zeta = r^mu h + r^alpha phi.  Returns (zeta, alpha, report)."""
-    ell = mode_count_ell(c.grid.n, m)
+                              m: int, basis_delta: EigenBasis | None = None
+                              ) -> NegativeEpiReport:
+    """``certify_negative`` for one trace, within the default eps: the
+    report on the competitor zeta = r^mu h + r^alpha phi."""
     if basis_delta is None:
-        basis_delta = _delta_basis(p, c.grid, delta,
-                                   ell + DEFAULT_CONFIG.extra_modes)
-    report = certify_negative(TraceBatch.of_trace(c, basis_delta), p, m,
-                              DEFAULT_CONFIG.eps)[0]
-    coeffs = basis_delta.project(c.values)
-    top = np.arange(basis_delta.count) == ell - 1
-    zeta = ball_sum([(report.mu, trace_from_basis(basis_delta, coeffs * top)),
-                     (report.alpha, trace_from_basis(basis_delta, coeffs * ~top))])
-    return zeta, report.alpha, report
+        basis_delta = _delta_basis(
+            p, c.grid, delta, mode_count_ell(c.grid.n, m) + DEFAULT_CONFIG.extra_modes)
+    return certify_negative(TraceBatch.of_trace(c, basis_delta), p, m,
+                            DEFAULT_CONFIG.eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +431,17 @@ class OffDegreeReport:
     identity2_defect: float           # w_at_mu - (1 + t/(n+2mu-1)) w_offdegree
 
 
-def weiss_of_offdegree(c: SphericalTrace, mu: float, t: float,
-                       use_derivative_data: bool = True) -> OffDegreeReport:
+def weiss_of_offdegree(c: SphericalTrace, mu: float, t: float) -> OffDegreeReport:
     """Both identities for traces of (mu+t)-homogeneous solutions:
 
         W_mu(r^(mu+t) c) = t |c|^2,
         W_mu(r^mu c)     = (1 + t/(n+2mu-1)) W_mu(r^(mu+t) c).
 
-    Both energies come from one ``weiss_rows`` call, one power per row.
-    Without derivative data, the trace's surface derivatives are
-    reconstructed from its node values.
+    Both energies come from one ``weiss_rows`` call, one power per row.  A
+    trace without derivative data has its surface derivatives reconstructed
+    from its node values.
     """
     n = c.grid.n
-    if not use_derivative_data:
-        c = SphericalTrace(c.grid, c.values)
     w_off, w_mu = (float(w) for w in weiss_rows(
         TraceColumns.of_trace(c), mu,
         [(np.array([mu + t, mu]), np.ones((2, 1)))]))

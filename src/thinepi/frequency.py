@@ -15,6 +15,7 @@ at most ``_READ_POINTS`` points per evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,9 +29,8 @@ from .polynomials import Polynomial, monomials_of_degree
 from .profiles import BlowupProfile, HalfspaceSolution2D, \
     _profile_from_slope, operator_T, verify_admissible, zero_set
 from .solver import GridSolution, zero_obstacle_field
-from .traces import SphericalTrace
-from .weiss import BallFunction, default_radii, homogeneous_extension, \
-    weiss_quadrature, weiss_tilde
+from .traces import SphericalTrace, TraceColumns
+from .weiss import weiss_rows
 
 _GRID_CACHE: dict = {}
 
@@ -361,28 +361,68 @@ def truncated_frequency(v, x0, params: FrequencyParams | None = None,
 # Homogeneous rescalings and their scale energy
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _default_radii(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre radial rule on (0,1) plus a zero-weight node at r=1,
+    built once per count and shared by every caller as read-only arrays."""
+    r, w = radial_rule(count)
+    radii, weights = np.append(r, 1.0), np.append(w, 0.0)
+    for shared in (radii, weights):
+        shared.flags.writeable = False
+    return radii, weights
+
+
+def _sampled_energy(values: np.ndarray, grid: SphereGrid, mu: float,
+                    h) -> float:
+    """W_mu of a function sampled on the ball, row k of ``values`` (R+1, N)
+    at the k-th radius of ``_default_radii(R)`` (the last row is the
+    boundary trace), plus int_B v h when a forcing field h is given.
+
+    The polar product rule: radial derivatives are second-order
+    differences, the angular part is the surface-gradient pairing at each
+    radius, and the radial integrands r^n * profile(r) are integrated with
+    the weights of ``_default_radii``.
+    """
+    radii, weights = _default_radii(values.shape[0] - 1)
+    dva = np.gradient(values, radii, axis=0)
+    ang_w = grid.weights
+    cross = np.empty(radii.size)
+    for k in range(radii.size):
+        ta = SphericalTrace(grid, values[k])
+        cross[k] = float(ang_w @ ta.gradient_dot(ta))
+    radial_profile = (dva * dva) @ ang_w + cross / radii ** 2
+    dirichlet = float(weights @ (radial_profile * radii ** grid.n))
+    energy = dirichlet - mu * float(grid.inner(values[-1], values[-1]))
+    if h is None:
+        return energy
+    hv = np.empty_like(values)
+    for k, r in enumerate(radii):
+        hv[k] = h(r * grid.nodes)
+    radial_profile = (values * hv) @ ang_w
+    return energy + float(weights @ (radial_profile * radii ** grid.n))
+
+
 def _homogeneous_rescaling(adapter: FieldAdapter, x0: np.ndarray, r: float,
                            mu: float, grid: SphereGrid,
-                           count: int) -> BallFunction:
+                           count: int) -> np.ndarray:
     """The mu-homogeneous rescaling v(x0 + r.)/r^mu sampled on the ball at
-    ``default_radii(count)``, all spheres in one read; the last row, of
-    radius r, is the rescaled trace."""
+    ``_default_radii(count)``, all spheres in one read: one row per radius,
+    the last row, of radius r, is the rescaled trace."""
     _check_reach(adapter, x0, r)
-    radii, _ = default_radii(count)
-    values = _on_spheres(adapter, x0, r * radii, grid)
-    return BallFunction(grid=grid, values=values / r ** mu)
+    radii, _ = _default_radii(count)
+    return _on_spheres(adapter, x0, r * radii, grid) / r ** mu
 
 
 def _scale_energy(adapter: FieldAdapter, x0: np.ndarray, r: float, mu: float,
                   grid: SphereGrid, count: int,
-                  h) -> tuple[float, BallFunction]:
-    """(G, ball): the homogeneous rescaling at scale r and its energy
+                  h) -> tuple[float, np.ndarray]:
+    """(G, values): the homogeneous rescaling at scale r and its energy
     W_mu, plus the volume term of the rescaled forcing field when h is
     given."""
-    ball = _homogeneous_rescaling(adapter, x0, r, mu, grid, count)
-    if h is None:
-        return weiss_quadrature(ball, mu), ball
-    return weiss_tilde(ball, _rescaled_forcing(h, x0, r, mu), mu), ball
+    values = _homogeneous_rescaling(adapter, x0, r, mu, grid, count)
+    if h is not None:
+        h = _rescaled_forcing(h, x0, r, mu)
+    return _sampled_energy(values, grid, mu, h), values
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +476,10 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
         raise ValueError("radii must be strictly decreasing")
 
     def energy_at(r: float) -> tuple[float, float]:
-        w, ball = _scale_energy(adapter, x0, r, mu, grid, 48, h)
-        trace = SphericalTrace(grid, ball.values[-1])
-        z = homogeneous_extension(trace, mu)
-        return w, weiss_quadrature(z, mu) - w
+        w, values = _scale_energy(adapter, x0, r, mu, grid, 48, h)
+        z = weiss_rows(TraceColumns.of_trace(SphericalTrace(grid, values[-1])),
+                       mu, [(mu, np.ones((1, 1)))])
+        return w, float(z[0]) - w
 
     def deviation_at(r: float) -> float:
         """Integral over the unit sphere of (radial derivative of the
@@ -511,17 +551,19 @@ def oscillation_bound_check(v, mu: float, r: float, r_prime: float,
     d = adapter.dimension
     x0 = _center(x0, d)
     grid = _diagnostic_sphere(d - 1)
-    G, ball = _scale_energy(adapter, x0, r, mu, grid, 64, h)
+    G, values = _scale_energy(adapter, x0, r, mu, grid, 64, h)
     _check_reach(adapter, x0, r_prime)
     t_rp = _on_spheres(adapter, x0, (r_prime,), grid)[0] / r_prime ** mu
-    left = float(grid.weights @ np.abs(ball.values[-1] - t_rp))
+    left = float(grid.weights @ np.abs(values[-1] - t_rp))
     G += c_w * r ** (k + gamma - mu)
     negative = G < 0.0
     right_base = math.sqrt(math.log(r / r_prime)) * math.sqrt(max(G, 0.0))
     if right_base > 0.0:
         c_emp = left / right_base
     else:
-        c_emp = 0.0 if left <= 1e-14 else math.inf
+        # rounding-level distances, relative to the L1 norm of the r-trace
+        norm = float(grid.weights @ np.abs(values[-1]))
+        c_emp = 0.0 if left <= 1e-14 * norm else math.inf
     return OscillationReport(r=r, r_prime=r_prime, left=left, energy=float(G),
                              right_base=right_base, c_empirical=c_emp,
                              negative_energy=bool(negative))

@@ -4,7 +4,7 @@ The energy of a function v on B_1 at parameter mu is
 
     W_mu(v) = int_B |grad v|^2 dx  -  mu * int_{dB} v^2 dH^n.
 
-Three evaluation routes are provided:
+Two evaluation routes are provided:
 
 * eigenvalue sums over eigenbasis coefficients, via the exact
 
@@ -13,12 +13,9 @@ Three evaluation routes are provided:
 * the Gram-row closed form for finite sums of homogeneous pieces: the
   radial integrals are closed-form, and the angular pairings are quadratic
   forms in the mass and surface-gradient Gram matrices of ``TraceColumns``
-  (``weiss_rows`` and ``bilinear_rows``, one value per coefficient row;
-  ``weiss_quadrature`` and ``bilinear_R`` on ``BallFunction.parts`` use one
-  unit row per part);
-* the sampled polar rule for ``BallFunction.values`` on the radii of
-  ``default_radii``, with second-order radial differencing (W_mu, and
-  ``volume_integral`` against a forcing field).
+  (``weiss_rows`` and ``bilinear_rows``, one value per coefficient row).
+  A single trace c gives W_mu(r^a c) as ``weiss_rows`` over
+  ``TraceColumns.of_trace(c)`` with the one row [[1.0]].
 
 Raising the radial power from mu to alpha has the closed form
 
@@ -41,12 +38,10 @@ pairing for each row.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SphereGrid, radial_rule
 from .spectral import EigenBasis, half_sphere_basis, lambda_of, multiplicity
 from .traces import SphericalTrace, TraceColumns
 
@@ -57,69 +52,7 @@ def kappa(alpha: float, mu: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Functions on the ball
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BallFunction:
-    """Function on the unit ball, in one of two representations.
-
-    ``parts`` -- a finite list of (degree, trace) pairs with
-    v = sum_i r^degree_i * trace_i(angle), whose radial integrals are
-    evaluated in closed form -- or ``values`` of shape (R + 1, grid.size),
-    row k sampled at the k-th radius of ``default_radii(R)``, so the last
-    row is the boundary trace.
-    """
-
-    grid: SphereGrid
-    values: np.ndarray | None = None
-    parts: list[tuple[float, SphericalTrace]] | None = None
-
-    def __post_init__(self):
-        if self.values is None and self.parts is None:
-            raise ValueError("either values or parts must be given")
-        if self.values is not None:
-            self.values = np.asarray(self.values, dtype=float)
-            if (self.values.ndim != 2 or self.values.shape[0] < 2
-                    or self.values.shape[1] != self.grid.size):
-                raise ValueError("values must have shape (R + 1, grid.size)")
-
-    def boundary_trace(self) -> np.ndarray:
-        if self.parts is not None:
-            return np.sum([tr.values for _, tr in self.parts], axis=0)
-        return self.values[-1]
-
-    def boundary_sq_integral(self) -> float:
-        b = self.boundary_trace()
-        return float(self.grid.inner(b, b))
-
-
-@functools.cache
-def default_radii(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radial rule on (0,1) plus a zero-weight node at r=1,
-    built once per count and shared by every caller as read-only arrays."""
-    r, w = radial_rule(count)
-    radii, weights = np.append(r, 1.0), np.append(w, 0.0)
-    for shared in (radii, weights):
-        shared.flags.writeable = False
-    return radii, weights
-
-
-def homogeneous_extension(c: SphericalTrace, degree: float) -> BallFunction:
-    """Extend a trace to the ball as r^degree * c(angle)."""
-    return BallFunction(grid=c.grid, parts=[(float(degree), c)])
-
-
-def ball_sum(parts: list[tuple[float, SphericalTrace]]) -> BallFunction:
-    """Finite sum of homogeneous pieces sharing one grid."""
-    if not parts:
-        raise ValueError("need at least one part")
-    return BallFunction(grid=parts[0][1].grid,
-                        parts=[(float(d), t) for d, t in parts])
-
-
-# ---------------------------------------------------------------------------
-# Quadrature route
+# Gram-row route
 # ---------------------------------------------------------------------------
 
 def _radial_moment(n: int, power):
@@ -139,14 +72,6 @@ def _pair_energy(n: int, a, b, mass, grad):
     if not np.any(num):
         return np.zeros_like(num)
     return num * _radial_moment(n, a + b)
-
-
-def _parts_columns(parts) -> tuple[TraceColumns, np.ndarray]:
-    """The traces of homogeneous parts as columns, each with its own
-    derivative data, and one unit coefficient row per part."""
-    columns = functools.reduce(
-        TraceColumns.join, (TraceColumns.of_trace(t) for _, t in parts))
-    return columns, np.eye(len(parts))
 
 
 def _row_pairing(columns: TraceColumns, x: np.ndarray, y: np.ndarray):
@@ -176,83 +101,13 @@ def weiss_rows(columns: TraceColumns, mu: float, pieces) -> np.ndarray:
 
 
 def bilinear_rows(columns: TraceColumns, mu: float, left, right) -> np.ndarray:
-    """R_mu(r^a s_t, r^b u_t) for each row t, with left = (a, rows of s)
-    and right = (b, rows of u) over ``columns``, as in ``bilinear_R``."""
+    """R_mu(r^a s_t, r^b u_t) = int_B grad(r^a s_t) . grad(r^b u_t)
+    - mu int_{dB} s_t u_t for each row t, with left = (a, rows of s) and
+    right = (b, rows of u) over ``columns``; a and b are powers or one
+    power per row."""
     (a, x), (b, y) = left, right
     mass, grad = _row_pairing(columns, x, y)
     return _pair_energy(columns.grid.n, a, b, mass, grad) - mu * mass
-
-
-def _radial_samples(v: BallFunction):
-    """(values, radii, weights) of a sampled ball function."""
-    if v.values is None:
-        raise ValueError("need a ball function given by sampled values")
-    radii, weights = default_radii(v.values.shape[0] - 1)
-    return v.values, radii, weights
-
-
-def _sampled_dirichlet(v: BallFunction) -> float:
-    """int_B |grad v|^2 by the polar product rule on sampled values.
-
-    Radial derivatives are second-order differences; the angular part uses
-    the surface-gradient pairing at each radius, and the radial integrand
-    r^n * profile(r) is integrated with the weights of ``default_radii``.
-    """
-    va, radii, weights = _radial_samples(v)
-    dva = np.gradient(va, radii, axis=0)
-    ang_w = v.grid.weights
-    cross = np.empty(radii.size)
-    for k in range(radii.size):
-        ta = SphericalTrace(v.grid, va[k])
-        cross[k] = float(ang_w @ ta.gradient_dot(ta))
-    radial_profile = (dva * dva) @ ang_w + cross / radii ** 2
-    return float(weights @ (radial_profile * radii ** v.grid.n))
-
-
-def weiss_quadrature(v: BallFunction, mu: float) -> float:
-    """Quadrature evaluation of W_mu(v); no spectral data is consulted.
-
-    For sums of homogeneous parts the radial integrals are closed-form and
-    only the angular quadrature is numerical: ``weiss_rows`` over the
-    parts' traces, one unit row per part.  For sampled values, the polar
-    product rule with second-order radial differencing.
-    """
-    if v.parts is not None:
-        columns, unit = _parts_columns(v.parts)
-        return float(weiss_rows(columns, mu, [
-            (a, unit[i:i + 1]) for i, (a, _) in enumerate(v.parts)])[0])
-    return _sampled_dirichlet(v) - mu * v.boundary_sq_integral()
-
-
-def bilinear_R(v: BallFunction, w: BallFunction, mu: float) -> float:
-    """R_mu(v,w) = int_B grad v . grad w - mu int_{dB} v w for two sums of
-    homogeneous parts: the sum over all pairs of parts of ``bilinear_rows``
-    over the parts' traces, one unit row per part."""
-    if v.grid is not w.grid:
-        raise ValueError("ball functions live on different grids")
-    if v.parts is None or w.parts is None:
-        raise ValueError("bilinear_R needs two sums of homogeneous parts")
-    columns, unit = _parts_columns(v.parts + w.parts)
-    i, j = np.divmod(np.arange(len(v.parts) * len(w.parts)), len(w.parts))
-    a = np.array([d for d, _ in v.parts])[i]
-    b = np.array([d for d, _ in w.parts])[j]
-    return float(np.sum(bilinear_rows(
-        columns, mu, (a, unit[i]), (b, unit[len(v.parts) + j]))))
-
-
-def volume_integral(v: BallFunction, h) -> float:
-    """int_B v * h for a sampled v and h callable on points."""
-    vals, radii, weights = _radial_samples(v)
-    hv = np.empty_like(vals)
-    for k, r in enumerate(radii):
-        hv[k] = h(r * v.grid.nodes)
-    radial_profile = (vals * hv) @ v.grid.weights
-    return float(weights @ (radial_profile * radii ** v.grid.n))
-
-
-def weiss_tilde(v: BallFunction, h, mu: float) -> float:
-    """Obstacle-adjusted energy W_mu(v) + int_B v h for a forcing term h."""
-    return weiss_quadrature(v, mu) + volume_integral(v, h)
 
 
 # ---------------------------------------------------------------------------

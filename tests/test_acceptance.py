@@ -19,9 +19,10 @@ from thinepi.solver import (ProblemSpec, reduce_to_zero_obstacle,
                             solve_thin_obstacle)
 from thinepi.spectral import (eigenbasis, even_circle_basis,
                               half_sphere_basis)
-from thinepi.traces import trace_from_basis, trace_from_profile
-from thinepi.weiss import (beta_pairing, bilinear_R, homogeneous_extension,
-                           weiss_quadrature, weiss_raised, weiss_spectral)
+from thinepi.traces import (SphericalTrace, TraceColumns, trace_from_basis,
+                            trace_from_profile)
+from thinepi.weiss import (beta_pairing, bilinear_rows, weiss_raised,
+                           weiss_rows, weiss_spectral)
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -71,9 +72,10 @@ def test_criterion_01_spectral_identity_suite():
         alpha = mu + rng.uniform(0.1, 1.0)
         trace = trace_from_basis(basis, c)
         w_mu = weiss_spectral(c, basis, mu)
-        q_mu = weiss_quadrature(homogeneous_extension(trace, mu), mu)
+        columns = TraceColumns.of_trace(trace)
+        q_mu = weiss_rows(columns, mu, [(mu, np.ones((1, 1)))])[0]
         w_up = weiss_raised(c, basis, mu, alpha).value
-        q_up = weiss_quadrature(homogeneous_extension(trace, alpha), mu)
+        q_up = weiss_rows(columns, mu, [(alpha, np.ones((1, 1)))])[0]
         worst_exact = max(worst_exact,
                           abs(q_mu - w_mu) / max(abs(w_mu), 1e-30),
                           abs(q_up - w_up) / max(abs(w_up), 1e-30))
@@ -92,7 +94,8 @@ def test_criterion_01_spectral_identity_suite():
             c /= np.linalg.norm(c)
             w_s = weiss_spectral(c, disc, mu2)
             trace = trace_from_basis(disc, c)
-            w_q = weiss_quadrature(homogeneous_extension(trace, mu2), mu2)
+            w_q = weiss_rows(TraceColumns.of_trace(trace), mu2,
+                             [(mu2, np.ones((1, 1)))])[0]
             worst = max(worst, abs(w_q - w_s) / abs(w_s))
         worsts.append(worst)
     elapsed = time.perf_counter() - t_start
@@ -126,9 +129,10 @@ def test_criterion_02_double_product_identity():
         mu = rng.uniform(0.5, 2.5)
         alpha = rng.uniform(0.5, 3.0)
         rep = beta_pairing(phi_c, psi, mu, alpha, basis=sin_basis)
-        v_phi = homogeneous_extension(trace_from_basis(sin_basis, phi_c), mu)
-        v_psi = homogeneous_extension(psi, alpha)
-        r_val = bilinear_R(v_phi, v_psi, mu)
+        columns = TraceColumns.of_trace(
+            trace_from_basis(sin_basis, phi_c)).join(TraceColumns.of_trace(psi))
+        r_val = bilinear_rows(columns, mu, (mu, np.array([[1.0, 0.0]])),
+                              (alpha, np.array([[0.0, 1.0]])))[0]
         worst = max(worst,
                     abs((1 + alpha + mu - 1.0) * r_val - rep.beta))
 
@@ -196,11 +200,11 @@ def test_criterion_04_negative_energy_improvement():
         p = make_profile(m, 1)
         delta, basis = choose_delta(p, circle, m)
         for trace in sample_negative_traces(p, basis, m, 100, rng):
-            _, alpha, rep = build_competitor_negative(
-                trace, p, delta, m, basis_delta=basis)
+            rep = build_competitor_negative(trace, p, delta, m,
+                                            basis_delta=basis)
             min_slack = min(min_slack, rep.slack)
             window_ok = window_ok and -0.05 < rep.w_z < 0.0
-            alpha_ok = alpha_ok and 2 * m < alpha < 2 * m + 1
+            alpha_ok = alpha_ok and 2 * m < rep.alpha < 2 * m + 1
 
     passed = min_slack >= -1e-8 and window_ok and alpha_ok
     _report(4, "negative energy improvement", passed,
@@ -226,8 +230,9 @@ def test_criterion_05_offdegree_identities():
                           abs(rep.identity2_defect))
         if hom == 1.5:
             w_three_halves = rep.w_offdegree
-        rep_q = weiss_of_offdegree(trace_from_profile(sol, coarse), 1.0, t,
-                                   use_derivative_data=False)
+        sampled = trace_from_profile(sol, coarse)
+        rep_q = weiss_of_offdegree(SphericalTrace(coarse, sampled.values),
+                                   1.0, t)
         worst_quad = max(worst_quad, abs(rep_q.identity1_defect),
                          abs(rep_q.identity2_defect))
 

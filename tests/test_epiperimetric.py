@@ -7,7 +7,6 @@ import pytest
 from thinepi import epiperimetric
 from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis,
                                    build_competitor_negative,
-                                   build_competitor_positive,
                                    certify_negative, certify_positive,
                                    choose_delta,
                                    decompose_trace, gap_demo,
@@ -17,8 +16,8 @@ from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import lambda_of, mode_count_ell
-from thinepi.traces import TraceBatch, trace_from_basis, trace_from_profile
-from thinepi.weiss import weiss_quadrature
+from thinepi.traces import (SphericalTrace, TraceBatch, trace_from_basis,
+                            trace_from_profile)
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +217,7 @@ def test_positive_competitor_boundary_matches_trace(setup01):
     rng = np.random.default_rng(23)
     c = sample_positive_traces(p, basis, 0, 1, rng)[0]
     dec = decompose_trace(c, p, delta, basis, half)
-    zeta = build_competitor_positive(dec, 0)
-    assert np.max(np.abs(zeta.boundary_trace() - c.values)) < 1e-10
+    assert np.max(np.abs(dec.p_part.values + dec.phi.values - c.values)) < 1e-10
 
 
 def _assert_reports_match(batch_report, single):
@@ -249,9 +247,8 @@ def test_batch_matches_one_trace_api(circle, setup01, setup02, setup11):
         batch = sample_negative_traces(p, basis, m, 6, rng)
         reports = certify_negative(batch, p, m, DEFAULT_CONFIG.eps)
         for c, rep in zip(batch, reports):
-            _, alpha, single = build_competitor_negative(c, p, delta, m,
-                                                         basis_delta=basis)
-            assert alpha == single.alpha
+            single = build_competitor_negative(c, p, delta, m,
+                                               basis_delta=basis)
             _assert_reports_match(rep, single)
 
 
@@ -274,7 +271,8 @@ def test_negative_worked_case(setup11):
     coeffs = np.zeros(basis.count)
     coeffs[0] = a
     c = trace_from_profile(p, basis.grid) + trace_from_basis(basis, coeffs)
-    zeta, alpha, rep = build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+    rep = build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+    alpha = rep.alpha
     w_exact = (1.0 - 9.0) * a * a / 6.0
     assert rep.w_z == pytest.approx(w_exact, rel=1e-10)
     absw = -w_exact
@@ -293,10 +291,9 @@ def test_negative_certificate_random_traces(circle, setup11):
     p, delta, basis, half = setup11
     rng = np.random.default_rng(24)
     for c in sample_negative_traces(p, basis, 1, 20, rng):
-        zeta, alpha, rep = build_competitor_negative(c, p, delta, 1,
-                                                     basis_delta=basis)
+        rep = build_competitor_negative(c, p, delta, 1, basis_delta=basis)
         assert -0.05 < rep.w_z < 0.0
-        assert 2.0 < alpha < 3.0
+        assert 2.0 < rep.alpha < 3.0
         assert rep.w_zeta <= (1.0 + abs(rep.w_z)) * rep.w_z + 1e-8
         assert rep.kappa == pytest.approx(abs(rep.w_z), rel=1e-12)
         assert rep.sign_ok
@@ -311,9 +308,8 @@ def test_negative_certificate_higher_profile(circle):
     delta, basis = choose_delta(p, circle, 2)
     rng = np.random.default_rng(25)
     for c in sample_negative_traces(p, basis, 2, 5, rng):
-        zeta, alpha, rep = build_competitor_negative(c, p, delta, 2,
-                                                     basis_delta=basis)
-        assert 4.0 < alpha < 5.0
+        rep = build_competitor_negative(c, p, delta, 2, basis_delta=basis)
+        assert 4.0 < rep.alpha < 5.0
         assert rep.passed
 
 
@@ -362,7 +358,7 @@ def test_offdegree_identities_explicit_solutions(circle):
 
 def test_offdegree_numeric_derivative_route(circle):
     c = trace_from_profile(halfspace_2d(1.5), circle)
-    rep = weiss_of_offdegree(c, 1.0, 0.5, use_derivative_data=False)
+    rep = weiss_of_offdegree(SphericalTrace(c.grid, c.values), 1.0, 0.5)
     assert rep.w_offdegree == pytest.approx(np.pi / 2.0, rel=1e-3)
     assert abs(rep.identity1_defect) < 1e-3
 

@@ -435,11 +435,11 @@ def test_rescale_guards(sol_profile32):
 def test_rescale_ball_has_zero_scale_energy(p01):
     ball = _rescaling(p01, 0.6, 64)
     grid = default_sphere(1)
-    assert np.abs(ball.values[-1] - p01.trace_on(grid)).max() <= 1e-14
+    assert np.abs(ball[-1] - p01.trace_on(grid)).max() <= 1e-14
     energy, same = frequency._scale_energy(
         frequency.FieldAdapter.adapt(p01), np.zeros(2), 0.6, 1.0, grid, 64,
         None)
-    assert np.array_equal(same.values, ball.values)
+    assert np.array_equal(same, ball)
     assert abs(energy) <= 1e-9
 
 
@@ -527,6 +527,15 @@ def test_oscillation_coincident_and_homogeneous(p01):
     rep2 = oscillation_bound_check(p01, 1.0, 0.5, 0.2)
     assert rep2.left <= 1e-12
     assert rep2.c_empirical == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e8, 1e20])
+def test_oscillation_exact_profile_at_any_scale(p01, scale):
+    # a homogeneous field's rescalings agree to rounding, relative to the
+    # field's own size, so no oscillation is reported at any data scale
+    rep = oscillation_bound_check(lambda pts: scale * p01(pts), 1.0, 0.5, 0.2,
+                                  dimension=2)
+    assert rep.c_empirical == 0.0
 
 
 def test_oscillation_mixed_field(p01, h32):

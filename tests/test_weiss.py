@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thinepi import frequency
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import eigenbasis, even_circle_basis, half_sphere_basis
 from thinepi.traces import SphericalTrace, TraceColumns, circle_dtheta, \
     trace_from_basis, trace_from_profile
-from thinepi.weiss import (BallFunction, ball_sum, beta_pairing,
-                           bilinear_R, bilinear_rows, default_radii,
-                           homogeneous_extension, kappa, volume_integral,
-                           weiss_quadrature, weiss_raised, weiss_rows,
-                           weiss_spectral, weiss_tilde)
+from thinepi.weiss import (beta_pairing, bilinear_rows, kappa, weiss_raised,
+                           weiss_rows, weiss_spectral)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +24,19 @@ def sin_basis(circle):
     return half_sphere_basis(1, 10, grid=circle)
 
 
+def _energy(trace, degree, mu):
+    """W_mu(r^degree * trace): the row form over the trace's one column."""
+    return float(weiss_rows(TraceColumns.of_trace(trace), mu,
+                            [(degree, np.ones((1, 1)))])[0])
+
+
+def _pairing(s, a, t, b, mu):
+    """R_mu(r^a s, r^b t): the row form over the columns [s | t]."""
+    columns = TraceColumns.of_trace(s).join(TraceColumns.of_trace(t))
+    return float(bilinear_rows(columns, mu, (a, np.array([[1.0, 0.0]])),
+                               (b, np.array([[0.0, 1.0]])))[0])
+
+
 # ---------------------------------------------------------------------------
 # Closed-form oracles
 # ---------------------------------------------------------------------------
@@ -33,9 +44,8 @@ def sin_basis(circle):
 def test_constant_function_energy_is_minus_mu_times_sphere_area(circle):
     const = SphericalTrace(circle, np.ones(circle.size),
                            grad=np.zeros((circle.size, 2)))
-    v = homogeneous_extension(const, 0.0)
     for mu in (0.5, 1.0, 2.0):
-        assert weiss_quadrature(v, mu) == pytest.approx(-mu * 2.0 * np.pi, rel=1e-12)
+        assert _energy(const, 0.0, mu) == pytest.approx(-mu * 2.0 * np.pi, rel=1e-12)
 
 
 def test_row_form_zero_numerator_is_exact_zero(circle):
@@ -50,30 +60,28 @@ def test_row_form_zero_numerator_is_exact_zero(circle):
 def test_constant_function_energy_n2():
     g = build_grid(2, 64)
     const = SphericalTrace(g, np.ones(g.size))
-    v = homogeneous_extension(const, 0.0)
-    assert weiss_quadrature(v, 2.0) == pytest.approx(-8.0 * np.pi, rel=1e-10)
+    assert _energy(const, 0.0, 2.0) == pytest.approx(-8.0 * np.pi, rel=1e-10)
 
 
 def test_profile_extension_has_zero_energy(circle):
     p = make_profile(0, 1)
-    v = homogeneous_extension(trace_from_profile(p, circle), 1.0)
-    assert abs(weiss_quadrature(v, 1.0)) < 1e-12
+    assert abs(_energy(trace_from_profile(p, circle), 1.0, 1.0)) < 1e-12
 
 
 def test_halfspace_three_halves_energy(circle):
     c = trace_from_profile(halfspace_2d(1.5), circle)
-    assert weiss_quadrature(homogeneous_extension(c, 1.5), 1.0) == \
+    assert _energy(c, 1.5, 1.0) == \
         pytest.approx(np.pi / 2.0, rel=1e-12)
-    assert weiss_quadrature(homogeneous_extension(c, 1.0), 1.0) == \
+    assert _energy(c, 1.0, 1.0) == \
         pytest.approx(5.0 * np.pi / 8.0, rel=1e-12)
 
 
 def test_halfspace_integer_homogeneity_energies(circle):
     c2 = trace_from_profile(halfspace_2d(2.0), circle)
-    assert weiss_quadrature(homogeneous_extension(c2, 2.0), 1.0) == \
+    assert _energy(c2, 2.0, 1.0) == \
         pytest.approx(np.pi, rel=1e-12)
     c3 = trace_from_profile(halfspace_2d(3.0), circle)
-    assert weiss_quadrature(homogeneous_extension(c3, 3.0), 1.0) == \
+    assert _energy(c3, 3.0, 1.0) == \
         pytest.approx(2.0 * np.pi, rel=1e-12)
 
 
@@ -102,7 +110,7 @@ def test_spectral_matches_quadrature_random_vectors(circle, sin_basis):
         c = rng.standard_normal(10)
         mu = rng.uniform(0.5, 3.0)
         tr = trace_from_basis(sin_basis, c)
-        wq = weiss_quadrature(homogeneous_extension(tr, mu), mu)
+        wq = _energy(tr, mu, mu)
         ws = weiss_spectral(c, sin_basis, mu)
         assert wq == pytest.approx(ws, rel=1e-10)
 
@@ -113,7 +121,7 @@ def test_raised_spectral_matches_quadrature(circle, sin_basis):
         c = rng.standard_normal(10)
         mu, alpha = 1.0, rng.uniform(1.1, 2.5)
         tr = trace_from_basis(sin_basis, c)
-        wq = weiss_quadrature(homogeneous_extension(tr, alpha), mu)
+        wq = _energy(tr, alpha, mu)
         rep = weiss_raised(c, sin_basis, mu, alpha)
         assert wq == pytest.approx(rep.value, rel=1e-10)
         assert rep.value - (1.0 - rep.kappa) * rep.base_value == \
@@ -133,35 +141,11 @@ def test_discrete_n2_routes_agree_and_improve():
             c /= np.linalg.norm(c)
             ws = weiss_spectral(c, basis, mu)
             tr = SphericalTrace(g, basis.reconstruct(c))
-            wq = weiss_quadrature(homogeneous_extension(tr, mu), mu)
+            wq = _energy(tr, mu, mu)
             worst = max(worst, abs(wq - ws) / abs(ws))
         worsts.append(worst)
     assert worsts[1] < 3e-3
     assert worsts[1] < 0.5 * worsts[0]
-
-
-def test_parts_energies_are_the_gram_row_forms():
-    # One route for homogeneous sums: the energy of a sum of parts and the
-    # bilinear form of two such sums are the row forms over the parts'
-    # traces, bit for bit.
-    g = build_grid(2, 256)
-    basis = eigenbasis(g, g.equator, 6, use_cache=False)
-    rng = np.random.default_rng(13)
-    a, b = (SphericalTrace(g, basis.reconstruct(rng.standard_normal(6)))
-            for _ in range(2))
-    mu = 0.5
-    unit = np.eye(3)
-    columns = TraceColumns.of_trace(a).join(TraceColumns.of_trace(b))
-    w = weiss_quadrature(ball_sum([(0.5, a), (1.5, b)]), mu)
-    rows = weiss_rows(columns, mu, [(0.5, unit[:1, :2]), (1.5, unit[1:2, :2])])
-    assert np.array_equal(w, rows[0])
-
-    r = bilinear_R(homogeneous_extension(a, 0.5),
-                   ball_sum([(1.5, b), (2.0, a)]), mu)
-    pairs = bilinear_rows(columns.join(TraceColumns.of_trace(a)), mu,
-                          (np.array([0.5, 0.5]), unit[[0, 0]]),
-                          (np.array([1.5, 2.0]), unit[[1, 2]]))
-    assert np.array_equal(r, np.sum(pairs))
 
 
 def test_quadratic_scaling_of_energy(sin_basis):
@@ -178,15 +162,15 @@ def test_quadratic_scaling_of_energy(sin_basis):
 # Bilinear form and surface pairing
 # ---------------------------------------------------------------------------
 
-def test_bilinear_R_of_v_with_itself_is_the_energy(circle, sin_basis):
+def test_bilinear_rows_of_v_with_itself_is_the_energy(circle, sin_basis):
     rng = np.random.default_rng(7)
     c = rng.standard_normal(10)
-    v = homogeneous_extension(trace_from_basis(sin_basis, c), 2.0)
-    w = weiss_quadrature(v, 2.0)
-    assert bilinear_R(v, v, 2.0) == pytest.approx(w, rel=1e-13)
+    v = trace_from_basis(sin_basis, c)
+    w = _energy(v, 2.0, 2.0)
+    assert _pairing(v, 2.0, v, 2.0, 2.0) == pytest.approx(w, rel=1e-13)
 
 
-def test_beta_pairing_predicts_bilinear_R(circle, sin_basis):
+def test_beta_pairing_predicts_bilinear_rows(circle, sin_basis):
     # mixed kinked-times-smooth integrands make both routes second order in
     # the angular step, so agreement at 2048 nodes is ~1e-4 and tightens on
     # the fine grid exercised below
@@ -199,9 +183,7 @@ def test_beta_pairing_predicts_bilinear_R(circle, sin_basis):
         mu = rng.uniform(0.5, 2.5)
         alpha = rng.uniform(0.5, 3.0)
         rep = beta_pairing(phi_c, psi, mu, alpha, basis=sin_basis)
-        vphi = homogeneous_extension(trace_from_basis(sin_basis, phi_c), mu)
-        vpsi = homogeneous_extension(psi, alpha)
-        rq = bilinear_R(vphi, vpsi, mu)
+        rq = _pairing(trace_from_basis(sin_basis, phi_c), mu, psi, alpha, mu)
         assert rep.predicted_R == pytest.approx(rq, rel=2e-3, abs=1e-3)
         n = 1
         assert (n + alpha + mu - 1.0) * rq - rep.beta == pytest.approx(0.0, abs=2e-3)
@@ -217,9 +199,7 @@ def test_beta_identity_tight_on_fine_circle():
         psi = trace_from_basis(cos8, rng.standard_normal(8))
         mu, alpha = rng.uniform(0.5, 2.5), rng.uniform(0.5, 3.0)
         rep = beta_pairing(phi_c, psi, mu, alpha, basis=sin10)
-        vphi = homogeneous_extension(trace_from_basis(sin10, phi_c), mu)
-        vpsi = homogeneous_extension(psi, alpha)
-        rq = bilinear_R(vphi, vpsi, mu)
+        rq = _pairing(trace_from_basis(sin10, phi_c), mu, psi, alpha, mu)
         assert abs((1 + alpha + mu - 1.0) * rq - rep.beta) < 1e-6
 
 
@@ -236,10 +216,9 @@ def test_beta_pairing_equator_term_vanishes_for_vanishing_psi(circle, sin_basis)
 # ---------------------------------------------------------------------------
 
 def _sampled(degree, trace):
-    """r^degree * trace as a values ball on default_radii(64)."""
-    radii, _ = default_radii(64)
-    return BallFunction(trace.grid, values=np.power(radii, degree)[:, None]
-                        * trace.values[None, :])
+    """r^degree * trace sampled on the ball at frequency._default_radii(64)."""
+    radii, _ = frequency._default_radii(64)
+    return np.power(radii, degree)[:, None] * trace.values[None, :]
 
 
 def test_sampled_route_matches_closed_form(sin_basis):
@@ -247,57 +226,48 @@ def test_sampled_route_matches_closed_form(sin_basis):
     c = rng.standard_normal(10)
     tr = trace_from_basis(sin_basis, c)
     mu = 2.0
-    exact = weiss_quadrature(homogeneous_extension(tr, mu), mu)
-    got = weiss_quadrature(_sampled(mu, tr), mu)
+    exact = _energy(tr, mu, mu)
+    got = frequency._sampled_energy(_sampled(mu, tr), tr.grid, mu, None)
     assert got == pytest.approx(exact, rel=1e-4)
 
 
 def test_default_radii_is_shared_and_read_only():
-    radii, weights = default_radii(64)
-    radii2, weights2 = default_radii(64)
+    radii, weights = frequency._default_radii(64)
+    radii2, weights2 = frequency._default_radii(64)
     assert radii is radii2 and weights is weights2
     assert radii[-1] == 1.0 and weights[-1] == 0.0
     with pytest.raises(ValueError):
         radii[0] = 0.0
     with pytest.raises(ValueError):
         weights[0] = 0.0
-    assert default_radii(24)[0].size == 25
+    assert frequency._default_radii(24)[0].size == 25
 
 
-def test_values_ball_rejects_wrong_column_count(circle):
-    with pytest.raises(ValueError, match="grid.size"):
-        BallFunction(circle, values=np.zeros((65, circle.size - 1)))
-
-
-def test_bilinear_R_needs_parts(sin_basis):
-    tr = trace_from_basis(sin_basis, np.ones(10))
-    parts = homogeneous_extension(tr, 1.5)
-    with pytest.raises(ValueError, match="homogeneous parts"):
-        bilinear_R(_sampled(1.5, tr), parts, 1.0)
-
-
-def test_volume_integral_and_tilde_energy(circle):
+def test_sampled_volume_term_and_tilde_energy(circle):
     const = SphericalTrace(circle, np.ones(circle.size),
                            grad=np.zeros((circle.size, 2)))
     v = _sampled(1.0, const)
+    w = frequency._sampled_energy(v, circle, 1.0, None)
+    tilde = frequency._sampled_energy(v, circle, 1.0,
+                                      lambda pts: np.ones(len(pts)))
     # int_B r * 1 dx = 2*pi * int_0^1 r * r dr = 2*pi/3
-    assert volume_integral(v, lambda pts: np.ones(len(pts))) == \
-        pytest.approx(2.0 * np.pi / 3.0, rel=1e-12)
-    w = weiss_quadrature(v, 1.0)
-    assert weiss_tilde(v, lambda pts: np.ones(len(pts)), 1.0) == \
-        pytest.approx(w + 2.0 * np.pi / 3.0, rel=1e-10)
+    assert tilde - w == pytest.approx(2.0 * np.pi / 3.0, rel=1e-12)
+    assert tilde == pytest.approx(w + 2.0 * np.pi / 3.0, rel=1e-10)
 
 
-def test_ball_sum_energy_expands_bilinearly(circle, sin_basis):
+def test_sum_energy_expands_bilinearly(circle, sin_basis):
+    # W(a + b) = W(a) + W(b) + 2 R(a, b) for a = r^1 s and b = r^1.5 t,
+    # all as row forms over the columns [s | t]
     rng = np.random.default_rng(12)
-    a = trace_from_basis(sin_basis, rng.standard_normal(10))
-    b = trace_from_basis(sin_basis, rng.standard_normal(10))
+    s = trace_from_basis(sin_basis, rng.standard_normal(10))
+    t = trace_from_basis(sin_basis, rng.standard_normal(10))
     mu = 1.0
-    v = ball_sum([(1.0, a), (1.5, b)])
-    va, vb = homogeneous_extension(a, 1.0), homogeneous_extension(b, 1.5)
-    expected = weiss_quadrature(va, mu) + weiss_quadrature(vb, mu) \
-        + 2.0 * bilinear_R(va, vb, mu)
-    assert weiss_quadrature(v, mu) == pytest.approx(expected, rel=1e-12)
+    columns = TraceColumns.of_trace(s).join(TraceColumns.of_trace(t))
+    a, b = (1.0, np.array([[1.0, 0.0]])), (1.5, np.array([[0.0, 1.0]]))
+    expected = weiss_rows(columns, mu, [a]) + weiss_rows(columns, mu, [b]) \
+        + 2.0 * bilinear_rows(columns, mu, a, b)
+    assert weiss_rows(columns, mu, [a, b])[0] == \
+        pytest.approx(expected[0], rel=1e-12)
 
 
 @given(st.floats(1.01, 5.0), st.floats(0.25, 4.0))
