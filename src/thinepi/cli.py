@@ -559,7 +559,9 @@ def emit_plots(source) -> list[Path]:
             rows = read_csv(path)
             radii = np.array([row["radius"] for row in rows], dtype=float)
             dist = np.array([row["dist_linf"] for row in rows], dtype=float)
-            keep = dist > 1e-13
+            # the line fits the distances above 1e-13 of the ladder's
+            # largest; the CSV has no profile scale for blowup_fit's cut
+            keep = dist > 1e-13 * dist.max()
             slope = intercept = None
             if np.count_nonzero(keep) >= 2:
                 slope, intercept = np.polyfit(np.log(radii[keep]),

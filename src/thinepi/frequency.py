@@ -600,7 +600,9 @@ def blowup_fit(v, x0, m: int, radii,
                frequency_label: float | None = None) -> BlowupFit:
     """Least-squares catalog fit to the homogeneous rescalings at the finest
     ladder radius, then a log-log fit against r of the sup-norm distances
-    over 16 evenly spaced shells of the unit ball."""
+    over 16 evenly spaced shells of the unit ball.  Distances within 1e-13
+    of the fitted profile's sup on the sphere are left out as roundoff; with
+    fewer than 4 left the fit is degenerate."""
     mu = 2.0 * m + 1.0
     if frequency_label is not None and abs(frequency_label - mu) > 0.1:
         raise ValueError(
@@ -651,7 +653,10 @@ def blowup_fit(v, x0, m: int, radii,
         dist_l2[i] = math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
         dist_linf[i] = _shell_sup_distance(values, r, mu, shells, p_trace)
 
-    sel = dist_linf > 1e-13
+    # a distance within 1e-13 of the profile's sup on the sphere is roundoff
+    # of the rescaling, at any scale of the field: the fit leaves it out
+    floor = max(1e-13 * float(np.max(np.abs(p_trace))), np.finfo(float).tiny)
+    sel = dist_linf > floor
     if np.count_nonzero(sel) < 4:
         return BlowupFit(m=m, mu=mu, profile=profile, coefficients=coeffs,
                          radii=radii, dist_l2=dist_l2, dist_linf=dist_linf,

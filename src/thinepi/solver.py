@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .polynomials import Polynomial, even_harmonic_extension
 from .profiles import BlowupProfile, HalfspaceSolution2D, halfspace_2d, \
@@ -444,6 +442,8 @@ def _free_system(u, kind, f, h):
     the thin-row equations halved, so that A is symmetric, the Laplacian of
     the lattice links (weight 1/2 inside the thin plane, 1 elsewhere); b is
     -h^2 f, halved on the thin row, plus the weighted frozen neighbours."""
+    import scipy.sparse as sp
+
     d = u.ndim
     free = kind > 0
     n = np.count_nonzero(free)
@@ -491,6 +491,8 @@ def _pdas(A, b, x, obstacle, tol):
     the KKT bound.  Yields (x, active, repeated): ``active`` is the set the
     solve held on the obstacle, ``repeated`` whether the rule lambda > x -
     obstacle (lambda = A x - b on it, 0 off it) gives it again: the end."""
+    from scipy.sparse.linalg import cg
+
     active = A @ x - b > x - obstacle
     while True:
         x = np.where(active, obstacle, x)

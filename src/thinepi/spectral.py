@@ -14,7 +14,8 @@ each other:
 
 Discrete results can be cached on disk keyed by (dimension, grid kind,
 resolution, mask hash, mode count); the cache directory is taken from the
-``THIN_EPI_CACHE`` environment variable unless given explicitly.
+``THIN_EPI_CACHE`` environment variable unless given explicitly.  A cache
+hit builds no operator; scipy is imported only to build and solve a miss.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import SphereGrid, build_grid
 from .polynomials import Polynomial, monomials_of_degree, odd_harmonic_extension
@@ -129,7 +127,8 @@ class EigenBasis:
 
         Only available for discrete bases (needs the assembled operator).
         """
-        K, M, rep, red_index = _reduced_operator(self.grid)
+        rep, red_index = _representatives(self.grid)
+        K, M = _reduced_operator(self.grid, rep, red_index)
         defect = 0.0
         for k in range(self.count):
             u = np.empty(K.shape[0])
@@ -244,22 +243,34 @@ def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
 # Discrete operators
 # ---------------------------------------------------------------------------
 
-def _reduced_operator(grid: SphereGrid):
-    """Even-reduced stiffness and (diagonal) mass, with index maps.
+def _representatives(grid: SphereGrid):
+    """The even reduction's index maps, from the grid alone: ``rep[i]`` maps
+    each grid node to its representative (itself on the closed upper half,
+    its mirror partner below), and ``red_index`` maps representative grid
+    nodes to reduced unknown indices (-1 elsewhere)."""
+    if grid.n == 1:
+        rep = np.minimum(np.arange(grid.size), grid.reflect)
+    elif grid.kind == "tri":
+        rep = np.where(grid.nodes[:, 2] < 0.0, grid.reflect, np.arange(grid.size))
+    else:
+        raise ValueError("discrete S^2 eigenbases require the triangulated grid")
+    reps = np.unique(rep)
+    red_index = np.full(grid.size, -1, dtype=int)
+    red_index[reps] = np.arange(reps.size)
+    return rep, red_index
 
-    Returns (K_reduced sparse, m_reduced diagonal vector, rep, red_index):
-    ``rep[i]`` maps each grid node to its representative (itself on the closed
-    upper half, its mirror partner below), and ``red_index`` maps
-    representative grid nodes to reduced unknown indices.
-    """
+
+def _reduced_operator(grid: SphereGrid, rep, red_index):
+    """Even-reduced stiffness (sparse) and diagonal mass (vector) over the
+    representatives of ``_representatives(grid)``."""
     if grid.n == 1:
         return _circle_reduced_operator(grid)
-    if grid.kind != "tri":
-        raise ValueError("discrete S^2 eigenbases require the triangulated grid")
-    return _tri_reduced_operator(grid)
+    return _tri_reduced_operator(grid, rep, red_index)
 
 
 def _circle_reduced_operator(grid: SphereGrid):
+    import scipy.sparse as sp
+
     num = grid.size
     half = num // 2
     h = 2.0 * np.pi / num
@@ -270,13 +281,12 @@ def _circle_reduced_operator(grid: SphereGrid):
     K = sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
     m = np.full(nred, 2.0 * h)
     m[0] = m[-1] = h
-    rep = np.minimum(np.arange(num), grid.reflect)
-    red_index = np.full(num, -1, dtype=int)
-    red_index[: nred] = np.arange(nred)
-    return K, m, rep, red_index
+    return K, m
 
 
-def _tri_reduced_operator(grid: SphereGrid):
+def _tri_reduced_operator(grid: SphereGrid, rep, red_index):
+    import scipy.sparse as sp
+
     tris = grid.triangles
     a, b, c = grid.nodes[tris[:, 0]], grid.nodes[tris[:, 1]], grid.nodes[tris[:, 2]]
     rows, cols_, vals = [], [], []
@@ -297,17 +307,14 @@ def _tri_reduced_operator(grid: SphereGrid):
         shape=(grid.size, grid.size),
     ).tocsr()
 
-    rep = np.where(grid.nodes[:, 2] < 0.0, grid.reflect, np.arange(grid.size))
-    reps = np.unique(rep)
-    red_index = np.full(grid.size, -1, dtype=int)
-    red_index[reps] = np.arange(reps.size)
+    nred = int(red_index.max()) + 1
     P = sp.coo_matrix(
         (np.ones(grid.size), (np.arange(grid.size), red_index[rep])),
-        shape=(grid.size, reps.size),
+        shape=(grid.size, nred),
     ).tocsr()
     K_red = (P.T @ K @ P).tocsr()
     m_red = P.T @ grid.weights
-    return K_red, m_red, rep, red_index
+    return K_red, m_red
 
 
 def eigenbasis(grid: SphereGrid, mask, count: int,
@@ -322,8 +329,8 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
     mask = np.array(sorted(int(i) for i in np.asarray(mask, dtype=int).ravel()), dtype=int)
     if mask.size and not np.isin(mask, grid.equator).all():
         raise ValueError("mask must be a subset of the equator nodes")
-    K, m, rep, red_index = _reduced_operator(grid)
-    nred = K.shape[0]
+    rep, red_index = _representatives(grid)
+    nred = int(red_index.max()) + 1
     if count > nred - mask.size:
         raise ValueError(
             f"requested {count} modes but only {nred - mask.size} unknowns remain")
@@ -333,6 +340,11 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
         if cached is not None:
             return cached
 
+    import scipy.linalg
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    K, m = _reduced_operator(grid, rep, red_index)
     keep = np.setdiff1d(np.arange(nred), red_index[mask])
     Kb = K[keep][:, keep]
     mb = m[keep]

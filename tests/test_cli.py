@@ -47,14 +47,49 @@ def test_config_dict_round_trip(tmp_path):
     assert back == config
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # No module of the package imports scipy.integrate, and every command
-    # pays for what importing the CLI loads.
+def _run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on this
+    checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(thinepi.__file__).parents[1]))
-    code = "import sys, thinepi.cli; print('scipy.integrate' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def _scipy_after_commands(commands, tmp_path):
+    """Exit codes of ``commands`` run one after another in one fresh
+    process, each with its own output directory and the cache directory
+    ``tmp_path / "cache"``, and the scipy modules loaded after them."""
+    argvs = [command.split() + ["--out", str(tmp_path / f"out{k}"),
+                                "--cache-dir", str(tmp_path / "cache")]
+             for k, command in enumerate(commands)]
+    code = ("import contextlib, io, json, sys\n"
+            "from thinepi.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))")
+    return json.loads(_run_fresh(code).splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # No module of the package imports scipy.integrate, and every command
+    # pays for what importing the CLI loads.
+    code = "import sys, thinepi.cli; print('scipy.integrate' in sys.modules)"
+    assert _run_fresh(code) == "False"
+    # scipy is imported on first use: by the discrete eigenbasis on a cache
+    # miss, the solver and grid-field reads, so the CLI loads none of it ...
+    code = ("import sys, thinepi.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _run_fresh(code) == "[]"
+    # ... nor do the commands whose answers are closed forms and numpy,
+    commands = ["epi-check", "gap-demo", "spectral --n 1", "blowup"]
+    assert _scipy_after_commands(commands, tmp_path) == [[0] * 4, []]
+    # nor a discrete eigenbasis read back from a warm cache.
+    assert run(RunConfig(subcommand="spectral", out_dir=str(tmp_path / "cold"),
+                         params={"n": 2}, cache_dir=str(tmp_path / "cache"))
+               ).passed
+    assert _scipy_after_commands(["spectral --n 2"], tmp_path) == [[0], []]
 
 
 def test_case_catalog_builds_and_rejects():

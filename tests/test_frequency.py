@@ -574,6 +574,19 @@ def test_blowup_half_mode_exponent(p01, h32):
     assert fit.admissible
 
 
+def test_blowup_exponent_is_scale_free(p01):
+    # The decay exponent of s * v does not depend on s: the roundoff cut is
+    # relative to the fitted profile, so tiny scales are not degenerate.
+    h2 = halfspace_2d(2.0)
+    radii = radii_ladder(0.6, 16)[::-1]
+    exponents = {s: blowup_fit(lambda pts: s * (p01(pts) + 0.3 * h2(pts)),
+                               np.zeros(2), 0, radii).exponent
+                 for s in (1e-300, 1e-20, 1.0, 1e20)}
+    assert exponents[1.0] == pytest.approx(0.99336, abs=1e-5)
+    for s, exponent in exponents.items():
+        assert exponent == pytest.approx(exponents[1.0], rel=1e-10), s
+
+
 def test_blowup_solved_near_profile_positive_exponent(sol_near_p):
     radii = radii_ladder(0.45, 10)[::-1]
     fit = blowup_fit(sol_near_p, np.zeros(2), 0, radii)

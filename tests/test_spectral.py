@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from thinepi import spectral
 from thinepi.grids import build_grid
 from thinepi.profiles import make_profile
 from thinepi.spectral import (
@@ -196,6 +197,24 @@ def test_cache_roundtrip(tmp_path):
     b = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.lambdas, b.lambdas)
+
+
+def test_cache_hit_builds_no_operator(tmp_path, monkeypatch):
+    grids = (build_grid(1, 64), build_grid(2, 16))
+    stored = [eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+              for grid in grids]
+
+    def no_build(*args):
+        raise AssertionError("a cache hit built the reduced operator")
+
+    monkeypatch.setattr(spectral, "_reduced_operator", no_build)
+    for grid, a in zip(grids, stored):
+        b = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.lambdas, b.lambdas)
+        # the size check still comes first, from the index maps alone
+        with pytest.raises(ValueError, match="unknowns remain"):
+            eigenbasis(grid, grid.equator, 1000, cache_dir=tmp_path)
 
 
 def test_cache_recomputes_wrong_or_unreadable_file(tmp_path):
