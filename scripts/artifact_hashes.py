@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hash the artifacts of a fixed set of CLI runs.
 
-Runs each of the eighteen commands below, with its own output and
+Runs each of the nineteen commands below, with its own output and
 eigenbasis cache directories under one temporary directory, and prints one
 JSON object that maps "<command>/<file>" to the sha256 of every CSV, SVG and
 solution.bin written.  Two checkouts that print the same object write the
@@ -45,6 +45,7 @@ COMMANDS = (
     "solve --case profile-3d --resolution 16",
     "frequency --case profile-3d --resolution 16",
     "stratify --case profile-3d --resolution 16",
+    "solve --resolution 128",
 )
 HASHED = ("*.csv", "*.svg", "solution.bin")
 

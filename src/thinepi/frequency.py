@@ -649,8 +649,11 @@ def blowup_fit(v, x0, m: int, radii,
     dist_l2, dist_linf = np.empty(radii.size), np.empty(radii.size)
     for i, (r, values) in enumerate(zip(radii, _read_ladder(
             adapter, x0, radii[:, None] * shells, grid))):
-        t = values[-1] / float(r) ** mu
-        dist_l2[i] = math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
+        diff = values[-1] / float(r) ** mu - p_trace
+        # scaled by its sup before squaring, so tiny fields do not underflow
+        sup = float(np.max(np.abs(diff)))
+        dist_l2[i] = sup * math.sqrt(max(float(W @ (diff / sup) ** 2), 0.0)) \
+            if sup > 0.0 else 0.0
         dist_linf[i] = _shell_sup_distance(values, r, mu, shells, p_trace)
 
     # a distance within 1e-13 of the profile's sup on the sphere is roundoff

@@ -18,7 +18,10 @@ with L the reflected 5/7-point Laplacian, is an M-matrix complementarity
 problem, solved by the primal-dual active set method (Hintermueller, Ito &
 Kunisch 2002): each iteration holds the active thin nodes on the obstacle and
 solves for the rest by conjugate gradients, warm-started, until the active
-set repeats.
+set repeats.  The inner solve works on the lattice array itself: its matrix
+is the stencil, its inner products are numpy's pairwise sums, and a
+geometric multigrid V-cycle preconditions it.  Solved fields are read by
+multilinear interpolation on the same lattice.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -271,7 +274,7 @@ class GridSolution:
     sweeps: int                       # outer active-set iterations
     converged: bool                   # KKT conditions hold
     runtime: float
-    _interp: object = field(default=None, repr=False, compare=False)
+    cg_iterations: int | None = None  # inner iterations; None if not recorded
 
     @property
     def h(self) -> float:
@@ -286,21 +289,17 @@ class GridSolution:
         return _mesh_points(self.axes()[:-1])
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation; even reflection in the last coordinate."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        if self._interp is None:
-            self._interp = RegularGridInterpolator(
-                tuple(self.axes()), self.values, method="linear",
-                bounds_error=True)
+        """Multilinear interpolation; even reflection in the last coordinate.
+        A point outside the lattice, or with a NaN coordinate, raises
+        ValueError."""
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        if scalar:
-            pts = pts[None, :]
-        folded = pts.copy()
-        folded[..., -1] = np.abs(folded[..., -1])
-        out = self._interp(folded)
-        return out[0] if scalar else out
+        rows = pts.reshape(-1, pts.shape[-1])
+        out = np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], _READ_BLOCK):
+            block = slice(start, start + _READ_BLOCK)
+            out[block] = _multilinear(self.values, self.h, rows[block])
+        out = out.reshape(pts.shape[:-1])
+        return out[()] if pts.ndim == 1 else out
 
     def max_error_vs(self, exact) -> float:
         """Sup-norm against a callable over the free (non-frozen) nodes."""
@@ -311,8 +310,8 @@ class GridSolution:
 
     def stats(self) -> dict:
         return {
-            "method": "pdas-cg",
-            "sweeps": self.sweeps,
+            "method": "pdas-mgpcg",
+            "sweeps": self.sweeps, "cg_iterations": self.cg_iterations,
             "converged": self.converged, "runtime_seconds": self.runtime,
             "laplace_residual": self.laplace_residual,
             "complementarity_max": float(np.max(np.abs(self.complementarity)))
@@ -378,6 +377,7 @@ def load_solution(base_path) -> GridSolution:
         complementarity=arrays["complementarity"],
         sweeps=stats["sweeps"], converged=stats["converged"],
         runtime=stats["runtime_seconds"],
+        cg_iterations=stats.get("cg_iterations"),
     )
 
 
@@ -392,6 +392,49 @@ def _lattice_axes(spec: ProblemSpec) -> list[np.ndarray]:
     res = spec.resolution
     horiz = np.arange(-res, res + 1) * spec.h
     return [horiz] * spec.n + [horiz[res:]]
+
+
+# Points per block of a field read.  One block's temporaries, about 90 bytes
+# a point, stay below the free size at which the allocator hands memory back
+# to the system; reading 2^15 points at once handed it back and faulted it in
+# again on every call (15.5k against 2.3k minor page faults in one round of
+# the benchmark's field reads).
+_READ_BLOCK = 2 ** 12
+
+
+def _multilinear(values, h, points) -> np.ndarray:
+    """Multilinear interpolation of the half-ball lattice ``values`` (step
+    ``h``) at ``points``, one per row, folded to |x_d| in the last
+    coordinate: the cell floor((x - x0) / h) on each axis, then the 2^d
+    corner values of the cell by their offsets in the flat array."""
+    res = values.shape[-1] - 1
+    coords = points.T.copy()                          # a row per axis
+    np.abs(coords[-1], out=coords[-1])
+    first = np.array([-res * h] * (values.ndim - 1) + [0.0])[:, None]
+    inside = (coords >= first) & (coords <= res * h)
+    if not inside.all():                              # NaN is outside too
+        raise ValueError("a requested point is out of bounds in dimension "
+                         f"{int(np.argmin(inside.all(axis=1)))}")
+    coords -= first
+    coords /= h
+    cell = np.floor(coords)
+    np.minimum(cell, np.array(values.shape)[:, None] - 2, out=cell)
+    upper = coords
+    upper -= cell
+    lower = 1.0 - upper
+    strides = [math.prod(values.shape[i + 1:]) for i in range(values.ndim)]
+    base = np.dot(strides, cell.astype(np.intp))
+    flat = values.ravel()
+    out = None
+    for corner in itertools.product((0, 1), repeat=values.ndim):
+        weight = (upper if corner[0] else lower)[0]
+        for i in range(1, values.ndim):
+            weight = weight * (upper if corner[i] else lower)[i]
+        offset = sum(c * stride for c, stride in zip(corner, strides))
+        term = flat[offset:][base]
+        term *= weight
+        out = term if out is None else np.add(out, term, out=out)
+    return out
 
 
 def _mesh_points(axes) -> np.ndarray:
@@ -437,42 +480,12 @@ def _assemble(spec: ProblemSpec):
     return u, kind, phi, f
 
 
-def _free_system(u, kind, f, h):
-    """A x = b over the free nodes, in ravel order: the 2d-point stencil with
-    the thin-row equations halved, so that A is symmetric, the Laplacian of
-    the lattice links (weight 1/2 inside the thin plane, 1 elsewhere); b is
-    -h^2 f, halved on the thin row, plus the weighted frozen neighbours."""
-    import scipy.sparse as sp
-
-    d = u.ndim
-    free = kind > 0
-    n = np.count_nonzero(free)
-    index = np.full(u.shape, -1, dtype=np.int32)
-    index[free] = np.arange(n)
-    weight = np.ones(u.shape)
-    weight[..., 0] = 0.5
-    rhs = -h * h * weight * f
-    rows, cols, vals = [index[free]], [index[free]], [2.0 * d * weight[free]]
-    for ax in range(d):
-        lo, hi = _links(d, ax)
-        w = weight[lo] if ax < d - 1 else np.ones(index[lo].shape)
-        a, b = index[lo], index[hi]
-        rhs[lo] += np.where(b < 0, w * u[hi], 0.0)
-        rhs[hi] += np.where(a < 0, w * u[lo], 0.0)
-        link = (a >= 0) & (b >= 0)
-        rows += [a[link], b[link]]
-        cols += [b[link], a[link]]
-        vals += [-w[link]] * 2
-    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                              np.concatenate(cols))), (n, n))
-    return A, rhs[free]
-
-
 def _links(d, ax):
-    """Index pairs (lower, upper end) of the lattice links along ``ax``."""
-    lo, hi = [slice(None)] * d, [slice(None)] * d
-    lo[ax], hi[ax] = slice(None, -1), slice(1, None)
-    return tuple(lo), tuple(hi)
+    """Index pairs (lower, upper end) of the lattice links along axis ``ax``
+    of the last ``d`` axes."""
+    tail = (slice(None),) * (d - 1 - ax)
+    return ((Ellipsis, slice(None, -1)) + tail,
+            (Ellipsis, slice(1, None)) + tail)
 
 
 def _neighbor_sum(a):
@@ -485,24 +498,212 @@ def _neighbor_sum(a):
     return total
 
 
-def _pdas(A, b, x, obstacle, tol):
-    """Primal-dual active set iterates for A x = b, x >= obstacle (NEG_INF
-    where unconstrained), from ``x``; each CG solve ends 1e-3 below ``tol``,
-    the KKT bound.  Yields (x, active, repeated): ``active`` is the set the
-    solve held on the obstacle, ``repeated`` whether the rule lambda > x -
-    obstacle (lambda = A x - b on it, 0 off it) gives it again: the end."""
-    from scipy.sparse.linalg import cg
+def _stencil(x, d, out=None):
+    """The symmetric system operator on the last ``d`` axes of ``x``: 2d x
+    minus the lattice neighbours (missing ones count 0), with the upper
+    neighbour counted twice on the thin row and that row halved.  So it is
+    the Laplacian of the lattice links, weight 1/2 inside the thin plane and
+    1 elsewhere."""
+    out = np.multiply(x, 2.0 * d, out=out)
+    for ax in range(d):
+        lo, hi = _links(d, ax)
+        below, above = out[lo], out[hi]
+        np.subtract(below, x[hi], out=below)
+        np.subtract(above, x[lo], out=above)
+    thin = out[..., 0]
+    np.subtract(thin, x[..., 1], out=thin)
+    thin *= 0.5
+    return out
 
-    active = A @ x - b > x - obstacle
-    while True:
-        x = np.where(active, obstacle, x)
-        off = ~active
-        x[off], _ = cg(A[off][:, off], (b - A @ np.where(off, 0.0, x))[off],
-                       x0=x[off], rtol=0.0, atol=1e-3 * tol)
-        following = np.where(active, A @ x - b, 0.0) > x - obstacle
+
+def _dot(a, b) -> float:
+    """Inner product by numpy's pairwise sum, the same bits on any number of
+    BLAS threads."""
+    return float(np.add.reduce((a * b).ravel()))
+
+
+# ---------------------------------------------------------------------------
+# Multigrid V-cycle on the half-ball lattice
+# ---------------------------------------------------------------------------
+
+_COARSEST_UNKNOWNS = 64      # the V-cycle solves densely at or below this
+
+
+def _coarse_nodes(shape):
+    """Every other node along each axis, through the origin: the horizontal
+    axes have 2R+1 nodes with the origin at R, the vertical axis starts at
+    the thin plane, so odd R coarsen too."""
+    return tuple(slice(n // 2 % 2, None, 2) for n in shape[:-1]) \
+        + (slice(0, None, 2),)
+
+
+def _along(ax, start, stop, step=None):
+    return (slice(None),) * ax + (slice(start, stop, step),)
+
+
+def _prolong(coarse, shape):
+    """Linear interpolation from the coarse lattice onto the lattice of
+    ``shape``, one axis at a time; fine nodes outside the coarse span (the
+    frozen edges) get 0."""
+    starts = _coarse_nodes(shape)
+    for ax, n in enumerate(shape):
+        m, start = coarse.shape[ax], starts[ax].start
+        fine = np.zeros(coarse.shape[:ax] + (n,) + coarse.shape[ax + 1:])
+        fine[_along(ax, start, start + 2 * m - 1, 2)] = coarse
+        mid = fine[_along(ax, start + 1, start + 2 * m - 2, 2)]
+        np.add(coarse[_along(ax, None, -1)], coarse[_along(ax, 1, None)],
+               out=mid)
+        mid *= 0.5
+        coarse = fine
+    return coarse
+
+
+def _restrict(fine, shape):
+    """The transpose of ``_prolong`` onto the coarse lattice of ``shape``."""
+    starts = _coarse_nodes(fine.shape)
+    for ax, m in enumerate(shape):
+        start = starts[ax].start
+        coarse = fine[_along(ax, start, start + 2 * m - 1, 2)].copy()
+        half = 0.5 * fine[_along(ax, start + 1, start + 2 * m - 2, 2)]
+        coarse[_along(ax, None, -1)] += half
+        coarse[_along(ax, 1, None)] += half
+        fine = coarse
+    return fine
+
+
+class _Level:
+    """One lattice of the V-cycle.  Its unknowns are ``keep`` (1.0 on them,
+    0.0 elsewhere), its operator is the stencil times ``scale``, and
+    ``jacobi`` is the damped Jacobi factor omega / diagonal on the unknowns,
+    omega = 2d / (2d + 1)."""
+
+    def __init__(self, unknown, scale, d):
+        self.d = d
+        self.keep = unknown.astype(float)
+        self.scaled = scale * self.keep
+        self.jacobi = self.keep / ((2 * d + 1) * scale)
+        self.jacobi[..., 0] *= 2.0          # the thin row's diagonal is d
+        self.work = np.empty(unknown.shape)
+
+    def apply(self, x, out):
+        """The level's operator on ``x``, which is 0 off the unknowns."""
+        return np.multiply(_stencil(x, self.d, out), self.scaled, out=out)
+
+    def smooth(self, x, r):
+        """One damped Jacobi step on A x = r, in place."""
+        t = self.apply(x, self.work)
+        np.subtract(r, t, out=t)
+        t *= self.jacobi
+        x += t
+
+
+class _VCycle:
+    """Symmetric V(1,1)-cycle preconditioner for the stencil on the lattice
+    nodes ``unknown`` (Tatebe 1993).  Each coarser level takes every other
+    node; its unknowns are the finer unknowns it keeps, so nodes held on the
+    obstacle or frozen get no correction (truncation, as in Kornhuber 1994).
+    Its operator is the stencil again, scaled by 2^(d-2) per level, the
+    Galerkin scaling of the linear transfers, which restrict by the
+    transpose of the prolongation.  At or below _COARSEST_UNKNOWNS unknowns
+    the level is solved densely."""
+
+    def __init__(self, unknown, d):
+        self.levels, scale = [], 1.0
+        while True:
+            self.levels.append(_Level(unknown, scale, d))
+            if np.count_nonzero(unknown) <= _COARSEST_UNKNOWNS:
+                break
+            unknown = unknown[_coarse_nodes(unknown.shape)]
+            scale *= 2.0 ** (d - 2)
+        self.index = np.flatnonzero(unknown)
+        columns = np.zeros((self.index.size, unknown.size))
+        columns[np.arange(self.index.size), self.index] = 1.0
+        dense = _stencil(columns.reshape((-1,) + unknown.shape), d)
+        self.inverse = np.linalg.inv(
+            scale * dense.reshape(self.index.size, -1)[:, self.index])
+
+    def __call__(self, r, depth=0):
+        level = self.levels[depth]
+        if depth == len(self.levels) - 1:
+            x = np.zeros(r.shape)
+            x.reshape(-1)[self.index] = np.add.reduce(
+                self.inverse * r.reshape(-1)[self.index], axis=1)
+            return x
+        x = level.jacobi * r
+        t = level.apply(x, level.work)
+        np.subtract(r, t, out=t)
+        coarse = self.levels[depth + 1].keep
+        correction = self(_restrict(t, coarse.shape) * coarse, depth + 1)
+        x += _prolong(correction, r.shape) * level.keep
+        level.smooth(x, r)
+        return x
+
+
+def _pcg(u, r, vcycle, atol) -> int:
+    """Conjugate gradients preconditioned by ``vcycle`` on its finest
+    unknowns of the lattice array ``u``, in place, from the residual ``r`` =
+    b - A u there (0 elsewhere); stops when the 2-norm of the residual falls
+    below ``atol`` or after 10 iterations per unknown, and returns how many
+    ran."""
+    fine = vcycle.levels[0]
+    maxiter = 10 * np.count_nonzero(fine.keep)
+    q = np.empty(r.shape)
+    for iteration in range(maxiter):
+        if math.sqrt(_dot(r, r)) < atol:
+            return iteration
+        z = vcycle(r)
+        rho = _dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        fine.apply(p, q)
+        alpha = rho / _dot(p, q)
+        u += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return maxiter
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One PDAS iteration: the lattice values, the nodes held on the
+    obstacle, whether the rule gives that set again (the end), the earlier
+    iteration whose set it gives instead (a cycle, also the end) and the
+    conjugate-gradient iterations of the inner solve."""
+
+    u: np.ndarray
+    active: np.ndarray
+    repeated: bool
+    revisits: int | None
+    cg_iterations: int
+
+
+def _pdas(u, free, obstacle, forcing, tol):
+    """Primal-dual active set iterates for the free nodes of the lattice
+    array ``u`` (the others are fixed), u >= obstacle (NEG_INF where
+    unconstrained), from ``u``; A u - b = stencil(u) + ``forcing`` on the
+    free nodes.  Each inner solve ends 1e-3 below ``tol``, the KKT bound.
+    The next active set is where lambda > u - obstacle (lambda = A u - b on
+    the active set, 0 off it); the iterates end when it repeats, or when it
+    is the set of an earlier iteration."""
+    d = u.ndim
+    active = free & (_stencil(u, d) + forcing > u - obstacle)
+    seen = {}
+    for number in itertools.count(1):
+        u = np.where(active, obstacle, u)
+        vcycle = _VCycle(free & ~active, d)
+        residual = -(_stencil(u, d) + forcing) * vcycle.levels[0].keep
+        iterations = _pcg(u, residual, vcycle, 1e-3 * tol)
+        multiplier = np.where(active, _stencil(u, d) + forcing, 0.0)
+        following = free & (multiplier > u - obstacle)
         repeated = np.array_equal(following, active)
-        yield x, active, repeated
-        if repeated:
+        seen[np.packbits(active).tobytes()] = number
+        revisits = None if repeated else seen.get(
+            np.packbits(following).tobytes())
+        yield _Step(u, active, repeated, revisits, iterations)
+        if repeated or revisits is not None:
             return
         active = following
 
@@ -515,16 +716,17 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
     u, kind, phi, f = _assemble(spec)
     free = kind > 0
     thin_sel = kind[..., 0] == 2
-    A, b = _free_system(u, kind, f, spec.h)
     obstacle = np.full(u.shape, NEG_INF)
     obstacle[..., 0] = phi
+    forcing = spec.h ** 2 * f
+    forcing[..., 0] *= 0.5
 
-    x = u[free]
-    steps = _pdas(A, b, x, obstacle[free], spec.tol)
-    for sweeps, (x, active, repeated) in enumerate(
-            itertools.islice(steps, spec.max_sweeps), start=1):
-        pass
-    u[free] = x
+    cg_iterations = 0
+    for sweeps, step in enumerate(itertools.islice(
+            _pdas(u, free, obstacle, forcing, spec.tol), spec.max_sweeps),
+            start=1):
+        cg_iterations += step.cg_iterations
+    u, repeated = step.u, step.repeated
 
     # residual of the 2d-point stencil on the lattice, apart from A; at
     # contact it is the multiplier
@@ -532,17 +734,22 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
     nbrs[..., 0] += u[..., 1]
     resid = 2 * spec.dimension * u - nbrs + spec.h ** 2 * f
     slack = u[..., 0] - phi
-    on_obstacle = np.zeros(u.shape, dtype=bool)
-    on_obstacle[free] = active
+    on_obstacle = step.active
     kkt = float(np.max(np.abs(resid[free & ~on_obstacle]), initial=0.0))
     converged = bool(repeated and kkt <= spec.tol
                      and np.min(slack[thin_sel], initial=0.0) >= 0.0
                      and np.min(resid[on_obstacle], initial=0.0) >= -spec.tol)
     if not converged:
+        if repeated:
+            stop = "active set repeated"
+        elif step.revisits is None:
+            stop = f"iteration cap {spec.max_sweeps}"
+        else:
+            stop = (f"active set of iteration {step.revisits} revisited, "
+                    f"a cycle of {sweeps + 1 - step.revisits} iterations")
         warnings.warn(
-            f"PDAS stopped at {sweeps} iterations (iteration cap "
-            f"{spec.max_sweeps}) with active set repeated={repeated}, "
-            f"residual {kkt:.3e} (tol {spec.tol:.3e})", stacklevel=2)
+            f"PDAS stopped at {sweeps} iterations ({stop}) with residual "
+            f"{kkt:.3e} (tol {spec.tol:.3e})", stacklevel=2)
 
     contact = thin_sel & (slack <= 10.0 * spec.tol)
     off_contact = free.copy()
@@ -554,7 +761,7 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
         complementarity=np.minimum(slack, resid[..., 0] / (2 * spec.dimension))
         [thin_sel],
         sweeps=sweeps, converged=converged,
-        runtime=time.perf_counter() - t0,
+        runtime=time.perf_counter() - t0, cg_iterations=cg_iterations,
     )
 
 
@@ -634,6 +841,7 @@ class ReducedProblem:
             laplace_residual=base.laplace_residual,
             complementarity=base.complementarity,
             sweeps=base.sweeps, converged=base.converged, runtime=base.runtime,
+            cg_iterations=base.cg_iterations,
         )
 
     def h_field(self):

@@ -77,13 +77,16 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     # pays for what importing the CLI loads.
     code = "import sys, thinepi.cli; print('scipy.integrate' in sys.modules)"
     assert _run_fresh(code) == "False"
-    # scipy is imported on first use: by the discrete eigenbasis on a cache
-    # miss, the solver and grid-field reads, so the CLI loads none of it ...
+    # scipy is imported on first use, by the discrete eigenbasis on a cache
+    # miss only, so the CLI loads none of it ...
     code = ("import sys, thinepi.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _run_fresh(code) == "[]"
     # ... nor do the commands whose answers are closed forms and numpy,
     commands = ["epi-check", "gap-demo", "spectral --n 1", "blowup"]
+    assert _scipy_after_commands(commands, tmp_path) == [[0] * 4, []]
+    # nor those that solve a field and read it along radius ladders,
+    commands = ["solve", "frequency", "stratify", "blowup --case solved"]
     assert _scipy_after_commands(commands, tmp_path) == [[0] * 4, []]
     # nor a discrete eigenbasis read back from a warm cache.
     assert run(RunConfig(subcommand="spectral", out_dir=str(tmp_path / "cold"),
@@ -429,18 +432,33 @@ def test_epi_check_batch_memory(tmp_path):
     assert peak < 24 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
 
 
-@pytest.mark.parametrize("flags", [pytest.param(["--n", "2"], id="n2"),
-                                   pytest.param(["--m", "1"], id="m1")])
-def test_epi_check_bytes_do_not_depend_on_blas_threads(tmp_path, flags):
+def _digests_per_blas_threads(tmp_path, argv, name):
+    """sha256 of the file ``name`` that the command ``argv`` writes, run in
+    fresh processes with one and with two BLAS threads."""
     code = "import sys, thinepi.cli; sys.exit(thinepi.cli.main(sys.argv[1:]))"
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(thinepi.__file__).parents[1]))
         out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-c", code, "epi-check", *flags,
-                        "--trials", "20", "--out", str(out),
+        subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out),
                         "--cache-dir", str(tmp_path / "cache")],
                        env=env, check=True, capture_output=True, timeout=300)
-        digests.append(sha256_file(out / "epi.csv"))
+        digests.append(sha256_file(out / name))
+    return digests
+
+
+@pytest.mark.parametrize("flags", [pytest.param(["--n", "2"], id="n2"),
+                                   pytest.param(["--m", "1"], id="m1")])
+def test_epi_check_bytes_do_not_depend_on_blas_threads(tmp_path, flags):
+    digests = _digests_per_blas_threads(
+        tmp_path, ["epi-check", *flags, "--trials", "20"], "epi.csv")
+    assert digests[0] == digests[1]
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # About 25,000 free nodes: the inner solve's products are pairwise sums,
+    # not BLAS dots that split long vectors across threads.
+    digests = _digests_per_blas_threads(
+        tmp_path, ["solve", "--resolution", "128"], "solution.bin")
     assert digests[0] == digests[1]

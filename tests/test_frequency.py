@@ -261,8 +261,10 @@ def _reference_blowup(evaluate, x0, radii, grid, mu):
     W = grid.weights
     coeffs = np.linalg.solve(A.T @ (W[:, None] * A), A.T @ (W * traces[-1]))
     p_trace = A @ coeffs
-    dist_l2 = np.array([math.sqrt(max(float(W @ (t - p_trace) ** 2), 0.0))
-                        for t in traces])
+    sups = [float(np.max(np.abs(t - p_trace))) for t in traces]
+    dist_l2 = np.array([sup * math.sqrt(max(float(W @ ((t - p_trace) / sup)
+                                                  ** 2), 0.0))
+                        for t, sup in zip(traces, sups)])
     shells = np.linspace(1.0 / 16, 1.0, 16)
     dist_linf = []
     for r in radii:
@@ -585,6 +587,19 @@ def test_blowup_exponent_is_scale_free(p01):
     assert exponents[1.0] == pytest.approx(0.99336, abs=1e-5)
     for s, exponent in exponents.items():
         assert exponent == pytest.approx(exponents[1.0], rel=1e-10), s
+
+
+def test_blowup_l2_distance_is_scale_free(p01):
+    # dist_l2 of s * v is s times that of v: it does not underflow for tiny
+    # fields or overflow for large ones.
+    h2 = halfspace_2d(2.0)
+    radii = radii_ladder(0.6, 16)[::-1]
+    dists = {s: blowup_fit(lambda pts: s * (p01(pts) + 0.3 * h2(pts)),
+                           np.zeros(2), 0, radii).dist_l2 / s
+             for s in (1e-300, 1e-160, 1e-20, 1.0, 1e20)}
+    assert np.all(dists[1.0] > 0.0)
+    for s, dist in dists.items():
+        assert dist == pytest.approx(dists[1.0], rel=1e-10), s
 
 
 def test_blowup_solved_near_profile_positive_exponent(sol_near_p):

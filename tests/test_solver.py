@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinepi import solver
 from thinepi.cli import case_spec
+from thinepi.grids import build_grid
 from thinepi.polynomials import Polynomial, even_harmonic_extension
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.solver import (NEG_INF, Mode2D, ProblemSpec, _assemble,
-                            _free_system, _pdas, contact_set, field_config,
-                            load_solution, make_field,
-                            reduce_to_zero_obstacle, solve_thin_obstacle,
-                            taylor_polynomial)
+from thinepi.solver import (NEG_INF, Mode2D, ProblemSpec, _assemble, _pdas,
+                            contact_set, field_config, load_solution,
+                            make_field, reduce_to_zero_obstacle,
+                            solve_thin_obstacle, taylor_polynomial)
 
 ZERO_1D = Polynomial.zero(1)
 
@@ -69,6 +70,11 @@ def halfspace_solution():
     hs = halfspace_2d(1.5)
     spec = ProblemSpec(dimension=2, h=1 / 64, obstacle=ZERO_1D, boundary=hs)
     return hs, spec, solve_thin_obstacle(spec)
+
+
+@pytest.fixture(scope="module")
+def profile_3d_solution():
+    return solve_thin_obstacle(case_spec("profile-3d", 16))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +229,13 @@ def test_pdas_iterates_monotone():
                        boundary=halfspace_2d(1.5))
     u, kind, phi, f = _assemble(spec)
     free = kind > 0
-    A, b = _free_system(u, kind, f, spec.h)
-    obstacle = np.where(kind == 2, phi[:, None], NEG_INF)[free]
-    steps = list(_pdas(A, b, u[free], obstacle, spec.tol))
-    xs, actives, repeated = zip(*steps)
+    lattice_obstacle = np.where(kind == 2, phi[:, None], NEG_INF)
+    steps = list(_pdas(u, free, lattice_obstacle, np.zeros(u.shape),
+                       spec.tol))
+    obstacle = lattice_obstacle[free]
+    xs = [step.u[free] for step in steps]
+    actives = [step.active[free] for step in steps]
+    repeated = [step.repeated for step in steps]
     assert len(steps) >= 3 and repeated[-1] and not any(repeated[:-1])
     assert all(np.min(later - earlier) >= -1e-12
                for earlier, later in zip(xs, xs[1:]))
@@ -313,6 +322,34 @@ def test_solution_monotone_in_obstacle(amps, coeffs, shift, tilt):
     assert np.min(gap) >= -1e-12
 
 
+def test_subnormal_data_certified_without_running_to_the_cap():
+    # The shrunk example of the obstacle property above: every datum near
+    # the smallest double.  Its residual is below the inner stop from the
+    # start, so the first active set repeats.
+    amps = [0.0, 3.66e-307, 3.66e-307]
+    sol = solve_thin_obstacle(ProblemSpec(
+        dimension=2, h=1 / 16, obstacle=quadratic(*amps),
+        boundary=boundary_mix(amps), max_sweeps=2000))
+    assert sol.converged and sol.sweeps == 1
+
+
+def test_revisited_active_set_stops_with_a_warning(monkeypatch):
+    # An inner solve that lands on 0, as a CG whose right-hand side norm
+    # underflows does, makes the active sets alternate; the loop stops at
+    # the first revisit, far below the cap.
+    def zero_solve(u, r, vcycle, atol):
+        u *= 1.0 - vcycle.levels[0].keep
+        return 0
+
+    monkeypatch.setattr(solver, "_pcg", zero_solve)
+    spec = ProblemSpec(dimension=2, h=1 / 16,
+                       obstacle=quadratic(0.1, 0.0, -1.0), boundary=1.0,
+                       max_sweeps=2000)
+    with pytest.warns(UserWarning, match="iteration 1 revisited, a cycle of 2"):
+        sol = solve_thin_obstacle(spec)
+    assert not sol.converged and sol.sweeps == 2
+
+
 def system_residual(sol):
     """max |Au - b| over the free nodes off the contact set, rebuilt from the
     solved values: A is the unscaled 2d-point Laplacian with the upper
@@ -377,6 +414,59 @@ def test_nonconvergence_warns():
     with pytest.warns(UserWarning, match="iteration cap"):
         sol = solve_thin_obstacle(spec)
     assert not sol.converged and sol.sweeps == 1
+
+
+# ---------------------------------------------------------------------------
+# Field reads
+# ---------------------------------------------------------------------------
+
+def interpolator_reference(sol, points):
+    """scipy's multilinear read of the same lattice, folded the same way."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    folded = np.array(points, dtype=float)
+    folded[:, -1] = np.abs(folded[:, -1])
+    return RegularGridInterpolator(tuple(sol.axes()), sol.values,
+                                   method="linear", bounds_error=True)(folded)
+
+
+@pytest.mark.parametrize("which", ["2d", "3d"])
+def test_evaluate_matches_regular_grid_interpolator(
+        which, halfspace_solution, profile_3d_solution):
+    sol = halfspace_solution[2] if which == "2d" else profile_3d_solution
+    d = sol.spec.dimension
+    rng = np.random.default_rng(29)
+    nodes = solver._mesh_points(sol.axes())
+    sphere = build_grid(d - 1, 24).nodes
+    mirror = np.where(np.arange(d) == d - 1, -1.0, 1.0)
+    box = rng.uniform(-1.0, 1.0, size=(4000, d))
+    below = box.copy()
+    below[:, -1] = -np.abs(below[:, -1])
+    for points in (box, nodes, nodes * mirror, sphere, 0.5 * sphere, below):
+        got = sol.evaluate(points)
+        assert got.shape == (len(points),)
+        assert np.max(np.abs(got - interpolator_reference(sol, points))) \
+            <= 1e-15
+    assert np.max(np.abs(sol.evaluate(nodes) - sol.values.ravel())) <= 1e-15
+
+
+@pytest.mark.parametrize("point", [[1.0 + 1e-12, 0.0], [0.3, -1.5],
+                                   [-2.0, 0.1]])
+def test_evaluate_rejects_points_off_the_lattice(halfspace_solution, point):
+    sol = halfspace_solution[2]
+    with pytest.raises(ValueError, match="out of bounds"):
+        sol.evaluate(np.array([[0.1, 0.2], point]))
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.2], [0.2, np.nan],
+                                   [np.nan, np.nan]])
+def test_evaluate_rejects_nan_points(halfspace_solution, point):
+    # A NaN coordinate has no cell: it raises rather than reading one.
+    sol = halfspace_solution[2]
+    with pytest.raises(ValueError, match="out of bounds"):
+        sol.evaluate(np.array([[0.1, 0.2], point]))
+    with pytest.raises(ValueError, match="out of bounds"):
+        sol.evaluate(np.array(point))
 
 
 # ---------------------------------------------------------------------------
@@ -468,25 +558,28 @@ def test_dump_load_roundtrip(tmp_path, halfspace_solution):
     assert np.array_equal(back.phi_thin, sol.phi_thin)
     assert back.spec.dimension == 2 and back.spec.h == sol.spec.h
     assert back.sweeps == sol.sweeps
+    assert back.cg_iterations == sol.cg_iterations > 0
+    assert back.stats()["method"] == "pdas-mgpcg"
 
 
 def test_load_reads_projected_sor_header(tmp_path, halfspace_solution):
     # The header as the projected SOR solver wrote it: ``omega`` and
-    # ``max_sweeps`` in the spec, ``final_update`` but no ``method`` in the
-    # stats.
+    # ``max_sweeps`` in the spec, ``final_update`` but no ``method`` and no
+    # ``cg_iterations`` in the stats.
     _, _, sol = halfspace_solution
     base = tmp_path / "case"
     _, json_path = sol.dump(base)
     header = json.loads(json_path.read_text())
     header["spec"].update(omega=1.8, max_sweeps=5000)
     header["stats"]["final_update"] = 3.2e-11
-    del header["stats"]["method"]
+    del header["stats"]["method"], header["stats"]["cg_iterations"]
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
     back = load_solution(base)
     assert back.spec.max_sweeps == 5000
     assert "omega" not in back.spec.to_config()
     assert np.array_equal(back.values, sol.values)
     assert back.sweeps == sol.sweeps and back.converged
+    assert back.cg_iterations is None
 
 
 def test_load_detects_corruption(tmp_path, halfspace_solution):
