@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import CheckResult, RunManifest, hash_files, read_csv, write_csv
-from .epiperimetric import (DEFAULT_CONFIG, adapted_half_basis,
+from .epiperimetric import (EPS, SLACK_FLOOR, adapted_half_basis,
                             certify_negative, certify_positive, choose_delta,
                             gap_demo, sample_negative_traces,
                             sample_positive_traces)
@@ -219,7 +219,7 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
     trials = int(params.get("trials", 200))
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    eps = float(params.get("eps", DEFAULT_CONFIG.eps))
+    eps = float(params.get("eps", EPS))
     if not eps > 0.0:
         raise ValueError(f"--eps must be positive, got {eps}")
     negative = bool(params.get("negative", False))
@@ -242,8 +242,6 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
     if negative:
         reports = certify_negative(
             sample_negative_traces(p, basis, m, trials, rng, eps), p, m, eps)
-        min_slack = min(rep.slack for rep in reports)
-        all_passed = all(rep.passed for rep in reports)
         alpha_ok = all(rep.alpha_in_range for rep in reports)
         window_ok = all(-0.05 < rep.w_z < 0.0 for rep in reports)
         rows = [{
@@ -253,22 +251,17 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
             "alpha_in_range": rep.alpha_in_range, "passed": rep.passed,
         } for trial, rep in enumerate(reports)]
         checks = [
-            CheckResult("slack-floor", min_slack >= DEFAULT_CONFIG.slack_floor,
-                        f"min slack {min_slack:.3e} over {trials} trials "
-                        f"(floor {DEFAULT_CONFIG.slack_floor:g})"),
             CheckResult("alpha-in-band", alpha_ok,
                         f"every alpha inside ({2 * m}, {2 * m + 1})"),
             CheckResult("energy-window", window_ok,
                         "every base energy in (-0.05, 0)"),
-            CheckResult("reports-passed", all_passed,
+            CheckResult("reports-passed", all(rep.passed for rep in reports),
                         "all competitor reports passed"),
         ]
     else:
         reports = certify_positive(
             sample_positive_traces(p, basis, m, trials, rng, eps=eps),
             p, m, half, eps)
-        min_slack = min(rep.slack for rep in reports)
-        all_passed = all(rep.passed for rep in reports)
         rows = [{
             "trial": trial, "mu": rep.mu, "alpha": rep.alpha,
             "kappa": rep.kappa, "w_z": rep.w_z, "w_zeta": rep.w_zeta,
@@ -278,13 +271,14 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
             "passed": rep.passed,
         } for trial, rep in enumerate(reports)]
         checks = [
-            CheckResult("slack-floor", min_slack >= DEFAULT_CONFIG.slack_floor,
-                        f"min slack {min_slack:.3e} over {trials} trials "
-                        f"(floor {DEFAULT_CONFIG.slack_floor:g})"),
-            CheckResult("reports-passed", all_passed,
+            CheckResult("reports-passed", all(rep.passed for rep in reports),
                         f"all {trials} competitor reports passed "
                         f"(m={m}, n={n}, delta={delta:g})"),
         ]
+    min_slack = min(rep.slack for rep in reports)
+    checks.insert(0, CheckResult("slack-floor", min_slack >= SLACK_FLOOR,
+                                 f"min slack {min_slack:.3e} over {trials} "
+                                 f"trials (floor {SLACK_FLOOR:g})"))
     timings["trials"] = time.perf_counter() - t0
 
     files = [write_csv(out / "epi.csv", rows)]
@@ -648,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n", type=int, default=1, choices=(1, 2))
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--eps", type=float, default=DEFAULT_CONFIG.eps)
+    p.add_argument("--eps", type=float, default=EPS)
     p.add_argument("--negative", action="store_true",
                    help="run the negative-energy variant")
     p.add_argument("--resolution", type=int, default=None)

@@ -41,18 +41,13 @@ from .weiss import (_degree_for, beta_rows, bilinear_rows, kappa,
                     weiss_raised, weiss_rows, weiss_spectral)
 
 
-@dataclass(frozen=True)
-class EpiConfig:
-    eps: float = 0.1                  # trace distance budget around the profile
-    eta: float = 0.05                 # |W(z)| budget for the negative case
-    delta_ladder: tuple = (0.4, 0.2, 0.1, 0.05)
-    cond_threshold: float = 1e6       # moment-matrix condition limit
-    bisect_tol: float = 1e-12         # alpha bisection interval tolerance
-    extra_modes: int = 10             # tail modes kept beyond the low block
-    slack_floor: float = -1e-8        # numerical tolerance on the decay slack
-
-
-DEFAULT_CONFIG = EpiConfig()
+EPS = 0.1                             # trace distance budget around the profile
+ETA = 0.05                            # |W(z)| budget for the negative case
+DELTA_LADDER = (0.4, 0.2, 0.1, 0.05)  # contact-region thresholds, tried in order
+COND_THRESHOLD = 1e6                  # moment-matrix condition limit
+BISECT_TOL = 1e-12                    # alpha bisection interval tolerance
+EXTRA_MODES = 10                      # tail modes kept beyond the low block
+SLACK_FLOOR = -1e-8                   # numerical tolerance on the decay slack
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +95,16 @@ def adapted_half_basis(p: BlowupProfile, grid: SphereGrid) -> EigenBasis:
 
 
 def _delta_basis(p: BlowupProfile, grid: SphereGrid, delta: float,
-                 count: int, cache_dir=None) -> EigenBasis:
-    """Constrained basis vanishing on Z_delta with at least ``count`` modes.
+                 m: int, cache_dir=None) -> EigenBasis:
+    """Constrained basis vanishing on Z_delta with at least EXTRA_MODES modes
+    beyond the low block of homogeneity 2m+1.
 
     When the contact region covers the whole equator the constrained basis
     coincides with the hemisphere analytic basis, which is used directly on
     grids that support it.
     """
     n = grid.n
+    count = mode_count_ell(n, m) + EXTRA_MODES
     mask = zero_set(p, delta, grid)
     if mask.size == grid.equator.size and (n == 1 or grid.kind == "latlong"):
         return half_sphere_basis(n, _degree_for(count, n), grid=grid)
@@ -115,18 +112,16 @@ def _delta_basis(p: BlowupProfile, grid: SphereGrid, delta: float,
 
 
 def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
-                 config: EpiConfig = DEFAULT_CONFIG,
                  cache_dir=None) -> tuple[float, EigenBasis]:
-    """Largest ladder delta whose constrained basis, with ``extra_modes``
-    modes beyond the low block, keeps every mode above the low block at
-    eigenvalue >= lambda(2m+2) - 1."""
+    """Largest delta of DELTA_LADDER whose constrained basis, with
+    EXTRA_MODES modes beyond the low block, keeps every mode above the low
+    block at eigenvalue >= lambda(2m+2) - 1."""
     n = grid.n
     ell = mode_count_ell(n, m)
-    count = ell + config.extra_modes
     floor = lambda_of(2 * m + 2, n) - 1.0
     last_fail = None
-    for delta in config.delta_ladder:
-        basis = _delta_basis(p, grid, delta, count, cache_dir)
+    for delta in DELTA_LADDER:
+        basis = _delta_basis(p, grid, delta, m, cache_dir)
         tail = basis.lambdas[ell:]
         if tail.size and np.min(tail) >= floor - 1e-9:
             return float(delta), basis
@@ -227,12 +222,12 @@ class Decomposition:
 
 
 def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
-                    basis_delta: EigenBasis, half_basis: EigenBasis,
-                    config: EpiConfig = DEFAULT_CONFIG) -> Decomposition:
-    """Decomposition of one admissible trace (see ``_decompose``)."""
+                    basis_delta: EigenBasis, half_basis: EigenBasis
+                    ) -> Decomposition:
+    """Decomposition of one admissible trace within EPS (``_decompose``)."""
     nu, phi, cond, flags, recon = _decompose(
-        TraceBatch.of_trace(c, basis_delta), p, half_basis, config.eps,
-        config.cond_threshold)
+        TraceBatch.of_trace(c, basis_delta), p, half_basis, EPS,
+        COND_THRESHOLD)
     p_part = trace_from_basis(half_basis, nu[0])
     moments = basis_delta.mass_rows(nu.shape[1]) @ (c.values - p_part.values)
     return Decomposition(nu=nu[0], p_part=p_part,
@@ -264,11 +259,11 @@ class EpiReport:
     slack_predicted: float            # closed-form slack (exact when the
                                       # cross pairings vanish)
     flags: dict
-    route_discrepancy: float = 0.0
+    route_discrepancy: float
 
     @property
     def passed(self) -> bool:
-        return self.slack >= DEFAULT_CONFIG.slack_floor and all(self.flags.values())
+        return self.slack >= SLACK_FLOOR and all(self.flags.values())
 
 
 def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
@@ -284,7 +279,7 @@ def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
     alpha = 2 * m + 1.5
     kap = kappa(alpha, mu, n)
     nu, phi, _, flags, _ = _decompose(batch, p, half_basis, eps,
-                                      DEFAULT_CONFIG.cond_threshold)
+                                      COND_THRESHOLD)
     w_p = weiss_spectral(nu, half_basis, mu)
     beta = beta_rows(nu, half_basis, phi, basis.values, mu, mu).beta
     w_z = w_p + weiss_spectral(phi, basis, mu) + 2.0 * beta / (n + 2 * mu - 1.0)
@@ -312,12 +307,11 @@ def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
     """``certify_positive`` for one trace, within the default eps."""
     grid = c.grid
     if basis_delta is None:
-        basis_delta = _delta_basis(
-            p, grid, delta, mode_count_ell(grid.n, m) + DEFAULT_CONFIG.extra_modes)
+        basis_delta = _delta_basis(p, grid, delta, m)
     if half_basis is None:
         half_basis = adapted_half_basis(p, grid)
     return certify_positive(TraceBatch.of_trace(c, basis_delta), p, m,
-                            half_basis, DEFAULT_CONFIG.eps)[0]
+                            half_basis, EPS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +336,18 @@ class NegativeEpiReport:
 
     @property
     def passed(self) -> bool:
-        return (self.slack >= DEFAULT_CONFIG.slack_floor and self.alpha_in_range
+        return (self.slack >= SLACK_FLOOR and self.alpha_in_range
                 and self.sign_ok and all(self.flags.values()))
 
 
-def solve_alpha(target, m: int, mu: float, n: int, tol: float = 1e-12):
-    """Bisection for alpha in (2m, mu) with (mu-alpha)/(n+alpha+mu-1) = target;
-    elementwise over an array of targets."""
+def solve_alpha(target, m: int, mu: float, n: int):
+    """Bisection for alpha in (2m, mu) with (mu-alpha)/(n+alpha+mu-1) = target,
+    to an interval of BISECT_TOL; elementwise over an array of targets."""
     t = np.asarray(target, dtype=float)
     if not np.all((0.0 < t) & (t < (mu - 2 * m) / (n + 2 * m + mu - 1.0))):
         raise ValueError(f"target {target} outside the reachable bracket")
     lo, hi = np.full(t.shape, float(2 * m)), np.full(t.shape, float(mu))
-    while np.any(open_ := hi - lo > tol):
+    while np.any(open_ := hi - lo > BISECT_TOL):
         mid = 0.5 * (lo + hi)
         below = (mu - mid) / (n + mid + mu - 1.0) > t
         lo = np.where(open_ & below, mid, lo)
@@ -368,8 +362,8 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
     split off the top-mode component h, lower the remainder's radial power
     to alpha in (2m, 2m+1) solving (mu-alpha)/(n+alpha+mu-1) = |W(z)|, and
     check W(zeta) <= (1+|W(z)|) W(z).  Flag ``energy_in_window``: |W(z)| <
-    ``EpiConfig.eta``.  Quadrature energies are Gram quadratic forms over
-    the batch's [offset | basis] columns."""
+    ETA.  Quadrature energies are Gram quadratic forms over the batch's
+    [offset | basis] columns."""
     basis = batch.basis
     n = basis.grid.n
     mu = float(2 * m + 1)
@@ -379,8 +373,8 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
     w_z = weiss_spectral(coeffs, basis, mu)
     _raise_at(~(w_z < 0.0), lambda t: f"W(z) = {w_z[t]:.3e} is not negative")
     absw = -w_z
-    flags["energy_in_window"] = absw < DEFAULT_CONFIG.eta
-    alpha = solve_alpha(absw, m, mu, n, tol=DEFAULT_CONFIG.bisect_tol)
+    flags["energy_in_window"] = absw < ETA
+    alpha = solve_alpha(absw, m, mu, n)
 
     top = np.arange(basis.count) == ell - 1
     h, phi = coeffs * top, coeffs * ~top
@@ -410,10 +404,8 @@ def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
     """``certify_negative`` for one trace, within the default eps: the
     report on the competitor zeta = r^mu h + r^alpha phi."""
     if basis_delta is None:
-        basis_delta = _delta_basis(
-            p, c.grid, delta, mode_count_ell(c.grid.n, m) + DEFAULT_CONFIG.extra_modes)
-    return certify_negative(TraceBatch.of_trace(c, basis_delta), p, m,
-                            DEFAULT_CONFIG.eps)[0]
+        basis_delta = _delta_basis(p, c.grid, delta, m)
+    return certify_negative(TraceBatch.of_trace(c, basis_delta), p, m, EPS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +523,7 @@ def gap_demo(m: int, n: int, t_grid=None) -> GapDemoReport:
 
 def sample_positive_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
                            count: int, rng: np.random.Generator,
-                           eps: float = DEFAULT_CONFIG.eps) -> TraceBatch:
+                           eps: float = EPS) -> TraceBatch:
     """Admissible traces near the profile: profile plus a random tail in the
     constrained modes above the low block, scaled inside the eps ball."""
     ell = mode_count_ell(basis_delta.grid.n, m)
@@ -548,7 +540,7 @@ def sample_positive_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
 
 def sample_negative_traces(p: BlowupProfile, basis_delta: EigenBasis, m: int,
                            count: int, rng: np.random.Generator,
-                           eps: float = DEFAULT_CONFIG.eps) -> TraceBatch:
+                           eps: float = EPS) -> TraceBatch:
     """Admissible traces whose mu-homogeneous extension has negative energy:
     profile plus low constrained modes (eigenvalue below the profile's),
     exactly scaled to land the energy in the window (-0.045, -0.001), cut

@@ -93,6 +93,14 @@ class FieldAdapter:
                                 r_max=math.inf, h=None, even=False)
         raise TypeError(f"cannot adapt {type(v).__name__} as a field")
 
+    def _usable(self, radii: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """The ``radii`` a grid-backed field resolves around ``x0``: at
+        least 3h, and at most r_max - |x0| - 3h; all of them otherwise."""
+        if self.h is None:
+            return radii
+        cap = self.r_max - float(np.linalg.norm(x0)) - 3.0 * self.h
+        return radii[(radii >= 3.0 * self.h) & (radii <= cap)]
+
 
 def _adapt(v, x0=None, dimension: int | None = None) -> FieldAdapter:
     """Adapt a field, inferring the ambient dimension from the center when
@@ -325,10 +333,7 @@ def truncated_frequency(v, x0, params: FrequencyParams | None = None,
             reach = adapter.r_max if math.isfinite(adapter.r_max) else 1.0
             r_max = min(0.6, 0.85 * (reach - float(np.linalg.norm(x0))))
         radii = radii_ladder(r_max, count)[::-1]       # coarse to fine
-    radii = np.asarray(radii, dtype=float)
-    if adapter.h is not None:
-        cap = adapter.r_max - float(np.linalg.norm(x0)) - 3.0 * adapter.h
-        radii = radii[(radii >= 3.0 * adapter.h) & (radii <= cap)]
+    radii = adapter._usable(np.asarray(radii, dtype=float), x0)
     if radii.size < 2:
         raise ValueError("need at least two usable ladder radii")
 
@@ -696,7 +701,7 @@ class ZdeltaReport:
     sup_raw: np.ndarray | None = None
     sup_rescaled: np.ndarray | None = None
     barrier_rows: list = field(default_factory=list)
-    contact_tol: float = 1e-8
+    contact_tol = 1e-8                # a class constant, not a field
 
     @property
     def max_sup_rescaled(self) -> float:
@@ -885,6 +890,7 @@ def stratify_contact(u: GridSolution, max_points: int = 48) -> StratifyReport:
     n = spec.n
     params = FrequencyParams(k=spec.k, gamma=spec.gamma)
     grid = _diagnostic_sphere(n)
+    adapter = FieldAdapter.adapt(u)
 
     coords = u.thin_points()
     mask_flat = np.asarray(u.contact).ravel()
@@ -899,11 +905,10 @@ def stratify_contact(u: GridSolution, max_points: int = 48) -> StratifyReport:
         xthin = coords[flat]
         x0 = np.append(xthin, 0.0)
         dist = float(np.linalg.norm(x0))
-        r_hi = min(0.6, 0.8 * (1.0 - dist))
+        r_hi = min(0.6, 0.8 * (adapter.r_max - dist))
         radii = (radii_ladder(r_hi, 20)[::-1] if r_hi > 0
                  else np.array([]))
-        radii = radii[(radii >= 3.0 * spec.h)
-                      & (radii <= 1.0 - dist - 3.0 * spec.h)]
+        radii = adapter._usable(radii, x0)
         if radii.size < 6:
             unresolved.append(xthin)
             rows.append({"x0": xthin, "label": "unresolved",

@@ -241,7 +241,7 @@ class AdmissibilityReport:
     parity_residual: float         # max |p(x', t) - p(x', -t)| at samples
     plane_residual: float          # max |p(x', 0)| at samples
     passed: bool = field(init=False)
-    tolerance: float = 1e-8
+    tolerance = 1e-8               # a class constant, not a field
 
     def __post_init__(self):
         self.passed = (
@@ -326,13 +326,12 @@ class HalfspaceSolution2D:
 
     mu: float
     family: str                    # "halfinteger" | "even" | "odd"
-    sign: float = 1.0
 
     def trace(self, theta_folded: np.ndarray) -> np.ndarray:
         th = np.asarray(theta_folded, dtype=float)
         if self.family == "odd":
-            return -self.sign * np.sin(self.mu * th)
-        return self.sign * np.cos(self.mu * th)
+            return -np.sin(self.mu * th)
+        return np.cos(self.mu * th)
 
     def trace_on(self, grid: SphereGrid) -> np.ndarray:
         return self.trace(_circle_angles(grid))
@@ -343,9 +342,9 @@ class HalfspaceSolution2D:
         shape (N, 2)."""
         th = _circle_angles(grid)
         if self.family == "odd":
-            slope = -self.sign * self.mu * np.cos(self.mu * th)
+            slope = -self.mu * np.cos(self.mu * th)
         else:
-            slope = -self.sign * self.mu * np.sin(self.mu * th)
+            slope = -self.mu * np.sin(self.mu * th)
         return slope[:, None] * grid.folded_tangents
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

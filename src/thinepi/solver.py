@@ -113,12 +113,22 @@ class _ConstantField:
         return np.full(pts.shape[:-1], self.value)
 
 
+class _OpaqueField:
+    """A field saved without a descriptor: it raises when evaluated."""
+
+    def __init__(self, text):
+        self.repr = text
+
+    def __call__(self, points):
+        raise ValueError(f"field {self.repr} has no descriptor to evaluate")
+
+
 def make_field(config, nvars: int):
     """Build an evaluator (points -> values) from a config dictionary.
 
     Recognized kinds: zero, constant {value}, polynomial {coeffs},
     profile {m, n}, halfspace {mu}, mode {j, power, amplitude},
-    sum {terms}, scaled {factor, of}.
+    sum {terms}, scaled {factor, of}, opaque {repr} (raises when evaluated).
     """
     if config is None:
         return None
@@ -144,6 +154,8 @@ def make_field(config, nvars: int):
         return _SumField(make_field(t, nvars) for t in config["terms"])
     if kind == "scaled":
         return _ScaledField(config["factor"], make_field(config["of"], nvars))
+    if kind == "opaque":
+        return _OpaqueField(config.get("repr"))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -168,6 +180,8 @@ def field_config(obj) -> dict | None:
     if isinstance(obj, _ScaledField):
         return {"kind": "scaled", "factor": obj.factor,
                 "of": field_config(obj.inner)}
+    if isinstance(obj, _OpaqueField):
+        return {"kind": "opaque", "repr": obj.repr}
     return {"kind": "opaque", "repr": repr(obj)}
 
 
@@ -188,8 +202,7 @@ class ProblemSpec:
     k: int = 2
     gamma: float = 0.5
     rhs: object = None                 # callable on (d)-points, or None
-    tol: float = 1e-10
-    max_sweeps: int = 200_000          # cap on outer active-set iterations
+    tol = 1e-10                        # certified residual bound, fixed
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -203,14 +216,9 @@ class ProblemSpec:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if isinstance(self.obstacle, (dict, int, float)):
-            self.obstacle = make_field(self.obstacle, self.n)
-        if isinstance(self.boundary, (dict, int, float)):
-            self.boundary = make_field(self.boundary, self.dimension)
-        if isinstance(self.rhs, (dict, int, float)):
-            self.rhs = make_field(self.rhs, self.dimension)
+        self.obstacle = make_field(self.obstacle, self.n)
+        self.boundary = make_field(self.boundary, self.dimension)
+        self.rhs = make_field(self.rhs, self.dimension)
 
     @property
     def n(self) -> int:
@@ -227,23 +235,24 @@ class ProblemSpec:
             "boundary": field_config(self.boundary),
             "k": self.k, "gamma": self.gamma,
             "rhs": field_config(self.rhs),
-            "tol": self.tol, "max_sweeps": self.max_sweeps,
+            "tol": self.tol,
         }
 
     @staticmethod
     def from_config(data: dict) -> "ProblemSpec":
-        """Spec from a config; unknown keys (an old ``omega``) are ignored."""
+        """Spec from a config; unknown keys (an old ``omega`` or ``max_sweeps``)
+        are ignored, and a ``tol`` other than the fixed one is an error."""
         required = [key for key in ("dimension", "h") if key not in data]
         if required:
             raise ValueError(f"config missing required keys: {required}")
+        if float(data.get("tol", ProblemSpec.tol)) != ProblemSpec.tol:
+            raise ValueError(f"config key 'tol' is fixed at {ProblemSpec.tol:g}, "
+                             f"got {data['tol']!r}")
         return ProblemSpec(
             dimension=int(data["dimension"]), h=float(data["h"]),
-            obstacle=make_field(data.get("obstacle"), int(data["dimension"]) - 1),
-            boundary=make_field(data.get("boundary", 0.0), int(data["dimension"])),
+            obstacle=data.get("obstacle"), boundary=data.get("boundary", 0.0),
             k=int(data.get("k", 2)), gamma=float(data.get("gamma", 0.5)),
-            rhs=make_field(data.get("rhs"), int(data["dimension"])),
-            tol=float(data.get("tol", 1e-10)),
-            max_sweeps=int(data.get("max_sweeps", 200_000)),
+            rhs=data.get("rhs"),
         )
 
     @staticmethod
@@ -709,9 +718,10 @@ def _pdas(u, free, obstacle, forcing, tol):
 
 
 def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
-    """PDAS solve from the obstacle-lifted start, at most ``max_sweeps``
-    iterations; ``converged`` certifies KKT: the active set repeated, |Au - b|
-    <= tol off it, u >= phi, and a multiplier >= -tol on it."""
+    """PDAS solve from the obstacle-lifted start, at most free thin nodes + 2
+    iterations (its bound on an M-matrix); ``converged`` certifies KKT: the
+    active set repeated, |Au - b| <= tol off it, u >= phi, and a multiplier
+    >= -tol on it."""
     t0 = time.perf_counter()
     u, kind, phi, f = _assemble(spec)
     free = kind > 0
@@ -721,10 +731,10 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
     forcing = spec.h ** 2 * f
     forcing[..., 0] *= 0.5
 
+    cap = int(np.count_nonzero(thin_sel)) + 2
     cg_iterations = 0
     for sweeps, step in enumerate(itertools.islice(
-            _pdas(u, free, obstacle, forcing, spec.tol), spec.max_sweeps),
-            start=1):
+            _pdas(u, free, obstacle, forcing, spec.tol), cap), start=1):
         cg_iterations += step.cg_iterations
     u, repeated = step.u, step.repeated
 
@@ -743,7 +753,7 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
         if repeated:
             stop = "active set repeated"
         elif step.revisits is None:
-            stop = f"iteration cap {spec.max_sweeps}"
+            stop = f"iteration cap {cap}"
         else:
             stop = (f"active set of iteration {step.revisits} revisited, "
                     f"a cycle of {sweeps + 1 - step.revisits} iterations")

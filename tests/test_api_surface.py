@@ -1,12 +1,14 @@
-"""Every defaulted parameter of the public API has a caller.
+"""Every defaulted parameter and dataclass field of the public API has a
+caller.
 
 A numerical setting that every caller leaves at one value is a constant,
-not a parameter: each unused default is a configuration that no test or
-benchmark runs.  This test parses ``src/thinepi`` and every call in
-``src/``, ``scripts/``, ``perfbench/`` and ``tests/``, and fails when a
-public function or method has a defaulted parameter that no call passes,
-by keyword or by position.  Calls are matched by the called name alone, so
-a call to any function of the same name counts.
+not a parameter or a config field: each unused default is a configuration
+that no test or benchmark runs.  This test parses ``src/thinepi`` and every
+call in ``src/``, ``scripts/``, ``perfbench/`` and ``tests/``, and fails
+when a public function or method has a defaulted parameter, or a public
+dataclass a defaulted ``init`` field, that no call passes, by keyword or by
+position.  Calls are matched by the called name alone, so a call to any
+function or class of the same name counts.
 """
 
 import ast
@@ -35,6 +37,10 @@ ALLOWED = {
     "spectral.verify_spectral_convergence.cache_dir":
         "deployment path of the eigenbasis cache",
 }
+
+
+# Dataclass fields kept although no call sets them, each with its reason.
+ALLOWED_FIELDS: dict = {}
 
 
 def _defaulted(args: ast.arguments, skip_first: bool):
@@ -95,18 +101,73 @@ def _calls():
     return calls
 
 
-def unused_parameters() -> list[str]:
+def _name_of(node) -> str | None:
+    """Name of a decorator or of a called function, with or without its
+    module prefix."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _init_fields(node: ast.ClassDef):
+    """(name, position, defaulted) of each ``init`` field of a dataclass
+    body; ``field(init=False)`` is no parameter of ``__init__``."""
+    out = []
+    for item in node.body:
+        if (not isinstance(item, ast.AnnAssign)
+                or not isinstance(item.target, ast.Name)):
+            continue
+        value, defaulted = item.value, item.value is not None
+        if isinstance(value, ast.Call) and _name_of(value) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in keywords or "default_factory" in keywords
+        out.append((item.target.id, len(out), defaulted))
+    return out
+
+
+def _public_fields():
+    """{"module.Class": [(field, position), ...]} for the defaulted
+    ``init`` fields of public dataclasses."""
+    api = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    and any(_name_of(d) == "dataclass"
+                            for d in node.decorator_list)):
+                api[f"{path.stem}.{node.name}"] = [
+                    (name, position)
+                    for name, position, defaulted in _init_fields(node)
+                    if defaulted]
+    return api
+
+
+def _unset(api: dict, allowed: dict) -> list[str]:
+    """Entries "qualname.name" of ``api`` that no call of the qualname's
+    last part passes, by keyword or by position, and ``allowed`` does not
+    name."""
     calls = _calls()
-    unused = []
-    for qualname, params in _public_api().items():
+    unset = []
+    for qualname, params in api.items():
         sites = calls.get(qualname.rsplit(".", 1)[1], [])
         for name, position in params:
             passed = any(name in keywords
                          or (position is not None and npos > position)
                          for npos, keywords in sites)
-            if not passed and f"{qualname}.{name}" not in ALLOWED:
-                unused.append(f"{qualname}.{name}")
-    return unused
+            if not passed and f"{qualname}.{name}" not in allowed:
+                unset.append(f"{qualname}.{name}")
+    return unset
+
+
+def unused_parameters() -> list[str]:
+    return _unset(_public_api(), ALLOWED)
+
+
+def unused_fields() -> list[str]:
+    return _unset(_public_fields(), ALLOWED_FIELDS)
 
 
 def test_every_defaulted_parameter_has_a_caller():
@@ -115,8 +176,21 @@ def test_every_defaulted_parameter_has_a_caller():
                         + "\n".join(unused))
 
 
+def test_every_defaulted_field_has_a_caller():
+    unused = unused_fields()
+    assert not unused, ("defaulted dataclass fields that no call sets:\n"
+                        + "\n".join(unused))
+
+
 def test_allow_list_names_existing_parameters():
     api = _public_api()
     for entry in ALLOWED:
         qualname, name = entry.rsplit(".", 1)
         assert name in {p for p, _ in api.get(qualname, [])}, entry
+
+
+def test_field_allow_list_names_existing_fields():
+    api = _public_fields()
+    for entry in ALLOWED_FIELDS:
+        qualname, name = entry.rsplit(".", 1)
+        assert name in {f for f, _ in api.get(qualname, [])}, entry

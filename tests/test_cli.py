@@ -176,6 +176,24 @@ def test_solve_run_from_config_file(tmp_path):
     assert manifest.config["params"]["config"] == str(config_path)
 
 
+def test_solve_config_with_projected_sor_keys(tmp_path, capsys):
+    # A config written for the projected SOR solver: ``omega`` and
+    # ``max_sweeps`` are ignored, and a ``tol`` other than the fixed one
+    # is an error that names the key.
+    problem = {"dimension": 2, "h": 1 / 32, "obstacle": {"kind": "zero"},
+               "boundary": {"kind": "halfspace", "mu": 1.5},
+               "omega": 1.8, "max_sweeps": 5000}
+    config_path = tmp_path / "problem.json"
+    config_path.write_text(json.dumps(problem))
+    assert main(["solve", "--config", str(config_path),
+                 "--out", str(tmp_path / "old")]) == 0
+    config_path.write_text(json.dumps(dict(problem, tol=1e-6)))
+    code = main(["solve", "--config", str(config_path),
+                 "--out", str(tmp_path / "loose")])
+    assert code == 2
+    assert "'tol'" in capsys.readouterr().err
+
+
 def test_epi_check_run_positive(tmp_path):
     manifest = run(_config("epi-check", tmp_path, m=0, n=1, trials=25,
                            resolution=1024))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thinepi import epiperimetric
-from thinepi.epiperimetric import (DEFAULT_CONFIG, EpiConfig, adapted_half_basis,
+from thinepi.epiperimetric import (EPS, adapted_half_basis,
                                    build_competitor_negative,
                                    certify_negative, certify_positive,
                                    choose_delta,
@@ -67,12 +67,12 @@ def test_choose_delta_picks_top_of_ladder_with_full_mask(setup01, setup11, setup
         assert np.min(basis.lambdas[ell:]) >= floor - 1e-9
 
 
-def test_choose_delta_fails_when_no_ladder_entry_works(circle):
+def test_choose_delta_fails_when_no_ladder_entry_works(circle, monkeypatch):
     p = make_profile(0, 1)   # slope yields contact threshold ~0.564
-    cfg = EpiConfig(delta_ladder=(0.60,))
+    monkeypatch.setattr(epiperimetric, "DELTA_LADDER", (0.60,))
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="ladder"):
-            choose_delta(p, circle, 0, config=cfg)
+            choose_delta(p, circle, 0)
 
 
 def test_adapted_half_basis_last_mode_is_profile_trace(setup01, setup11, setup02):
@@ -154,13 +154,13 @@ def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup1
     rng = np.random.default_rng(24)
     p, delta, basis, half = setup01
     batch = sample_positive_traces(p, basis, 0, 3, rng)
-    reports = certify_positive(batch, p, 0, half, DEFAULT_CONFIG.eps)
+    reports = certify_positive(batch, p, 0, half, EPS)
     assert len(checked) == 1
     for c, batch_rep in zip(batch, reports):
         checked.clear()
         rep = verify_epi(c, p, delta, 0, basis_delta=basis, half_basis=half)
         assert len(checked) == 1
-        _, flags = real(TraceBatch.of_trace(c, basis), p, DEFAULT_CONFIG.eps)
+        _, flags = real(TraceBatch.of_trace(c, basis), p, EPS)
         assert rep.flags == batch_rep.flags == {k: bool(v[0])
                                                 for k, v in flags.items()}
     p, delta, basis, _ = setup11
@@ -170,12 +170,12 @@ def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup1
         assert len(checked) == 1
 
 
-def test_decompose_condition_threshold(setup01):
+def test_decompose_condition_threshold(setup01, monkeypatch):
     p, delta, basis, half = setup01
     c = trace_from_profile(p, basis.grid)
-    cfg = EpiConfig(cond_threshold=0.5)
+    monkeypatch.setattr(epiperimetric, "COND_THRESHOLD", 0.5)
     with pytest.raises(ValueError, match="condition"):
-        decompose_trace(c, p, delta, basis, half, config=cfg)
+        decompose_trace(c, p, delta, basis, half)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_batch_matches_one_trace_api(circle, setup01, setup02, setup11):
     rng = np.random.default_rng(31)
     for (p, delta, basis, half), m in ((setup01, 0), (setup02, 0)):
         batch = sample_positive_traces(p, basis, m, 6, rng)
-        reports = certify_positive(batch, p, m, half, DEFAULT_CONFIG.eps)
+        reports = certify_positive(batch, p, m, half, EPS)
         assert len(reports) == 6
         for c, rep in zip(batch, reports):
             single = verify_epi(c, p, delta, m, basis_delta=basis,
@@ -245,7 +245,7 @@ def test_batch_matches_one_trace_api(circle, setup01, setup02, setup11):
     delta2, basis2 = choose_delta(p2, circle, 2)
     for (p, delta, basis), m in ((setup11[:3], 1), ((p2, delta2, basis2), 2)):
         batch = sample_negative_traces(p, basis, m, 6, rng)
-        reports = certify_negative(batch, p, m, DEFAULT_CONFIG.eps)
+        reports = certify_negative(batch, p, m, EPS)
         for c, rep in zip(batch, reports):
             single = build_competitor_negative(c, p, delta, m,
                                                basis_delta=basis)
@@ -258,7 +258,7 @@ def test_batch_names_the_inadmissible_trial(setup01):
     batch.coeffs[2] *= 0.3 / np.linalg.norm(batch.coeffs[2])
     with pytest.raises(ValueError, match=r"trial 2: trace fails admissibility "
                                          r"checks: \['within_eps'\]"):
-        certify_positive(batch, p, 0, half, DEFAULT_CONFIG.eps)
+        certify_positive(batch, p, 0, half, EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ def test_spec_validation_errors():
         ProblemSpec(dimension=2, h=1 / 32, k=1)
     with pytest.raises(ValueError, match="gamma"):
         ProblemSpec(dimension=2, h=1 / 32, gamma=1.5)
-    with pytest.raises(ValueError, match="max_sweeps"):
-        ProblemSpec(dimension=2, h=1 / 32, max_sweeps=0)
+    with pytest.raises(ValueError, match="'tol'"):
+        ProblemSpec.from_config({"dimension": 2, "h": 1 / 32, "tol": 1e-6})
 
 
 def test_spec_config_roundtrip():
@@ -329,7 +329,7 @@ def test_subnormal_data_certified_without_running_to_the_cap():
     amps = [0.0, 3.66e-307, 3.66e-307]
     sol = solve_thin_obstacle(ProblemSpec(
         dimension=2, h=1 / 16, obstacle=quadratic(*amps),
-        boundary=boundary_mix(amps), max_sweeps=2000))
+        boundary=boundary_mix(amps)))
     assert sol.converged and sol.sweeps == 1
 
 
@@ -343,8 +343,7 @@ def test_revisited_active_set_stops_with_a_warning(monkeypatch):
 
     monkeypatch.setattr(solver, "_pcg", zero_solve)
     spec = ProblemSpec(dimension=2, h=1 / 16,
-                       obstacle=quadratic(0.1, 0.0, -1.0), boundary=1.0,
-                       max_sweeps=2000)
+                       obstacle=quadratic(0.1, 0.0, -1.0), boundary=1.0)
     with pytest.warns(UserWarning, match="iteration 1 revisited, a cycle of 2"):
         sol = solve_thin_obstacle(spec)
     assert not sol.converged and sol.sweeps == 2
@@ -407,13 +406,20 @@ def test_converging_solve_is_silent():
     assert [str(w.message) for w in caught] == []
 
 
-def test_nonconvergence_warns():
-    hs = halfspace_2d(1.5)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs,
-                       max_sweeps=1)
-    with pytest.warns(UserWarning, match="iteration cap"):
+def test_nonconvergence_warns(monkeypatch):
+    # Iterates whose active set is new at every step run to the cap, free
+    # thin nodes + 2, the bound of PDAS on an M-matrix system.
+    def fresh_sets(u, free, obstacle, forcing, tol):
+        while True:
+            yield solver._Step(u, np.zeros(u.shape, dtype=bool), False, None, 1)
+
+    monkeypatch.setattr(solver, "_pdas", fresh_sets)
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
+                       boundary=halfspace_2d(1.5))
+    with pytest.warns(UserWarning, match="iteration cap 65"):
         sol = solve_thin_obstacle(spec)
-    assert not sol.converged and sol.sweeps == 1
+    assert np.count_nonzero(sol.kind[..., 0] == 2) == 63
+    assert not sol.converged and sol.sweeps == sol.cg_iterations == 65
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +571,7 @@ def test_dump_load_roundtrip(tmp_path, halfspace_solution):
 def test_load_reads_projected_sor_header(tmp_path, halfspace_solution):
     # The header as the projected SOR solver wrote it: ``omega`` and
     # ``max_sweeps`` in the spec, ``final_update`` but no ``method`` and no
-    # ``cg_iterations`` in the stats.
+    # ``cg_iterations`` in the stats.  Both spec keys are ignored.
     _, _, sol = halfspace_solution
     base = tmp_path / "case"
     _, json_path = sol.dump(base)
@@ -575,11 +581,26 @@ def test_load_reads_projected_sor_header(tmp_path, halfspace_solution):
     del header["stats"]["method"], header["stats"]["cg_iterations"]
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
     back = load_solution(base)
-    assert back.spec.max_sweeps == 5000
-    assert "omega" not in back.spec.to_config()
+    assert not {"omega", "max_sweeps"} & back.spec.to_config().keys()
     assert np.array_equal(back.values, sol.values)
     assert back.sweeps == sol.sweeps and back.converged
     assert back.cg_iterations is None
+
+
+def test_load_keeps_a_field_without_descriptor(tmp_path):
+    # A plain callable is saved by its repr; it loads, and evaluating it
+    # raises an error that names it.
+    def boundary(points):
+        return np.ones(np.shape(points)[:-1])
+
+    sol = solve_thin_obstacle(ProblemSpec(dimension=2, h=1 / 16,
+                                          obstacle=ZERO_1D, boundary=boundary))
+    sol.dump(tmp_path / "case")
+    back = load_solution(tmp_path / "case")
+    assert back.spec.to_config() == sol.spec.to_config()
+    assert np.array_equal(back.values, sol.values)
+    with pytest.raises(ValueError, match="function .*boundary"):
+        back.spec.boundary(np.zeros((1, 2)))
 
 
 def test_load_detects_corruption(tmp_path, halfspace_solution):
