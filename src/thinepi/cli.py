@@ -3,9 +3,12 @@
 Each subcommand runs one experiment — spectral identity checks,
 energy-improvement trials, the constrained solver, frequency ladders,
 blow-up decay fits, contact stratification, or the frequency-gap
-demonstration — and writes CSV/SVG artifacts plus a JSON manifest.  The
-manifest lists every produced file with a SHA-256 content hash; seeds and
-ladders fully determine a run, so identical configurations reproduce
+demonstration — and writes CSV/SVG artifacts plus a JSON manifest.  A
+pipeline draws its figure from the results it holds, next to the table it
+writes of them: a frequency curve, a blow-up log-log scatter with
+``blowup_fit``'s line (none when the fit is degenerate), a slack histogram.
+The manifest lists every produced file with a SHA-256 content hash; seeds
+and ladders fully determine a run, so identical configurations reproduce
 identical artifact bytes.  The process exits 0 only if every gated check
 passes.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import CheckResult, RunManifest, hash_files, read_csv, write_csv
+from .artifacts import CheckResult, RunManifest, hash_files, write_csv
 from .epiperimetric import (EPS, SLACK_FLOOR, adapted_half_basis,
                             certify_negative, certify_positive, choose_delta,
                             gap_demo, sample_negative_traces,
@@ -39,8 +42,7 @@ from .weiss import weiss_raised, weiss_rows, weiss_spectral
 SUBCOMMANDS = ("spectral", "epi-check", "solve", "frequency", "blowup",
                "stratify", "gap-demo")
 
-__all__ = ["RunConfig", "RunManifest", "run", "emit_plots", "main",
-           "SUBCOMMANDS"]
+__all__ = ["RunConfig", "RunManifest", "run", "main", "SUBCOMMANDS"]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,7 @@ def _solve_case(config: RunConfig, default_case: str, timings: dict):
 
 
 # ---------------------------------------------------------------------------
-# Pipelines (each returns produced files and gated checks)
+# Pipelines (each returns its produced files, figures included, and checks)
 # ---------------------------------------------------------------------------
 
 def _run_spectral(config: RunConfig, out: Path, timings: dict):
@@ -281,7 +283,10 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
                                  f"trials (floor {SLACK_FLOOR:g})"))
     timings["trials"] = time.perf_counter() - t0
 
-    files = [write_csv(out / "epi.csv", rows)]
+    files = [write_csv(out / "epi.csv", rows),
+             histogram(out / "epi_slack.svg", [rep.slack for rep in reports],
+                       bins=24, title="Energy-improvement slack",
+                       xlabel="slack")]
     return files, checks
 
 
@@ -344,7 +349,10 @@ def _run_frequency(config: RunConfig, out: Path, timings: dict):
         params=freq_params, count=count)
     timings["frequency"] = time.perf_counter() - t0
 
-    files = [write_csv(out / "frequency.csv", profile.rows())]
+    files = [write_csv(out / "frequency.csv", profile.rows()),
+             line_plot(out / "frequency_phi.svg", profile.radii, profile.Phi,
+                       title="Truncated frequency along the radius ladder",
+                       xlabel="radius", ylabel="frequency")]
     worst = profile.max_violation()
     checks = [CheckResult(
         "frequency-monotone", worst <= violation_tol,
@@ -401,7 +409,11 @@ def _run_blowup(config: RunConfig, out: Path, timings: dict):
                          "available: constructed, solved")
     timings["fit"] = time.perf_counter() - t0
 
-    files = [write_csv(out / "blowup.csv", fit.rows())]
+    files = [write_csv(out / "blowup.csv", fit.rows()),
+             loglog_plot(out / "blowup_decay.svg", fit.radii, fit.dist_linf,
+                         slope=fit.exponent, intercept=fit.intercept,
+                         title="Distance to the blow-up limit",
+                         xlabel="radius", ylabel="sup distance")]
     if fit.exponent is None:
         resolved = (f"no exponent was fitted: degenerate fit over "
                     f"{len(fit.radii)} radii")
@@ -522,59 +534,6 @@ _PIPELINES = {
 
 
 # ---------------------------------------------------------------------------
-# Plot emission
-# ---------------------------------------------------------------------------
-
-def emit_plots(source) -> list[Path]:
-    """Render SVG figures for the known CSV artifacts.
-
-    ``source`` is a directory or an iterable of CSV paths.  Emits a frequency
-    polyline, a blow-up log-log scatter with its fitted line, and a slack
-    histogram, for whichever of those tables are present.  Empty or malformed
-    CSV files raise ``ValueError``.
-    """
-    if isinstance(source, (str, Path)) and Path(source).is_dir():
-        paths = sorted(Path(source).glob("*.csv"))
-    else:
-        paths = [Path(p) for p in source]
-    made = []
-    for path in paths:
-        if path.suffix != ".csv":
-            continue
-        if path.name == "frequency.csv":
-            rows = read_csv(path)
-            made.append(line_plot(
-                path.with_name("frequency_phi.svg"),
-                [row["radius"] for row in rows],
-                [row["Phi"] for row in rows],
-                title="Truncated frequency along the radius ladder",
-                xlabel="radius", ylabel="frequency"))
-        elif path.name == "blowup.csv":
-            rows = read_csv(path)
-            radii = np.array([row["radius"] for row in rows], dtype=float)
-            dist = np.array([row["dist_linf"] for row in rows], dtype=float)
-            # the line fits the distances above 1e-13 of the ladder's
-            # largest; the CSV has no profile scale for blowup_fit's cut
-            keep = dist > 1e-13 * dist.max()
-            slope = intercept = None
-            if np.count_nonzero(keep) >= 2:
-                slope, intercept = np.polyfit(np.log(radii[keep]),
-                                              np.log(dist[keep]), 1)
-            made.append(loglog_plot(
-                path.with_name("blowup_decay.svg"), radii, dist,
-                slope=slope, intercept=intercept,
-                title="Distance to the blow-up limit",
-                xlabel="radius", ylabel="sup distance"))
-        elif path.name == "epi.csv":
-            rows = read_csv(path)
-            made.append(histogram(
-                path.with_name("epi_slack.svg"),
-                [row["slack"] for row in rows], bins=24,
-                title="Energy-improvement slack", xlabel="slack"))
-    return made
-
-
-# ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
@@ -589,8 +548,6 @@ def run(config: RunConfig) -> RunManifest:
         files, checks = _PIPELINES[config.subcommand](config, out, timings)
     except ValueError as err:
         raise ValueError(f"{config.subcommand} run failed: {err}") from err
-    files = list(files) + emit_plots([p for p in files
-                                      if Path(p).suffix == ".csv"])
     timings["total"] = time.perf_counter() - t_start
 
     manifest = RunManifest(

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dataclasses import replace as dc_replace
-
 from .grids import SphereGrid, build_grid, radial_rule, radii_ladder
 from .polynomials import Polynomial, monomials_of_degree
 from .profiles import BlowupProfile, HalfspaceSolution2D, \
@@ -93,13 +91,18 @@ class FieldAdapter:
                                 r_max=math.inf, h=None, even=False)
         raise TypeError(f"cannot adapt {type(v).__name__} as a field")
 
+    def _cap(self, x0: np.ndarray) -> float:
+        """The largest radius around ``x0`` that a diagnostic reads:
+        r_max - |x0| - 3h (inf for a field with no domain edge), so that
+        reads at r + h/2 keep the 2h margin of ``_check_reach``."""
+        return self.r_max - float(np.linalg.norm(x0)) - 3.0 * (self.h or 0.0)
+
     def _usable(self, radii: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """The ``radii`` a grid-backed field resolves around ``x0``: at
-        least 3h, and at most r_max - |x0| - 3h; all of them otherwise."""
+        least 3h, and at most ``_cap(x0)``; all of them otherwise."""
         if self.h is None:
             return radii
-        cap = self.r_max - float(np.linalg.norm(x0)) - 3.0 * self.h
-        return radii[(radii >= 3.0 * self.h) & (radii <= cap)]
+        return radii[(radii >= 3.0 * self.h) & (radii <= self._cap(x0))]
 
 
 def _adapt(v, x0=None, dimension: int | None = None) -> FieldAdapter:
@@ -642,7 +645,9 @@ def blowup_fit(v, x0, m: int, radii,
     coeffs = np.linalg.solve(Gm, rhs)
     p0_hat = Polynomial(n, {e: c for e, c in zip(monos, coeffs)})
     if p0_hat.is_zero():
-        profile = dc_replace(basis_profiles[-1], normalization=0.0)
+        last = basis_profiles[-1]
+        profile = BlowupProfile(m=m, n=n, p0=last.p0, p1=last.p1,
+                                normalization=0.0)
         admissible = False
     else:
         profile = _profile_from_slope(m, n, p0_hat)
@@ -739,11 +744,10 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
 
     # closeness hypothesis on the annulus
     shells = np.linspace(0.25, 1.5, 26)
-    if math.isfinite(adapter.r_max):
-        top = (adapter.r_max - 3 * (adapter.h or 0) - float(np.linalg.norm(x0))) / r
-        if top < 1.2:           # the barrier neighborhoods need scale 1.2 r
-            raise ValueError("scale r too large to sample the annulus")
-        shells = shells[shells <= top]
+    top = adapter._cap(x0) / r
+    if top < 1.2:               # the barrier neighborhoods need scale 1.2 r
+        raise ValueError("scale r too large to sample the annulus")
+    shells = shells[shells <= top]
     linf = _shell_sup_distance(_on_spheres(adapter, x0, r * shells, grid),
                                r, mu, shells, p.trace_on(grid))
     if linf > eta3:
@@ -812,11 +816,9 @@ def linfty_l2_check(v, p: BlowupProfile, r: float,
     adapter = _adapt(v, x0, n + 1)
     x0 = _center(x0, n + 1)
     grid = _diagnostic_sphere(n)
-    if math.isfinite(adapter.r_max):
-        need = 2.0 * r + float(np.linalg.norm(x0))
-        if need > adapter.r_max - 3 * (adapter.h or 0):
-            raise ValueError(
-                f"scale r={r} too large: the outer annulus needs radius {need}")
+    if 2.0 * r > adapter._cap(x0):
+        raise ValueError(f"scale r={r} too large: the outer annulus needs "
+                         f"radius {2.0 * r + float(np.linalg.norm(x0))}")
     p_trace = p.trace_on(grid)
 
     shells = np.linspace(0.25, 1.5, 26)
@@ -914,7 +916,7 @@ def stratify_contact(u: GridSolution, max_points: int = 48) -> StratifyReport:
             rows.append({"x0": xthin, "label": "unresolved",
                          "mu_estimate": None})
             continue
-        target = zero_obstacle_field(u, spec, xthin)
+        target = zero_obstacle_field(u, xthin)
         try:
             prof = truncated_frequency(target, x0, params=params,
                                        radii=radii, grid=grid)

@@ -18,7 +18,6 @@ and exactly known trace norm.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -117,25 +116,6 @@ class BlowupProfile:
         """Exact L^2(S^n) norm of the trace via sphere moments."""
         P = self.upper_polynomial()
         return float(np.sqrt((P * P).sphere_integral()))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        def poly_items(p: Polynomial):
-            return [[list(e), c] for e, c in sorted(p.coeffs.items())]
-        return json.dumps({
-            "m": self.m, "n": self.n,
-            "p0": poly_items(self.p0), "p1": poly_items(self.p1),
-            "normalization": self.normalization,
-        }, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BlowupProfile":
-        data = json.loads(text)
-        p0 = Polynomial(data["n"], {tuple(e): c for e, c in data["p0"]})
-        p1 = Polynomial(data["n"] + 1, {tuple(e): c for e, c in data["p1"]})
-        return BlowupProfile(m=data["m"], n=data["n"], p0=p0, p1=p1,
-                             normalization=data["normalization"])
 
 
 def default_slope(m: int, n: int) -> Polynomial:

@@ -865,13 +865,11 @@ class ReducedProblem:
         return h_eval
 
 
-def reduce_to_zero_obstacle(sol: GridSolution, spec: ProblemSpec | None = None,
-                            x0=None) -> ReducedProblem:
+def reduce_to_zero_obstacle(sol: GridSolution, x0=None) -> ReducedProblem:
     """Normal form v = u - phi(x') + q_k(x') - qtilde_k(x) with right-hand
     side h = -Lap_horizontal(phi - q_k); v has zero obstacle and v = u - phi
     on the thin plane."""
-    if spec is None:
-        spec = sol.spec
+    spec = sol.spec
     n = spec.n
     if x0 is None:
         x0 = np.zeros(n)
@@ -910,12 +908,11 @@ def reduce_to_zero_obstacle(sol: GridSolution, spec: ProblemSpec | None = None,
                           q_tilde=q_tilde, c_empirical=c_emp, spec=spec)
 
 
-def zero_obstacle_field(sol: GridSolution, spec: ProblemSpec | None = None,
-                        x0=None) -> GridSolution:
+def zero_obstacle_field(sol: GridSolution, x0=None) -> GridSolution:
     """The field the frequency diagnostics read about the thin point x0:
     the zero-obstacle normal form when the obstacle is a nonzero
     Polynomial, otherwise ``sol`` itself."""
-    obstacle = (spec or sol.spec).obstacle
+    obstacle = sol.spec.obstacle
     if isinstance(obstacle, Polynomial) and not obstacle.is_zero():
-        return reduce_to_zero_obstacle(sol, spec, x0).v_solution(sol)
+        return reduce_to_zero_obstacle(sol, x0).v_solution(sol)
     return sol

@@ -103,10 +103,6 @@ class EigenBasis:
             self._mass_rows[k] = rows
         return rows
 
-    def project(self, trace_values: np.ndarray) -> np.ndarray:
-        """Quadrature inner products of a node function with every mode."""
-        return self.values.T @ (self.grid.weights * trace_values)
-
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return self.values @ np.asarray(coeffs, dtype=float)
 

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from thinepi.cli import case_spec
 from thinepi.epiperimetric import (adapted_half_basis,
                                    build_competitor_negative, choose_delta,
                                    gap_demo, sample_negative_traces,
@@ -36,20 +37,10 @@ def _solve_case(case_config: dict) -> object:
     return solve_thin_obstacle(ProblemSpec.from_config(case_config))
 
 
-def near_profile_solution(seed: int, eps: float = 0.02, r0: float = 0.3):
-    """Boundary = catalog profile plus a seeded random even bump vanishing
-    at the equator, mixture normalized and scale-equalized at r0."""
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2)
-    amps /= np.linalg.norm(amps)
-    terms = [{"kind": "mode", "j": j, "power": j,
-              "amplitude": eps * float(a) / r0 ** (j - 2)}
-             for j, a in zip((2, 3), amps)]
-    return _solve_case({
-        "dimension": 2, "h": 1 / 32, "obstacle": {"kind": "zero"},
-        "boundary": {"kind": "sum",
-                     "terms": [{"kind": "profile", "m": 0, "n": 1}] + terms},
-        "k": 2, "gamma": 0.5})
+def near_profile_solution(seed: int):
+    """The CLI's near-profile case at h = 1/32: the catalog profile plus a
+    seeded random even bump vanishing at the equator."""
+    return solve_thin_obstacle(case_spec("near-profile", 32, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +295,7 @@ def test_criterion_08_frequency_monotonicity():
 
     violations = []
     for res in (32, 64, 128):
-        sol = _solve_case({
-            "dimension": 2, "h": 1.0 / res,
-            "obstacle": {"kind": "polynomial", "coeffs": [[[4], 1.0]]},
-            "boundary": {"kind": "sum", "terms": [
-                {"kind": "polynomial", "coeffs": [[[4, 0], 1.0]]},
-                {"kind": "scaled", "factor": 2.0,
-                 "of": {"kind": "profile", "m": 0, "n": 1}}]},
-            "k": 2, "gamma": 0.5})
+        sol = solve_thin_obstacle(case_spec("quartic", res))
         assert np.count_nonzero(sol.contact) > 0
         field = reduce_to_zero_obstacle(sol).v_solution(sol)
         prof = truncated_frequency(field, np.zeros(2), params=params)

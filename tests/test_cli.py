@@ -13,8 +13,7 @@ import pytest
 
 import thinepi
 from thinepi.artifacts import load_manifest, read_csv, sha256_file
-from thinepi.cli import (RunConfig, _run_epi, case_spec, emit_plots, main,
-                         run)
+from thinepi.cli import RunConfig, _run_epi, case_spec, main, run
 from thinepi.solver import load_solution
 from thinepi.traces import TraceBatch, trace_from_profile
 
@@ -266,6 +265,13 @@ def test_main_blowup_without_decay_fails_named_checks(tmp_path, capsys):
         assert line.startswith("FAIL") and "no exponent was fitted" in line
 
 
+def test_blowup_without_decay_draws_no_fit_line(tmp_path):
+    # the figure draws blowup_fit's line, and a degenerate fit has none
+    run(_config("blowup", tmp_path, amplitude=0.0))
+    svg = (tmp_path / "blowup_decay.svg").read_text()
+    assert "circle" in svg and "stroke-dasharray" not in svg
+
+
 def test_stratify_run(tmp_path):
     manifest = run(_config("stratify", tmp_path, case="halfspace",
                            resolution=32, max_points=24))
@@ -296,24 +302,24 @@ def test_spectral_sphere_run_repeats_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Plot emission
+# Figures
 # ---------------------------------------------------------------------------
 
-def test_emit_plots_rejects_empty_csv(tmp_path):
-    (tmp_path / "frequency.csv").write_text("")
-    with pytest.raises(ValueError, match="empty CSV"):
-        emit_plots(tmp_path)
+def test_figures_drawn_without_reading_tables_back(tmp_path, monkeypatch):
+    # Each pipeline draws its figure from the results it holds.
+    def refuse(path):
+        raise AssertionError(f"read back {path}")
 
-
-def test_emit_plots_rejects_header_only_csv(tmp_path):
-    (tmp_path / "blowup.csv").write_text("radius,dist_l2,dist_linf\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        emit_plots(tmp_path)
-
-
-def test_emit_plots_ignores_unknown_tables(tmp_path):
-    (tmp_path / "notes.csv").write_text("a\n1\n")
-    assert emit_plots(tmp_path) == []
+    monkeypatch.setattr("thinepi.artifacts.read_csv", refuse)
+    monkeypatch.setattr("thinepi.cli.read_csv", refuse, raising=False)
+    for subcommand, params, figure in (
+            ("epi-check", {"trials": 10, "resolution": 1024}, "epi_slack.svg"),
+            ("frequency", {"resolution": 32}, "frequency_phi.svg"),
+            ("blowup", {}, "blowup_decay.svg")):
+        out = tmp_path / subcommand
+        manifest = run(_config(subcommand, out, **params))
+        assert manifest.passed
+        assert figure in {entry["path"] for entry in manifest.files}
 
 
 # ---------------------------------------------------------------------------

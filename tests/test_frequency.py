@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from thinepi import frequency
+from thinepi.cli import case_spec
 from thinepi.frequency import (
     BlowupFit,
     FrequencyParams,
@@ -60,21 +61,10 @@ def sol_half64(h32):
     return solve_thin_obstacle(spec)
 
 
-def near_profile_solution(seed: int, eps: float = 0.02, r0: float = 0.3):
-    """Solve with boundary = catalog profile plus a random even bump that
-    vanishes at the equator, mixture normalized and scale-equalized."""
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2)
-    amps /= np.linalg.norm(amps)
-    terms = [{"kind": "mode", "j": j, "power": j,
-              "amplitude": eps * float(a) / r0 ** (j - 2)}
-             for j, a in zip((2, 3), amps)]
-    spec = ProblemSpec(
-        dimension=2, h=1 / 32, obstacle={"kind": "zero"},
-        boundary={"kind": "sum",
-                  "terms": [{"kind": "profile", "m": 0, "n": 1}] + terms},
-        k=2, gamma=0.5)
-    return solve_thin_obstacle(spec)
+def near_profile_solution(seed: int):
+    """The CLI's near-profile case at h = 1/32: the catalog profile plus a
+    seeded random even bump vanishing at the equator."""
+    return solve_thin_obstacle(case_spec("near-profile", 32, seed))
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +74,7 @@ def sol_near_p():
 
 @pytest.fixture(scope="module")
 def quartic_case():
-    spec = ProblemSpec(
-        dimension=2, h=1 / 64,
-        obstacle={"kind": "polynomial", "coeffs": [[[4], 1.0]]},
-        boundary={"kind": "sum", "terms": [
-            {"kind": "polynomial", "coeffs": [[[4, 0], 1.0]]},
-            {"kind": "scaled", "factor": 2.0,
-             "of": {"kind": "profile", "m": 0, "n": 1}}]},
-        k=2, gamma=0.5)
-    sol = solve_thin_obstacle(spec)
+    sol = solve_thin_obstacle(case_spec("quartic", 64))
     return sol, reduce_to_zero_obstacle(sol)
 
 

@@ -128,19 +128,11 @@ def test_profile_trace_in_top_eigenspace():
         p = make_profile(m, n)
         basis = half_sphere_basis(n, 2 * m + 1, grid)
         tr = p.trace_on(grid)
-        coeffs = basis.project(tr)
+        coeffs = basis.mass_rows(basis.count) @ tr
         top = basis.degrees == 2 * m + 1
         recon = basis.values[:, top] @ coeffs[top]
         err = grid.norm(tr - recon)
         assert err < 1e-8, f"(m={m}, n={n}): residual {err:.2e}"
-
-
-def test_profile_json_roundtrip():
-    p = make_profile(1, 2)
-    q = BlowupProfile.from_json(p.to_json())
-    pts = np.random.default_rng(3).standard_normal((50, 3))
-    assert np.allclose(p(pts), q(pts))
-    assert q.m == 1 and q.n == 2
 
 
 def test_shared_trace_is_per_grid_and_read_only():
