@@ -28,6 +28,8 @@ def fmt17(x) -> str:
 
 def format_cell(value) -> str:
     """Render one CSV cell: bools as true/false, floats via :func:`fmt17`."""
+    if type(value) is float:          # the common cell, as fmt17 writes it
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -147,7 +147,7 @@ def _admissibility(batch: TraceBatch, p: BlowupProfile, eps: float):
     one per trace; raises ValueError naming the first trial that fails any."""
     grid, mask = batch.basis.grid, batch.basis.mask
     values = batch.values()
-    dev = values[:, grid.reflect]
+    dev = np.take(values, grid.reflect, axis=1)
     np.subtract(dev, values, out=dev)
     flags = {
         "even": np.max(np.abs(dev, out=dev), axis=1) <= 1e-10,
@@ -165,11 +165,15 @@ def _admissibility(batch: TraceBatch, p: BlowupProfile, eps: float):
 
 
 def _per_trial(report, flags: dict, **fields) -> list:
-    """One report per trial; array fields are read at the trial."""
-    return [report(flags={k: bool(v[t]) for k, v in flags.items()},
-                   **{k: v[t].item() if isinstance(v, np.ndarray) else v
-                      for k, v in fields.items()})
-            for t in range(len(flags["even"]))]
+    """One report per trial; array fields are read at the trial, each
+    converted to Python scalars once."""
+    count = len(flags["even"])
+    flags = {k: v.tolist() for k, v in flags.items()}
+    fields = {k: v.tolist() if isinstance(v, np.ndarray) else [v] * count
+              for k, v in fields.items()}
+    return [report(flags={k: v[t] for k, v in flags.items()},
+                   **{k: v[t] for k, v in fields.items()})
+            for t in range(count)]
 
 
 def _expand(block: np.ndarray, basis: EigenBasis):

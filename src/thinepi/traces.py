@@ -234,20 +234,33 @@ class TraceBatch(Sequence):
         """Rejection sampling: each ``propose()`` draws one coefficient
         vector (or None, rejecting it outright), kept when the trace is
         nonnegative on the thin set and within eps of the offset; at most
-        50 proposals per trace."""
+        50 * count proposals in all.
+
+        Proposals are filtered in coefficient space: the thin-set test reads
+        the basis rows at the equator nodes only, and the distance is the
+        quadrature norm of the basis sum through the basis's mass Gram
+        matrix.  Each pass draws as many proposals as traces are still
+        missing, so ``propose`` is called exactly as often as one proposal
+        at a time would call it."""
         grid = offset.grid
+        thin_rows = basis.values[grid.equator]
+        thin_offset = offset.values[grid.equator]
+        gram = basis.mass_rows(basis.count) @ basis.values
         out = []
-        for _ in range(50 * count):
-            if len(out) == count:
-                break
-            coeffs = propose()
-            if coeffs is None:
+        budget = 50 * count
+        while len(out) < count and budget:
+            draws = min(count - len(out), budget)
+            budget -= draws
+            block = [c for c in (propose() for _ in range(draws))
+                     if c is not None]
+            if not block:
                 continue
-            values = offset.values + basis.reconstruct(coeffs)
-            diff = values - offset.values
-            if (np.min(values[grid.equator]) >= -1e-12
-                    and np.sqrt(grid.inner(diff, diff)) <= eps):
-                out.append(coeffs)
+            block = np.array(block)
+            keep = ((np.min(block @ thin_rows.T + thin_offset, axis=1)
+                     >= -1e-12)
+                    & (np.sqrt(np.sum((block @ gram) * block, axis=1))
+                       <= eps))
+            out.extend(block[keep])
         if len(out) < count:
             raise RuntimeError("rejection sampling failed to produce traces")
         return cls(offset, basis, np.array(out))

@@ -46,6 +46,42 @@ def test_format_cell_types():
     assert format_cell("label") == "label"
 
 
+def _format_cell_reference(value) -> str:
+    """The cell rules as an isinstance chain, without a fast path."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if value is None:
+        return ""
+    return str(value)
+
+
+class _LoudFloat(float):
+    """A float subclass that formats itself differently from a float."""
+
+    def __format__(self, spec):
+        return "loud"
+
+    def __str__(self):
+        return "loud"
+
+
+@pytest.mark.parametrize("value", [
+    0.1, 1.0 / 3.0, 1e-300, -0.0, 0.0, float("nan"), float("inf"),
+    float("-inf"), 5e-324, 1.7976931348623157e308,
+    np.float64(0.1), np.float64(-0.0), np.float64("nan"),
+    np.float32(0.1), np.float32("inf"), _LoudFloat(0.1),
+    True, False, np.bool_(True), np.bool_(False),
+    0, -4, 10 ** 20, np.int64(-4), np.int32(7), np.uint8(255),
+    None, "label", "",
+])
+def test_format_cell_matches_reference_rules(value):
+    assert format_cell(value) == _format_cell_reference(value)
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trip
 # ---------------------------------------------------------------------------

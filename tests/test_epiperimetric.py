@@ -1,6 +1,8 @@
 """Competitor constructions: decomposition invariants, decay certificates,
 off-homogeneity identities, gap arithmetic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from thinepi.epiperimetric import (EPS, adapted_half_basis,
                                    verify_epi, weiss_of_offdegree)
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.spectral import lambda_of, mode_count_ell
+from thinepi.spectral import even_circle_basis, lambda_of, mode_count_ell
 from thinepi.traces import (SphericalTrace, TraceBatch, trace_from_basis,
                             trace_from_profile)
 
@@ -44,6 +46,13 @@ def setup11(circle):
     delta, basis = choose_delta(p, circle, 1)
     half = adapted_half_basis(p, circle)
     return p, delta, basis, half
+
+
+@pytest.fixture(scope="module")
+def setup21(circle):
+    p = make_profile(2, 1)
+    delta, basis = choose_delta(p, circle, 2)
+    return p, delta, basis, None
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +268,139 @@ def test_batch_names_the_inadmissible_trial(setup01):
     with pytest.raises(ValueError, match=r"trial 2: trace fails admissibility "
                                          r"checks: \['within_eps'\]"):
         certify_positive(batch, p, 0, half, EPS)
+
+
+def _nodal_sample(cls, offset, basis, count, eps, propose):
+    """Reference sampler: one proposal at a time, both tests on the
+    reconstructed node values."""
+    grid = offset.grid
+    out = []
+    for _ in range(50 * count):
+        if len(out) == count:
+            break
+        coeffs = propose()
+        if coeffs is None:
+            continue
+        values = offset.values + basis.reconstruct(coeffs)
+        diff = values - offset.values
+        if (np.min(values[grid.equator]) >= -1e-12
+                and np.sqrt(grid.inner(diff, diff)) <= eps):
+            out.append(coeffs)
+    if len(out) < count:
+        raise RuntimeError("rejection sampling failed to produce traces")
+    return cls(offset, basis, np.array(out))
+
+
+@pytest.mark.parametrize("case, sampler, m", [
+    ("setup01", sample_positive_traces, 0),
+    ("setup02", sample_positive_traces, 0),
+    ("setup11", sample_negative_traces, 1),
+    ("setup21", sample_negative_traces, 2),
+])
+def test_sampler_matches_nodal_reference(case, sampler, m, request,
+                                         monkeypatch):
+    # The epi-check command's four sampler cases at its default 200 trials:
+    # the same rows are accepted and the generator ends in the same state.
+    p, _, basis, _ = request.getfixturevalue(case)
+    rng = np.random.default_rng(41)
+    batch = sampler(p, basis, m, 200, rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(TraceBatch, "sample", classmethod(_nodal_sample))
+        ref_rng = np.random.default_rng(41)
+        reference = sampler(p, basis, m, 200, ref_rng)
+    assert np.array_equal(batch.coeffs, reference.coeffs)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sampler_rejects_as_the_nodal_reference(circle, monkeypatch):
+    # An unconstrained basis moves the profile's contact node, and the
+    # proposals straddle eps, so both tests reject proposals here.
+    p = make_profile(0, 1)
+    basis = even_circle_basis(circle, 8)
+    offset = trace_from_profile(p, circle)
+
+    def draw(rng):
+        def propose():
+            if rng.uniform() < 0.1:
+                return None
+            a = rng.standard_normal(basis.count)
+            return a * (EPS * rng.uniform(0.9, 1.1) / np.linalg.norm(a))
+        return propose
+
+    rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
+    batch = TraceBatch.sample(offset, basis, 40, EPS, draw(rng))
+    reference = _nodal_sample(TraceBatch, offset, basis, 40, EPS,
+                              draw(ref_rng))
+    assert np.array_equal(batch.coeffs, reference.coeffs)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    values = batch.values()
+    assert np.min(values[:, circle.equator]) >= -1e-12
+    assert (np.linalg.norm(batch.coeffs, axis=1) > 0.98 * EPS).any()
+
+
+def test_sampler_gives_up_after_fifty_proposals_per_trace(setup01):
+    p, _, basis, _ = setup01
+    calls = []
+
+    def propose():
+        calls.append(None)
+        return None
+
+    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+        TraceBatch.sample(trace_from_profile(p, basis.grid), basis, 7, EPS,
+                          propose)
+    assert len(calls) == 50 * 7
+
+
+@pytest.mark.parametrize("case", ["setup01", "setup02"])
+def test_admissibility_names_a_trial_broken_at_one_mirror_pair(case, request):
+    p, _, basis, _ = request.getfixturevalue(case)
+    grid = basis.grid
+    batch = sample_positive_traces(p, basis, 0, 5, np.random.default_rng(42))
+    node = int(np.flatnonzero(grid.nodes[:, -1] > 0.5)[0])
+    assert grid.reflect[node] != node
+
+    class OneBrokenPair(TraceBatch):
+        def values(self):
+            block = super().values()
+            block[3, node] += 1e-9
+            return block
+
+    _, flags = epiperimetric._admissibility(batch, p, EPS)
+    assert all(np.all(ok) for ok in flags.values())
+    broken = OneBrokenPair(batch.offset, basis, batch.coeffs)
+    with pytest.raises(ValueError, match=r"trial 3: trace fails admissibility "
+                                         r"checks: \['even'\]"):
+        epiperimetric._admissibility(broken, p, EPS)
+
+
+def _assert_report_types(report):
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if f.type == "float":
+            assert type(value) is float, f.name
+        elif f.type == "bool":
+            assert type(value) is bool, f.name
+    assert report.flags
+    for name, ok in report.flags.items():
+        assert type(ok) is bool, name
+
+
+def test_report_fields_are_python_scalars(setup01, setup02, setup11):
+    # epi.csv is written from these fields: a flag that became a number
+    # would be written as 1/0 instead of true/false.
+    rng = np.random.default_rng(43)
+    for (p, _, basis, half), m in ((setup01, 0), (setup02, 0)):
+        for rep in certify_positive(sample_positive_traces(p, basis, m, 3, rng),
+                                    p, m, half, EPS):
+            _assert_report_types(rep)
+    p, _, basis, _ = setup11
+    reports = certify_negative(sample_negative_traces(p, basis, 1, 3, rng),
+                               p, 1, EPS)
+    for rep in reports:
+        _assert_report_types(rep)
+        assert type(rep.alpha_in_range) is bool
+        assert type(rep.sign_ok) is bool
 
 
 # ---------------------------------------------------------------------------
