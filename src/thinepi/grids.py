@@ -107,18 +107,18 @@ class SphereGrid:
         read-only arrays.
         """
         tris = self.triangles
-        a, b, c = self.nodes[tris[:, 0]], self.nodes[tris[:, 1]], self.nodes[tris[:, 2]]
-        u = b - a
-        v = c - a
-        normal = np.cross(u, v)
-        norm2 = np.sum(normal * normal, axis=1)[:, None]
-        p = np.cross(v, normal) / norm2
-        q = np.cross(normal, u) / norm2
+        u, v = _corner_edges(self.nodes, tris, 0)
+        normal = _cross(u, v)
+        norm2 = np.add.reduce(normal * normal)
+        p, q = np.empty((tris.shape[0], 3)), np.empty((tris.shape[0], 3))
+        np.divide(_cross(v, normal), norm2, out=p.T)
+        np.divide(_cross(normal, u), norm2, out=q.T)
+        del u, v, normal
 
         on_equator = np.zeros(self.size, dtype=bool)
         on_equator[self.equator] = True
         upper_tri = self.nodes[tris, 2].sum(axis=1) > 0.0
-        areas = 0.5 * np.sqrt(norm2)
+        areas = 0.5 * np.sqrt(norm2)[:, None]
         weights = np.where(on_equator[tris] & ~upper_tri[:, None], 0.0, areas)
         wsum = np.bincount(tris.ravel(), weights=weights.ravel(),
                            minlength=self.size)
@@ -185,37 +185,7 @@ def _circle_grid(resolution: int) -> SphereGrid:
 
 def _octasphere_grid(resolution: int) -> SphereGrid:
     level = max(2, int(np.ceil(np.log2(max(resolution, 8) / 4))))
-    e1, e2, e3 = np.eye(3)
-    faces = np.array([(e1, e2, e3), (e2, -e1, e3), (-e1, -e2, e3), (-e2, e1, e3)])
-
-    # Split every face of a level at once.  The children of face i land at
-    # 4i..4i+3, so after the last level the faces are in depth-first order.
-    # The batched matmul takes each squared norm with the bits of a 1-D m @ m.
-    for _ in range(level):
-        a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-        m = np.stack([a + b, b + c, c + a])
-        ab, bc, ca = m / np.sqrt(m[..., None, :] @ m[..., None])[..., 0]
-        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
-                         axis=1).reshape(-1, 3, 3)
-
-    # Number the upper vertices by the first occurrence of their bytes among
-    # the triangle corners; +0.0 turns -0.0 into +0.0 so mirrored keys match.
-    corners = faces.reshape(-1, 3) + 0.0
-    keys = corners.view(np.dtype((np.void, corners.itemsize * 3))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    upper = corners[first[by_first]]
-    upper_tris = np.argsort(by_first)[inverse].reshape(-1, 3)
-
-    # Mirror the upper half exactly: negation is exact in floating point, so
-    # the involution is exact.  Equator nodes are their own mirror images;
-    # the others get new nodes, appended in order.
-    off = np.flatnonzero(upper[:, 2] != 0.0)
-    mirrored_of = np.arange(upper.shape[0])
-    mirrored_of[off] = upper.shape[0] + np.arange(off.size)
-    nodes = np.vstack([upper, upper[off] * np.array([1.0, 1.0, -1.0])])
-    triangles = np.vstack([upper_tris, mirrored_of[upper_tris[:, [0, 2, 1]]]])
-    reflect = np.concatenate([mirrored_of, off])
+    nodes, triangles, reflect = _octasphere_mesh(level)
 
     equator = np.nonzero(nodes[:, 2] == 0.0)[0]
     order = np.argsort(np.arctan2(nodes[equator, 1], nodes[equator, 0]))
@@ -224,8 +194,9 @@ def _octasphere_grid(resolution: int) -> SphereGrid:
     # Lumped mass from planar triangle areas, normalized so the weight sum is
     # exactly the sphere area (the polyhedral area underestimates 4*pi by
     # O(h^2); the normalization keeps the quadrature contract exact).
-    a, b, c = nodes[triangles[:, 0]], nodes[triangles[:, 1]], nodes[triangles[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    normal = _cross(*_corner_edges(nodes, triangles, 0))
+    areas = 0.5 * np.sqrt(np.add.reduce(normal * normal))
+    del normal
     weights = np.bincount(triangles.T.ravel(), weights=np.tile(areas / 3.0, 3),
                           minlength=nodes.shape[0])
     weights *= SPHERE_AREA[2] / weights.sum()
@@ -241,6 +212,71 @@ def _octasphere_grid(resolution: int) -> SphereGrid:
         reflect=reflect, equator=equator, triangles=triangles,
         equator_weights=eq_w,
     )
+
+
+def _octasphere_mesh(level: int):
+    """(nodes, triangles, reflect) of the octahedron split ``level`` times:
+    the upper vertices in order of first use, then the lower ones."""
+    e1, e2, e3 = np.eye(3)
+    faces = np.array([(e1, e2, e3), (e2, -e1, e3), (-e1, -e2, e3), (-e2, e1, e3)])
+    # Each corner's key x (2^(level+1) + 1) + y names its octahedron lattice
+    # point at scale 2^level on the upper half (z = 2^level - |x| - |y|); it
+    # is linear, so a midpoint's key (ka + kb) >> 1 is exact at every level.
+    keys = ((faces[..., :1] * (2 ** (level + 1) + 1) + faces[..., 1:2])
+            * 2 ** level).astype(np.int64)
+
+    def split(faces, midpoints):
+        a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+        ab, bc, ca = midpoints(np.stack([a + b, b + c, c + a]))
+        return np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                        axis=1).reshape(-1, 3, faces.shape[2])
+
+    # Split every face of a level at once.  The children of face i land at
+    # 4i..4i+3, so after the last level the faces are in depth-first order.
+    # The batched matmul takes each squared norm with the bits of a 1-D m @ m.
+    for _ in range(level):
+        faces = split(faces, lambda m: m / np.sqrt(m[..., None, :] @ m[..., None])[..., 0])
+        keys = split(keys, lambda m: m >> 1)
+
+    # Number the upper vertices by the first occurrence of their keys among
+    # the triangle corners, which is that of their coordinate bytes; +0.0
+    # turns -0.0 into +0.0 as a mirror image would.
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    upper = faces.reshape(-1, 3)[first[by_first]] + 0.0
+    del faces
+    upper_tris = np.argsort(by_first)[inverse].reshape(-1, 3)
+
+    # Mirror the upper half exactly: negation is exact in floating point, so
+    # the involution is exact.  Equator nodes are their own mirror images;
+    # the others get new nodes, appended in order.
+    off = np.flatnonzero(upper[:, 2] != 0.0)
+    mirrored_of = np.arange(upper.shape[0])
+    mirrored_of[off] = upper.shape[0] + np.arange(off.size)
+    nodes = np.vstack([upper, upper[off] * np.array([1.0, 1.0, -1.0])])
+    triangles = np.vstack([upper_tris, mirrored_of[upper_tris[:, [0, 2, 1]]]])
+    reflect = np.concatenate([mirrored_of, off])
+    return nodes, triangles, reflect
+
+
+def _corner_edges(nodes: np.ndarray, triangles: np.ndarray, k: int):
+    """(3, T) coordinate rows of u = p1 - p0 and v = p2 - p0, for p0 the
+    corner k of each triangle and p1, p2 the next two in cyclic order.
+    ``np.add.reduce(u * v)`` has the bits of ``np.sum(.., axis=1)`` on rows."""
+    coords = np.ascontiguousarray(nodes.T)
+    p0, u, v = (np.take(coords, triangles[:, (k + i) % 3], axis=1) for i in range(3))
+    u -= p0
+    v -= p0
+    return u, v
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v on (3, T) rows, with the operations and bits of ``np.cross``."""
+    out = np.empty_like(u)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[j], v[k], out=out[i])
+        out[i] -= u[k] * v[j]
+    return out
 
 
 # ---------------------------------------------------------------------------

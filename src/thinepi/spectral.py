@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import SphereGrid, build_grid
+from .grids import SphereGrid, _corner_edges, _cross, build_grid
 from .polynomials import Polynomial, monomials_of_degree, odd_harmonic_extension
 
 SQRT_PI = float(np.sqrt(np.pi))
@@ -284,24 +284,26 @@ def _tri_reduced_operator(grid: SphereGrid, rep, red_index):
     import scipy.sparse as sp
 
     tris = grid.triangles
-    a, b, c = grid.nodes[tris[:, 0]], grid.nodes[tris[:, 1]], grid.nodes[tris[:, 2]]
-    rows, cols_, vals = [], [], []
-    for (i0, i1, i2), (p0, p1, p2) in (
-        ((0, 1, 2), (a, b, c)), ((1, 2, 0), (b, c, a)), ((2, 0, 1), (c, a, b)),
-    ):
-        # Half-cotangent of the angle at vertex i0, weighting edge (i1, i2).
-        u = p1 - p0
-        v = p2 - p0
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
-        cot = 0.5 * np.sum(u * v, axis=1) / np.maximum(cross, 1e-300)
-        e1, e2 = tris[:, i1], tris[:, i2]
-        rows += [e1, e2, e1, e2]
-        cols_ += [e1, e2, e2, e1]
-        vals += [cot, cot, -cot, -cot]
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols_))),
-        shape=(grid.size, grid.size),
-    ).tocsr()
+    # Triplets (row, col, value) per corner k: (e1, e1, c), (e2, e2, c),
+    # (e1, e2, -c), (e2, e1, -c).  scipy sums each entry's duplicates in this
+    # order, so the order fixes the operator's bits.
+    rows = np.empty((3, 4, tris.shape[0]), dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(rows.shape)
+    for k in range(3):
+        # Half-cotangent c of the angle at corner k, weighting edge (e1, e2).
+        u, v = _corner_edges(grid.nodes, tris, k)
+        normal = _cross(u, v)
+        cross = np.sqrt(np.add.reduce(normal * normal))
+        vals[k, :2] = 0.5 * np.add.reduce(u * v) / np.maximum(cross, 1e-300)
+        vals[k, 2:] = -vals[k, 0]
+        del u, v, normal, cross
+        e1, e2 = tris[:, (k + 1) % 3], tris[:, (k + 2) % 3]
+        rows[k, ::2], rows[k, 1::2] = e1, e2
+        cols[k, ::3], cols[k, 1:3] = e1, e2
+    K = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(grid.size, grid.size)).tocsr()
+    del rows, cols, vals
 
     nred = int(red_index.max()) + 1
     P = sp.coo_matrix(

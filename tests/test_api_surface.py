@@ -8,7 +8,9 @@ call in ``src/``, ``scripts/``, ``perfbench/`` and ``tests/``, and fails
 when a public function or method has a defaulted parameter, or a public
 dataclass a defaulted ``init`` field, that no call passes, by keyword or by
 position.  Calls are matched by the called name alone, so a call to any
-function or class of the same name counts.
+function or class of the same name counts.  A field also counts as set by
+any ``replace(x, field=...)`` call (``dataclasses.replace``) and any
+``x.field = ...`` assignment, matched by the field's name alone.
 """
 
 import ast
@@ -78,27 +80,47 @@ def _public_api():
     return api
 
 
-def _calls():
+def _caller_trees() -> list:
+    """Parsed modules of every folder whose calls count."""
+    return [ast.parse(path.read_text(), filename=str(path))
+            for folder in CALLER_DIRS
+            for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _calls(trees) -> dict:
     """{called name: [(positional count, keyword names), ...]}; a call
     with *args or **kwargs counts as passing everything."""
     calls: dict = {}
-    for folder in CALLER_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (func.attr if isinstance(func, ast.Attribute)
-                        else getattr(func, "id", None))
-                if name is None:
-                    continue
-                star = (any(isinstance(a, ast.Starred) for a in node.args)
-                        or any(k.arg is None for k in node.keywords))
-                npos = 10 ** 6 if star else len(node.args)
-                calls.setdefault(name, []).append(
-                    (npos, {k.arg for k in node.keywords}))
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if name is None:
+                continue
+            star = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            npos = 10 ** 6 if star else len(node.args)
+            calls.setdefault(name, []).append(
+                (npos, {k.arg for k in node.keywords}))
     return calls
+
+
+def _field_writes(trees) -> list:
+    """Sites that set fields of a built object, as calls passing them by
+    keyword: the keywords of each ``replace`` call, and the attribute of
+    each ``x.field = ...`` target (a subscript store ``x.field[i] = ...``
+    mutates the field's value and does not count)."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name_of(node) == "replace":
+                names.update(k.arg for k in node.keywords if k.arg)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return [(0, names)]
 
 
 def _name_of(node) -> str | None:
@@ -127,32 +149,36 @@ def _init_fields(node: ast.ClassDef):
     return out
 
 
-def _public_fields():
+def _package_trees() -> dict:
+    """{module name: parsed module} of the package."""
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _public_fields(modules: dict):
     """{"module.Class": [(field, position), ...]} for the defaulted
-    ``init`` fields of public dataclasses."""
+    ``init`` fields of public dataclasses of ``modules``."""
     api = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in modules.items():
         for node in tree.body:
             if (isinstance(node, ast.ClassDef)
                     and not node.name.startswith("_")
                     and any(_name_of(d) == "dataclass"
                             for d in node.decorator_list)):
-                api[f"{path.stem}.{node.name}"] = [
+                api[f"{stem}.{node.name}"] = [
                     (name, position)
                     for name, position, defaulted in _init_fields(node)
                     if defaulted]
     return api
 
 
-def _unset(api: dict, allowed: dict) -> list[str]:
+def _unset(api: dict, allowed: dict, calls: dict, shared=()) -> list[str]:
     """Entries "qualname.name" of ``api`` that no call of the qualname's
-    last part passes, by keyword or by position, and ``allowed`` does not
-    name."""
-    calls = _calls()
+    last part passes, by keyword or by position, nor a ``shared`` site,
+    and ``allowed`` does not name."""
     unset = []
     for qualname, params in api.items():
-        sites = calls.get(qualname.rsplit(".", 1)[1], [])
+        sites = calls.get(qualname.rsplit(".", 1)[1], []) + list(shared)
         for name, position in params:
             passed = any(name in keywords
                          or (position is not None and npos > position)
@@ -163,11 +189,13 @@ def _unset(api: dict, allowed: dict) -> list[str]:
 
 
 def unused_parameters() -> list[str]:
-    return _unset(_public_api(), ALLOWED)
+    return _unset(_public_api(), ALLOWED, _calls(_caller_trees()))
 
 
 def unused_fields() -> list[str]:
-    return _unset(_public_fields(), ALLOWED_FIELDS)
+    trees = _caller_trees()
+    return _unset(_public_fields(_package_trees()), ALLOWED_FIELDS,
+                  _calls(trees), _field_writes(trees))
 
 
 def test_every_defaulted_parameter_has_a_caller():
@@ -190,7 +218,38 @@ def test_allow_list_names_existing_parameters():
 
 
 def test_field_allow_list_names_existing_fields():
-    api = _public_fields()
+    api = _public_fields(_package_trees())
     for entry in ALLOWED_FIELDS:
         qualname, name = entry.rsplit(".", 1)
         assert name in {f for f, _ in api.get(qualname, [])}, entry
+
+
+_SYNTHETIC = """
+from dataclasses import dataclass, replace
+
+
+@dataclass
+class Report:
+    built: int = 0
+    replaced: int = 0
+    assigned: int = 0
+    mutated: list = None
+
+
+def use(values):
+    report = Report(1)
+    report = replace(report, replaced=2)
+    report.assigned = 3
+    report.mutated[0] = values.replace("mutated", "")
+"""
+
+
+def test_fields_set_after_construction_count_as_set():
+    tree = ast.parse(_SYNTHETIC)
+    api = _public_fields({"synthetic": tree})
+    calls = _calls([tree])
+    assert _unset(api, {}, calls) == [
+        "synthetic.Report.replaced", "synthetic.Report.assigned",
+        "synthetic.Report.mutated"]
+    assert _unset(api, {}, calls, _field_writes([tree])) == [
+        "synthetic.Report.mutated"]

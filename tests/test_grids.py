@@ -238,6 +238,35 @@ def test_octasphere_matches_recursive_reference(resolution):
         _assert_bit_identical(getattr(g, name), want)
 
 
+def _gradient_geometry_reference(grid):
+    """``SphereGrid.gradient_geometry`` from (T, 3) corner gathers and
+    ``np.cross``, kept as an oracle for the build on coordinate rows."""
+    tris = grid.triangles
+    a, b, c = grid.nodes[tris[:, 0]], grid.nodes[tris[:, 1]], grid.nodes[tris[:, 2]]
+    u = b - a
+    v = c - a
+    normal = np.cross(u, v)
+    norm2 = np.sum(normal * normal, axis=1)[:, None]
+    p = np.cross(v, normal) / norm2
+    q = np.cross(normal, u) / norm2
+    on_equator = np.zeros(grid.size, dtype=bool)
+    on_equator[grid.equator] = True
+    upper_tri = grid.nodes[tris, 2].sum(axis=1) > 0.0
+    weights = np.where(on_equator[tris] & ~upper_tri[:, None], 0.0,
+                       0.5 * np.sqrt(norm2))
+    weights /= np.bincount(tris.ravel(), weights=weights.ravel(),
+                           minlength=grid.size)[tris]
+    return p, q, weights
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_gradient_geometry_matches_cross_reference(resolution):
+    g = build_grid(2, resolution)
+    for got, want in zip(g.gradient_geometry, _gradient_geometry_reference(g)):
+        _assert_bit_identical(got, want)
+        assert got.flags.c_contiguous
+
+
 def _latlong_reference(resolution):
     """The per-latitude loop that filled the lat-long nodes and weights."""
     nlat = resolution + 1 if resolution % 2 == 0 else resolution

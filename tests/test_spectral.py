@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,84 @@ def test_iterative_eigenbasis_repeats_bit_for_bit():
     b = eigenbasis(grid, grid.equator, 8, use_cache=False)
     assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.values, b.values)
+
+
+def _tri_operator_reference(grid, rep, red_index):
+    """The cotangent assembly from per-corner lists of (T, 3) gathers,
+    concatenated into one triplet array each, kept as an oracle for the
+    row-wise assembly into preallocated triplets."""
+    import scipy.sparse as sp
+
+    tris = grid.triangles
+    a, b, c = grid.nodes[tris[:, 0]], grid.nodes[tris[:, 1]], grid.nodes[tris[:, 2]]
+    rows, cols, vals = [], [], []
+    for (i1, i2), (p0, p1, p2) in (
+        ((1, 2), (a, b, c)), ((2, 0), (b, c, a)), ((0, 1), (c, a, b)),
+    ):
+        u = p1 - p0
+        v = p2 - p0
+        cross = np.linalg.norm(np.cross(u, v), axis=1)
+        cot = 0.5 * np.sum(u * v, axis=1) / np.maximum(cross, 1e-300)
+        e1, e2 = tris[:, i1], tris[:, i2]
+        rows += [e1, e2, e1, e2]
+        cols += [e1, e2, e2, e1]
+        vals += [cot, cot, -cot, -cot]
+    K = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.size, grid.size),
+    ).tocsr()
+    nred = int(red_index.max()) + 1
+    P = sp.coo_matrix(
+        (np.ones(grid.size), (np.arange(grid.size), red_index[rep])),
+        shape=(grid.size, nred),
+    ).tocsr()
+    return (P.T @ K @ P).tocsr(), P.T @ grid.weights
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_tri_operator_matches_reference(resolution):
+    grid = build_grid(2, resolution)
+    rep, red_index = spectral._representatives(grid)
+    K, m = spectral._reduced_operator(grid, rep, red_index)
+    K_ref, m_ref = _tri_operator_reference(grid, rep, red_index)
+    for got, want in ((K.indptr, K_ref.indptr), (K.indices, K_ref.indices),
+                      (K.data, K_ref.data), (m, m_ref)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _traced(build):
+    """``build()`` and the peak bytes it held at once above what it started
+    with, as ``tracemalloc`` traces them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_tri_grid_build_footprint():
+    # The cold build of the S^2 triangulation holds at most 4x the bytes of
+    # the grid it returns.
+    build_grid(2, 16)
+    grid, peak = _traced(lambda: build_grid(2, 256))
+    nbytes = sum(getattr(grid, name).nbytes for name in (
+        "nodes", "weights", "reflect", "equator", "triangles", "equator_weights"))
+    assert peak <= 4 * nbytes
+
+
+def test_tri_operator_footprint():
+    # The cotangent operator at resolution 256 (393,216 triplets) is
+    # assembled within 13.5 MiB; scipy is imported before the trace.
+    small = build_grid(2, 16)
+    spectral._reduced_operator(small, *spectral._representatives(small))
+    grid = build_grid(2, 256)
+    rep, red_index = spectral._representatives(grid)
+    _, peak = _traced(lambda: spectral._reduced_operator(grid, rep, red_index))
+    assert peak <= 13.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("grid", [build_grid(1, 256),
