@@ -34,7 +34,7 @@ def main() -> int:
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = FrequencyParams(theta=0.25, c_phi=10.0, k=2, gamma=0.5)
+    params = FrequencyParams(theta=0.25, k=2, gamma=0.5)
 
     print(f"{'resolution':>10} {'contact':>8} {'max violation':>14} "
           f"{'plateau':>9} {'seconds':>8}")

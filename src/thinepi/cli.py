@@ -30,7 +30,7 @@ from .epiperimetric import (EPS, SLACK_FLOOR, adapted_half_basis,
                             gap_demo, sample_negative_traces,
                             sample_positive_traces)
 from .frequency import (FrequencyParams, blowup_fit, stratify_contact,
-                        truncated_frequency)
+                        truncated_frequency, weiss_monotonicity_check)
 from .grids import build_grid, radii_ladder
 from .profiles import halfspace_2d, make_profile
 from .solver import ProblemSpec, solve_thin_obstacle, zero_obstacle_field
@@ -336,10 +336,8 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
 def _run_frequency(config: RunConfig, out: Path, timings: dict):
     params = config.params
     _, spec, sol = _solve_case(config, "halfspace", timings)
-    freq_params = FrequencyParams(
-        theta=params.get("theta"),
-        c_phi=float(params.get("c_phi", 10.0)),
-        k=spec.k, gamma=spec.gamma)
+    freq_params = FrequencyParams(theta=params.get("theta"), k=spec.k,
+                                  gamma=spec.gamma)
     count = int(params.get("count", 24))
     violation_tol = float(params.get("violation_tol", 1e-2))
 
@@ -428,7 +426,46 @@ def _run_blowup(config: RunConfig, out: Path, timings: dict):
                     resolved),
         CheckResult("decay-exponent", exponent_ok, fitted),
     ]
+    if case == "solved":
+        t0 = time.perf_counter()
+        weiss = weiss_monotonicity_check(sol, fit.mu, radii, np.zeros(2))
+        timings["weiss"] = time.perf_counter() - t0
+        files.append(write_csv(out / "weiss.csv", weiss.rows()))
+        checks += [
+            CheckResult("weiss-monotone", weiss.passed(),
+                        f"min margins {weiss.min_margin_gradient:.3e} "
+                        f"(gradient), {weiss.min_margin_competitor:.3e} "
+                        f"(competitor) over {len(weiss.steps)} steps"),
+            _weiss_rate(weiss, fit.exponent),
+        ]
     return files, checks
+
+
+# The paper's chain: a Weiss energy decaying like r^gamma gives blow-ups
+# converging like r^(gamma/2), so the log-log slope of W over the ladder is
+# about twice the fitted blow-up exponent.
+WEISS_RATE_BAND = (1.7, 2.3)
+
+
+def _weiss_rate(weiss, exponent: float | None) -> CheckResult:
+    """Gate: W > 0 on every rung, and the log-log slope of W over the
+    ladder, divided by the fitted blow-up exponent, lies in
+    ``WEISS_RATE_BAND``."""
+    for i, (r, w) in enumerate(zip(weiss.radii, weiss.energies)):
+        if not w > 0.0:
+            return CheckResult("weiss-rate", False,
+                               f"W = {w:.3e} is not positive at rung {i} "
+                               f"(radius {r:.4g})")
+    if exponent is None:
+        return CheckResult("weiss-rate", False,
+                           "no blow-up exponent was fitted")
+    slope = float(np.polyfit(np.log(weiss.radii), np.log(weiss.energies),
+                             1)[0])
+    lo, hi = WEISS_RATE_BAND
+    ratio = slope / exponent
+    return CheckResult("weiss-rate", lo <= ratio <= hi,
+                       f"W slope {slope:.4f} is {ratio:.3f} times the "
+                       f"fitted exponent {exponent:.4f} (band [{lo}, {hi}])")
 
 
 def _run_stratify(config: RunConfig, out: Path, timings: dict):
@@ -615,7 +652,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="halfspace", choices=SOLVE_CASES)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--c-phi", type=float, default=10.0)
     p.add_argument("--count", type=int, default=24)
     p.add_argument("--violation-tol", type=float, default=1e-2)
 

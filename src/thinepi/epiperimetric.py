@@ -36,7 +36,7 @@ from .profiles import BlowupProfile, admissible_frequencies, zero_set
 from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
                        mode_count_ell)
 from .traces import (SphericalTrace, TraceBatch, TraceColumns,
-                     trace_from_basis, trace_from_profile)
+                     trace_from_profile)
 from .weiss import (_degree_for, beta_rows, bilinear_rows, kappa,
                     weiss_raised, weiss_rows, weiss_spectral)
 
@@ -207,40 +207,6 @@ def _decompose(batch: TraceBatch, p: BlowupProfile, half_basis: EigenBasis,
     values -= nu @ half_basis.values[:, :ell].T
     phi, recon = _expand(values, basis)
     return nu, phi, cond, flags, recon
-
-
-@dataclass
-class Decomposition:
-    """Split c = P + phi with P in the low block and phi vanishing on Z_delta."""
-
-    nu: np.ndarray                    # low-block coefficients of P
-    p_part: SphericalTrace            # P
-    phi: SphericalTrace               # remainder, re-expanded in the basis
-    phi_coeffs: np.ndarray
-    delta: float
-    cond: float                       # moment matrix condition number
-    moment_residuals: np.ndarray      # <phi, low constrained modes>
-    reconstruction_error: float       # L2 gap between c and P + phi
-    flags: dict                       # admissibility checks, all passed
-    mu: float
-
-
-def decompose_trace(c: SphericalTrace, p: BlowupProfile, delta: float,
-                    basis_delta: EigenBasis, half_basis: EigenBasis
-                    ) -> Decomposition:
-    """Decomposition of one admissible trace within EPS (``_decompose``)."""
-    nu, phi, cond, flags, recon = _decompose(
-        TraceBatch.of_trace(c, basis_delta), p, half_basis, EPS,
-        COND_THRESHOLD)
-    p_part = trace_from_basis(half_basis, nu[0])
-    moments = basis_delta.mass_rows(nu.shape[1]) @ (c.values - p_part.values)
-    return Decomposition(nu=nu[0], p_part=p_part,
-                         phi=trace_from_basis(basis_delta, phi[0]),
-                         phi_coeffs=phi[0], delta=float(delta), cond=cond,
-                         moment_residuals=moments,
-                         reconstruction_error=float(recon[0]),
-                         flags={k: bool(v[0]) for k, v in flags.items()},
-                         mu=float(2 * p.m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -233,16 +233,6 @@ def _surface_moments(adapter: FieldAdapter, x0: np.ndarray, radii,
     return H, I
 
 
-def surface_moments(v, x0, r: float) -> tuple[float, float]:
-    """(H, I) on the sphere of radius r about x0, on the moment sphere: the
-    squared-trace integral and the trace/normal-derivative pairing."""
-    adapter = _adapt(v, x0)
-    d = adapter.dimension
-    x0 = _center(x0, d)
-    H, I = _surface_moments(adapter, x0, (r,), default_sphere(d - 1))
-    return float(H[0]), float(I[0])
-
-
 @dataclass
 class FrequencyParams:
     """Truncation parameters: theta defaults to gamma/2, the truncation
@@ -380,11 +370,10 @@ def _default_radii(count: int) -> tuple[np.ndarray, np.ndarray]:
     return radii, weights
 
 
-def _sampled_energy(values: np.ndarray, grid: SphereGrid, mu: float,
-                    h) -> float:
+def _sampled_energy(values: np.ndarray, grid: SphereGrid, mu: float) -> float:
     """W_mu of a function sampled on the ball, row k of ``values`` (R+1, N)
     at the k-th radius of ``_default_radii(R)`` (the last row is the
-    boundary trace), plus int_B v h when a forcing field h is given.
+    boundary trace).
 
     The polar product rule: radial derivatives are second-order
     differences, the angular part is the surface-gradient pairing at each
@@ -400,14 +389,7 @@ def _sampled_energy(values: np.ndarray, grid: SphereGrid, mu: float,
         cross[k] = float(ang_w @ ta.gradient_dot(ta))
     radial_profile = (dva * dva) @ ang_w + cross / radii ** 2
     dirichlet = float(weights @ (radial_profile * radii ** grid.n))
-    energy = dirichlet - mu * float(grid.inner(values[-1], values[-1]))
-    if h is None:
-        return energy
-    hv = np.empty_like(values)
-    for k, r in enumerate(radii):
-        hv[k] = h(r * grid.nodes)
-    radial_profile = (values * hv) @ ang_w
-    return energy + float(weights @ (radial_profile * radii ** grid.n))
+    return dirichlet - mu * float(grid.inner(values[-1], values[-1]))
 
 
 def _homogeneous_rescaling(adapter: FieldAdapter, x0: np.ndarray, r: float,
@@ -422,15 +404,11 @@ def _homogeneous_rescaling(adapter: FieldAdapter, x0: np.ndarray, r: float,
 
 
 def _scale_energy(adapter: FieldAdapter, x0: np.ndarray, r: float, mu: float,
-                  grid: SphereGrid, count: int,
-                  h) -> tuple[float, np.ndarray]:
-    """(G, values): the homogeneous rescaling at scale r and its energy
-    W_mu, plus the volume term of the rescaled forcing field when h is
-    given."""
-    values = _homogeneous_rescaling(adapter, x0, r, mu, grid, count)
-    if h is not None:
-        h = _rescaled_forcing(h, x0, r, mu)
-    return _sampled_energy(values, grid, mu, h), values
+                  grid: SphereGrid) -> tuple[float, np.ndarray]:
+    """(W, values): the homogeneous rescaling at scale r, sampled at a
+    48-point radial rule, and its energy W_mu."""
+    values = _homogeneous_rescaling(adapter, x0, r, mu, grid, 48)
+    return _sampled_energy(values, grid, mu), values
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +429,33 @@ class MonotonicityRow:
 @dataclass
 class WeissMonotonicityReport:
     mu: float
-    c_w: float
-    rows: list
-    energies: np.ndarray              # G(r) per ladder radius
+    radii: np.ndarray                 # the ladder, strictly decreasing
+    energies: np.ndarray              # W(r) per ladder radius
+    steps: list                       # MonotonicityRow per ladder step
     min_margin_gradient: float
     min_margin_competitor: float
-    violations: list                  # rows with negative margin
+    violations: list                  # steps with negative margin
 
     def passed(self, slack: float = 1e-3) -> bool:
         return (self.min_margin_gradient >= -slack
                 and self.min_margin_competitor >= -slack)
 
+    def rows(self) -> list[dict]:
+        """One row per ladder step: the step's fields and the energy W at
+        its two radii."""
+        return [{**asdict(step), "W_hi": float(w_hi), "W_lo": float(w_lo)}
+                for step, w_hi, w_lo in zip(self.steps, self.energies[:-1],
+                                            self.energies[1:])]
 
-def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
-                             x0=None, h=None, k: int = 2, gamma: float = 0.5,
-                             dimension: int | None = None
-                             ) -> WeissMonotonicityReport:
-    """Discrete differences of G(r) = W_mu(v_r) [+ volume term when a forcing
-    field h is given] + c_w r^(k+gamma-mu) on the ladder, compared with the
-    two lower bounds: twice the radial-deviation integral over r, and the
-    homogeneous-competitor gap (n+2mu-1)(W_mu(z_r)-G0(r))/r plus the
-    radial-deviation integral over r.  Energies use a 48-point radial rule."""
-    adapter = _adapt(v, x0, dimension)
+
+def weiss_monotonicity_check(v, mu: float, radii,
+                             x0=None) -> WeissMonotonicityReport:
+    """Discrete differences of the scale energy W(r) = W_mu(v_r) on the
+    ladder, compared with the two lower bounds: twice the radial-deviation
+    integral over r, and the homogeneous-competitor gap
+    (n+2mu-1)(W_mu(z_r)-W(r))/r plus the radial-deviation integral over r.
+    Energies use a 48-point radial rule."""
+    adapter = _adapt(v, x0)
     d = adapter.dimension
     x0 = _center(x0, d)
     n = d - 1
@@ -484,7 +467,7 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
         raise ValueError("radii must be strictly decreasing")
 
     def energy_at(r: float) -> tuple[float, float]:
-        w, values = _scale_energy(adapter, x0, r, mu, grid, 48, h)
+        w, values = _scale_energy(adapter, x0, r, mu, grid)
         z = weiss_rows(TraceColumns.of_trace(SphericalTrace(grid, values[-1])),
                        mu, [(mu, np.ones((1, 1)))])
         return w, float(z[0]) - w
@@ -496,85 +479,30 @@ def weiss_monotonicity_check(v, mu: float, radii, c_w: float = 0.0,
         dev = (r * dv - mu * a) / r ** mu
         return float(grid.weights @ (dev * dev))
 
-    G = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        w, _ = energy_at(float(r))
-        G[i] = w + c_w * r ** (k + gamma - mu)
+    G = np.array([energy_at(float(r))[0] for r in radii])
 
-    rows, violations = [], []
+    steps, violations = [], []
     for i in range(radii.size - 1):
         r_hi, r_lo = radii[i], radii[i + 1]
         dG = (G[i] - G[i + 1]) / (r_hi - r_lo)
         r_mid = math.sqrt(r_hi * r_lo)
-        w_mid, gap_mid = energy_at(r_mid)
+        _, gap_mid = energy_at(r_mid)
         dev_mid = deviation_at(r_mid)
         b1 = 2.0 * dev_mid / r_mid
         b2 = ((n + 2.0 * mu - 1.0) * gap_mid + dev_mid) / r_mid
-        row = MonotonicityRow(
+        step = MonotonicityRow(
             r_hi=float(r_hi), r_lo=float(r_lo), dG=float(dG),
             bound_gradient=float(b1), bound_competitor=float(b2),
             margin_gradient=float(dG - b1), margin_competitor=float(dG - b2))
-        rows.append(row)
-        if row.margin_gradient < 0 or row.margin_competitor < 0:
-            violations.append(row)
+        steps.append(step)
+        if step.margin_gradient < 0 or step.margin_competitor < 0:
+            violations.append(step)
 
     return WeissMonotonicityReport(
-        mu=mu, c_w=c_w, rows=rows, energies=G,
-        min_margin_gradient=min(r.margin_gradient for r in rows),
-        min_margin_competitor=min(r.margin_competitor for r in rows),
+        mu=mu, radii=radii, energies=G, steps=steps,
+        min_margin_gradient=min(s.margin_gradient for s in steps),
+        min_margin_competitor=min(s.margin_competitor for s in steps),
         violations=violations)
-
-
-def _rescaled_forcing(h, x0, r: float, mu: float):
-    """Forcing field of the mu-homogeneous rescaling: x -> r^(2-mu) h(x0+rx)."""
-    factor = r ** (2.0 - mu)
-
-    def h_r(points):
-        pts = np.asarray(points, dtype=float)
-        return factor * np.asarray(h(x0[None, :] + r * pts), dtype=float)
-
-    return h_r
-
-
-@dataclass
-class OscillationReport:
-    r: float
-    r_prime: float
-    left: float                       # L1 sphere distance of the rescalings
-    energy: float                     # G(r) at the larger radius
-    right_base: float                 # sqrt(log(r/r')) * sqrt(max(G, 0))
-    c_empirical: float
-    negative_energy: bool
-
-
-def oscillation_bound_check(v, mu: float, r: float, r_prime: float,
-                            x0=None, c_w: float = 0.0, k: int = 2,
-                            gamma: float = 0.5, h=None,
-                            dimension: int | None = None) -> OscillationReport:
-    """L1 sphere distance between two homogeneous rescalings against the
-    square-root-log bound with the scale energy at the larger radius."""
-    if not 0.0 < r_prime <= r:
-        raise ValueError("need 0 < r' <= r")
-    adapter = _adapt(v, x0, dimension)
-    d = adapter.dimension
-    x0 = _center(x0, d)
-    grid = _diagnostic_sphere(d - 1)
-    G, values = _scale_energy(adapter, x0, r, mu, grid, 64, h)
-    _check_reach(adapter, x0, r_prime)
-    t_rp = _on_spheres(adapter, x0, (r_prime,), grid)[0] / r_prime ** mu
-    left = float(grid.weights @ np.abs(values[-1] - t_rp))
-    G += c_w * r ** (k + gamma - mu)
-    negative = G < 0.0
-    right_base = math.sqrt(math.log(r / r_prime)) * math.sqrt(max(G, 0.0))
-    if right_base > 0.0:
-        c_emp = left / right_base
-    else:
-        # rounding-level distances, relative to the L1 norm of the r-trace
-        norm = float(grid.weights @ np.abs(values[-1]))
-        c_emp = 0.0 if left <= 1e-14 * norm else math.inf
-    return OscillationReport(r=r, r_prime=r_prime, left=left, energy=float(G),
-                             right_base=right_base, c_empirical=c_emp,
-                             negative_energy=bool(negative))
 
 
 # ---------------------------------------------------------------------------

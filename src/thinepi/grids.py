@@ -47,22 +47,11 @@ class SphereGrid:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
-
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(self.weights @ (f * g))
 
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(f, f), 0.0)))
-
-    def is_even(self, values: np.ndarray) -> bool:
-        """Whether every node and its mirror image carry the same value."""
-        return bool(np.array_equal(values, values[self.reflect]))
-
-    def evenize(self, values: np.ndarray) -> np.ndarray:
-        """Project node values onto the even subspace (exact symmetrization)."""
-        return 0.5 * (values + values[self.reflect])
 
     @functools.cached_property
     def mirror_halves(self) -> tuple[np.ndarray, np.ndarray]:

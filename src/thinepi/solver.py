@@ -776,26 +776,6 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
 
 
 # ---------------------------------------------------------------------------
-# Contact set
-# ---------------------------------------------------------------------------
-
-def contact_set(sol: GridSolution):
-    """(contact mask over thin-plane nodes, free-boundary node index list).
-
-    The mask is the solution's ``contact``: nodes with u - phi <= 10 tol,
-    tol the solver tolerance; the boundary list contains contact nodes with
-    at least one non-contact neighbor in the thin-plane grid topology (the
-    discrete free boundary).
-    """
-    thin_sel = sol.kind[..., 0] == 2
-    mask = sol.contact
-    near_open = _neighbor_sum((thin_sel & ~mask).astype(float)) > 0
-    boundary = [tuple(int(i) for i in idx)
-                for idx in np.argwhere(mask & near_open)]
-    return mask, boundary
-
-
-# ---------------------------------------------------------------------------
 # Reduction to zero obstacle
 # ---------------------------------------------------------------------------
 
@@ -853,16 +833,6 @@ class ReducedProblem:
             sweeps=base.sweeps, converged=base.converged, runtime=base.runtime,
             cg_iterations=base.cg_iterations,
         )
-
-    def h_field(self):
-        """h as a field on ball points (depends on horizontal coordinates)."""
-        poly = self.h_poly
-
-        def h_eval(points):
-            pts = np.asarray(points, dtype=float)
-            return poly(pts[..., : poly.nvars])
-
-        return h_eval
 
 
 def reduce_to_zero_obstacle(sol: GridSolution, x0=None) -> ReducedProblem:

@@ -467,68 +467,3 @@ def _cache_store(basis: EigenBasis, cache_dir):
     tmp = path.with_suffix(".tmp.npz")
     np.savez(tmp, lambdas=basis.lambdas, values=basis.values, mask=basis.mask)
     tmp.replace(path)
-
-
-# ---------------------------------------------------------------------------
-# Convergence report along a sequence of equator masks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SpectralConvergenceReport:
-    deltas: list[float]
-    lambdas: np.ndarray        # (ndelta, count)
-    lambda_err: np.ndarray     # vs limit-mask discrete eigenvalues
-    l2_err: np.ndarray         # subspace-aligned eigenfunction differences
-    limit_lambdas: np.ndarray
-    mask_sizes: list[int]
-    nonmonotone: bool
-
-    def rows(self):
-        for i, d in enumerate(self.deltas):
-            yield {"delta": d, "mask_size": self.mask_sizes[i],
-                   "lambda_err_max": float(self.lambda_err[i].max()),
-                   "l2_err_max": float(self.l2_err[i].max())}
-
-
-def verify_spectral_convergence(grid: SphereGrid, p, delta_sequence,
-                                count: int = 6, cache_dir=None) -> SpectralConvergenceReport:
-    """Track eigenpair convergence as the mask grows toward the full zero set.
-
-    ``p`` is a blow-up profile; for each delta the mask is the set of equator
-    nodes where the profile's slope factor exceeds delta.  The reference is
-    the same discrete problem with the delta = 0 mask.
-    """
-    from .profiles import zero_set
-
-    deltas = [float(d) for d in delta_sequence]
-    if len(deltas) > 1 and any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta sequence must be strictly decreasing")
-    ref = eigenbasis(grid, zero_set(p, 0.0, grid), count, cache_dir=cache_dir)
-
-    lam_rows, lam_err_rows, l2_rows, mask_sizes = [], [], [], []
-    for d in deltas:
-        mask = zero_set(p, d, grid)
-        basis = eigenbasis(grid, mask, count, cache_dir=cache_dir)
-        mask_sizes.append(int(mask.size))
-        lam_rows.append(basis.lambdas)
-        lam_err_rows.append(np.abs(basis.lambdas - ref.lambdas))
-        errs = np.empty(count)
-        w = grid.weights
-        for j in range(count):
-            cluster = np.nonzero(
-                np.abs(ref.lambdas - ref.lambdas[j]) <= 1e-6 * (1.0 + ref.lambdas[j]))[0]
-            phi = basis.values[:, j]
-            proj = np.zeros_like(phi)
-            for k in cluster:
-                proj += (ref.values[:, k] @ (w * phi)) * ref.values[:, k]
-            errs[j] = np.sqrt(max(float((phi - proj) @ (w * (phi - proj))), 0.0))
-        l2_rows.append(errs)
-
-    lam_err = np.array(lam_err_rows)
-    worst = lam_err.max(axis=1)
-    nonmonotone = bool(np.any(np.diff(worst) > 1e-8 + 0.5 * worst[:-1]))
-    return SpectralConvergenceReport(
-        deltas=deltas, lambdas=np.array(lam_rows), lambda_err=lam_err,
-        l2_err=np.array(l2_rows), limit_lambdas=ref.lambdas,
-        mask_sizes=mask_sizes, nonmonotone=nonmonotone,
-    )

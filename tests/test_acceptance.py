@@ -291,7 +291,7 @@ def test_criterion_07_solver_accuracy():
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_frequency_monotonicity():
-    params = FrequencyParams(theta=0.25, c_phi=10.0, k=2, gamma=0.5)
+    params = FrequencyParams(theta=0.25, k=2, gamma=0.5)
 
     violations = []
     for res in (32, 64, 128):

@@ -1,5 +1,11 @@
-"""Every defaulted parameter and dataclass field of the public API has a
-caller.
+"""Every public function has a caller, and so does every defaulted
+parameter and dataclass field of the public API.
+
+Code that only tests call is not part of the program: every public function
+and method of ``src/thinepi`` must be named by code in ``src/``,
+``scripts/`` or ``perfbench/``, unless ``UNCALLED`` names it with its
+reason.  A name counts as used where any ``Name`` or ``Attribute`` load of
+it appears, so a use of any function or attribute of the same name counts.
 
 A numerical setting that every caller leaves at one value is a constant,
 not a parameter or a config field: each unused default is a configuration
@@ -18,26 +24,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "thinepi"
-CALLER_DIRS = ("src", "scripts", "perfbench", "tests")
+PROGRAM_DIRS = ("src", "scripts", "perfbench")
+CALLER_DIRS = PROGRAM_DIRS + ("tests",)
+
+# Public functions and methods that no program code names, each with its
+# reason.
+_READER = "reader for users of a run's files"
+UNCALLED = {
+    "artifacts.load_manifest": _READER,
+    "cli.RunConfig.from_dict": _READER,
+    "solver.load_solution": _READER,
+    "spectral.even_circle_basis": "acceptance gate, criterion 02",
+    "weiss.beta_pairing": "acceptance gate, criterion 02",
+    "epiperimetric.build_competitor_negative": "acceptance gate, criterion 04",
+    "epiperimetric.weiss_of_offdegree": "acceptance gate, criterion 05",
+    "spectral.EigenBasis.rayleigh_defect":
+        "basis check that the tests compare against",
+}
 
 # Parameters kept although no call sets them, each with its reason.
 _SCALE_CENTER = "center of the scale check, an input of the paper's inequality"
-_OBSTACLE_CLASS = ("C^{k,gamma} obstacle class and its error constant, "
-                   "inputs of the paper's inequality")
-_FORCING = "forcing term of the paper's inequality"
 ALLOWED = {
-    "frequency.weiss_monotonicity_check.x0": _SCALE_CENTER,
-    "frequency.weiss_monotonicity_check.k": _OBSTACLE_CLASS,
-    "frequency.weiss_monotonicity_check.gamma": _OBSTACLE_CLASS,
-    "frequency.oscillation_bound_check.x0": _SCALE_CENTER,
-    "frequency.oscillation_bound_check.k": _OBSTACLE_CLASS,
-    "frequency.oscillation_bound_check.gamma": _OBSTACLE_CLASS,
-    "frequency.oscillation_bound_check.c_w": _OBSTACLE_CLASS,
-    "frequency.oscillation_bound_check.h": _FORCING,
     "frequency.vanishing_on_Zdelta_check.x0": _SCALE_CENTER,
     "frequency.linfty_l2_check.x0": _SCALE_CENTER,
-    "spectral.verify_spectral_convergence.cache_dir":
-        "deployment path of the eigenbasis cache",
 }
 
 
@@ -80,11 +89,24 @@ def _public_api():
     return api
 
 
-def _caller_trees() -> list:
+def _caller_trees(folders=CALLER_DIRS) -> list:
     """Parsed modules of every folder whose calls count."""
     return [ast.parse(path.read_text(), filename=str(path))
-            for folder in CALLER_DIRS
+            for folder in folders
             for path in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _loaded_names(trees) -> set:
+    """Every name read by a ``Name`` or ``Attribute`` load in ``trees``."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+    return names
 
 
 def _calls(trees) -> dict:
@@ -188,6 +210,15 @@ def _unset(api: dict, allowed: dict, calls: dict, shared=()) -> list[str]:
     return unset
 
 
+def uncalled_functions() -> list[str]:
+    """Public functions and methods that no program code names and
+    ``UNCALLED`` does not list."""
+    used = _loaded_names(_caller_trees(PROGRAM_DIRS))
+    return [qualname for qualname in _public_api()
+            if qualname.rsplit(".", 1)[1] not in used
+            and qualname not in UNCALLED]
+
+
 def unused_parameters() -> list[str]:
     return _unset(_public_api(), ALLOWED, _calls(_caller_trees()))
 
@@ -196,6 +227,18 @@ def unused_fields() -> list[str]:
     trees = _caller_trees()
     return _unset(_public_fields(_package_trees()), ALLOWED_FIELDS,
                   _calls(trees), _field_writes(trees))
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    uncalled = uncalled_functions()
+    assert not uncalled, ("public functions that only tests call:\n"
+                          + "\n".join(uncalled))
+
+
+def test_uncalled_list_names_existing_functions():
+    api = _public_api()
+    for qualname in UNCALLED:
+        assert qualname in api, qualname
 
 
 def test_every_defaulted_parameter_has_a_caller():

@@ -1,6 +1,7 @@
 """Command-line pipelines: config validation, per-subcommand artifacts,
 gated exit codes, manifest hashing, and rerun determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import thinepi
 from thinepi.artifacts import load_manifest, read_csv, sha256_file
 from thinepi.cli import RunConfig, _run_epi, case_spec, main, run
+from thinepi.frequency import weiss_monotonicity_check
 from thinepi.solver import load_solution
 from thinepi.traces import TraceBatch, trace_from_profile
 
@@ -270,6 +272,63 @@ def test_blowup_without_decay_draws_no_fit_line(tmp_path):
     run(_config("blowup", tmp_path, amplitude=0.0))
     svg = (tmp_path / "blowup_decay.svg").read_text()
     assert "circle" in svg and "stroke-dasharray" not in svg
+
+
+def _checks(manifest) -> dict:
+    return {check.name: check for check in manifest.checks}
+
+
+def test_blowup_run_solved_checks_the_weiss_chain(tmp_path):
+    manifest = run(_config("blowup", tmp_path, case="solved"))
+    checks = _checks(manifest)
+    assert list(checks) == ["fit-resolved", "decay-exponent",
+                            "weiss-monotone", "weiss-rate"]
+    assert manifest.passed
+    rows = read_csv(tmp_path / "weiss.csv")
+    assert len(rows) == 9                  # steps of the fit's 10 rungs
+    assert [row["r_hi"] for row in rows] == [
+        row["radius"] for row in read_csv(tmp_path / "blowup.csv")][:-1]
+    assert all(row["W_lo"] < row["W_hi"] for row in rows)
+    assert "weiss.csv" in {entry["path"] for entry in manifest.files}
+
+
+def test_main_blowup_solved_fails_weiss_gates(tmp_path, capsys, monkeypatch):
+    # a report with a negative margin and an energy that does not decay
+    def broken(*args):
+        rep = weiss_monotonicity_check(*args)
+        return dataclasses.replace(
+            rep, min_margin_gradient=-1.0,
+            energies=np.full_like(rep.energies, rep.energies[0]))
+
+    monkeypatch.setattr(thinepi.cli, "weiss_monotonicity_check", broken)
+    code = main(["blowup", "--case", "solved", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL  weiss-monotone" in out and "FAIL  weiss-rate" in out
+    assert "PASS  fit-resolved" in out and "PASS  decay-exponent" in out
+
+
+def test_weiss_rate_names_a_nonpositive_rung(tmp_path, monkeypatch):
+    def negative_at_third(*args):
+        rep = weiss_monotonicity_check(*args)
+        rep.energies[2] = -rep.energies[2]
+        return rep
+
+    monkeypatch.setattr(thinepi.cli, "weiss_monotonicity_check",
+                        negative_at_third)
+    rate = _checks(run(_config("blowup", tmp_path, case="solved")))[
+        "weiss-rate"]
+    assert not rate.passed and "rung 2" in rate.detail
+
+
+# Seeds 7, 11, 42, 101, 202, 303 and 1234 set the weiss-rate band.
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_weiss_gates_pass_on_other_seeds(tmp_path, seed):
+    config = RunConfig(subcommand="blowup", out_dir=str(tmp_path),
+                       params={"case": "solved"}, seed=seed)
+    checks = _checks(run(config))
+    assert checks["weiss-monotone"].passed, checks["weiss-monotone"].detail
+    assert checks["weiss-rate"].passed, checks["weiss-rate"].detail
 
 
 def test_stratify_run(tmp_path):

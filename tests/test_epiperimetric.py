@@ -10,8 +10,7 @@ from thinepi import epiperimetric
 from thinepi.epiperimetric import (EPS, adapted_half_basis,
                                    build_competitor_negative,
                                    certify_negative, certify_positive,
-                                   choose_delta,
-                                   decompose_trace, gap_demo,
+                                   choose_delta, gap_demo,
                                    sample_negative_traces,
                                    sample_positive_traces, solve_alpha,
                                    verify_epi, weiss_of_offdegree)
@@ -103,35 +102,47 @@ def test_adapted_half_basis_equator_derivative_matches_slope(circle, setup01):
 # Decomposition
 # ---------------------------------------------------------------------------
 
+def _decompose(c, p, basis, half, cond_threshold=epiperimetric.COND_THRESHOLD):
+    """(nu, phi coefficients, moment condition, reconstruction error) of
+    one trace, by the certificates' batch decomposition."""
+    nu, phi, cond, _, recon = epiperimetric._decompose(
+        TraceBatch.of_trace(c, basis), p, half, EPS, cond_threshold)
+    return nu[0], phi[0], cond, float(recon[0])
+
+
 def test_profile_trace_decomposes_to_unit_vector(setup01, setup11, setup02):
-    for p, delta, basis, half in (setup01, setup11, setup02):
+    for p, _, basis, half in (setup01, setup11, setup02):
         c = trace_from_profile(p, basis.grid)
-        dec = decompose_trace(c, p, delta, basis, half)
+        nu, phi, cond, _ = _decompose(c, p, basis, half)
         ell = mode_count_ell(basis.grid.n, p.m)
         expected = np.zeros(ell)
         expected[-1] = 1.0
-        assert dec.nu == pytest.approx(expected, abs=1e-10)
-        assert dec.cond < 1.0 + 1e-8
-        assert np.max(np.abs(dec.phi_coeffs)) < 1e-10
+        assert nu == pytest.approx(expected, abs=1e-10)
+        assert cond < 1.0 + 1e-8
+        assert np.max(np.abs(phi)) < 1e-10
 
 
 def test_decomposition_invariants(setup01):
-    p, delta, basis, half = setup01
+    p, _, basis, half = setup01
     rng = np.random.default_rng(21)
     for c in sample_positive_traces(p, basis, 0, 5, rng):
-        dec = decompose_trace(c, p, delta, basis, half)
-        assert dec.reconstruction_error <= 1e-8
-        assert np.max(np.abs(dec.moment_residuals)) <= 1e-8
+        nu, phi, _, recon = _decompose(c, p, basis, half)
+        p_part = trace_from_basis(half, nu)
+        remainder = trace_from_basis(basis, phi)
+        assert recon <= 1e-8
+        moments = basis.mass_rows(nu.size) @ (c.values - p_part.values)
+        assert np.max(np.abs(moments)) <= 1e-8
         if basis.mask.size:
-            assert np.max(np.abs(dec.phi.values[basis.mask])) <= 1e-12
+            assert np.max(np.abs(remainder.values[basis.mask])) <= 1e-12
         # idempotence: decomposing P + phi returns the same coefficients
-        again = decompose_trace(dec.p_part + dec.phi, p, delta, basis, half)
-        assert again.nu == pytest.approx(dec.nu, abs=1e-10)
-        assert again.phi_coeffs == pytest.approx(dec.phi_coeffs, abs=1e-10)
+        again_nu, again_phi, _, _ = _decompose(p_part + remainder, p, basis,
+                                               half)
+        assert again_nu == pytest.approx(nu, abs=1e-10)
+        assert again_phi == pytest.approx(phi, abs=1e-10)
 
 
 def test_decompose_rejects_bad_traces(setup01, circle):
-    p, delta, basis, half = setup01
+    p, _, basis, half = setup01
     # odd trace
     odd = trace_from_profile(p, circle)
     vals = odd.values.copy()
@@ -141,13 +152,13 @@ def test_decompose_rejects_bad_traces(setup01, circle):
     bad.values = vals + 0.3
     bad.grad = None
     with pytest.raises(ValueError, match="admissibility"):
-        decompose_trace(bad, p, delta, basis, half)
+        _decompose(bad, p, basis, half)
     # negative on the thin set
     neg = trace_from_profile(p, circle)
     neg.values = neg.values - 0.01
     neg.grad = None
     with pytest.raises(ValueError, match="admissibility"):
-        decompose_trace(neg, p, delta, basis, half)
+        _decompose(neg, p, basis, half)
 
 
 def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup11):
@@ -179,12 +190,11 @@ def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup1
         assert len(checked) == 1
 
 
-def test_decompose_condition_threshold(setup01, monkeypatch):
-    p, delta, basis, half = setup01
+def test_decompose_condition_threshold(setup01):
+    p, _, basis, half = setup01
     c = trace_from_profile(p, basis.grid)
-    monkeypatch.setattr(epiperimetric, "COND_THRESHOLD", 0.5)
     with pytest.raises(ValueError, match="condition"):
-        decompose_trace(c, p, delta, basis, half)
+        _decompose(c, p, basis, half, cond_threshold=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +232,12 @@ def test_positive_certificate_random_traces(setup01, setup11, setup02):
 
 
 def test_positive_competitor_boundary_matches_trace(setup01):
-    p, delta, basis, half = setup01
+    p, _, basis, half = setup01
     rng = np.random.default_rng(23)
     c = sample_positive_traces(p, basis, 0, 1, rng)[0]
-    dec = decompose_trace(c, p, delta, basis, half)
-    assert np.max(np.abs(dec.p_part.values + dec.phi.values - c.values)) < 1e-10
+    nu, phi, _, _ = _decompose(c, p, basis, half)
+    p_part, remainder = trace_from_basis(half, nu), trace_from_basis(basis, phi)
+    assert np.max(np.abs(p_part.values + remainder.values - c.values)) < 1e-10
 
 
 def _assert_reports_match(batch_report, single):

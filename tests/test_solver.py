@@ -15,7 +15,7 @@ from thinepi.grids import build_grid
 from thinepi.polynomials import Polynomial, even_harmonic_extension
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.solver import (NEG_INF, Mode2D, ProblemSpec, _assemble, _pdas,
-                            contact_set, field_config, load_solution,
+                            field_config, load_solution,
                             make_field, reduce_to_zero_obstacle,
                             solve_thin_obstacle, taylor_polynomial)
 
@@ -44,25 +44,6 @@ def lexicographic_psor_sweep(u, kind, phi, f, h2, omega):
             max_upd = max(max_upd, abs(new - old))
             u[i, j] = new
     return max_upd
-
-
-def loop_contact_set(sol, tol):
-    """Reference free boundary, one node at a time in ravel order: a contact
-    node with a free, non-contact thin neighbour along some axis."""
-    thin = sol.kind[..., 0] == 2
-    mask = thin & (sol.values[..., 0] - sol.phi_thin <= tol)
-    boundary = []
-    for idx in np.ndindex(mask.shape):
-        neighbours = []
-        for axis in range(mask.ndim):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[axis] += step
-                if 0 <= nb[axis] < mask.shape[axis]:
-                    neighbours.append(tuple(nb))
-        if mask[idx] and any(thin[nb] and not mask[nb] for nb in neighbours):
-            boundary.append(tuple(int(i) for i in idx))
-    return mask, boundary
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +119,6 @@ def test_constant_boundary_gives_constant_solution():
     assert sol.converged
     assert np.max(np.abs(sol.values[sol.kind > 0] - 1.0)) < 1e-7
     assert sol.contact.sum() == 0
-    mask, gamma = contact_set(sol)
-    assert mask.sum() == 0 and gamma == []
 
 
 def test_profile_boundary_contact_everywhere():
@@ -150,8 +129,6 @@ def test_profile_boundary_contact_everywhere():
     thin = sol.kind[..., 0] == 2
     assert sol.contact.sum() == thin.sum()
     assert np.max(np.abs(sol.complementarity)) <= 1e-9
-    _, gamma = contact_set(sol)
-    assert gamma == []
 
 
 def test_halfspace_solution_error_and_free_boundary(halfspace_solution):
@@ -161,13 +138,11 @@ def test_halfspace_solution_error_and_free_boundary(halfspace_solution):
     assert sol.max_error_vs(hs) <= 5e-2
     assert np.max(np.abs(sol.complementarity)) <= 1e-9
     assert sol.laplace_residual <= 1e-9
-    mask, gamma = contact_set(sol)
-    # exact contact is the half-line {x <= 0}; discrete free boundary at origin
+    # exact contact is the half-line {x <= 0}
     xs = np.arange(-res, res + 1) / res
     thin = sol.kind[..., 0] == 2
     expected = thin & (xs <= 0)
-    assert np.array_equal(mask, expected)
-    assert [g for (g,) in gamma] == [res]
+    assert np.array_equal(sol.contact, expected)
 
 
 def test_contact_set_matches_loop_reference(halfspace_solution):
@@ -178,12 +153,12 @@ def test_contact_set_matches_loop_reference(halfspace_solution):
     spec = ProblemSpec(dimension=3, h=1 / 16, obstacle=obstacle,
                        boundary=-0.2)
     for sol in (halfspace_solution[2], solve_thin_obstacle(spec)):
-        tol = 10.0 * sol.spec.tol
-        mask, gamma = contact_set(sol)
-        ref_mask, ref_gamma = loop_contact_set(sol, tol)
-        assert np.array_equal(mask, ref_mask)
-        assert gamma == ref_gamma
-        assert len(gamma) > 0 and mask.sum() > len(gamma)
+        # contact: thin nodes where u - phi <= 10 tol, tol the solver's
+        thin = sol.kind[..., 0] == 2
+        expected = thin & (sol.values[..., 0] - sol.phi_thin
+                           <= 10.0 * sol.spec.tol)
+        assert np.array_equal(sol.contact, expected)
+        assert 0 < sol.contact.sum() < thin.sum()
 
 
 def test_halfspace_error_decreases_with_resolution(halfspace_solution):

@@ -9,7 +9,6 @@ import pytest
 
 from thinepi import spectral
 from thinepi.grids import build_grid
-from thinepi.profiles import make_profile
 from thinepi.spectral import (
     EigenBasis,
     eigenbasis,
@@ -18,7 +17,6 @@ from thinepi.spectral import (
     lambda_of,
     mode_count_ell,
     multiplicity,
-    verify_spectral_convergence,
 )
 
 
@@ -318,17 +316,3 @@ def test_cache_env_var(tmp_path, monkeypatch):
     grid = build_grid(1, 64)
     eigenbasis(grid, [], 2)
     assert list((tmp_path / "eigenbases").glob("*.npz"))
-
-
-def test_spectral_convergence_report():
-    grid = build_grid(1, 128)
-    p = make_profile(1, 1)
-    report = verify_spectral_convergence(grid, p, [0.4, 0.2, 0.1], count=3)
-    # For this profile the slope factor at the equator exceeds every delta in
-    # the ladder, so all masks equal the full equator: identical problems.
-    assert report.mask_sizes == [2, 2, 2]
-    assert np.max(report.lambda_err) == 0.0
-    assert np.max(report.l2_err) < 1e-10
-    assert not report.nonmonotone
-    rows = list(report.rows())
-    assert len(rows) == 3 and rows[0]["delta"] == 0.4

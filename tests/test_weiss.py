@@ -227,7 +227,7 @@ def test_sampled_route_matches_closed_form(sin_basis):
     tr = trace_from_basis(sin_basis, c)
     mu = 2.0
     exact = _energy(tr, mu, mu)
-    got = frequency._sampled_energy(_sampled(mu, tr), tr.grid, mu, None)
+    got = frequency._sampled_energy(_sampled(mu, tr), tr.grid, mu)
     assert got == pytest.approx(exact, rel=1e-4)
 
 
@@ -241,18 +241,6 @@ def test_default_radii_is_shared_and_read_only():
     with pytest.raises(ValueError):
         weights[0] = 0.0
     assert frequency._default_radii(24)[0].size == 25
-
-
-def test_sampled_volume_term_and_tilde_energy(circle):
-    const = SphericalTrace(circle, np.ones(circle.size),
-                           grad=np.zeros((circle.size, 2)))
-    v = _sampled(1.0, const)
-    w = frequency._sampled_energy(v, circle, 1.0, None)
-    tilde = frequency._sampled_energy(v, circle, 1.0,
-                                      lambda pts: np.ones(len(pts)))
-    # int_B r * 1 dx = 2*pi * int_0^1 r * r dr = 2*pi/3
-    assert tilde - w == pytest.approx(2.0 * np.pi / 3.0, rel=1e-12)
-    assert tilde == pytest.approx(w + 2.0 * np.pi / 3.0, rel=1e-10)
 
 
 def test_sum_energy_expands_bilinearly(circle, sin_basis):
