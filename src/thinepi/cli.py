@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +39,15 @@ from .svgplot import histogram, line_plot, loglog_plot
 from .traces import TraceColumns
 from .weiss import weiss_raised, weiss_rows, weiss_spectral
 
-SUBCOMMANDS = ("spectral", "epi-check", "solve", "frequency", "blowup",
-               "stratify", "gap-demo")
-
 __all__ = ["RunConfig", "RunManifest", "run", "main", "SUBCOMMANDS"]
 
 
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
+
+DEFAULT_SEED = 7
+
 
 @dataclass
 class RunConfig:
@@ -58,9 +58,11 @@ class RunConfig:
     out_dir: str = ""
     params: dict = field(default_factory=dict)
     cache_dir: str | None = None
-    seed: int = 7
+    seed: int = DEFAULT_SEED
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check the config and return its params resolved against the
+        subcommand's table in ``PARAMS``."""
         missing = [name for name in ("subcommand", "out_dir")
                    if not getattr(self, name)]
         if missing:
@@ -69,33 +71,93 @@ class RunConfig:
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}; "
                              f"expected one of {', '.join(SUBCOMMANDS)}")
+        table = PARAMS[self.subcommand]
+        unknown = sorted(set(self.params) - set(table))
+        if unknown:
+            raise ValueError(f"{self.subcommand}: unknown parameters {unknown}"
+                             f"; expected one of {', '.join(table)}")
+        given = {k: v for k, v in self.params.items() if v is not None}
+        resolved: dict = {}
+        for name, (kind, default, choices) in table.items():
+            value = given[name] if name in given else default
+            if callable(value):
+                value = value(resolved)
+            if value is not None:
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError):
+                    raise ValueError(f"{self.subcommand}: {name} must be "
+                                     f"{kind.__name__}, got {value!r}")
+                if choices and value not in choices:
+                    raise ValueError(
+                        f"{self.subcommand}: {name} must be one of "
+                        f"{', '.join(map(str, choices))}, got {value!r}")
+            resolved[name] = value
+        return resolved
 
     def to_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "out_dir": self.out_dir,
-                "params": dict(self.params), "cache_dir": self.cache_dir,
-                "seed": self.seed}
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        config = RunConfig(
-            subcommand=data.get("subcommand", ""),
-            out_dir=data.get("out_dir", ""),
-            params=dict(data.get("params", {})),
-            cache_dir=data.get("cache_dir"),
-            seed=int(data.get("seed", 7)))
+        config = RunConfig(**data)
         config.validate()
         return config
+
+
+SOLVE_CASES = ("halfspace", "profile", "profile-3d", "quartic",
+               "near-profile")
+
+
+# Each subcommand's parameters, in resolution order: name -> (type, default,
+# choices).  A default is a constant, None (unset), or a function of the
+# parameters resolved before it.  ``RunConfig.validate`` resolves a run's
+# params against its table once; the pipelines read the resolved values,
+# the manifest records them, and ``_build_parser`` makes one option of each.
+_SOLVE_PARAMS = {"case": (str, "halfspace", SOLVE_CASES),
+                 "resolution": (int, 64, None),
+                 "config": (str, None, None)}   # JSON problem, over --case
+PARAMS = {
+    "spectral": {
+        "n": (int, 1, (1, 2)),
+        "resolution": (int, lambda p: 2048 if p["n"] == 1 else 256, None),
+        "modes": (int, 8, None),
+        "mu": (float, lambda p: 1.0 if p["n"] == 1 else 0.5, None),
+        "vectors": (int, lambda p: 100 if p["n"] == 1 else 20, None),
+        # Discrete-basis routes agree to second order in the mesh: at n = 2
+        # the gate is 1e-3 at resolution 512 and scales with h^2.
+        "tol": (float, lambda p: 1e-8 if p["n"] == 1 else
+                max(1e-3, 1e-3 * (512.0 / p["resolution"]) ** 2), None),
+    },
+    "epi-check": {
+        "m": (int, 0, None), "n": (int, 1, (1, 2)),
+        "trials": (int, 200, None), "eps": (float, EPS, None),
+        "negative": (bool, False, None),
+        "resolution": (int, lambda p: 4096 if p["n"] == 1 else 48, None),
+    },
+    "solve": _SOLVE_PARAMS,
+    "frequency": {**_SOLVE_PARAMS, "theta": (float, None, None),
+                  "count": (int, 24, None),
+                  "violation_tol": (float, 1e-2, None)},
+    "blowup": {
+        "case": (str, "constructed", ("constructed", "solved")),
+        "m": (int, 0, None),
+        "rungs": (int, lambda p: 10 if p["case"] == "solved" else 16, None),
+        "r_max": (float, lambda p: 0.45 if p["case"] == "solved" else 0.6,
+                  None),
+        "resolution": (int, 32, None), "amplitude": (float, 0.3, None),
+    },
+    "stratify": {**_SOLVE_PARAMS, "max_points": (int, 48, None)},
+    "gap-demo": {"pairs": (str, "0:1,1:1,0:2", None)},   # m:n, comma-separated
+}
 
 
 # ---------------------------------------------------------------------------
 # Problem catalog for solver-backed subcommands
 # ---------------------------------------------------------------------------
 
-SOLVE_CASES = ("halfspace", "profile", "profile-3d", "quartic",
-               "near-profile")
-
-
-def case_spec(case: str, resolution: int, seed: int = 7) -> ProblemSpec:
+def case_spec(case: str, resolution: int,
+              seed: int = DEFAULT_SEED) -> ProblemSpec:
     """Build a catalog problem from pure config dictionaries (so the manifest
     config snapshot reproduces it exactly)."""
     config = {"dimension": 2, "h": 1.0 / resolution,
@@ -130,19 +192,17 @@ def case_spec(case: str, resolution: int, seed: int = 7) -> ProblemSpec:
     return ProblemSpec.from_config(config)
 
 
-def _solve_case(config: RunConfig, default_case: str, timings: dict):
-    params = config.params
-    case = params.get("case", default_case)
-    resolution = int(params.get("resolution", 64))
-    config_file = params.get("config")
-    if config_file:
-        spec = ProblemSpec.from_file(config_file)
+def _solve_case(params: dict, seed: int, timings: dict):
+    """Solve the problem of resolved solve params: the JSON file
+    ``config``, or else the catalog ``case`` at ``resolution``."""
+    if params["config"]:
+        spec = ProblemSpec.from_file(params["config"])
     else:
-        spec = case_spec(case, resolution, config.seed)
+        spec = case_spec(params["case"], params["resolution"], seed)
     t0 = time.perf_counter()
     sol = solve_thin_obstacle(spec)
     timings["solve"] = time.perf_counter() - t0
-    return case, spec, sol
+    return spec, sol
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +210,14 @@ def _solve_case(config: RunConfig, default_case: str, timings: dict):
 # ---------------------------------------------------------------------------
 
 def _run_spectral(config: RunConfig, out: Path, timings: dict):
+    """Compare closed-form energies against quadrature for random
+    coefficient vectors."""
     params = config.params
-    n = int(params.get("n", 1))
-    modes = int(params.get("modes", 8))
-    mu = float(params.get("mu", 1.0 if n == 1 else 0.5))
-    vectors = int(params.get("vectors", 100 if n == 1 else 20))
+    n, modes, mu = params["n"], params["modes"], params["mu"]
+    vectors, resolution, tol = (params["vectors"], params["resolution"],
+                                params["tol"])
     if vectors < 1:
         raise ValueError(f"--vectors must be at least 1, got {vectors}")
-    resolution = int(params.get("resolution", 2048 if n == 1 else 256))
-    if n == 1:
-        tol = float(params.get("tol", 1e-8))
-    else:
-        # Discrete-basis routes agree to second order in the mesh; anchor the
-        # default gate at 1e-3 for resolution 512 and scale with h^2.
-        tol = float(params.get("tol",
-                               max(1e-3, 1e-3 * (512.0 / resolution) ** 2)))
 
     t0 = time.perf_counter()
     if n == 1:
@@ -215,17 +268,16 @@ def _run_spectral(config: RunConfig, out: Path, timings: dict):
 
 
 def _run_epi(config: RunConfig, out: Path, timings: dict):
+    """Sample admissible traces and verify the energy-improvement inequality
+    trial by trial (--negative: the negative-energy variant)."""
     params = config.params
-    m = int(params.get("m", 0))
-    n = int(params.get("n", 1))
-    trials = int(params.get("trials", 200))
+    m, n, trials = params["m"], params["n"], params["trials"]
+    eps, negative, resolution = (params["eps"], params["negative"],
+                                 params["resolution"])
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
-    eps = float(params.get("eps", EPS))
     if not eps > 0.0:
         raise ValueError(f"--eps must be positive, got {eps}")
-    negative = bool(params.get("negative", False))
-    resolution = int(params.get("resolution", 4096 if n == 1 else 48))
 
     t0 = time.perf_counter()
     if n == 1:
@@ -291,7 +343,9 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
 
 
 def _run_solve(config: RunConfig, out: Path, timings: dict):
-    case, spec, sol = _solve_case(config, "halfspace", timings)
+    """Solve a thin-obstacle problem and dump the solution (--config: a JSON
+    problem description, over --case)."""
+    spec, sol = _solve_case(config.params, config.seed, timings)
 
     bin_path, json_path = sol.dump(out / "solution")
     u_thin = sol.values[..., 0].ravel()
@@ -324,8 +378,8 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
                     f"min(u - obstacle) = {feasibility:.3e}"),
     ]
     exact = {"halfspace": halfspace_2d(1.5), "profile": make_profile(0, 1),
-             "profile-3d": make_profile(0, 2)}.get(case)
-    if exact is not None and not config.params.get("config"):
+             "profile-3d": make_profile(0, 2)}.get(config.params["case"])
+    if exact is not None and not config.params["config"]:
         err = sol.max_error_vs(exact)
         checks.append(CheckResult(
             "sup-error-vs-exact", err <= 5e-2,
@@ -334,12 +388,14 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
 
 
 def _run_frequency(config: RunConfig, out: Path, timings: dict):
+    """Solve, then trace the truncated frequency along a radius ladder."""
     params = config.params
-    _, spec, sol = _solve_case(config, "halfspace", timings)
-    freq_params = FrequencyParams(theta=params.get("theta"), k=spec.k,
+    spec, sol = _solve_case(params, config.seed, timings)
+    freq_params = FrequencyParams(theta=params["theta"], k=spec.k,
                                   gamma=spec.gamma)
-    count = int(params.get("count", 24))
-    violation_tol = float(params.get("violation_tol", 1e-2))
+    # theta unset is gamma/2 of the solved problem; record the value used
+    params["theta"] = freq_params.resolved_theta()
+    count, violation_tol = params["count"], params["violation_tol"]
 
     t0 = time.perf_counter()
     profile = truncated_frequency(
@@ -367,44 +423,33 @@ def _run_frequency(config: RunConfig, out: Path, timings: dict):
 
 
 def _run_blowup(config: RunConfig, out: Path, timings: dict):
+    """Fit the decay rate of rescalings toward the catalog limit."""
     params = config.params
-    case = params.get("case", "constructed")
-    m = int(params.get("m", 0))
+    case, m = params["case"], params["m"]
+    radii = radii_ladder(params["r_max"], params["rungs"])[::-1]
 
     t0 = time.perf_counter()
     if case == "constructed":
         # Catalog profile plus a half-integer mode sitting 1/2 above its
         # homogeneity; the fitted decay exponent should be 1/2.
-        rungs = int(params.get("rungs", 16))
-        r_max = float(params.get("r_max", 0.6))
         p = make_profile(m, 1)
         mode = halfspace_2d(2.0 * m + 1.5)
-        amplitude = float(params.get("amplitude", 0.3))
+        amplitude = params["amplitude"]
 
         def v(points):
             return p(points) + amplitude * mode(points)
 
-        radii = radii_ladder(r_max, rungs)[::-1]
         fit = blowup_fit(v, np.zeros(2), m, radii)
         expected = "0.5 +/- 0.05"
         exponent_ok = (fit.exponent is not None
                        and abs(fit.exponent - 0.5) <= 0.05)
-    elif case == "solved":
-        rungs = int(params.get("rungs", 10))
-        r_max = float(params.get("r_max", 0.45))
-        sol_config = RunConfig(subcommand="solve", out_dir=config.out_dir,
-                               params={"case": "near-profile",
-                                       "resolution":
-                                       int(params.get("resolution", 32))},
-                               cache_dir=config.cache_dir, seed=config.seed)
-        _, _, sol = _solve_case(sol_config, "near-profile", timings)
-        radii = radii_ladder(r_max, rungs)[::-1]
+    else:
+        _, sol = _solve_case({"case": "near-profile", "config": None,
+                              "resolution": params["resolution"]},
+                             config.seed, timings)
         fit = blowup_fit(sol, np.zeros(2), m, radii)
         expected = "> 0"
         exponent_ok = fit.exponent is not None and fit.exponent > 0.0
-    else:
-        raise ValueError(f"unknown blowup case {case!r}; "
-                         "available: constructed, solved")
     timings["fit"] = time.perf_counter() - t0
 
     files = [write_csv(out / "blowup.csv", fit.rows()),
@@ -469,11 +514,12 @@ def _weiss_rate(weiss, exponent: float | None) -> CheckResult:
 
 
 def _run_stratify(config: RunConfig, out: Path, timings: dict):
+    """Label contact-set points by their local homogeneity."""
     params = config.params
-    max_points = int(params.get("max_points", 48))
+    max_points = params["max_points"]
     if max_points < 1:          # before the solve, which dominates the run
         raise ValueError(f"max_points must be at least 1, got {max_points}")
-    case, spec, sol = _solve_case(config, "halfspace", timings)
+    spec, sol = _solve_case(params, config.seed, timings)
 
     t0 = time.perf_counter()
     report = stratify_contact(sol, max_points=max_points)
@@ -529,7 +575,9 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _run_gap(config: RunConfig, out: Path, timings: dict):
-    pairs = _parse_pairs(config.params.get("pairs", "0:1,1:1,0:2"))
+    """Frequency-gap sign contradiction and isolation window (--pairs:
+    comma-separated m:n pairs)."""
+    pairs = _parse_pairs(config.params["pairs"])
     t0 = time.perf_counter()
     rows, checks = [], []
     for m, n in pairs:
@@ -568,6 +616,7 @@ _PIPELINES = {
     "stratify": _run_stratify,
     "gap-demo": _run_gap,
 }
+SUBCOMMANDS = tuple(_PIPELINES)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +624,9 @@ _PIPELINES = {
 # ---------------------------------------------------------------------------
 
 def run(config: RunConfig) -> RunManifest:
-    """Execute the configured pipeline, write artifacts and the manifest."""
-    config.validate()
+    """Execute the configured pipeline, write artifacts and the manifest,
+    whose config records every resolved parameter."""
+    config = replace(config, params=config.validate())
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
@@ -598,9 +648,6 @@ def run(config: RunConfig) -> RunManifest:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = ("subcommand", "out", "cache_dir", "seed")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thin-epi",
@@ -610,78 +657,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"thin-epi {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, description):
-        p = sub.add_parser(name, help=description, description=description)
-        p.add_argument("--out", default=None,
+    for name, pipeline in _PIPELINES.items():
+        p = sub.add_parser(name, help=pipeline.__doc__,
+                           description=pipeline.__doc__)
+        p.add_argument("--out",
                        help="output directory (default runs/<subcommand>)")
-        p.add_argument("--cache-dir", default=None,
+        p.add_argument("--cache-dir",
                        help="eigenbasis cache directory "
                             "(default $THIN_EPI_CACHE)")
-        p.add_argument("--seed", type=int, default=7,
-                       help="random seed (default 7)")
-        return p
-
-    p = add("spectral", "compare closed-form energies against quadrature "
-                        "for random coefficient vectors")
-    p.add_argument("--n", type=int, default=1, choices=(1, 2))
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--modes", type=int, default=8)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--vectors", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-
-    p = add("epi-check", "sample admissible traces and verify the "
-                         "energy-improvement inequality trial by trial")
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=1, choices=(1, 2))
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--eps", type=float, default=EPS)
-    p.add_argument("--negative", action="store_true",
-                   help="run the negative-energy variant")
-    p.add_argument("--resolution", type=int, default=None)
-
-    p = add("solve", "solve a thin-obstacle problem and dump the solution")
-    p.add_argument("--case", default="halfspace", choices=SOLVE_CASES)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--config", default=None,
-                   help="JSON problem description (overrides --case)")
-
-    p = add("frequency", "solve, then trace the truncated frequency along "
-                         "a radius ladder")
-    p.add_argument("--case", default="halfspace", choices=SOLVE_CASES)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--count", type=int, default=24)
-    p.add_argument("--violation-tol", type=float, default=1e-2)
-
-    p = add("blowup", "fit the decay rate of rescalings toward the catalog "
-                      "limit")
-    p.add_argument("--case", default="constructed",
-                   choices=("constructed", "solved"))
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--rungs", type=int, default=None)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--amplitude", type=float, default=0.3)
-
-    p = add("stratify", "label contact-set points by their local "
-                        "homogeneity")
-    p.add_argument("--case", default="halfspace", choices=SOLVE_CASES)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--max-points", type=int, default=48)
-
-    p = add("gap-demo", "frequency-gap sign contradiction and isolation "
-                        "window")
-    p.add_argument("--pairs", default="0:1,1:1,0:2",
-                   help="comma-separated m:n pairs (default 0:1,1:1,0:2)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"random seed (default {DEFAULT_SEED})")
+        # An unset option stays None, and the run fills in its default.
+        for key, (kind, _, choices) in PARAMS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, type=kind, choices=choices)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    params = {key: value for key, value in vars(args).items()
-              if key not in _COMMON_KEYS and value is not None}
+    params = {key: getattr(args, key) for key in PARAMS[args.subcommand]}
     out_dir = args.out or str(Path("runs") / args.subcommand)
     config = RunConfig(subcommand=args.subcommand, out_dir=out_dir,
                        params=params, cache_dir=args.cache_dir,

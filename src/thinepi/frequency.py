@@ -392,22 +392,24 @@ def _sampled_energy(values: np.ndarray, grid: SphereGrid, mu: float) -> float:
     return dirichlet - mu * float(grid.inner(values[-1], values[-1]))
 
 
+_BALL_NODES = 48
+
+
 def _homogeneous_rescaling(adapter: FieldAdapter, x0: np.ndarray, r: float,
-                           mu: float, grid: SphereGrid,
-                           count: int) -> np.ndarray:
+                           mu: float, grid: SphereGrid) -> np.ndarray:
     """The mu-homogeneous rescaling v(x0 + r.)/r^mu sampled on the ball at
-    ``_default_radii(count)``, all spheres in one read: one row per radius,
-    the last row, of radius r, is the rescaled trace."""
+    ``_default_radii(_BALL_NODES)``, all spheres in one read: one row per
+    radius, the last row, of radius r, is the rescaled trace."""
     _check_reach(adapter, x0, r)
-    radii, _ = _default_radii(count)
+    radii, _ = _default_radii(_BALL_NODES)
     return _on_spheres(adapter, x0, r * radii, grid) / r ** mu
 
 
 def _scale_energy(adapter: FieldAdapter, x0: np.ndarray, r: float, mu: float,
                   grid: SphereGrid) -> tuple[float, np.ndarray]:
-    """(W, values): the homogeneous rescaling at scale r, sampled at a
-    48-point radial rule, and its energy W_mu."""
-    values = _homogeneous_rescaling(adapter, x0, r, mu, grid, 48)
+    """(W, values): the homogeneous rescaling at scale r, sampled at the
+    ``_BALL_NODES``-point radial rule, and its energy W_mu."""
+    values = _homogeneous_rescaling(adapter, x0, r, mu, grid)
     return _sampled_energy(values, grid, mu), values
 
 

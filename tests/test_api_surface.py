@@ -267,6 +267,32 @@ def test_field_allow_list_names_existing_fields():
         assert name in {f for f, _ in api.get(qualname, [])}, entry
 
 
+def cli_default_copies() -> list[str]:
+    """Defaults of ``cli.py`` written outside its parameter table: each
+    ``params.get`` call and each ``add_argument`` with a literal default."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "get" and _name_of(node.func.value) == "params":
+            found.append((node.lineno, "params.get"))
+        elif node.func.attr == "add_argument" and any(
+                k.arg == "default" and isinstance(k.value, ast.Constant)
+                for k in node.keywords):
+            found.append((node.lineno, "add_argument default"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_cli_defaults_are_written_once():
+    # A subcommand's defaults live in ``cli.PARAMS``, which the parser and
+    # the runs both read; a second copy can drift from the first.
+    found = cli_default_copies()
+    assert not found, ("CLI defaults outside the parameter table:\n"
+                       + "\n".join(found))
+
+
 _SYNTHETIC = """
 from dataclasses import dataclass, replace
 

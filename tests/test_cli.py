@@ -2,8 +2,10 @@
 gated exit codes, manifest hashing, and rerun determinism."""
 
 import dataclasses
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -46,6 +48,83 @@ def test_config_dict_round_trip(tmp_path):
     config = _config("gap-demo", tmp_path, pairs="0:1")
     back = RunConfig.from_dict(config.to_dict())
     assert back == config
+
+
+@pytest.mark.parametrize("subcommand, params, named", [
+    # n = 3 is no choice: the run must not fall back to the n = 2 path
+    pytest.param("spectral", {"n": 3, "vectors": 2},
+                 "n must be one of 1, 2, got 3", id="spectral-n3"),
+    pytest.param("epi-check", {"trails": 2, "trials": 2},
+                 "unknown parameters ['trails']", id="epi-check-trails"),
+    pytest.param("gap-demo", {"pairz": "0:1"},
+                 "unknown parameters ['pairz']", id="gap-demo-pairz"),
+    pytest.param("solve", {"case": "bogus"},
+                 "case must be one of halfspace, ", id="solve-case"),
+    pytest.param("frequency", {"case": "bogus", "resolution": 16},
+                 "got 'bogus'", id="frequency-case"),
+    pytest.param("stratify", {"case": "bogus"}, "got 'bogus'",
+                 id="stratify-case"),
+    pytest.param("blowup", {"case": "bogus"},
+                 "case must be one of constructed, solved", id="blowup-case"),
+    pytest.param("blowup", {"rungs": "many"},
+                 "rungs must be int, got 'many'", id="blowup-rungs"),
+])
+def test_bad_params_are_named_before_any_work(tmp_path, subcommand, params,
+                                              named):
+    data = {"subcommand": subcommand, "out_dir": str(tmp_path / "out"),
+            "params": params}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        RunConfig.from_dict(data)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run(RunConfig(**data))
+    assert not (tmp_path / "out").exists()
+    # the same values as options: the parser exits 2
+    argv = [subcommand] + [f"--{key}={value}" for key, value in params.items()]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+
+
+def _hashed_commands():
+    """COMMANDS and HASHED of ``scripts/artifact_hashes.py``."""
+    path = (Path(__file__).resolve().parents[1] / "scripts"
+            / "artifact_hashes.py")
+    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS, module.HASHED
+
+
+def test_manifest_records_resolved_params_and_reruns_to_same_bytes(tmp_path):
+    # Each hashed command, then a run of the config its manifest records,
+    # rebuilt through RunConfig.from_dict: every hashed file is the same.
+    commands, hashed = _hashed_commands()
+    recorded = {}
+    for k, command in enumerate(commands):
+        first, again = tmp_path / f"out{k}", tmp_path / f"again{k}"
+        assert main(command.split() + [
+            "--out", str(first), "--cache-dir", str(tmp_path / f"cache{k}")
+        ]) == 0, command
+        data = json.loads((first / "manifest.json").read_text())["config"]
+        rerun = run(RunConfig.from_dict(dict(data, out_dir=str(again))))
+        assert rerun.passed and rerun.config["params"] == data["params"]
+        names = sorted(path.name for pattern in hashed
+                       for path in first.glob(pattern))
+        assert names, command
+        for name in names:
+            assert ((again / name).read_bytes()
+                    == (first / name).read_bytes()), (command, name)
+        recorded[command] = data["params"]
+    expected = {
+        "spectral --n 2": {"resolution": 256, "mu": 0.5, "vectors": 20,
+                           "tol": 0.004},
+        "epi-check --n 2": {"resolution": 48},
+        "frequency": {"theta": 0.25},
+        "blowup": {"rungs": 16, "r_max": 0.6},
+        "blowup --case solved": {"rungs": 10, "r_max": 0.45},
+    }
+    for command, values in expected.items():
+        assert {key: recorded[command][key] for key in values} == values
 
 
 def _run_fresh(code):
@@ -506,6 +585,7 @@ def test_epi_check_batch_memory(tmp_path):
     # (T, N, 3) gradient array alone would add 21.5 MiB.
     config = _config("epi-check", tmp_path, n=2, trials=200)
     config.cache_dir = str(tmp_path / "cache")
+    config.params = config.validate()     # pipelines read resolved params
     tracemalloc.start()
     try:
         _run_epi(config, tmp_path, {})

@@ -400,23 +400,23 @@ def test_frequency_rows_for_reporting(p01):
 # homogeneous rescalings
 # ---------------------------------------------------------------------------
 
-def _rescaling(v, r, count, dimension=None, grid=None):
+def _rescaling(v, r, dimension=None):
     """The mu = 1 homogeneous rescaling of v about the origin."""
     adapter = frequency.FieldAdapter.adapt(v, dimension)
     d = adapter.dimension
     return frequency._homogeneous_rescaling(
-        adapter, np.zeros(d), r, 1.0, grid or default_sphere(d - 1), count)
+        adapter, np.zeros(d), r, 1.0, default_sphere(d - 1))
 
 
 def test_rescale_guards(sol_profile32):
     with pytest.raises(ValueError, match="leaves the computational domain"):
-        _rescaling(sol_profile32, 0.99, 16)
+        _rescaling(sol_profile32, 0.99)
     with pytest.raises(ValueError, match="too small for the grid"):
-        _rescaling(sol_profile32, 0.05, 16)
+        _rescaling(sol_profile32, 0.05)
 
 
 def test_rescale_ball_has_zero_scale_energy(p01):
-    ball = _rescaling(p01, 0.6, 48)
+    ball = _rescaling(p01, 0.6)
     grid = default_sphere(1)
     assert np.abs(ball[-1] - p01.trace_on(grid)).max() <= 1e-14
     energy, same = frequency._scale_energy(
@@ -432,10 +432,10 @@ def test_rescale_ball_reads_each_sphere_once(p01):
         calls.append(len(points))
         return p01(points)
 
-    # 16 radial spheres and the trace sphere (radius 1), read in one call
+    # 48 radial spheres and the trace sphere (radius 1), read in one call
     nodes = default_sphere(1).size
-    _rescaling(counted, 0.5, 16, dimension=2)
-    assert calls == [17 * nodes]
+    _rescaling(counted, 0.5, dimension=2)
+    assert calls == [49 * nodes]
 
 
 # ---------------------------------------------------------------------------
