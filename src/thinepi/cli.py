@@ -29,8 +29,9 @@ from .epiperimetric import (EPS, SLACK_FLOOR, adapted_half_basis,
                             certify_negative, certify_positive, choose_delta,
                             gap_demo, sample_negative_traces,
                             sample_positive_traces)
-from .frequency import (FrequencyParams, blowup_fit, stratify_contact,
-                        truncated_frequency, weiss_monotonicity_check)
+from .frequency import (LADDER_RUNGS, STRATIFY_POINTS, FrequencyParams,
+                        blowup_fit, stratify_contact, truncated_frequency,
+                        weiss_monotonicity_check)
 from .grids import build_grid, radii_ladder
 from .profiles import halfspace_2d, make_profile
 from .solver import ProblemSpec, solve_thin_obstacle, zero_obstacle_field
@@ -84,7 +85,7 @@ class RunConfig:
                 value = value(resolved)
             if value is not None:
                 try:
-                    value = kind(value)
+                    value = _cast(kind, value)
                 except (TypeError, ValueError):
                     raise ValueError(f"{self.subcommand}: {name} must be "
                                      f"{kind.__name__}, got {value!r}")
@@ -103,6 +104,19 @@ class RunConfig:
         config = RunConfig(**data)
         config.validate()
         return config
+
+
+def _cast(kind, value):
+    """``value`` as ``kind``, refusing casts that would change it silently:
+    a bool parameter takes only a bool, a number parameter no bool, and an
+    int parameter no fraction."""
+    if kind is bool and not isinstance(value, bool):
+        raise TypeError(value)
+    if kind in (int, float) and isinstance(value, bool):
+        raise TypeError(value)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
 
 
 SOLVE_CASES = ("halfspace", "profile", "profile-3d", "quartic",
@@ -137,7 +151,7 @@ PARAMS = {
     },
     "solve": _SOLVE_PARAMS,
     "frequency": {**_SOLVE_PARAMS, "theta": (float, None, None),
-                  "count": (int, 24, None),
+                  "count": (int, LADDER_RUNGS, None),
                   "violation_tol": (float, 1e-2, None)},
     "blowup": {
         "case": (str, "constructed", ("constructed", "solved")),
@@ -147,7 +161,8 @@ PARAMS = {
                   None),
         "resolution": (int, 32, None), "amplitude": (float, 0.3, None),
     },
-    "stratify": {**_SOLVE_PARAMS, "max_points": (int, 48, None)},
+    "stratify": {**_SOLVE_PARAMS,
+                 "max_points": (int, STRATIFY_POINTS, None)},
     "gap-demo": {"pairs": (str, "0:1,1:1,0:2", None)},   # m:n, comma-separated
 }
 
@@ -401,9 +416,10 @@ def _run_frequency(config: RunConfig, out: Path, timings: dict):
     profile = truncated_frequency(
         zero_obstacle_field(sol), np.zeros(spec.dimension),
         params=freq_params, count=count)
+    rows = profile.rows()               # reads the pairing I of the CSV
     timings["frequency"] = time.perf_counter() - t0
 
-    files = [write_csv(out / "frequency.csv", profile.rows()),
+    files = [write_csv(out / "frequency.csv", rows),
              line_plot(out / "frequency_phi.svg", profile.radii, profile.Phi,
                        title="Truncated frequency along the radius ladder",
                        xlabel="radius", ylabel="frequency")]

@@ -10,7 +10,11 @@ as the spectral machinery.  Every sphere read goes through ``_on_spheres``:
 one evaluation per block of radii and, for an exactly even field about a
 center on the thin plane, one node of each mirror pair of the sphere grid.
 Radius ladders are read through ``_read_ladder``, whole rungs at a time and
-at most ``_READ_POINTS`` points per evaluation.
+at most ``_READ_POINTS`` points per evaluation.  The truncated frequency
+reads one sphere per rung: H, and so Phi and the truncation flags, need
+only the sphere of radius r.  The pairing I of the trace with its radial
+derivative reads the spheres r - dr and r + dr on first access, which only
+``FrequencyProfile.rows`` (the ``frequency`` CSV) makes.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ from .traces import SphericalTrace, TraceColumns
 from .weiss import weiss_rows
 
 _GRID_CACHE: dict = {}
+
+# Rungs of the default truncated-frequency ladder, and contact nodes that
+# stratify_contact labels at most; the CLI's parameter table reads both.
+LADDER_RUNGS = 24
+STRATIFY_POINTS = 48
 
 # Points per field evaluation of a ladder read.  About the size of the
 # largest single sphere read (the 48-sphere radial rule of linfty_l2_check),
@@ -185,22 +194,16 @@ def _read_ladder(adapter: FieldAdapter, center: np.ndarray, rungs,
                                sphere).reshape(block.shape + (-1,))
 
 
-def _sphere_slopes(adapter: FieldAdapter, x0: np.ndarray, radii,
-                   grid: SphereGrid):
-    """Yield, for each radius r of a ladder, r, the values on the sphere of
-    radius r about x0 and their radial derivative: a central difference
-    over the spheres r - dr and r + dr, with dr = h/2 on a grid field and
-    1e-4 r otherwise.  The reach of every rung is checked before the first
-    read."""
+def _radial_steps(adapter: FieldAdapter, x0: np.ndarray, radii) -> np.ndarray:
+    """The step dr of the central radial difference at each radius r of a
+    ladder, h/2 on a grid field and 1e-4 r otherwise, after checking that
+    the sphere of radius r + dr about x0 is in reach for every rung."""
     radii = np.asarray(radii, dtype=float)
     dr = (np.full(radii.shape, adapter.h / 2.0) if adapter.h is not None
           else 1e-4 * radii)
     for r, d in zip(radii, dr):
         _check_reach(adapter, x0, float(r + d))
-    rungs = np.stack([radii, radii + dr, radii - dr], axis=1)
-    for r, d, (vals, vp, vm) in zip(radii, dr,
-                                    _read_ladder(adapter, x0, rungs, grid)):
-        yield float(r), vals, (vp - vm) / (2.0 * d)
+    return dr
 
 
 def _shell_sup_distance(values: np.ndarray, r: float, mu: float, shells,
@@ -208,9 +211,9 @@ def _shell_sup_distance(values: np.ndarray, r: float, mu: float, shells,
     """Sup over the shells s and the grid nodes of |v_r - s^mu p|, where
     v_r(x) = v(x0 + r x) / r^mu, from the field values on the spheres of
     radius r * s about x0, and p has trace p_trace on the unit sphere."""
-    vr = values / r ** mu
-    return max((float(np.max(np.abs(v - s ** mu * p_trace)))
-                for s, v in zip(shells, vr)), default=0.0)
+    diff = values / r ** mu
+    diff -= np.array([s ** mu for s in shells])[:, None] * p_trace
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +222,35 @@ def _shell_sup_distance(values: np.ndarray, r: float, mu: float, shells,
 
 def _surface_moments(adapter: FieldAdapter, x0: np.ndarray, radii,
                      grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(H, I) per ladder radius r: the squared-trace integral and the
-    trace/normal-derivative pairing on the sphere of radius r about x0, by
-    sphere quadrature with a central radial difference."""
+    """(H, traces) per ladder radius r: the squared-trace integral on the
+    sphere of radius r about x0, by sphere quadrature, and the field's
+    values on that sphere, one row per radius.  One sphere is read per
+    rung.  The reach of r + dr, which the pairing I reads, is checked for
+    every rung before the first read, so the traces can always be paired."""
+    radii = np.asarray(radii, dtype=float)
+    _radial_steps(adapter, x0, radii)
     n = adapter.dimension - 1
-    H = np.empty(len(radii))
-    I = np.empty(len(radii))
-    for i, (r, vals, dv) in enumerate(_sphere_slopes(adapter, x0, radii,
-                                                     grid)):
-        scale = r ** n
-        H[i] = scale * float(grid.weights @ (vals * vals))
-        I[i] = scale * float(grid.weights @ (vals * dv))
-    return H, I
+    traces = np.stack([vals for (vals,) in _read_ladder(
+        adapter, x0, radii[:, None], grid)])
+    H = np.array([float(r) ** n * float(grid.weights @ (vals * vals))
+                  for r, vals in zip(radii, traces)])
+    return H, traces
+
+
+def _pairing(adapter: FieldAdapter, x0: np.ndarray, radii,
+             traces: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """I per ladder radius r: the pairing of the trace on the sphere of
+    radius r about x0 (row of ``traces``) with its radial derivative, a
+    central difference over the spheres r - dr and r + dr of
+    ``_radial_steps``, read in one ladder pass."""
+    radii = np.asarray(radii, dtype=float)
+    dr = _radial_steps(adapter, x0, radii)
+    n = adapter.dimension - 1
+    rungs = np.stack([radii + dr, radii - dr], axis=1)
+    return np.array([
+        float(r) ** n * float(grid.weights @ (vals * ((vp - vm) / (2.0 * d))))
+        for r, d, vals, (vp, vm) in zip(radii, dr, traces, _read_ladder(
+            adapter, x0, rungs, grid))])
 
 
 @dataclass
@@ -253,19 +273,26 @@ class FrequencyParams:
 
 @dataclass
 class FrequencyProfile:
-    """Radius-indexed frequency diagnostics around one center."""
+    """Radius-indexed frequency diagnostics around one center.
+
+    H, Phi and the truncation flags come from one sphere per rung, whose
+    values are kept in ``traces``.  The pairing I reads the spheres r - dr
+    and r + dr of the field ``adapter`` on first access, once; only
+    ``rows`` asks for it."""
 
     x0: np.ndarray
     n: int
     radii: np.ndarray                 # strictly decreasing
     H: np.ndarray
-    I: np.ndarray
     Phi: np.ndarray
     truncation_active: np.ndarray
     theta: float
     c_phi: float
     k: int
     gamma: float
+    adapter: FieldAdapter             # the field read, for I
+    grid: SphereGrid
+    traces: np.ndarray                # field values on each rung's sphere
     violations: list = field(default_factory=list)   # (radius, drop) pairs
 
     def __post_init__(self):
@@ -276,6 +303,12 @@ class FrequencyProfile:
             raise ValueError("surface moment H must be nonnegative")
         if not np.all(np.isfinite(self.Phi)):
             raise ValueError("frequency entries must be finite")
+
+    @functools.cached_property
+    def I(self) -> np.ndarray:
+        """Trace/normal-derivative pairing per ladder radius."""
+        return _pairing(self.adapter, self.x0, self.radii, self.traces,
+                        self.grid)
 
     def normalized(self) -> np.ndarray:
         """Phi with the truncation prefactor divided out."""
@@ -305,7 +338,7 @@ class FrequencyProfile:
 
 def truncated_frequency(v, x0, params: FrequencyParams | None = None,
                         radii=None, r_max: float | None = None,
-                        count: int = 24,
+                        count: int = LADDER_RUNGS,
                         grid: SphereGrid | None = None) -> FrequencyProfile:
     """Truncated frequency on a geometric radii ladder.
 
@@ -330,7 +363,7 @@ def truncated_frequency(v, x0, params: FrequencyParams | None = None,
     if radii.size < 2:
         raise ValueError("need at least two usable ladder radii")
 
-    H, I = _surface_moments(adapter, x0, radii, grid)
+    H, traces = _surface_moments(adapter, x0, radii, grid)
 
     power = n + 2.0 * (params.k + params.gamma - theta)
     floor = radii ** power
@@ -349,10 +382,11 @@ def truncated_frequency(v, x0, params: FrequencyParams | None = None,
         if drop > 0.0:
             violations.append((float(radii[i + 1]), float(drop)))
 
-    return FrequencyProfile(x0=x0, n=n, radii=radii, H=H, I=I, Phi=Phi,
+    return FrequencyProfile(x0=x0, n=n, radii=radii, H=H, Phi=Phi,
                             truncation_active=active, theta=theta,
                             c_phi=params.c_phi, k=params.k,
-                            gamma=params.gamma, violations=violations)
+                            gamma=params.gamma, adapter=adapter, grid=grid,
+                            traces=traces, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +511,9 @@ def weiss_monotonicity_check(v, mu: float, radii,
     def deviation_at(r: float) -> float:
         """Integral over the unit sphere of (radial derivative of the
         rescaling minus mu times the rescaling)^2."""
-        _, a, dv = next(_sphere_slopes(adapter, x0, (r,), grid))
-        dev = (r * dv - mu * a) / r ** mu
+        (dr,) = _radial_steps(adapter, x0, (r,))
+        a, vp, vm = _on_spheres(adapter, x0, (r, r + dr, r - dr), grid)
+        dev = (r * ((vp - vm) / (2.0 * dr)) - mu * a) / r ** mu
         return float(grid.weights @ (dev * dev))
 
     G = np.array([energy_at(float(r))[0] for r in radii])
@@ -805,7 +840,8 @@ class StratifyReport:
         return {k: len(vv) for k, vv in self.strata.items()}
 
 
-def stratify_contact(u: GridSolution, max_points: int = 48) -> StratifyReport:
+def stratify_contact(u: GridSolution,
+                     max_points: int = STRATIFY_POINTS) -> StratifyReport:
     """Frequency labels for contact nodes from per-center ladder plateaus.
 
     At most ``max_points`` contact nodes, evenly picked, are labeled.  Each

@@ -3,6 +3,7 @@ gated exit codes, manifest hashing, and rerun determinism."""
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -16,8 +17,9 @@ import pytest
 
 import thinepi
 from thinepi.artifacts import load_manifest, read_csv, sha256_file
-from thinepi.cli import RunConfig, _run_epi, case_spec, main, run
-from thinepi.frequency import weiss_monotonicity_check
+from thinepi.cli import PARAMS, RunConfig, _run_epi, case_spec, main, run
+from thinepi.frequency import (stratify_contact, truncated_frequency,
+                               weiss_monotonicity_check)
 from thinepi.solver import load_solution
 from thinepi.traces import TraceBatch, trace_from_profile
 
@@ -68,6 +70,14 @@ def test_config_dict_round_trip(tmp_path):
                  "case must be one of constructed, solved", id="blowup-case"),
     pytest.param("blowup", {"rungs": "many"},
                  "rungs must be int, got 'many'", id="blowup-rungs"),
+    # JSON values that a cast would change silently
+    pytest.param("epi-check", {"negative": "false"},
+                 "negative must be bool, got 'false'",
+                 id="epi-check-str-bool"),
+    pytest.param("epi-check", {"trials": 2.7},
+                 "trials must be int, got 2.7", id="epi-check-fraction"),
+    pytest.param("epi-check", {"trials": True},
+                 "trials must be int, got True", id="epi-check-bool-int"),
 ])
 def test_bad_params_are_named_before_any_work(tmp_path, subcommand, params,
                                               named):
@@ -83,6 +93,15 @@ def test_bad_params_are_named_before_any_work(tmp_path, subcommand, params,
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
+
+
+def test_library_defaults_match_the_parameter_table():
+    # the CLI's defaults and the library's are one value each
+    for function, table, name in (
+            (truncated_frequency, "frequency", "count"),
+            (stratify_contact, "stratify", "max_points")):
+        default = inspect.signature(function).parameters[name].default
+        assert PARAMS[table][name][1] == default
 
 
 def _hashed_commands():

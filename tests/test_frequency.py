@@ -155,8 +155,8 @@ def test_sphere_sampler_reads_plain_callables_at_every_node(p01, h32):
 
     assert not frequency.FieldAdapter.adapt(constructed, dimension=2).even
     truncated_frequency(constructed, origin, params=PARAMS)
-    # every node of the 24 rungs of r - dr, r, r + dr spheres
-    assert sum(sizes) == 24 * 3 * default_sphere(1).size
+    # every node of the sphere of radius r of each of the 24 rungs
+    assert sum(sizes) == 24 * default_sphere(1).size
 
 
 def test_sphere_sampler_halves_grid_fields_on_the_plane(sol_near_p):
@@ -288,7 +288,47 @@ def test_ladder_reach_checked_before_any_read(sol_half64):
     with pytest.raises(ValueError, match="domain"):
         truncated_frequency(unmeshed, np.array([0.5, 0.0]), params=PARAMS,
                             radii=radii)
+    # the top rung r = 0.5 fits, its sphere r + dr of the pairing I does not
+    radii = radii_ladder(0.5, 24)[::-1]
+    assert unmeshed.r_max - 0.5 == radii[0]
+    with pytest.raises(ValueError, match="domain"):
+        truncated_frequency(unmeshed, np.array([0.5, 0.0]), params=PARAMS,
+                            radii=radii)
     assert sizes == []
+
+
+def test_frequency_reads_one_sphere_per_rung_and_I_once(sol_near_p):
+    sizes = []
+    adapter = _counted(frequency.FieldAdapter.adapt(sol_near_p), sizes)
+    prof = truncated_frequency(adapter, np.zeros(2), params=PARAMS)
+    half = default_sphere(1).mirror_halves[0].size
+    assert sum(sizes) == prof.radii.size * half > 0
+    sizes.clear()
+    I = prof.I                                   # the r - dr, r + dr spheres
+    assert sum(sizes) == 2 * prof.radii.size * half
+    sizes.clear()
+    assert prof.I is I and prof.rows()[0]["I"] == I[0]
+    assert sizes == []
+
+
+def test_stratify_reads_one_sphere_per_rung(monkeypatch, sol_half64):
+    sizes, profiles = [], []
+    frequency_of = frequency.truncated_frequency
+
+    def recorded(*args, **kwargs):
+        profiles.append(frequency_of(*args, **kwargs))
+        return profiles[-1]
+
+    monkeypatch.setattr(frequency, "truncated_frequency", recorded)
+    monkeypatch.setattr(frequency, "zero_obstacle_field",
+                        lambda u, x: _counted(frequency.FieldAdapter.adapt(u),
+                                              sizes))
+    report = stratify_contact(sol_half64)
+    read = [row for row in report.rows if row["mu_estimate"] is not None]
+    assert any(row["label"] == 1.5 for row in read)
+    assert len(profiles) == len(read)
+    half = frequency._diagnostic_sphere(1).mirror_halves[0].size
+    assert sum(sizes) == sum(p.radii.size for p in profiles) * half
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +338,9 @@ def test_ladder_reach_checked_before_any_read(sol_half64):
 def _moments(v, x0, radii):
     """(H, I) per radius about the full-coordinate center x0, on the
     moment sphere."""
-    return frequency._surface_moments(frequency.FieldAdapter.adapt(v), x0,
-                                      radii, default_sphere(1))
+    adapter, grid = frequency.FieldAdapter.adapt(v), default_sphere(1)
+    H, traces = frequency._surface_moments(adapter, x0, radii, grid)
+    return H, frequency._pairing(adapter, x0, radii, traces, grid)
 
 
 def test_surface_moments_homogeneous_exact(p01):
@@ -353,11 +394,14 @@ def test_frequency_truncation_branch_for_zero_field():
 
 
 def test_frequency_profile_invariants():
+    grid = default_sphere(1)
+    constant = frequency.FieldAdapter.adapt(
+        lambda pts: np.ones(np.asarray(pts).shape[0]), dimension=2)
     good = dict(x0=np.zeros(2), n=1, radii=[0.4, 0.2], H=[1.0, 0.5],
-                I=[1.0, 0.5], Phi=[3.0, 3.0],
-                truncation_active=np.zeros(2, dtype=bool),
-                theta=0.25, c_phi=10.0, k=2, gamma=0.5)
-    FrequencyProfile(**good)
+                Phi=[3.0, 3.0], truncation_active=np.zeros(2, dtype=bool),
+                theta=0.25, c_phi=10.0, k=2, gamma=0.5, adapter=constant,
+                grid=grid, traces=np.ones((2, grid.size)))
+    assert np.array_equal(FrequencyProfile(**good).I, np.zeros(2))
     with pytest.raises(ValueError, match="decreasing"):
         FrequencyProfile(**{**good, "radii": [0.2, 0.4]})
     with pytest.raises(ValueError, match="nonnegative"):
