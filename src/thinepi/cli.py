@@ -231,6 +231,8 @@ def _run_spectral(config: RunConfig, out: Path, timings: dict):
     n, modes, mu = params["n"], params["modes"], params["mu"]
     vectors, resolution, tol = (params["vectors"], params["resolution"],
                                 params["tol"])
+    if modes < 1:
+        raise ValueError(f"--modes must be at least 1, got {modes}")
     if vectors < 1:
         raise ValueError(f"--vectors must be at least 1, got {vectors}")
 

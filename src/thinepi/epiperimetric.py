@@ -18,10 +18,9 @@ Two competitors for the mu-homogeneous extension z = r^mu c are built:
   W(zeta) <= (1 + |W(z)|) W(z).
 
 A run's trials are certified as one batch (``TraceBatch``); ``verify_epi``
-and ``build_competitor_negative`` certify one trace through the same code.
+certifies one trace through the same code.
 
-The module also houses the off-homogeneity energy identities used to test
-candidate frequencies, and the small-|t| sign-contradiction arithmetic that
+The module also houses the small-|t| sign-contradiction arithmetic that
 rules out homogeneities near 2m+1.
 """
 
@@ -34,11 +33,11 @@ import numpy as np
 from .grids import SphereGrid
 from .profiles import BlowupProfile, admissible_frequencies, zero_set
 from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
-                       mode_count_ell)
+                       mode_count_ell, multiplicity)
 from .traces import (SphericalTrace, TraceBatch, TraceColumns,
                      trace_from_profile)
-from .weiss import (_degree_for, beta_rows, bilinear_rows, kappa,
-                    weiss_raised, weiss_rows, weiss_spectral)
+from .weiss import (beta_rows, bilinear_rows, kappa, weiss_raised, weiss_rows,
+                    weiss_spectral)
 
 
 EPS = 0.1                             # trace distance budget around the profile
@@ -94,8 +93,17 @@ def adapted_half_basis(p: BlowupProfile, grid: SphereGrid) -> EigenBasis:
                       equator_dn=equator_dn)
 
 
+def _degree_for(count: int, n: int) -> int:
+    """Lowest degree whose half-sphere modes number at least ``count``."""
+    total, deg = 0, 0
+    while total < count:
+        deg += 1
+        total += multiplicity(n, deg)
+    return deg
+
+
 def _delta_basis(p: BlowupProfile, grid: SphereGrid, delta: float,
-                 m: int, cache_dir=None) -> EigenBasis:
+                 m: int, cache_dir) -> EigenBasis:
     """Constrained basis vanishing on Z_delta with at least EXTRA_MODES modes
     beyond the low block of homogeneity 2m+1.
 
@@ -251,7 +259,7 @@ def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
     nu, phi, _, flags, _ = _decompose(batch, p, half_basis, eps,
                                       COND_THRESHOLD)
     w_p = weiss_spectral(nu, half_basis, mu)
-    beta = beta_rows(nu, half_basis, phi, basis.values, mu, mu).beta
+    beta = beta_rows(nu, half_basis, phi, basis.values, mu)
     w_z = w_p + weiss_spectral(phi, basis, mu) + 2.0 * beta / (n + 2 * mu - 1.0)
     raised = weiss_raised(phi, basis, mu, alpha)
     w_zeta = w_p + raised.value + 2.0 * beta / (n + alpha + mu - 1.0)
@@ -272,14 +280,9 @@ def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
 
 
 def verify_epi(c: SphericalTrace, p: BlowupProfile, delta: float, m: int,
-               basis_delta: EigenBasis | None = None,
-               half_basis: EigenBasis | None = None) -> EpiReport:
-    """``certify_positive`` for one trace, within the default eps."""
-    grid = c.grid
-    if basis_delta is None:
-        basis_delta = _delta_basis(p, grid, delta, m)
-    if half_basis is None:
-        half_basis = adapted_half_basis(p, grid)
+               basis_delta: EigenBasis, half_basis: EigenBasis) -> EpiReport:
+    """``certify_positive`` for one trace, within the default eps, in the
+    basis ``choose_delta`` returned with ``delta``."""
     return certify_positive(TraceBatch.of_trace(c, basis_delta), p, m,
                             half_basis, EPS)[0]
 
@@ -352,7 +355,8 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
     h_rows, phi_rows = (np.column_stack([np.zeros(len(batch)), x])
                         for x in (h, phi))
     if basis.equator_dn is not None:
-        cross = beta_rows(h, basis, phi, basis.values, mu, alpha).predicted_R
+        cross = (beta_rows(h, basis, phi, basis.values, mu)
+                 / (n + alpha + mu - 1.0))
     else:
         cross = bilinear_rows(columns, mu, (mu, h_rows), (alpha, phi_rows))
     w_zeta = (weiss_spectral(h, basis, mu)
@@ -366,53 +370,6 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
         w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad, bound=bound,
         slack=bound - w_zeta, c_ell=coeffs[:, ell - 1],
         alpha_in_range=(2 * m < alpha) & (alpha < mu), sign_ok=sign >= -1e-9)
-
-
-def build_competitor_negative(c: SphericalTrace, p: BlowupProfile, delta: float,
-                              m: int, basis_delta: EigenBasis | None = None
-                              ) -> NegativeEpiReport:
-    """``certify_negative`` for one trace, within the default eps: the
-    report on the competitor zeta = r^mu h + r^alpha phi."""
-    if basis_delta is None:
-        basis_delta = _delta_basis(p, c.grid, delta, m)
-    return certify_negative(TraceBatch.of_trace(c, basis_delta), p, m, EPS)[0]
-
-
-# ---------------------------------------------------------------------------
-# Off-homogeneity identities
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OffDegreeReport:
-    mu: float
-    t: float
-    w_offdegree: float                # W_mu(r^(mu+t) c), quadrature route
-    trace_norm_sq: float
-    identity1_defect: float           # w_offdegree - t |c|^2
-    w_at_mu: float                    # W_mu(r^mu c)
-    identity2_defect: float           # w_at_mu - (1 + t/(n+2mu-1)) w_offdegree
-
-
-def weiss_of_offdegree(c: SphericalTrace, mu: float, t: float) -> OffDegreeReport:
-    """Both identities for traces of (mu+t)-homogeneous solutions:
-
-        W_mu(r^(mu+t) c) = t |c|^2,
-        W_mu(r^mu c)     = (1 + t/(n+2mu-1)) W_mu(r^(mu+t) c).
-
-    Both energies come from one ``weiss_rows`` call, one power per row.  A
-    trace without derivative data has its surface derivatives reconstructed
-    from its node values.
-    """
-    n = c.grid.n
-    w_off, w_mu = (float(w) for w in weiss_rows(
-        TraceColumns.of_trace(c), mu,
-        [(np.array([mu + t, mu]), np.ones((2, 1)))]))
-    norm_sq = c.norm_sq
-    return OffDegreeReport(
-        mu=mu, t=t, w_offdegree=w_off, trace_norm_sq=norm_sq,
-        identity1_defect=w_off - t * norm_sq,
-        w_at_mu=w_mu,
-        identity2_defect=w_mu - (1.0 + t / (n + 2.0 * mu - 1.0)) * w_off)
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +401,26 @@ class GapDemoReport:
         self.all_contradict = all(r.contradiction for r in self.rows)
 
 
-def gap_demo(m: int, n: int, t_grid=None) -> GapDemoReport:
+def gap_demo(m: int, n: int) -> GapDemoReport:
     """Sign contradiction excluding homogeneities 2m+1+t for small t != 0.
 
     A solution homogeneous of degree mu+t would force the displayed product
     to reach 1 from the side matching the sign of t; its expansion
     (C-1)t + O(t^2) with C = 1/(n+4m+1) < 1 has the opposite sign, so every
-    small nonzero t is contradicted.  For n=1 the report also lists the
-    known admissible 2D frequencies falling inside the surrounding window,
-    which is empty around mu = 2m+1 by the structure of that family.
+    small nonzero t is contradicted; the rows sample 0.005 <= |t| <= 0.1.
+    For n=1 the report also lists the known admissible 2D frequencies
+    falling inside the surrounding window, which is empty around mu = 2m+1
+    by the structure of that family.
     Needs m >= 0 and n >= 1.
     """
     if m < 0 or n < 1:
         raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
-    if t_grid is None:
-        t_grid = np.concatenate([np.linspace(-0.1, -0.005, 20),
-                                 np.linspace(0.005, 0.1, 20)])
+    ts = np.concatenate([np.linspace(-0.1, -0.005, 20),
+                         np.linspace(0.005, 0.1, 20)])
     c_m = 1.0 / (n + 2 * (2 * m + 1) - 1.0)
     mu = float(2 * m + 1)
     rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        if t == 0.0:
-            continue
+    for t in ts:
         expr = (1.0 - (1.0 + c_m * t) * t) * (1.0 + c_m * t)
         dev = expr - 1.0
         if t > 0:

@@ -133,17 +133,27 @@ def _center(x0, d: int) -> np.ndarray:
     return x0
 
 
-def _check_reach(adapter: FieldAdapter, x0: np.ndarray, radius: float):
+def _check_reach(adapter: FieldAdapter, x0: np.ndarray, radii):
+    """Raise ValueError for the first of ``radii`` (a radius or an array)
+    whose sphere about x0 leaves the field's domain, or, on a grid field,
+    is under 3h."""
     if not math.isfinite(adapter.r_max):
         return
-    if float(np.linalg.norm(x0)) + radius > adapter.r_max - 2.0 * (adapter.h or 0.0):
+    radii = np.atleast_1d(radii)
+    norm = float(np.linalg.norm(x0))
+    far = norm + radii > adapter.r_max - 2.0 * (adapter.h or 0.0)
+    bad = far if adapter.h is None else far | (radii < 3.0 * adapter.h)
+    if not bad.any():
+        return
+    first = int(np.argmax(bad))
+    radius = float(radii[first])
+    if far[first]:
         raise ValueError(
-            f"radius {radius:.4g} around |x0|={np.linalg.norm(x0):.4g} leaves "
+            f"radius {radius:.4g} around |x0|={norm:.4g} leaves "
             f"the computational domain (limit {adapter.r_max})")
-    if adapter.h is not None and radius < 3.0 * adapter.h:
-        raise ValueError(
-            f"radius {radius:.4g} too small for the grid (needs >= 3h = "
-            f"{3 * adapter.h:.4g})")
+    raise ValueError(
+        f"radius {radius:.4g} too small for the grid (needs >= 3h = "
+        f"{3 * adapter.h:.4g})")
 
 
 def _sphere_nodes(adapter: FieldAdapter, center: np.ndarray,
@@ -201,8 +211,7 @@ def _radial_steps(adapter: FieldAdapter, x0: np.ndarray, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     dr = (np.full(radii.shape, adapter.h / 2.0) if adapter.h is not None
           else 1e-4 * radii)
-    for r, d in zip(radii, dr):
-        _check_reach(adapter, x0, float(r + d))
+    _check_reach(adapter, x0, radii + dr)
     return dr
 
 
@@ -569,18 +578,13 @@ class BlowupFit:
                 for r, a, b in zip(self.radii, self.dist_l2, self.dist_linf)]
 
 
-def blowup_fit(v, x0, m: int, radii,
-               frequency_label: float | None = None) -> BlowupFit:
+def blowup_fit(v, x0, m: int, radii) -> BlowupFit:
     """Least-squares catalog fit to the homogeneous rescalings at the finest
     ladder radius, then a log-log fit against r of the sup-norm distances
     over 16 evenly spaced shells of the unit ball.  Distances within 1e-13
     of the fitted profile's sup on the sphere are left out as roundoff; with
     fewer than 4 left the fit is degenerate."""
     mu = 2.0 * m + 1.0
-    if frequency_label is not None and abs(frequency_label - mu) > 0.1:
-        raise ValueError(
-            f"frequency label {frequency_label} inconsistent with "
-            f"homogeneity {mu}")
     radii = np.asarray(radii, dtype=float)
     if radii.size < 4:
         raise ValueError("exponent fit needs at least 4 radii")
@@ -600,8 +604,7 @@ def blowup_fit(v, x0, m: int, radii,
     A = np.stack([bp.trace_on(grid) for bp in basis_profiles], axis=1)
 
     # catalog fit to the homogeneous rescaling at the finest radius
-    for r in radii:
-        _check_reach(adapter, x0, float(r))
+    _check_reach(adapter, x0, radii)
     t_fit = (_on_spheres(adapter, x0, radii[-1:], grid)[0]
              / float(radii[-1]) ** mu)
     W = grid.weights
@@ -678,10 +681,6 @@ class ZdeltaReport:
         if self.sup_rescaled is None or self.sup_rescaled.size == 0:
             return 0.0
         return float(np.max(self.sup_rescaled))
-
-    @property
-    def passed(self) -> bool:
-        return (not self.skipped) and self.max_sup_rescaled <= self.contact_tol
 
 
 def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,

@@ -50,9 +50,6 @@ class SphereGrid:
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(self.weights @ (f * g))
 
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
-
     @functools.cached_property
     def mirror_halves(self) -> tuple[np.ndarray, np.ndarray]:
         """(representatives, spread): the lower index of each ``reflect``

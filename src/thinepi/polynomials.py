@@ -100,9 +100,6 @@ class Polynomial:
         pad = (0,) * (nvars - self.nvars)
         return Polynomial(nvars, {e + pad: c for e, c in self.coeffs.items()})
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coeffs.values())
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import SphereGrid, _corner_edges, _cross, build_grid
+from .grids import SphereGrid, _corner_edges, _cross
 from .polynomials import Polynomial, monomials_of_degree, odd_harmonic_extension
 
 SQRT_PI = float(np.sqrt(np.pi))
@@ -139,7 +139,7 @@ class EigenBasis:
 # Analytic bases
 # ---------------------------------------------------------------------------
 
-def half_sphere_basis(n: int, max_degree: int, grid: SphereGrid | None = None) -> EigenBasis:
+def half_sphere_basis(n: int, max_degree: int, grid: SphereGrid) -> EigenBasis:
     """Exact basis vanishing on the whole equator, evenly reflected.
 
     n=1: sin(j*theta)/sqrt(pi) on [0, pi] folded over the reflection;
@@ -149,56 +149,33 @@ def half_sphere_basis(n: int, max_degree: int, grid: SphereGrid | None = None) -
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    if grid is None:
-        grid = build_grid(n, 1024 if n == 1 else 48, kind=None if n == 1 else "latlong")
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} does not match n={n}")
     if n == 1:
-        return _circle_analytic_basis(grid, max_degree, dirichlet=True)
+        return _circle_analytic_basis(grid, max_degree)
     return _sphere_oddlift_basis(grid, max_degree)
 
 
-def even_circle_basis(grid: SphereGrid, count: int) -> EigenBasis:
-    """Exact unconstrained even basis on S^1: constant plus cosine modes."""
-    if grid.n != 1:
-        raise ValueError("even_circle_basis requires an S^1 grid")
-    return _circle_analytic_basis(grid, count - 1, dirichlet=False)
-
-
-def _circle_analytic_basis(grid: SphereGrid, max_degree: int, dirichlet: bool) -> EigenBasis:
+def _circle_analytic_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     th = grid.theta_folded
     cols, dcols, lams, degs, eq_dn = [], [], [], [], []
-    if not dirichlet:
-        cols.append(np.full(grid.size, 1.0 / np.sqrt(2.0 * np.pi)))
-        dcols.append(np.zeros(grid.size))
-        lams.append(0.0)
-        degs.append(0)
-        eq_dn.append(np.zeros(2))
     for j in range(1, max_degree + 1):
-        if dirichlet:
-            cols.append(np.sin(j * th) / SQRT_PI)
-            dcols.append(j * np.cos(j * th) / SQRT_PI)
-            # Upper-pointing tangents at the equator: +d/dtheta at theta=0,
-            # -d/dtheta at theta=pi.
-            eq_dn.append(np.array([j / SQRT_PI, -j * np.cos(j * np.pi) / SQRT_PI]))
-        else:
-            cols.append(np.cos(j * th) / SQRT_PI)
-            dcols.append(-j * np.sin(j * th) / SQRT_PI)
-            eq_dn.append(np.zeros(2))
+        cols.append(np.sin(j * th) / SQRT_PI)
+        dcols.append(j * np.cos(j * th) / SQRT_PI)
+        # Upper-pointing tangents at the equator: +d/dtheta at theta=0,
+        # -d/dtheta at theta=pi.
+        eq_dn.append(np.array([j / SQRT_PI, -j * np.cos(j * np.pi) / SQRT_PI]))
         lams.append(float(j * j))
         degs.append(j)
     values = np.column_stack(cols)
-    basis = EigenBasis(
-        grid=grid,
-        mask=np.array(grid.equator if dirichlet else [], dtype=int),
+    values[grid.equator, :] = 0.0  # sin(j*0), sin(j*pi): pin exactly
+    return EigenBasis(
+        grid=grid, mask=np.array(grid.equator, dtype=int),
         lambdas=np.array(lams), values=values, source="analytic",
         degrees=np.array(degs),
         grads=np.stack(dcols)[:, :, None] * grid.folded_tangents,
         equator_dn=np.array(eq_dn),
     )
-    if dirichlet:
-        basis.values[grid.equator, :] = 0.0  # sin(j*0), sin(j*pi): pin exactly
-    return basis
 
 
 def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
@@ -316,8 +293,7 @@ def _tri_reduced_operator(grid: SphereGrid, rep, red_index):
 
 
 def eigenbasis(grid: SphereGrid, mask, count: int,
-               cache_dir: str | os.PathLike | None = None,
-               use_cache: bool = True) -> EigenBasis:
+               cache_dir: str | os.PathLike | None = None) -> EigenBasis:
     """First ``count`` even eigenmodes vanishing on the masked equator nodes.
 
     ``mask`` is a set of grid node indices contained in the equator (it may be
@@ -333,10 +309,9 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
         raise ValueError(
             f"requested {count} modes but only {nred - mask.size} unknowns remain")
 
-    if use_cache:
-        cached = _cache_load(grid, mask, count, cache_dir)
-        if cached is not None:
-            return cached
+    cached = _cache_load(grid, mask, count, cache_dir)
+    if cached is not None:
+        return cached
 
     import scipy.linalg
     import scipy.sparse as sp
@@ -378,8 +353,7 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
     basis = EigenBasis(
         grid=grid, mask=mask, lambdas=lam, values=full, source="discrete",
     )
-    if use_cache:
-        _cache_store(basis, cache_dir)
+    _cache_store(basis, cache_dir)
     return basis
 
 

@@ -25,7 +25,6 @@ gradient rows and their mass and gradient Gram matrices, and
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +46,6 @@ class SphericalTrace:
         if self.values.shape != (self.grid.size,):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid size {self.grid.size}")
-
-    # -- inner products -----------------------------------------------------
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.grid.inner(self.values, self.values))
 
     def __add__(self, other: "SphericalTrace") -> "SphericalTrace":
         if other.grid is not self.grid:
@@ -215,10 +208,9 @@ def trace_from_basis(basis, coeffs) -> SphericalTrace:
 
 
 @dataclass
-class TraceBatch(Sequence):
+class TraceBatch:
     """Traces c_t = offset + sum_j coeffs[t, j] basis_j on one grid, such as
-    a run's sampled trials, which are certified together.  Indexing gives
-    one trace, with the derivative data a sum of traces carries."""
+    a run's sampled trials, which are certified together."""
 
     offset: SphericalTrace
     basis: object                     # an EigenBasis
@@ -267,9 +259,6 @@ class TraceBatch(Sequence):
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def __getitem__(self, t: int) -> SphericalTrace:
-        return self.offset + trace_from_basis(self.basis, self.coeffs[t])
 
     def values(self) -> np.ndarray:
         """Node values, one row per trace: a fresh (T, N) block."""

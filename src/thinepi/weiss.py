@@ -29,11 +29,10 @@ with a surface functional beta_mu via
 
       (n+alpha+mu-1) R_mu(r^mu phi, r^alpha psi) = beta_mu(phi, psi),
 
-where beta_mu is computed from phi's coefficients in the unconstrained
-even eigenbasis plus an equator flux term; see beta_pairing.
-
-For a block of traces given as coefficient rows, ``beta_rows`` gives the
-pairing for each row.
+where beta_mu is computed from phi's coefficients in a basis with
+closed-form equator derivatives plus an equator flux term.  For a block of
+traces given as coefficient rows, ``beta_rows`` gives the pairing for each
+row.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EigenBasis, half_sphere_basis, lambda_of, multiplicity
-from .traces import SphericalTrace, TraceColumns
+from .spectral import EigenBasis, lambda_of
+from .traces import TraceColumns
 
 
 def kappa(alpha: float, mu: float, n: int) -> float:
@@ -168,42 +167,18 @@ def weiss_raised(coeffs, basis: EigenBasis, mu: float, alpha) -> RaisedWeissRepo
 # Surface pairing for the bilinear form
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BetaReport:
-    beta: float
-    predicted_R: float        # beta / (n+alpha+mu-1)
-    spectral_term: float
-    equator_term: float
-
-
-def beta_pairing(phi_coeffs, psi: SphericalTrace, mu: float, alpha: float,
-                 basis: EigenBasis | None = None) -> BetaReport:
-    """Surface functional pairing a basis combination phi with a trace psi:
+def beta_rows(x: np.ndarray, basis: EigenBasis, y: np.ndarray,
+              columns: np.ndarray, mu: float) -> np.ndarray:
+    """The surface functional pairing phi_t with psi_t for each row t of a
+    block, one value per row:
 
         beta_mu(phi, psi) = sum_j (lambda_j - lambda(mu)) c_j <phi_j, psi>
                             - 2 * sum_{equator} w_eq (d_up phi) psi,
 
-    where d_up is the one-sided derivative into the upper hemisphere at the
-    equator.  Dividing by (n+alpha+mu-1) predicts R_mu(r^mu phi, r^alpha psi).
-    """
-    grid = psi.grid
-    n = grid.n
-    if basis is None:
-        basis = half_sphere_basis(n, _degree_for(len(np.atleast_1d(phi_coeffs)), n),
-                                  grid=grid)
-    c = np.asarray(phi_coeffs, dtype=float)
-    if c.size > basis.count:
-        raise ValueError("more coefficients than basis modes")
-    rows = beta_rows(c[None], basis, np.ones((1, 1)), psi.values[:, None],
-                     mu, alpha)
-    return BetaReport(**{k: float(v[0]) for k, v in vars(rows).items()})
-
-
-def beta_rows(x: np.ndarray, basis: EigenBasis, y: np.ndarray,
-              columns: np.ndarray, mu: float, alpha) -> BetaReport:
-    """``beta_pairing`` for each row t of a block, as arrays of one value
-    per row: phi_t = sum_j x[t, j] basis_j, and psi_t = columns @ y[t] for
-    node-value columns (N, K); alpha is a power or one power per row."""
+    where phi_t = sum_j x[t, j] basis_j, psi_t = columns @ y[t] for
+    node-value columns (N, K), and d_up is the one-sided derivative into the
+    upper hemisphere at the equator (``basis.equator_dn``).  Dividing by
+    (n+alpha+mu-1) gives R_mu(r^mu phi, r^alpha psi)."""
     grid = basis.grid
     k = x.shape[1]
     lam = basis.lambdas[:k]
@@ -212,18 +187,4 @@ def beta_rows(x: np.ndarray, basis: EigenBasis, y: np.ndarray,
     psi_eq = y @ columns[grid.equator].T
     spectral_term = np.sum((lam - lambda_of(mu, grid.n)) * x * inner, axis=1)
     equator_term = -2.0 * np.sum(grid.equator_weights * dn * psi_eq, axis=1)
-    beta = spectral_term + equator_term
-    return BetaReport(beta=beta, predicted_R=beta / (grid.n + alpha + mu - 1.0),
-                      spectral_term=spectral_term, equator_term=equator_term)
-
-
-def _degree_for(count: int, n: int) -> int:
-    """Lowest degree whose half-sphere modes number at least ``count``."""
-    total, deg = 0, 0
-    while total < count:
-        deg += 1
-        total += multiplicity(n, deg)
-        if deg > 400:
-            raise ValueError("coefficient vector too long")
-    return deg
-
+    return spectral_term + equator_term

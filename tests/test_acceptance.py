@@ -7,23 +7,22 @@ import numpy as np
 import pytest
 
 from thinepi.cli import case_spec
-from thinepi.epiperimetric import (adapted_half_basis,
-                                   build_competitor_negative, choose_delta,
-                                   gap_demo, sample_negative_traces,
-                                   sample_positive_traces, verify_epi,
-                                   weiss_of_offdegree)
+from thinepi.epiperimetric import (EPS, adapted_half_basis,
+                                   certify_negative, certify_positive,
+                                   choose_delta, gap_demo,
+                                   sample_negative_traces,
+                                   sample_positive_traces, verify_epi)
 from thinepi.frequency import (FrequencyParams, blowup_fit, linfty_l2_check,
                                truncated_frequency, vanishing_on_Zdelta_check)
 from thinepi.grids import build_grid, radii_ladder
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.solver import (ProblemSpec, reduce_to_zero_obstacle,
                             solve_thin_obstacle)
-from thinepi.spectral import (eigenbasis, even_circle_basis,
-                              half_sphere_basis)
+from thinepi.spectral import eigenbasis, half_sphere_basis
 from thinepi.traces import (SphericalTrace, TraceColumns, trace_from_basis,
                             trace_from_profile)
-from thinepi.weiss import (beta_pairing, bilinear_rows, weiss_raised,
-                           weiss_rows, weiss_spectral)
+from thinepi.weiss import (beta_rows, bilinear_rows, weiss_raised, weiss_rows,
+                           weiss_spectral)
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -47,7 +46,7 @@ def near_profile_solution(seed: int):
 # 1. Spectral identities: closed forms vs ball quadrature
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_spectral_identity_suite():
+def test_criterion_01_spectral_identity_suite(tmp_path):
     t_start = time.perf_counter()
 
     # Exact half-circle basis: 100 random coefficient vectors, both the
@@ -78,7 +77,7 @@ def test_criterion_01_spectral_identity_suite():
     worsts = []
     for res in (256, 512):
         sphere = build_grid(2, res)
-        disc = eigenbasis(sphere, sphere.equator, 6, use_cache=False)
+        disc = eigenbasis(sphere, sphere.equator, 6, cache_dir=tmp_path)
         worst = 0.0
         for _ in range(10):
             c = rng2.standard_normal(6)
@@ -103,29 +102,44 @@ def test_criterion_01_spectral_identity_suite():
 # 2. Double-product identity between the bilinear form and the pairing
 # ---------------------------------------------------------------------------
 
+def _halfspace_traces(grid):
+    """(values (N, 6), gradient rows (6, N, 2)) of the unit-norm traces of
+    the explicit 2D solutions of homogeneity 1.5, 2, 3.5, 4, 5.5 and 6, none
+    of which vanishes on the equator."""
+    traces = [trace_from_profile(halfspace_2d(mu), grid)
+              for mu in (1.5, 2.0, 3.5, 4.0, 5.5, 6.0)]
+    scale = np.array([1.0 / np.sqrt(grid.inner(t.values, t.values))
+                      for t in traces])
+    return (np.column_stack([t.values for t in traces]) * scale,
+            np.stack([t.grad for t in traces]) * scale[:, None, None])
+
+
 def test_criterion_02_double_product_identity():
     circle = build_grid(1, 2 ** 17)
     sin_basis = half_sphere_basis(1, 10, circle)
-    cos_basis = even_circle_basis(circle, 8)
+    values, grads = _halfspace_traces(circle)
     rng = np.random.default_rng(19)
     worst = 0.0
     for pair in range(50):
         phi_c = rng.standard_normal(6)
         # Half the pairs use a second factor that does NOT vanish at the
-        # equator (cosine modes), half one that does (sine modes).
+        # equator (explicit 2D solutions), half one that does (sine modes).
         if pair % 2 == 0:
-            psi = trace_from_basis(cos_basis, rng.standard_normal(8))
+            a = rng.standard_normal(values.shape[1])
+            psi = SphericalTrace(circle, values @ a,
+                                 grad=np.einsum("k,kij->ij", a, grads))
         else:
             psi = trace_from_basis(sin_basis, rng.standard_normal(10))
         mu = rng.uniform(0.5, 2.5)
         alpha = rng.uniform(0.5, 3.0)
-        rep = beta_pairing(phi_c, psi, mu, alpha, basis=sin_basis)
+        beta = beta_rows(phi_c[None], sin_basis, np.ones((1, 1)),
+                         psi.values[:, None], mu)[0]
         columns = TraceColumns.of_trace(
             trace_from_basis(sin_basis, phi_c)).join(TraceColumns.of_trace(psi))
         r_val = bilinear_rows(columns, mu, (mu, np.array([[1.0, 0.0]])),
                               (alpha, np.array([[0.0, 1.0]])))[0]
         worst = max(worst,
-                    abs((1 + alpha + mu - 1.0) * r_val - rep.beta))
+                    abs((1 + alpha + mu - 1.0) * r_val - beta))
 
     _report(2, "double-product identity", worst <= 1e-6,
             f"worst |scaled bilinear - pairing| {worst:.2e} <= 1e-6 over "
@@ -145,11 +159,11 @@ def test_criterion_03_positive_energy_improvement():
     for m, n in ((0, 1), (1, 1), (0, 2)):
         grid = circle if n == 1 else latlong
         p = make_profile(m, n)
-        delta, basis = choose_delta(p, grid, m)
+        _, basis = choose_delta(p, grid, m)
         half = adapted_half_basis(p, grid)
-        for trace in sample_positive_traces(p, basis, m, 200, rng):
-            rep = verify_epi(trace, p, delta, m, basis_delta=basis,
-                             half_basis=half)
+        # One batch per case, certified as epi-check certifies its trials.
+        batch = sample_positive_traces(p, basis, m, 200, rng)
+        for rep in certify_positive(batch, p, m, half, EPS):
             min_slack = min(min_slack, rep.slack)
             kappa_ok = kappa_ok and \
                 abs(rep.kappa - 0.5 / (n + 4 * m + 1.5)) < 1e-15
@@ -189,10 +203,9 @@ def test_criterion_04_negative_energy_improvement():
     window_ok = alpha_ok = True
     for m in (1, 2):
         p = make_profile(m, 1)
-        delta, basis = choose_delta(p, circle, m)
-        for trace in sample_negative_traces(p, basis, m, 100, rng):
-            rep = build_competitor_negative(trace, p, delta, m,
-                                            basis_delta=basis)
+        _, basis = choose_delta(p, circle, m)
+        batch = sample_negative_traces(p, basis, m, 100, rng)
+        for rep in certify_negative(batch, p, m, EPS):
             min_slack = min(min_slack, rep.slack)
             window_ok = window_ok and -0.05 < rep.w_z < 0.0
             alpha_ok = alpha_ok and 2 * m < rep.alpha < 2 * m + 1
@@ -208,6 +221,21 @@ def test_criterion_04_negative_energy_improvement():
 # 5. Off-homogeneity identities for the explicit 2D solutions
 # ---------------------------------------------------------------------------
 
+def _offdegree_defects(trace, mu, t):
+    """W_mu(r^(mu+t) c) and the defects of both identities for traces of
+    (mu+t)-homogeneous solutions,
+
+        W_mu(r^(mu+t) c) = t |c|^2,
+        W_mu(r^mu c)     = (1 + t/(n+2mu-1)) W_mu(r^(mu+t) c),
+
+    with both energies from one ``weiss_rows`` call, one power per row."""
+    grid = trace.grid
+    w_off, w_mu = weiss_rows(TraceColumns.of_trace(trace), mu,
+                             [(np.array([mu + t, mu]), np.ones((2, 1)))])
+    return (w_off, w_off - t * grid.inner(trace.values, trace.values),
+            w_mu - (1.0 + t / (grid.n + 2.0 * mu - 1.0)) * w_off)
+
+
 def test_criterion_05_offdegree_identities():
     fine = build_grid(1, 2 ** 17)
     coarse = build_grid(1, 4096)
@@ -216,16 +244,15 @@ def test_criterion_05_offdegree_identities():
     for hom in (1.5, 2.0, 3.0):
         sol = halfspace_2d(hom)
         t = hom - 1.0
-        rep = weiss_of_offdegree(trace_from_profile(sol, fine), 1.0, t)
-        worst_exact = max(worst_exact, abs(rep.identity1_defect),
-                          abs(rep.identity2_defect))
+        w_off, *defects = _offdegree_defects(
+            trace_from_profile(sol, fine), 1.0, t)
+        worst_exact = max([worst_exact] + [abs(d) for d in defects])
         if hom == 1.5:
-            w_three_halves = rep.w_offdegree
+            w_three_halves = w_off
         sampled = trace_from_profile(sol, coarse)
-        rep_q = weiss_of_offdegree(SphericalTrace(coarse, sampled.values),
-                                   1.0, t)
-        worst_quad = max(worst_quad, abs(rep_q.identity1_defect),
-                         abs(rep_q.identity2_defect))
+        _, *defects = _offdegree_defects(
+            SphericalTrace(coarse, sampled.values), 1.0, t)
+        worst_quad = max([worst_quad] + [abs(d) for d in defects])
 
     pi_err = abs(w_three_halves - np.pi / 2.0)
     passed = worst_exact <= 1e-6 and worst_quad <= 1e-3 and pi_err <= 1e-6

@@ -1,22 +1,27 @@
-"""Every public function has a caller, and so does every defaulted
-parameter and dataclass field of the public API.
+"""Every function runs in the program's own commands, and every defaulted
+parameter and dataclass field of the public API has a caller.
 
-Code that only tests call is not part of the program: every public function
-and method of ``src/thinepi`` must be named by code in ``src/``,
-``scripts/`` or ``perfbench/``, unless ``UNCALLED`` names it with its
-reason.  A name counts as used where any ``Name`` or ``Attribute`` load of
-it appears, so a use of any function or attribute of the same name counts.
+Code that only tests run is not part of the program.  While the hashed
+commands of ``scripts/artifact_hashes.py`` and their reruns run in a fresh
+process (``record_runs.py``, through the ``hashed_runs`` fixture shared
+with ``tests/test_cli.py``, so they run once), ``sys.setprofile`` records
+each function of ``src/thinepi`` that is entered.  Every function, method, nested function and lambda defined there
+must be among them, unless ``NOT_RUN`` names it with its reason: readers of
+a run's files, ops of the benchmark in ``perfbench/workloads.py``, error
+paths and test oracles.  A definition is matched by its module, its name
+and its first line, so two functions of one name are told apart.
 
 A numerical setting that every caller leaves at one value is a constant,
-not a parameter or a config field: each unused default is a configuration
-that no test or benchmark runs.  This test parses ``src/thinepi`` and every
-call in ``src/``, ``scripts/``, ``perfbench/`` and ``tests/``, and fails
-when a public function or method has a defaulted parameter, or a public
-dataclass a defaulted ``init`` field, that no call passes, by keyword or by
-position.  Calls are matched by the called name alone, so a call to any
-function or class of the same name counts.  A field also counts as set by
-any ``replace(x, field=...)`` call (``dataclasses.replace``) and any
-``x.field = ...`` assignment, matched by the field's name alone.
+not a parameter: each unused default is a configuration that no command,
+script or benchmark runs.  This test parses ``src/thinepi`` and every call
+in ``src/``, ``scripts/`` and ``perfbench/``, and fails when a public
+function or method has a defaulted parameter, or a public dataclass a
+defaulted ``init`` field, that no such call passes, by keyword or by
+position; an option that only tests set fails too.  Calls are matched by
+the called name alone, so a call to any function or class of the same name
+counts.  A field also counts as set by any ``replace(x, field=...)`` call
+(``dataclasses.replace``) and any ``x.field = ...`` assignment, matched by
+the field's name alone.
 """
 
 import ast
@@ -25,28 +30,57 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "thinepi"
 PROGRAM_DIRS = ("src", "scripts", "perfbench")
-CALLER_DIRS = PROGRAM_DIRS + ("tests",)
 
-# Public functions and methods that no program code names, each with its
-# reason.
+# Functions that the hashed commands never enter, each with its reason.
 _READER = "reader for users of a run's files"
-UNCALLED = {
+_BENCHMARK = "benchmark op in perfbench/workloads.py (ROADMAP item 2)"
+_ERROR = "error path: names the failure it raises"
+_ORACLE = "test oracle"
+NOT_RUN = {
     "artifacts.load_manifest": _READER,
-    "cli.RunConfig.from_dict": _READER,
+    "artifacts.read_csv": _READER,
+    "artifacts._parse_cell": _READER,
     "solver.load_solution": _READER,
-    "spectral.even_circle_basis": "acceptance gate, criterion 02",
-    "weiss.beta_pairing": "acceptance gate, criterion 02",
-    "epiperimetric.build_competitor_negative": "acceptance gate, criterion 04",
-    "epiperimetric.weiss_of_offdegree": "acceptance gate, criterion 05",
-    "spectral.EigenBasis.rayleigh_defect":
-        "basis check that the tests compare against",
+    "solver.ProblemSpec.from_file": _READER,
+    "solver._OpaqueField.__init__": _READER,
+    "solver.Mode2D.config":
+        "writes a near-profile case's mode terms into solution.bin "
+        "(solve --case near-profile); no hashed command saves that case",
+    "epiperimetric.verify_epi": _BENCHMARK,
+    "frequency.vanishing_on_Zdelta_check": _BENCHMARK,
+    "frequency.ZdeltaReport.max_sup_rescaled": _BENCHMARK,
+    "frequency.linfty_l2_check": _BENCHMARK,
+    "spectral.EigenBasis.reconstruct": _BENCHMARK,
+    "traces.SphericalTrace.__add__": _BENCHMARK,
+    "traces.TraceBatch.of_trace": _BENCHMARK,
+    "traces.trace_from_basis": _BENCHMARK,
+    "epiperimetric._admissibility.<locals>.<lambda>": _ERROR,
+    "epiperimetric._expand.<locals>.<lambda>": _ERROR,
+    "epiperimetric.certify_negative.<locals>.<lambda>": _ERROR,
+    "profiles.AdmissibilityReport.failures": _ERROR,
+    "solver._OpaqueField.__call__": _ERROR,
+    "spectral.EigenBasis.rayleigh_defect": _ORACLE,
+    "spectral._circle_reduced_operator": _ORACLE,
+    "profiles.HalfspaceSolution2D.trace_on": _ORACLE,
+    "profiles.HalfspaceSolution2D.trace_gradient_on": _ORACLE,
+    "profiles._circle_angles": _ORACLE,
+    "polynomials.Polynomial.__repr__":
+        "display of polynomials in sessions and test failure messages",
+    "polynomials.Polynomial.__repr__.<locals>.<lambda>":
+        "display of polynomials in sessions and test failure messages",
 }
 
-# Parameters kept although no call sets them, each with its reason.
+# Parameters kept although no program call sets them, each with its reason.
 _SCALE_CENTER = "center of the scale check, an input of the paper's inequality"
+_SLOPE_DATA = "validated library input of custom slope data"
 ALLOWED = {
     "frequency.vanishing_on_Zdelta_check.x0": _SCALE_CENTER,
     "frequency.linfty_l2_check.x0": _SCALE_CENTER,
+    "cli.main.argv": "tests substitute the command line",
+    "profiles.make_profile.coefficients": _SLOPE_DATA,
+    "profiles.make_profile.normalize": _SLOPE_DATA,
+    "frequency.WeissMonotonicityReport.passed.slack":
+        "kept until the relative slack of ROADMAP item 14 replaces it",
 }
 
 
@@ -89,24 +123,11 @@ def _public_api():
     return api
 
 
-def _caller_trees(folders=CALLER_DIRS) -> list:
+def _caller_trees() -> list:
     """Parsed modules of every folder whose calls count."""
     return [ast.parse(path.read_text(), filename=str(path))
-            for folder in folders
+            for folder in PROGRAM_DIRS
             for path in sorted((ROOT / folder).rglob("*.py"))]
-
-
-def _loaded_names(trees) -> set:
-    """Every name read by a ``Name`` or ``Attribute`` load in ``trees``."""
-    names = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                names.add(node.attr)
-    return names
 
 
 def _calls(trees) -> dict:
@@ -210,13 +231,34 @@ def _unset(api: dict, allowed: dict, calls: dict, shared=()) -> list[str]:
     return unset
 
 
-def uncalled_functions() -> list[str]:
-    """Public functions and methods that no program code names and
-    ``UNCALLED`` does not list."""
-    used = _loaded_names(_caller_trees(PROGRAM_DIRS))
-    return [qualname for qualname in _public_api()
-            if qualname.rsplit(".", 1)[1] not in used
-            and qualname not in UNCALLED]
+def defined_functions() -> dict:
+    """{(module, name, first line): "module.qualname"} of every function,
+    method, nested function and lambda of the package; the first line is
+    that of the first decorator, as in the code object."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                    name = getattr(child, "name", "<lambda>")
+                    first = min([child.lineno] + [
+                        d.lineno for d in getattr(child, "decorator_list", [])])
+                    found[(path.stem, name, first)] = \
+                        f"{path.stem}.{prefix}{name}"
+                    walk(child, f"{prefix}{name}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, f"{prefix}{child.name}.")
+                else:
+                    walk(child, prefix)
+        walk(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def never_entered(entered) -> list[str]:
+    """Functions of the package whose (module, name, first line) is not in
+    ``entered``, "module.qualname" each, sorted."""
+    return sorted({qualname for key, qualname in defined_functions().items()
+                   if key not in entered})
 
 
 def unused_parameters() -> list[str]:
@@ -229,16 +271,22 @@ def unused_fields() -> list[str]:
                   _calls(trees), _field_writes(trees))
 
 
-def test_every_public_function_has_a_caller_outside_tests():
-    uncalled = uncalled_functions()
-    assert not uncalled, ("public functions that only tests call:\n"
-                          + "\n".join(uncalled))
+def test_every_public_function_has_a_caller_outside_tests(hashed_runs):
+    # Every function of the package, public or not, runs in the hashed
+    # commands unless NOT_RUN gives its reason; and no function that runs
+    # stays on the list.
+    missing = never_entered(hashed_runs.entered)
+    unlisted = [qualname for qualname in missing if qualname not in NOT_RUN]
+    assert not unlisted, ("functions that the program's commands never "
+                          "enter:\n" + "\n".join(unlisted))
+    ran = [qualname for qualname in NOT_RUN if qualname not in missing]
+    assert not ran, "NOT_RUN entries that the commands enter:\n" + "\n".join(ran)
 
 
 def test_uncalled_list_names_existing_functions():
-    api = _public_api()
-    for qualname in UNCALLED:
-        assert qualname in api, qualname
+    defined = set(defined_functions().values())
+    for qualname in NOT_RUN:
+        assert qualname in defined, qualname
 
 
 def test_every_defaulted_parameter_has_a_caller():

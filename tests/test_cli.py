@@ -2,7 +2,6 @@
 gated exit codes, manifest hashing, and rerun determinism."""
 
 import dataclasses
-import importlib.util
 import inspect
 import json
 import os
@@ -104,30 +103,16 @@ def test_library_defaults_match_the_parameter_table():
         assert PARAMS[table][name][1] == default
 
 
-def _hashed_commands():
-    """COMMANDS and HASHED of ``scripts/artifact_hashes.py``."""
-    path = (Path(__file__).resolve().parents[1] / "scripts"
-            / "artifact_hashes.py")
-    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.COMMANDS, module.HASHED
-
-
-def test_manifest_records_resolved_params_and_reruns_to_same_bytes(tmp_path):
+def test_manifest_records_resolved_params_and_reruns_to_same_bytes(
+        hashed_runs):
     # Each hashed command, then a run of the config its manifest records,
     # rebuilt through RunConfig.from_dict: every hashed file is the same.
-    commands, hashed = _hashed_commands()
     recorded = {}
-    for k, command in enumerate(commands):
-        first, again = tmp_path / f"out{k}", tmp_path / f"again{k}"
-        assert main(command.split() + [
-            "--out", str(first), "--cache-dir", str(tmp_path / f"cache{k}")
-        ]) == 0, command
+    for command, code, first, again, passed, params in hashed_runs.runs:
+        assert code == 0, command
         data = json.loads((first / "manifest.json").read_text())["config"]
-        rerun = run(RunConfig.from_dict(dict(data, out_dir=str(again))))
-        assert rerun.passed and rerun.config["params"] == data["params"]
-        names = sorted(path.name for pattern in hashed
+        assert passed and params == data["params"]
+        names = sorted(path.name for pattern in hashed_runs.hashed
                        for path in first.glob(pattern))
         assert names, command
         for name in names:
@@ -536,6 +521,17 @@ def test_main_zero_counts_name_the_flag(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert f"error: {argv[0]} run failed: {flag} must be at least 1" in err
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_main_spectral_zero_modes_names_the_flag(tmp_path, capsys, n):
+    # Refused before any basis is built: the analytic n = 1 basis and the
+    # discrete n = 2 one failed in their own terms.
+    code = main(["spectral", "--n", n, "--modes", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert ("error: spectral run failed: --modes must be at least 1, got 0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "spectral.csv").exists()
 
 
 def test_main_stratify_rejects_max_points_below_one(tmp_path, capsys,

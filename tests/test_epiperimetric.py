@@ -8,17 +8,17 @@ import pytest
 
 from thinepi import epiperimetric
 from thinepi.epiperimetric import (EPS, adapted_half_basis,
-                                   build_competitor_negative,
                                    certify_negative, certify_positive,
                                    choose_delta, gap_demo,
                                    sample_negative_traces,
                                    sample_positive_traces, solve_alpha,
-                                   verify_epi, weiss_of_offdegree)
+                                   verify_epi)
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.spectral import even_circle_basis, lambda_of, mode_count_ell
-from thinepi.traces import (SphericalTrace, TraceBatch, trace_from_basis,
-                            trace_from_profile)
+from thinepi.spectral import eigenbasis, lambda_of, mode_count_ell
+from thinepi.traces import (SphericalTrace, TraceBatch, TraceColumns,
+                            trace_from_basis, trace_from_profile)
+from thinepi.weiss import weiss_rows
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,18 @@ def setup02(latlong):
     delta, basis = choose_delta(p, latlong, 0)
     half = adapted_half_basis(p, latlong)
     return p, delta, basis, half
+
+
+def _traces(batch):
+    """The traces of a batch one by one, each the sum of the offset and
+    its basis combination."""
+    return [batch.offset + trace_from_basis(batch.basis, row)
+            for row in batch.coeffs]
+
+
+def _negative(c, p, m, basis):
+    """``certify_negative``'s report on one trace."""
+    return certify_negative(TraceBatch.of_trace(c, basis), p, m, EPS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,7 @@ def test_profile_trace_decomposes_to_unit_vector(setup01, setup11, setup02):
 def test_decomposition_invariants(setup01):
     p, _, basis, half = setup01
     rng = np.random.default_rng(21)
-    for c in sample_positive_traces(p, basis, 0, 5, rng):
+    for c in _traces(sample_positive_traces(p, basis, 0, 5, rng)):
         nu, phi, _, recon = _decompose(c, p, basis, half)
         p_part = trace_from_basis(half, nu)
         remainder = trace_from_basis(basis, phi)
@@ -176,7 +188,7 @@ def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup1
     batch = sample_positive_traces(p, basis, 0, 3, rng)
     reports = certify_positive(batch, p, 0, half, EPS)
     assert len(checked) == 1
-    for c, batch_rep in zip(batch, reports):
+    for c, batch_rep in zip(_traces(batch), reports):
         checked.clear()
         rep = verify_epi(c, p, delta, 0, basis_delta=basis, half_basis=half)
         assert len(checked) == 1
@@ -184,9 +196,9 @@ def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup1
         assert rep.flags == batch_rep.flags == {k: bool(v[0])
                                                 for k, v in flags.items()}
     p, delta, basis, _ = setup11
-    for c in sample_negative_traces(p, basis, 1, 3, rng):
+    for c in _traces(sample_negative_traces(p, basis, 1, 3, rng)):
         checked.clear()
-        build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+        _negative(c, p, 1, basis)
         assert len(checked) == 1
 
 
@@ -218,11 +230,11 @@ def test_worked_positive_case_exact_values(setup01):
 
 def test_positive_certificate_random_traces(setup01, setup11, setup02):
     rng = np.random.default_rng(22)
-    for (p, delta, basis, half), m in ((setup01, 0), (setup11, 1), (setup02, 0)):
+    for (p, _, basis, half), m in ((setup01, 0), (setup11, 1), (setup02, 0)):
         n = basis.grid.n
         kap = 0.5 / (n + 4 * m + 1.5)
-        for c in sample_positive_traces(p, basis, m, 20, rng):
-            rep = verify_epi(c, p, delta, m, basis_delta=basis, half_basis=half)
+        batch = sample_positive_traces(p, basis, m, 20, rng)
+        for rep in certify_positive(batch, p, m, half, EPS):
             assert rep.kappa == pytest.approx(kap, abs=1e-15)
             assert rep.slack >= -1e-8
             assert rep.w_zeta <= (1 - kap) * rep.w_z + 1e-8
@@ -234,7 +246,7 @@ def test_positive_certificate_random_traces(setup01, setup11, setup02):
 def test_positive_competitor_boundary_matches_trace(setup01):
     p, _, basis, half = setup01
     rng = np.random.default_rng(23)
-    c = sample_positive_traces(p, basis, 0, 1, rng)[0]
+    c, = _traces(sample_positive_traces(p, basis, 0, 1, rng))
     nu, phi, _, _ = _decompose(c, p, basis, half)
     p_part, remainder = trace_from_basis(half, nu), trace_from_basis(basis, phi)
     assert np.max(np.abs(p_part.values + remainder.values - c.values)) < 1e-10
@@ -257,19 +269,18 @@ def test_batch_matches_one_trace_api(circle, setup01, setup02, setup11):
         batch = sample_positive_traces(p, basis, m, 6, rng)
         reports = certify_positive(batch, p, m, half, EPS)
         assert len(reports) == 6
-        for c, rep in zip(batch, reports):
+        for c, rep in zip(_traces(batch), reports):
             single = verify_epi(c, p, delta, m, basis_delta=basis,
                                 half_basis=half)
             _assert_reports_match(rep, single)
+    p1, _, basis1, _ = setup11
     p2 = make_profile(2, 1)
-    delta2, basis2 = choose_delta(p2, circle, 2)
-    for (p, delta, basis), m in ((setup11[:3], 1), ((p2, delta2, basis2), 2)):
+    _, basis2 = choose_delta(p2, circle, 2)
+    for p, basis, m in ((p1, basis1, 1), (p2, basis2, 2)):
         batch = sample_negative_traces(p, basis, m, 6, rng)
         reports = certify_negative(batch, p, m, EPS)
-        for c, rep in zip(batch, reports):
-            single = build_competitor_negative(c, p, delta, m,
-                                               basis_delta=basis)
-            _assert_reports_match(rep, single)
+        for c, rep in zip(_traces(batch), reports):
+            _assert_reports_match(rep, _negative(c, p, m, basis))
 
 
 def test_batch_names_the_inadmissible_trial(setup01):
@@ -323,11 +334,12 @@ def test_sampler_matches_nodal_reference(case, sampler, m, request,
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_sampler_rejects_as_the_nodal_reference(circle, monkeypatch):
+def test_sampler_rejects_as_the_nodal_reference(monkeypatch):
     # An unconstrained basis moves the profile's contact node, and the
     # proposals straddle eps, so both tests reject proposals here.
+    circle = build_grid(1, 1024)
     p = make_profile(0, 1)
-    basis = even_circle_basis(circle, 8)
+    basis = eigenbasis(circle, [], 8)
     offset = trace_from_profile(p, circle)
 
     def draw(rng):
@@ -424,7 +436,7 @@ def test_negative_worked_case(setup11):
     coeffs = np.zeros(basis.count)
     coeffs[0] = a
     c = trace_from_profile(p, basis.grid) + trace_from_basis(basis, coeffs)
-    rep = build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+    rep = _negative(c, p, 1, basis)
     alpha = rep.alpha
     w_exact = (1.0 - 9.0) * a * a / 6.0
     assert rep.w_z == pytest.approx(w_exact, rel=1e-10)
@@ -443,8 +455,8 @@ def test_negative_worked_case(setup11):
 def test_negative_certificate_random_traces(circle, setup11):
     p, delta, basis, half = setup11
     rng = np.random.default_rng(24)
-    for c in sample_negative_traces(p, basis, 1, 20, rng):
-        rep = build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+    for rep in certify_negative(sample_negative_traces(p, basis, 1, 20, rng),
+                                p, 1, EPS):
         assert -0.05 < rep.w_z < 0.0
         assert 2.0 < rep.alpha < 3.0
         assert rep.w_zeta <= (1.0 + abs(rep.w_z)) * rep.w_z + 1e-8
@@ -460,8 +472,8 @@ def test_negative_certificate_higher_profile(circle):
     p = make_profile(2, 1)
     delta, basis = choose_delta(p, circle, 2)
     rng = np.random.default_rng(25)
-    for c in sample_negative_traces(p, basis, 2, 5, rng):
-        rep = build_competitor_negative(c, p, delta, 2, basis_delta=basis)
+    for rep in certify_negative(sample_negative_traces(p, basis, 2, 5, rng),
+                                p, 2, EPS):
         assert 4.0 < rep.alpha < 5.0
         assert rep.passed
 
@@ -477,7 +489,7 @@ def test_negative_rejects_nonnegative_energy(setup11):
     p, delta, basis, half = setup11
     c = trace_from_profile(p, basis.grid)
     with pytest.raises(ValueError, match="not negative"):
-        build_competitor_negative(c, p, delta, 1, basis_delta=basis)
+        _negative(c, p, 1, basis)
 
 
 def test_solve_alpha_matches_closed_form():
@@ -498,22 +510,39 @@ def test_solve_alpha_matches_closed_form():
 # Off-homogeneity identities
 # ---------------------------------------------------------------------------
 
+def _offdegree(c, mu, t):
+    """W_mu(r^(mu+t) c) and the defects of the identities
+
+        W_mu(r^(mu+t) c) = t |c|^2,
+        W_mu(r^mu c)     = (1 + t/(n+2mu-1)) W_mu(r^(mu+t) c)
+
+    for a trace c of a (mu+t)-homogeneous solution, both energies from one
+    ``weiss_rows`` call with one power per row."""
+    grid = c.grid
+    w_off, w_mu = weiss_rows(TraceColumns.of_trace(c), mu,
+                             [(np.array([mu + t, mu]), np.ones((2, 1)))])
+    return (w_off, w_off - t * grid.inner(c.values, c.values),
+            w_mu - (1.0 + t / (grid.n + 2.0 * mu - 1.0)) * w_off)
+
+
 def test_offdegree_identities_explicit_solutions(circle):
     cases = ((1.5, np.pi / 2.0), (2.0, np.pi), (3.0, 2.0 * np.pi))
     mu = 1.0
     for hom, expected in cases:
         c = trace_from_profile(halfspace_2d(hom), circle)
-        rep = weiss_of_offdegree(c, mu, hom - mu)
-        assert rep.w_offdegree == pytest.approx(expected, rel=1e-12)
-        assert abs(rep.identity1_defect) < 1e-10
-        assert abs(rep.identity2_defect) < 1e-10
+        w_off, defect1, defect2 = _offdegree(c, mu, hom - mu)
+        assert w_off == pytest.approx(expected, rel=1e-12)
+        assert abs(defect1) < 1e-10
+        assert abs(defect2) < 1e-10
 
 
 def test_offdegree_numeric_derivative_route(circle):
+    # A trace without derivative data: its surface derivatives are
+    # reconstructed from its node values.
     c = trace_from_profile(halfspace_2d(1.5), circle)
-    rep = weiss_of_offdegree(SphericalTrace(c.grid, c.values), 1.0, 0.5)
-    assert rep.w_offdegree == pytest.approx(np.pi / 2.0, rel=1e-3)
-    assert abs(rep.identity1_defect) < 1e-3
+    w_off, defect1, _ = _offdegree(SphericalTrace(c.grid, c.values), 1.0, 0.5)
+    assert w_off == pytest.approx(np.pi / 2.0, rel=1e-3)
+    assert abs(defect1) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +575,3 @@ def test_gap_demo_rejects_meaningless_pairs(m, n):
     with pytest.raises(ValueError, match="need m >= 0 and n >= 1"):
         gap_demo(m, n)
 
-
-def test_gap_demo_custom_grid_skips_zero():
-    rep = gap_demo(0, 1, t_grid=[-0.05, 0.0, 0.05])
-    assert len(rep.rows) == 2
-    assert rep.all_contradict

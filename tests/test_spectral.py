@@ -12,7 +12,6 @@ from thinepi.grids import build_grid
 from thinepi.spectral import (
     EigenBasis,
     eigenbasis,
-    even_circle_basis,
     half_sphere_basis,
     lambda_of,
     mode_count_ell,
@@ -58,15 +57,6 @@ def test_half_circle_analytic_basis():
     assert np.allclose(basis.equator_dn[1], [2 * s, -2 * s])
 
 
-def test_even_circle_basis_structure():
-    grid = build_grid(1, 256)
-    basis = even_circle_basis(grid, 5)
-    assert basis.count == 5
-    assert np.allclose(basis.lambdas, [0.0, 1.0, 4.0, 9.0, 16.0])
-    assert basis.orthonormality_defect() < 1e-12
-    assert basis.mask.size == 0
-
-
 def test_oddlift_s2_basis_orthonormal_and_eigen():
     grid = build_grid(2, 32, kind="latlong")
     basis = half_sphere_basis(2, 3, grid)
@@ -92,9 +82,9 @@ def test_oddlift_polys_are_harmonic():
         assert P.laplacian().is_zero(tol=1e-11 * scale)
 
 
-def test_discrete_circle_full_mask_matches_sin_spectrum():
+def test_discrete_circle_full_mask_matches_sin_spectrum(tmp_path):
     grid = build_grid(1, 256)
-    basis = eigenbasis(grid, grid.equator, 4, use_cache=False)
+    basis = eigenbasis(grid, grid.equator, 4, cache_dir=tmp_path)
     h = 2 * np.pi / grid.size
     for j, lam in enumerate(basis.lambdas, start=1):
         # second-order accurate: relative error about (j h)^2 / 12
@@ -106,40 +96,40 @@ def test_discrete_circle_full_mask_matches_sin_spectrum():
         assert np.array_equal(basis.values[:, k], basis.values[grid.reflect, k])
 
 
-def test_discrete_circle_second_order_convergence():
+def test_discrete_circle_second_order_convergence(tmp_path):
     errs = []
     for res in (64, 128, 256):
         grid = build_grid(1, res)
-        basis = eigenbasis(grid, grid.equator, 3, use_cache=False)
+        basis = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
         errs.append(np.max(np.abs(basis.lambdas - np.array([1.0, 4.0, 9.0]))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] > 3.0  # second order: ratio about 4
     assert errs[1] / errs[2] > 3.0
 
 
-def test_discrete_empty_mask_has_constant_mode():
+def test_discrete_empty_mask_has_constant_mode(tmp_path):
     grid = build_grid(1, 128)
-    basis = eigenbasis(grid, [], 3, use_cache=False)
+    basis = eigenbasis(grid, [], 3, cache_dir=tmp_path)
     assert basis.lambdas[0] == 0.0
     const = basis.values[:, 0]
     assert np.max(np.abs(const - const[0])) < 1e-10
 
 
-def test_mask_monotonicity_of_eigenvalues():
+def test_mask_monotonicity_of_eigenvalues(tmp_path):
     grid = build_grid(1, 128)
-    lam_empty = eigenbasis(grid, [], 3, use_cache=False).lambdas
-    lam_half = eigenbasis(grid, [0], 3, use_cache=False).lambdas
-    lam_full = eigenbasis(grid, grid.equator, 3, use_cache=False).lambdas
+    lam_empty = eigenbasis(grid, [], 3, cache_dir=tmp_path).lambdas
+    lam_half = eigenbasis(grid, [0], 3, cache_dir=tmp_path).lambdas
+    lam_full = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path).lambdas
     assert np.all(lam_half >= lam_empty - 1e-12)
     assert np.all(lam_full >= lam_half - 1e-12)
 
 
-def test_discrete_tri_sphere_spectrum():
+def test_discrete_tri_sphere_spectrum(tmp_path):
     expect = np.array([2.0, 6.0, 6.0, 12.0, 12.0, 12.0])
     rels = []
     for res in (32, 64):
         grid = build_grid(2, res)
-        basis = eigenbasis(grid, grid.equator, 6, use_cache=False)
+        basis = eigenbasis(grid, grid.equator, 6, cache_dir=tmp_path)
         rels.append(np.max(np.abs(basis.lambdas - expect) / expect))
     assert rels[1] < 0.02
     assert rels[0] / rels[1] > 3.0  # second-order convergence
@@ -149,19 +139,19 @@ def test_discrete_tri_sphere_spectrum():
         assert np.array_equal(basis.values[:, k], basis.values[grid.reflect, k])
     # Unconstrained even functions: constant, then a lambda=2 pair (x and y;
     # the third degree-1 harmonic z is odd), then lambda=6.
-    free = eigenbasis(grid, [], 4, use_cache=False)
+    free = eigenbasis(grid, [], 4, cache_dir=tmp_path)
     assert free.lambdas[0] == 0.0
     assert np.max(np.abs(free.lambdas[1:3] - 2.0)) < 0.02
     assert abs(free.lambdas[3] - 6.0) < 0.1
 
 
-def test_iterative_eigenbasis_repeats_bit_for_bit():
+def test_iterative_eigenbasis_repeats_bit_for_bit(tmp_path):
     # Resolution 256 is past the dense limit, so ARPACK runs; its lambda ~ 6
     # pair is degenerate, and only a fixed start vector repeats the rotation
     # returned inside that eigenspace.
     grid = build_grid(2, 256)
-    a = eigenbasis(grid, grid.equator, 8, use_cache=False)
-    b = eigenbasis(grid, grid.equator, 8, use_cache=False)
+    a = eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path / "a")
+    b = eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path / "b")
     assert np.array_equal(a.lambdas, b.lambdas)
     assert np.array_equal(a.values, b.values)
 
@@ -259,12 +249,12 @@ def test_mass_rows_are_cached_and_read_only(grid):
             rows[0, 0] = 0.0
 
 
-def test_eigenbasis_validations():
+def test_eigenbasis_validations(tmp_path):
     grid = build_grid(1, 64)
     with pytest.raises(ValueError):
-        eigenbasis(grid, [3], 2, use_cache=False)  # node 3 is not on the equator
+        eigenbasis(grid, [3], 2, cache_dir=tmp_path)  # node 3 is not on the equator
     with pytest.raises(ValueError):
-        eigenbasis(grid, grid.equator, 1000, use_cache=False)
+        eigenbasis(grid, grid.equator, 1000, cache_dir=tmp_path)
 
 
 def test_cache_roundtrip(tmp_path):

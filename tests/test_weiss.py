@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from thinepi import frequency
 from thinepi.grids import build_grid
 from thinepi.profiles import halfspace_2d, make_profile
-from thinepi.spectral import eigenbasis, even_circle_basis, half_sphere_basis
+from thinepi.spectral import eigenbasis, half_sphere_basis
 from thinepi.traces import SphericalTrace, TraceColumns, circle_dtheta, \
     trace_from_basis, trace_from_profile
-from thinepi.weiss import (beta_pairing, bilinear_rows, kappa, weiss_raised,
+from thinepi.weiss import (beta_rows, bilinear_rows, kappa, weiss_raised,
                            weiss_rows, weiss_spectral)
 
 
@@ -128,13 +128,13 @@ def test_raised_spectral_matches_quadrature(circle, sin_basis):
             pytest.approx(rep.residual, rel=1e-9, abs=1e-12)
 
 
-def test_discrete_n2_routes_agree_and_improve():
+def test_discrete_n2_routes_agree_and_improve(tmp_path):
     rng = np.random.default_rng(5)
     mu = 0.5
     worsts = []
     for res in (128, 256):
         g = build_grid(2, res)
-        basis = eigenbasis(g, g.equator, 6, use_cache=False)
+        basis = eigenbasis(g, g.equator, 6, cache_dir=tmp_path)
         worst = 0.0
         for _ in range(10):
             c = rng.standard_normal(6)
@@ -170,45 +170,67 @@ def test_bilinear_rows_of_v_with_itself_is_the_energy(circle, sin_basis):
     assert _pairing(v, 2.0, v, 2.0, 2.0) == pytest.approx(w, rel=1e-13)
 
 
-def test_beta_pairing_predicts_bilinear_rows(circle, sin_basis):
-    # mixed kinked-times-smooth integrands make both routes second order in
-    # the angular step, so agreement at 2048 nodes is ~1e-4 and tightens on
-    # the fine grid exercised below
+def _off_equator_trace(grid, coeffs):
+    """sum_k coeffs[k] t_k over the first unit-norm traces t_k of the
+    explicit 2D solutions of homogeneity 1.5, 2, 3.5, 4, 5.5 and 6, none of
+    which vanishes on the equator, with closed-form gradient rows."""
+    values, grad = np.zeros(grid.size), np.zeros((grid.size, 2))
+    for a, mu in zip(coeffs, (1.5, 2.0, 3.5, 4.0, 5.5, 6.0)):
+        t = trace_from_profile(halfspace_2d(mu), grid)
+        scale = a / np.sqrt(grid.inner(t.values, t.values))
+        values += scale * t.values
+        grad += scale * t.grad
+    return SphericalTrace(grid, values, grad=grad)
+
+
+def _beta(phi_c, basis, psi, mu):
+    """beta_mu of the basis combination phi_c with the trace psi."""
+    return beta_rows(phi_c[None], basis, np.ones((1, 1)), psi.values[:, None],
+                     mu)[0]
+
+
+def test_beta_rows_predicts_bilinear_rows(circle, sin_basis):
+    # kinked-times-kinked integrands make both routes second order in the
+    # angular step, so agreement at 2048 nodes is ~1e-4 for the three
+    # lowest solutions and tightens on the fine grid exercised below
     rng = np.random.default_rng(9)
-    cos_basis = even_circle_basis(circle, 8)
     for _ in range(10):
         phi_c = rng.standard_normal(6)
-        psi = trace_from_basis(cos_basis, rng.standard_normal(8))
+        psi = _off_equator_trace(circle, rng.standard_normal(3))
         assert np.max(np.abs(psi.values[circle.equator])) > 1e-3
         mu = rng.uniform(0.5, 2.5)
         alpha = rng.uniform(0.5, 3.0)
-        rep = beta_pairing(phi_c, psi, mu, alpha, basis=sin_basis)
+        beta = _beta(phi_c, sin_basis, psi, mu)
         rq = _pairing(trace_from_basis(sin_basis, phi_c), mu, psi, alpha, mu)
-        assert rep.predicted_R == pytest.approx(rq, rel=2e-3, abs=1e-3)
         n = 1
-        assert (n + alpha + mu - 1.0) * rq - rep.beta == pytest.approx(0.0, abs=2e-3)
+        assert beta / (n + alpha + mu - 1.0) == pytest.approx(rq, rel=2e-3,
+                                                              abs=1e-3)
+        assert (n + alpha + mu - 1.0) * rq - beta == pytest.approx(0.0, abs=2e-3)
 
 
 def test_beta_identity_tight_on_fine_circle():
     grid = build_grid(1, 2 ** 17)
     sin10 = half_sphere_basis(1, 10, grid=grid)
-    cos8 = even_circle_basis(grid, 8)
     rng = np.random.default_rng(19)
     for _ in range(3):
         phi_c = rng.standard_normal(6)
-        psi = trace_from_basis(cos8, rng.standard_normal(8))
+        psi = _off_equator_trace(grid, rng.standard_normal(6))
         mu, alpha = rng.uniform(0.5, 2.5), rng.uniform(0.5, 3.0)
-        rep = beta_pairing(phi_c, psi, mu, alpha, basis=sin10)
+        beta = _beta(phi_c, sin10, psi, mu)
         rq = _pairing(trace_from_basis(sin10, phi_c), mu, psi, alpha, mu)
-        assert abs((1 + alpha + mu - 1.0) * rq - rep.beta) < 1e-6
+        assert abs((1 + alpha + mu - 1.0) * rq - beta) < 1e-6
 
 
-def test_beta_pairing_equator_term_vanishes_for_vanishing_psi(circle, sin_basis):
-    # psi built from the constrained basis itself vanishes at the equator
+def test_beta_rows_is_the_spectral_term_for_vanishing_psi(circle, sin_basis):
+    # psi built from the constrained basis itself vanishes at the equator,
+    # so the equator term drops and orthonormal modes leave
+    # sum_j (lambda_j - lambda(mu)) c_j d_j
     rng = np.random.default_rng(10)
-    psi = trace_from_basis(sin_basis, rng.standard_normal(10))
-    rep = beta_pairing(rng.standard_normal(6), psi, 1.0, 2.0, basis=sin_basis)
-    assert rep.equator_term == pytest.approx(0.0, abs=1e-12)
+    d = rng.standard_normal(10)
+    c = rng.standard_normal(6)
+    beta = _beta(c, sin_basis, trace_from_basis(sin_basis, d), 1.0)
+    spectral = float(np.sum((sin_basis.lambdas[:6] - 1.0) * c * d[:6]))
+    assert beta == pytest.approx(spectral, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
