@@ -388,7 +388,7 @@ def _run_solve(config: RunConfig, out: Path, timings: dict):
     checks = [
         CheckResult("converged", sol.converged,
                     f"{sol.sweeps} PDAS iterations, KKT residual "
-                    f"{sol.laplace_residual:.3e}"),
+                    f"{sol.kkt:.3e}, tol {spec.tol:g}"),
         CheckResult("complementarity", comp_max <= 1e-9,
                     f"max residual {comp_max:.3e}"),
         CheckResult("feasibility", feasibility >= -1e-12,

@@ -10,9 +10,9 @@ imposition; O(h) boundary error, second order in the interior).
 
 The constrained system
 
-    min(u - phi, -(L u - f)) = 0   on the thin plane,
-    L u = f                        at interior nodes,
-    u = g                          on and outside the sphere,
+    min(u - phi, -L u) = 0   on the thin plane,
+    L u = 0                  at interior nodes,
+    u = g                    on and outside the sphere,
 
 with L the reflected 5/7-point Laplacian, is an M-matrix complementarity
 problem, solved by the primal-dual active set method (Hintermueller, Ito &
@@ -30,22 +30,22 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .polynomials import Polynomial, even_harmonic_extension
-from .profiles import BlowupProfile, HalfspaceSolution2D, halfspace_2d, \
-    make_profile
+from .profiles import halfspace_2d, make_profile
 
 NEG_INF = -1e30
 
 
 # ---------------------------------------------------------------------------
-# Field descriptors (obstacle / boundary / right-hand side)
+# Field descriptors (obstacle and boundary data)
 # ---------------------------------------------------------------------------
 
 class Mode2D:
@@ -77,10 +77,6 @@ class Mode2D:
             )
         return out[0] if scalar else out
 
-    def config(self) -> dict:
-        return {"kind": "mode", "j": self.j, "power": self.power,
-                "amplitude": self.amplitude}
-
 
 class _SumField:
     def __init__(self, terms):
@@ -102,87 +98,73 @@ class _ScaledField:
         return self.factor * self.inner(points)
 
 
-class _ConstantField:
-    def __init__(self, value):
-        self.value = float(value)
-
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return self.value
-        return np.full(pts.shape[:-1], self.value)
-
-
-class _OpaqueField:
-    """A field saved without a descriptor: it raises when evaluated."""
-
-    def __init__(self, text):
-        self.repr = text
-
-    def __call__(self, points):
-        raise ValueError(f"field {self.repr} has no descriptor to evaluate")
+# The keys each field kind requires; profile may add n, mode amplitude.
+_FIELD_KEYS = {
+    "zero": (), "constant": ("value",), "polynomial": ("coeffs",),
+    "profile": ("m",), "halfspace": ("mu",), "mode": ("j", "power"),
+    "sum": ("terms",), "scaled": ("factor", "of"),
+}
+# The obstacle's kinds: each builds a Polynomial, for the reduction to read.
+_POLYNOMIAL_KINDS = ("zero", "constant", "polynomial")
 
 
 def make_field(config, nvars: int):
-    """Build an evaluator (points -> values) from a config dictionary.
-
-    Recognized kinds: zero, constant {value}, polynomial {coeffs},
-    profile {m, n}, halfspace {mu}, mode {j, power, amplitude},
-    sum {terms}, scaled {factor, of}, opaque {repr} (raises when evaluated).
-    """
-    if config is None:
-        return None
-    if callable(config):
-        return config
-    if isinstance(config, (int, float)):
-        return _ConstantField(config)
+    """Build an evaluator (points -> values) on R^nvars from a field
+    descriptor, a JSON object with a ``kind``: zero, constant {value} and
+    polynomial {coeffs}, which build a Polynomial; profile {m, n = nvars-1};
+    halfspace {mu} and mode {j, power, amplitude}, on R^2; sum {terms} and
+    scaled {factor, of}.  A malformed descriptor raises ValueError naming
+    the key at fault and the nested descriptor (``terms[i]``, ``of``)."""
+    if not isinstance(config, dict):
+        raise ValueError(
+            f"a field descriptor is an object with a 'kind', got {config!r}")
     kind = config.get("kind")
-    if kind == "zero":
-        return _ConstantField(0.0)
-    if kind == "constant":
-        return _ConstantField(config["value"])
+    if not isinstance(kind, str) or kind not in _FIELD_KEYS:
+        raise ValueError(f"unknown field kind {kind!r}; known kinds: "
+                         f"{', '.join(_FIELD_KEYS)}")
+    missing = [key for key in _FIELD_KEYS[kind] if key not in config]
+    if missing:
+        raise ValueError(f"kind {kind!r} needs key(s) {missing}")
+    for key in ("value", "m", "n", "mu", "j", "power", "amplitude", "factor"):
+        if not isinstance(config.get(key, 0), numbers.Real):
+            raise ValueError(f"key {key!r} must be a number, got {config[key]!r}")
+    dimension = {"profile": config.get("n", nvars - 1) + 1, "halfspace": 2,
+                 "mode": 2}.get(kind, nvars)
+    if dimension != nvars:
+        raise ValueError(f"kind {kind!r} is a field on R^{dimension}, "
+                         f"not on R^{nvars}")
+    if kind in ("zero", "constant"):
+        return Polynomial.constant(nvars, config.get("value", 0.0))
     if kind == "polynomial":
-        coeffs = {tuple(int(x) for x in e): float(c) for e, c in config["coeffs"]}
-        return Polynomial(nvars, coeffs)
+        try:
+            return Polynomial(nvars, {tuple(int(x) for x in e): float(c)
+                                      for e, c in config["coeffs"]})
+        except (TypeError, ValueError):
+            raise ValueError("key 'coeffs' must list [exponents, coefficient] "
+                             f"pairs with exponent lists of length {nvars}, "
+                             f"got {config['coeffs']!r}") from None
     if kind == "profile":
-        return make_profile(config["m"], config.get("n", nvars - 1))
+        return make_profile(config["m"], nvars - 1)
     if kind == "halfspace":
         return halfspace_2d(config["mu"])
     if kind == "mode":
         return Mode2D(config["j"], config["power"], config.get("amplitude", 1.0))
     if kind == "sum":
-        return _SumField(make_field(t, nvars) for t in config["terms"])
-    if kind == "scaled":
-        return _ScaledField(config["factor"], make_field(config["of"], nvars))
-    if kind == "opaque":
-        return _OpaqueField(config.get("repr"))
-    raise ValueError(f"unknown field kind {kind!r}")
+        terms = config["terms"]
+        if not isinstance(terms, list) or not terms:
+            raise ValueError(
+                f"key 'terms' must be a nonempty list, got {terms!r}")
+        return _SumField(_nested(f"terms[{i}]", t, nvars)
+                         for i, t in enumerate(terms))
+    return _ScaledField(config["factor"], _nested("of", config["of"], nvars))
 
 
-def field_config(obj) -> dict | None:
-    """Inverse of make_field for the descriptor types (callables that do not
-    carry a descriptor serialize as opaque)."""
-    if obj is None:
-        return None
-    if isinstance(obj, _ConstantField):
-        return {"kind": "constant", "value": obj.value}
-    if isinstance(obj, Polynomial):
-        return {"kind": "polynomial",
-                "coeffs": [[list(e), c] for e, c in sorted(obj.coeffs.items())]}
-    if isinstance(obj, BlowupProfile):
-        return {"kind": "profile", "m": obj.m, "n": obj.n}
-    if isinstance(obj, HalfspaceSolution2D):
-        return {"kind": "halfspace", "mu": obj.mu}
-    if isinstance(obj, Mode2D):
-        return obj.config()
-    if isinstance(obj, _SumField):
-        return {"kind": "sum", "terms": [field_config(t) for t in obj.terms]}
-    if isinstance(obj, _ScaledField):
-        return {"kind": "scaled", "factor": obj.factor,
-                "of": field_config(obj.inner)}
-    if isinstance(obj, _OpaqueField):
-        return {"kind": "opaque", "repr": obj.repr}
-    return {"kind": "opaque", "repr": repr(obj)}
+def _nested(name, config, nvars: int):
+    """``make_field`` on the descriptor ``name``, its errors prefixed by it."""
+    try:
+        return make_field(config, nvars)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +173,17 @@ def field_config(obj) -> dict | None:
 
 @dataclass
 class ProblemSpec:
-    """Thin obstacle problem: dimension d = n+1 in {2,3}, grid spacing h,
-    obstacle on the thin plane, even Dirichlet data on the sphere, smoothness
-    parameters (k, gamma) of the obstacle class, optional right-hand side."""
+    """Thin obstacle problem: dimension d = n+1 in {2,3}, grid spacing h, the
+    field descriptors (``make_field``) of the obstacle on the thin plane and
+    of the even Dirichlet data on the sphere, built once into the Polynomial
+    ``phi`` and ``g``, and the smoothness parameters (k, gamma)."""
 
     dimension: int
     h: float
-    obstacle: object = None            # callable on (n)-points, or None
-    boundary: object = 0.0             # callable on (d)-points (sphere data)
+    obstacle: dict
+    boundary: dict
     k: int = 2
     gamma: float = 0.5
-    rhs: object = None                 # callable on (d)-points, or None
     tol = 1e-10                        # certified residual bound, fixed
 
     def __post_init__(self):
@@ -216,9 +198,12 @@ class ProblemSpec:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0,1), got {self.gamma}")
-        self.obstacle = make_field(self.obstacle, self.n)
-        self.boundary = make_field(self.boundary, self.dimension)
-        self.rhs = make_field(self.rhs, self.dimension)
+        kind = isinstance(self.obstacle, dict) and str(self.obstacle.get("kind"))
+        if kind in _FIELD_KEYS and kind not in _POLYNOMIAL_KINDS:
+            raise ValueError(f"obstacle: kind {kind!r} is not a polynomial; "
+                             f"the obstacle takes {', '.join(_POLYNOMIAL_KINDS)}")
+        self.phi = _nested("obstacle", self.obstacle, self.n)
+        self.g = _nested("boundary", self.boundary, self.dimension)
 
     @property
     def n(self) -> int:
@@ -231,28 +216,29 @@ class ProblemSpec:
     def to_config(self) -> dict:
         return {
             "dimension": self.dimension, "h": self.h,
-            "obstacle": field_config(self.obstacle),
-            "boundary": field_config(self.boundary),
-            "k": self.k, "gamma": self.gamma,
-            "rhs": field_config(self.rhs),
-            "tol": self.tol,
+            "obstacle": self.obstacle, "boundary": self.boundary,
+            "k": self.k, "gamma": self.gamma, "tol": self.tol,
         }
 
     @staticmethod
     def from_config(data: dict) -> "ProblemSpec":
         """Spec from a config; unknown keys (an old ``omega`` or ``max_sweeps``)
-        are ignored, and a ``tol`` other than the fixed one is an error."""
-        required = [key for key in ("dimension", "h") if key not in data]
+        are ignored; a ``tol`` other than the fixed one is an error, and so
+        is a right-hand side."""
+        required = [key for key in ("dimension", "h", "obstacle", "boundary")
+                    if key not in data]
         if required:
             raise ValueError(f"config missing required keys: {required}")
         if float(data.get("tol", ProblemSpec.tol)) != ProblemSpec.tol:
             raise ValueError(f"config key 'tol' is fixed at {ProblemSpec.tol:g}, "
                              f"got {data['tol']!r}")
+        if data.get("rhs") is not None:
+            raise ValueError("config key 'rhs' must be null: the problem has "
+                             f"no right-hand side, got {data['rhs']!r}")
         return ProblemSpec(
             dimension=int(data["dimension"]), h=float(data["h"]),
-            obstacle=data.get("obstacle"), boundary=data.get("boundary", 0.0),
+            obstacle=data["obstacle"], boundary=data["boundary"],
             k=int(data.get("k", 2)), gamma=float(data.get("gamma", 0.5)),
-            rhs=data.get("rhs"),
         )
 
     @staticmethod
@@ -279,6 +265,7 @@ class GridSolution:
     phi_thin: np.ndarray              # obstacle on the thin-plane nodes
     contact: np.ndarray               # bool over thin-plane nodes
     laplace_residual: float           # max |Au - b|, off-contact free nodes
+    kkt: float | None                 # max |Au - b| off the active set
     complementarity: np.ndarray       # min(u - phi, (Au - b)/2d), thin nodes
     sweeps: int                       # outer active-set iterations
     converged: bool                   # KKT conditions hold
@@ -322,7 +309,7 @@ class GridSolution:
             "method": "pdas-mgpcg",
             "sweeps": self.sweeps, "cg_iterations": self.cg_iterations,
             "converged": self.converged, "runtime_seconds": self.runtime,
-            "laplace_residual": self.laplace_residual,
+            "laplace_residual": self.laplace_residual, "kkt": self.kkt,
             "complementarity_max": float(np.max(np.abs(self.complementarity)))
             if self.complementarity.size else 0.0,
             "contact_nodes": int(np.count_nonzero(self.contact)),
@@ -382,7 +369,7 @@ def load_solution(base_path) -> GridSolution:
     return GridSolution(
         spec=spec, values=arrays["values"], kind=arrays["kind"],
         phi_thin=arrays["phi_thin"], contact=arrays["contact"].astype(bool),
-        laplace_residual=stats["laplace_residual"],
+        laplace_residual=stats["laplace_residual"], kkt=stats.get("kkt"),
         complementarity=arrays["complementarity"],
         sweeps=stats["sweeps"], converged=stats["converged"],
         runtime=stats["runtime_seconds"],
@@ -468,25 +455,14 @@ def _assemble(spec: ProblemSpec):
     u = np.zeros(shape)
     frozen = kind == 0
     proj = pts / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
-    g = spec.boundary if spec.boundary is not None else _ConstantField(0.0)
-    u[frozen] = np.asarray(g(proj.reshape(shape + (d,))[frozen]), dtype=float)
-
-    thin_shape = shape[:-1]
-    if spec.obstacle is None:
-        phi = np.full(thin_shape, NEG_INF)
-    else:
-        phi = np.asarray(spec.obstacle(_mesh_points(axes[:-1])),
-                         dtype=float).reshape(thin_shape)
-
-    if spec.rhs is None:
-        f = np.zeros(shape)
-    else:
-        f = np.asarray(spec.rhs(pts), dtype=float).reshape(shape)
+    u[frozen] = np.asarray(spec.g(proj.reshape(shape + (d,))[frozen]),
+                           dtype=float)
+    phi = spec.phi(_mesh_points(axes[:-1])).reshape(shape[:-1])
 
     # feasible start: harmonic guess 0 lifted to the obstacle on the plane
     thin_sel = kind[..., 0] == 2
     u[..., 0][thin_sel] = np.maximum(u[..., 0][thin_sel], phi[thin_sel])
-    return u, kind, phi, f
+    return u, kind, phi
 
 
 def _links(d, ax):
@@ -689,23 +665,23 @@ class _Step:
     cg_iterations: int
 
 
-def _pdas(u, free, obstacle, forcing, tol):
+def _pdas(u, free, obstacle, tol):
     """Primal-dual active set iterates for the free nodes of the lattice
-    array ``u`` (the others are fixed), u >= obstacle (NEG_INF where
-    unconstrained), from ``u``; A u - b = stencil(u) + ``forcing`` on the
-    free nodes.  Each inner solve ends 1e-3 below ``tol``, the KKT bound.
+    array ``u`` (the others are fixed), u >= obstacle (NEG_INF off the thin
+    plane), from ``u``; A u - b = stencil(u) on the free nodes.  Each inner
+    solve ends 1e-3 below ``tol``, the KKT bound.
     The next active set is where lambda > u - obstacle (lambda = A u - b on
     the active set, 0 off it); the iterates end when it repeats, or when it
     is the set of an earlier iteration."""
     d = u.ndim
-    active = free & (_stencil(u, d) + forcing > u - obstacle)
+    active = free & (_stencil(u, d) > u - obstacle)
     seen = {}
     for number in itertools.count(1):
         u = np.where(active, obstacle, u)
         vcycle = _VCycle(free & ~active, d)
-        residual = -(_stencil(u, d) + forcing) * vcycle.levels[0].keep
+        residual = -_stencil(u, d) * vcycle.levels[0].keep
         iterations = _pcg(u, residual, vcycle, 1e-3 * tol)
-        multiplier = np.where(active, _stencil(u, d) + forcing, 0.0)
+        multiplier = np.where(active, _stencil(u, d), 0.0)
         following = free & (multiplier > u - obstacle)
         repeated = np.array_equal(following, active)
         seen[np.packbits(active).tobytes()] = number
@@ -723,18 +699,16 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
     active set repeated, |Au - b| <= tol off it, u >= phi, and a multiplier
     >= -tol on it."""
     t0 = time.perf_counter()
-    u, kind, phi, f = _assemble(spec)
+    u, kind, phi = _assemble(spec)
     free = kind > 0
     thin_sel = kind[..., 0] == 2
     obstacle = np.full(u.shape, NEG_INF)
     obstacle[..., 0] = phi
-    forcing = spec.h ** 2 * f
-    forcing[..., 0] *= 0.5
 
     cap = int(np.count_nonzero(thin_sel)) + 2
     cg_iterations = 0
     for sweeps, step in enumerate(itertools.islice(
-            _pdas(u, free, obstacle, forcing, spec.tol), cap), start=1):
+            _pdas(u, free, obstacle, spec.tol), cap), start=1):
         cg_iterations += step.cg_iterations
     u, repeated = step.u, step.repeated
 
@@ -742,7 +716,7 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
     # contact it is the multiplier
     nbrs = _neighbor_sum(u)
     nbrs[..., 0] += u[..., 1]
-    resid = 2 * spec.dimension * u - nbrs + spec.h ** 2 * f
+    resid = 2 * spec.dimension * u - nbrs
     slack = u[..., 0] - phi
     on_obstacle = step.active
     kkt = float(np.max(np.abs(resid[free & ~on_obstacle]), initial=0.0))
@@ -767,7 +741,7 @@ def solve_thin_obstacle(spec: ProblemSpec) -> GridSolution:
     return GridSolution(
         spec=spec, values=u, kind=kind, phi_thin=phi, contact=contact,
         laplace_residual=float(np.max(np.abs(resid[off_contact]),
-                                      initial=0.0)),
+                                      initial=0.0)), kkt=kkt,
         complementarity=np.minimum(slack, resid[..., 0] / (2 * spec.dimension))
         [thin_sel],
         sweeps=sweeps, converged=converged,
@@ -810,79 +784,25 @@ def taylor_polynomial(p: Polynomial, x0, k: int) -> Polynomial:
     return Polynomial(p.nvars, _shift_coeffs(trunc, p.nvars, -x0))
 
 
-@dataclass
-class ReducedProblem:
-    """Zero-obstacle normal form around a thin-plane point."""
-
-    x0: np.ndarray
-    v_values: np.ndarray               # same layout as GridSolution.values
-    h_poly: Polynomial                 # right-hand side, horizontal variables
-    q_k: Polynomial                    # Taylor polynomial of the obstacle
-    q_tilde: Polynomial                # its even harmonic extension
-    c_empirical: float                 # sup |h| / |x-x0|^(k+gamma-2)
-    spec: ProblemSpec
-
-    def v_solution(self, base: GridSolution) -> GridSolution:
-        """Wrap v in a GridSolution sharing the parent's grid metadata and
-        contact set: on the thin plane v = u - phi, the parent's slack."""
-        return GridSolution(
-            spec=self.spec, values=self.v_values, kind=base.kind,
-            phi_thin=np.zeros_like(base.phi_thin), contact=base.contact,
-            laplace_residual=base.laplace_residual,
-            complementarity=base.complementarity,
-            sweeps=base.sweeps, converged=base.converged, runtime=base.runtime,
-            cg_iterations=base.cg_iterations,
-        )
-
-
-def reduce_to_zero_obstacle(sol: GridSolution, x0=None) -> ReducedProblem:
-    """Normal form v = u - phi(x') + q_k(x') - qtilde_k(x) with right-hand
-    side h = -Lap_horizontal(phi - q_k); v has zero obstacle and v = u - phi
-    on the thin plane."""
+def zero_obstacle_field(sol: GridSolution, x0=None) -> GridSolution:
+    """The field the frequency diagnostics read about the thin point x0 (the
+    origin if None): ``sol`` with u replaced by the zero-obstacle normal
+    form v = u - phi(x') + q_k(x') - qtilde_k(x), q_k the degree-k Taylor
+    polynomial of the obstacle at x0 and qtilde_k its even harmonic
+    extension.  On the thin plane v = u - phi, so v keeps the contact set.
+    A zero obstacle gives ``sol`` itself."""
     spec = sol.spec
+    if spec.phi.is_zero():
+        return sol
     n = spec.n
-    if x0 is None:
-        x0 = np.zeros(n)
-    x0 = np.asarray(x0, dtype=float)
-    phi = spec.obstacle
-    if phi is None:
-        phi = Polynomial.zero(n)
-    if not isinstance(phi, Polynomial):
-        raise ValueError(
-            "reduction requires Taylor data: obstacle must be a Polynomial")
-
-    q_k = taylor_polynomial(phi, x0, spec.k)
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    q_k = taylor_polynomial(spec.phi, x0, spec.k)
     q_tilde = even_harmonic_extension(q_k)
-    lap = q_tilde.laplacian()
-    if not lap.is_zero(tol=1e-10 * max(
+    if not q_tilde.laplacian().is_zero(tol=1e-10 * max(
             (abs(c) for c in q_tilde.coeffs.values()), default=1.0)):
         raise AssertionError("even harmonic extension failed to be harmonic")
-
     pts = _mesh_points(_lattice_axes(spec))
-    shape = sol.values.shape
-    correction = (phi(pts[:, :n]) - q_k(pts[:, :n]) + q_tilde(pts)).reshape(shape)
-    v = sol.values - correction
-    # on the thin plane the correction reduces to phi - q_k + q_k = phi,
-    # so v = u - phi >= 0 there up to solver tolerance
-    h_poly = (phi - q_k).laplacian().scale(-1.0)
-
-    thin = sol.thin_points()
-    dist = np.linalg.norm(thin - x0, axis=1)
-    hvals = np.abs(h_poly(thin))
-    power = spec.k + spec.gamma - 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dist > 0, hvals / np.maximum(dist, 1e-300) ** power, 0.0)
-    c_emp = float(np.max(ratio)) if ratio.size else 0.0
-
-    return ReducedProblem(x0=x0, v_values=v, h_poly=h_poly, q_k=q_k,
-                          q_tilde=q_tilde, c_empirical=c_emp, spec=spec)
-
-
-def zero_obstacle_field(sol: GridSolution, x0=None) -> GridSolution:
-    """The field the frequency diagnostics read about the thin point x0:
-    the zero-obstacle normal form when the obstacle is a nonzero
-    Polynomial, otherwise ``sol`` itself."""
-    obstacle = sol.spec.obstacle
-    if isinstance(obstacle, Polynomial) and not obstacle.is_zero():
-        return reduce_to_zero_obstacle(sol, x0).v_solution(sol)
-    return sol
+    correction = (spec.phi(pts[:, :n]) - q_k(pts[:, :n])
+                  + q_tilde(pts)).reshape(sol.values.shape)
+    return replace(sol, values=sol.values - correction,
+                   phi_thin=np.zeros_like(sol.phi_thin))

@@ -42,10 +42,6 @@ NOT_RUN = {
     "artifacts._parse_cell": _READER,
     "solver.load_solution": _READER,
     "solver.ProblemSpec.from_file": _READER,
-    "solver._OpaqueField.__init__": _READER,
-    "solver.Mode2D.config":
-        "writes a near-profile case's mode terms into solution.bin "
-        "(solve --case near-profile); no hashed command saves that case",
     "epiperimetric.verify_epi": _BENCHMARK,
     "frequency.vanishing_on_Zdelta_check": _BENCHMARK,
     "frequency.ZdeltaReport.max_sup_rescaled": _BENCHMARK,
@@ -58,12 +54,13 @@ NOT_RUN = {
     "epiperimetric._expand.<locals>.<lambda>": _ERROR,
     "epiperimetric.certify_negative.<locals>.<lambda>": _ERROR,
     "profiles.AdmissibilityReport.failures": _ERROR,
-    "solver._OpaqueField.__call__": _ERROR,
     "spectral.EigenBasis.rayleigh_defect": _ORACLE,
     "spectral._circle_reduced_operator": _ORACLE,
     "profiles.HalfspaceSolution2D.trace_on": _ORACLE,
     "profiles.HalfspaceSolution2D.trace_gradient_on": _ORACLE,
     "profiles._circle_angles": _ORACLE,
+    "polynomials.Polynomial.__sub__":
+        "checks custom slope data (make_profile's coefficients p1)",
     "polynomials.Polynomial.__repr__":
         "display of polynomials in sessions and test failure messages",
     "polynomials.Polynomial.__repr__.<locals>.<lambda>":

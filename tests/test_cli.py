@@ -192,7 +192,7 @@ def test_near_profile_case_depends_on_seed():
     a = case_spec("near-profile", 32, seed=1)
     b = case_spec("near-profile", 32, seed=2)
     pts = np.array([[0.3, 0.4], [-0.5, 0.2]])
-    assert not np.allclose(a.boundary(pts), b.boundary(pts))
+    assert not np.allclose(a.g(pts), b.g(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +317,53 @@ def test_frequency_run_emits_curve(tmp_path):
         {"frequency.csv", "frequency_phi.svg"}
 
 
-def test_frequency_config_file_matches_case(tmp_path):
-    # A nonzero polynomial obstacle read from a file is analysed through the
-    # same zero-obstacle normal form as the catalog case.
-    config_file = tmp_path / "quartic.json"
-    config_file.write_text(json.dumps(case_spec("quartic", 32).to_config()))
-    run(_config("frequency", tmp_path / "case", case="quartic",
-                resolution=32))
-    run(_config("frequency", tmp_path / "file", config=str(config_file)))
-    assert ((tmp_path / "case" / "frequency.csv").read_bytes()
-            == (tmp_path / "file" / "frequency.csv").read_bytes())
+@pytest.mark.parametrize("subcommand", ["frequency", "stratify"])
+@pytest.mark.parametrize("case", ["halfspace", "profile", "profile-3d",
+                                  "quartic", "near-profile"])
+def test_frequency_config_file_matches_case(tmp_path, subcommand, case):
+    # A catalog problem read from a file is analysed as the catalog case
+    # is, a nonzero polynomial obstacle through the same zero-obstacle
+    # normal form.
+    resolution = 16 if case == "profile-3d" else 32
+    config_file = tmp_path / "problem.json"
+    config_file.write_text(json.dumps(
+        case_spec(case, resolution, 7).to_config()))
+    run(_config(subcommand, tmp_path / "case", case=case,
+                resolution=resolution))
+    run(_config(subcommand, tmp_path / "file", config=str(config_file)))
+    table = f"{subcommand}.csv"
+    assert ((tmp_path / "case" / table).read_bytes()
+            == (tmp_path / "file" / table).read_bytes())
+
+
+def test_constant_obstacle_is_reduced_as_its_polynomial(tmp_path):
+    # A constant obstacle and the degree-0 polynomial of the same value are
+    # one problem: both are reduced to zero obstacle, and the halfspace
+    # solution raised by 0.2 reads its frequency 3/2 at the origin.
+    boundary = {"kind": "sum", "terms": [{"kind": "halfspace", "mu": 1.5},
+                                         {"kind": "constant", "value": 0.2}]}
+    twins = {"constant": {"kind": "constant", "value": 0.2},
+             "polynomial": {"kind": "polynomial", "coeffs": [[[0], 0.2]]}}
+    tables = {}
+    for name, obstacle in twins.items():
+        config_file = tmp_path / f"{name}.json"
+        config_file.write_text(json.dumps({
+            "dimension": 2, "h": 1 / 64, "obstacle": obstacle,
+            "boundary": boundary}))
+        for subcommand in ("frequency", "stratify"):
+            out = tmp_path / f"{name}-{subcommand}"
+            checks = _checks(run(_config(subcommand, out,
+                                         config=str(config_file))))
+            assert all(check.passed for check in checks.values())
+            tables[name, subcommand] = (
+                out / f"{subcommand}.csv").read_bytes()
+            if subcommand == "frequency":
+                detail = checks["frequency-plateau"].detail
+                mu = float(detail.split()[-1])
+                assert abs(mu - 1.5) <= 1e-3, detail
+    for subcommand in ("frequency", "stratify"):
+        assert (tables["constant", subcommand]
+                == tables["polynomial", subcommand])
 
 
 def test_blowup_run_constructed(tmp_path):
@@ -491,6 +528,49 @@ def test_main_error_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err
+
+
+_HALF = {"kind": "halfspace", "mu": 1.5}
+
+
+@pytest.mark.parametrize("problem, named", [
+    ({"boundary": {"kind": "halfspace"}}, ["boundary", "'mu'"]),
+    ({"obstacle": "zero"}, ["obstacle", "'zero'"]),
+    ({"boundary": {"kind": "sum", "terms": [
+        _HALF, {"kind": "scaled", "factor": 2.0, "of": {"kind": "mode"}}]}},
+     ["boundary: terms[1]: of:", "'j'", "'power'"]),
+    ({"boundary": {"kind": "scaled", "factor": "2", "of": _HALF}},
+     ["boundary", "'factor'", "'2'"]),
+    ({"obstacle": _HALF}, ["obstacle", "'halfspace'"]),
+    ({"rhs": 1.0}, ["'rhs'"]),
+    ({"boundary": None}, ["boundary", "None"]),
+    ({"boundary": {"kind": "profile", "m": 0, "n": 2}},
+     ["boundary", "'profile'", "R^3"]),
+    ({"dimension": 3, "h": 1 / 16}, ["boundary", "'halfspace'", "R^2"]),
+], ids=["missing-key", "string", "nested", "bad-value", "halfspace-obstacle",
+        "rhs", "null-boundary", "profile-of-other-dimension",
+        "halfspace-in-3d"])
+def test_main_bad_problem_config_exits_two(tmp_path, capsys, problem, named):
+    # A malformed or unsupported problem is an input error, exit 2, whose
+    # message names the field and the key or value at fault.
+    config_path = tmp_path / "problem.json"
+    config_path.write_text(json.dumps(dict(
+        {"dimension": 2, "h": 1 / 32, "obstacle": {"kind": "zero"},
+         "boundary": _HALF}, **problem)))
+    code = main(["solve", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert all(name in err for name in named), err
+
+
+def test_main_solve_prints_the_certified_kkt_residual(tmp_path, capsys):
+    # The converged line prints the residual its gate compares with tol.
+    assert main(["solve", "--resolution", "32", "--out", str(tmp_path)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "converged" in line)
+    stats = load_solution(tmp_path / "solution").stats()
+    assert f"KKT residual {stats['kkt']:.3e}, tol 1e-10" in line
 
 
 def test_main_rejects_unknown_case():

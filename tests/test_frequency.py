@@ -45,16 +45,18 @@ def h32():
 
 
 @pytest.fixture(scope="module")
-def sol_profile32(p01):
+def sol_profile32():
     spec = ProblemSpec(dimension=2, h=1 / 32, obstacle={"kind": "zero"},
-                       boundary=p01, k=2, gamma=0.5)
+                       boundary={"kind": "profile", "m": 0, "n": 1},
+                       k=2, gamma=0.5)
     return solve_thin_obstacle(spec)
 
 
 @pytest.fixture(scope="module")
-def sol_half64(h32):
+def sol_half64():
     spec = ProblemSpec(dimension=2, h=1 / 64, obstacle={"kind": "zero"},
-                       boundary=h32, k=2, gamma=0.5)
+                       boundary={"kind": "halfspace", "mu": 1.5},
+                       k=2, gamma=0.5)
     return solve_thin_obstacle(spec)
 
 

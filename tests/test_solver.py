@@ -15,17 +15,25 @@ from thinepi.grids import build_grid
 from thinepi.polynomials import Polynomial, even_harmonic_extension
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.solver import (NEG_INF, Mode2D, ProblemSpec, _assemble, _pdas,
-                            field_config, load_solution,
-                            make_field, reduce_to_zero_obstacle,
-                            solve_thin_obstacle, taylor_polynomial)
+                            load_solution, make_field, solve_thin_obstacle,
+                            taylor_polynomial, zero_obstacle_field)
 
-ZERO_1D = Polynomial.zero(1)
+ZERO = {"kind": "zero"}
+HALFSPACE = {"kind": "halfspace", "mu": 1.5}
+PROFILE_2D = {"kind": "profile", "m": 0, "n": 1}
+PROFILE_3D = {"kind": "profile", "m": 0, "n": 2}
+QUARTIC = {"kind": "polynomial", "coeffs": [[[4], 1.0]]}
 
 
-def lexicographic_psor_sweep(u, kind, phi, f, h2, omega):
-    """Reference 2D projected SOR sweep, one node at a time in lexicographic
-    order, in place; returns the largest update.  Thin-row nodes (j = 0)
-    count their upper neighbour twice and are projected onto the obstacle."""
+def constant(value):
+    return {"kind": "constant", "value": value}
+
+
+def lexicographic_psor_sweep(u, kind, phi, omega):
+    """Reference 2D projected SOR sweep of the unforced system, one node at
+    a time in lexicographic order, in place; returns the largest update.
+    Thin-row nodes (j = 0) count their upper neighbour twice and are
+    projected onto the obstacle."""
     max_upd = 0.0
     nx, ny = u.shape
     for i in range(nx):
@@ -34,12 +42,11 @@ def lexicographic_psor_sweep(u, kind, phi, f, h2, omega):
                 continue
             old = u[i, j]
             if j == 0:
-                target = (u[i - 1, 0] + u[i + 1, 0] + 2.0 * u[i, 1]
-                          - h2 * f[i, 0]) * 0.25
+                target = (u[i - 1, 0] + u[i + 1, 0] + 2.0 * u[i, 1]) * 0.25
                 new = max(old + omega * (target - old), phi[i])
             else:
                 target = (u[i - 1, j] + u[i + 1, j] + u[i, j - 1]
-                          + u[i, j + 1] - h2 * f[i, j]) * 0.25
+                          + u[i, j + 1]) * 0.25
                 new = old + omega * (target - old)
             max_upd = max(max_upd, abs(new - old))
             u[i, j] = new
@@ -48,9 +55,8 @@ def lexicographic_psor_sweep(u, kind, phi, f, h2, omega):
 
 @pytest.fixture(scope="module")
 def halfspace_solution():
-    hs = halfspace_2d(1.5)
-    spec = ProblemSpec(dimension=2, h=1 / 64, obstacle=ZERO_1D, boundary=hs)
-    return hs, spec, solve_thin_obstacle(spec)
+    spec = ProblemSpec(dimension=2, h=1 / 64, obstacle=ZERO, boundary=HALFSPACE)
+    return halfspace_2d(1.5), spec, solve_thin_obstacle(spec)
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +69,28 @@ def profile_3d_solution():
 # ---------------------------------------------------------------------------
 
 def test_spec_validation_errors():
+    fields = {"obstacle": ZERO, "boundary": HALFSPACE}
     with pytest.raises(ValueError, match="dimension"):
-        ProblemSpec(dimension=4, h=1 / 32)
+        ProblemSpec(dimension=4, h=1 / 32, **fields)
     with pytest.raises(ValueError, match="res"):
-        ProblemSpec(dimension=2, h=1 / 8)
+        ProblemSpec(dimension=2, h=1 / 8, **fields)
     with pytest.raises(ValueError, match="k must"):
-        ProblemSpec(dimension=2, h=1 / 32, k=1)
+        ProblemSpec(dimension=2, h=1 / 32, k=1, **fields)
     with pytest.raises(ValueError, match="gamma"):
-        ProblemSpec(dimension=2, h=1 / 32, gamma=1.5)
+        ProblemSpec(dimension=2, h=1 / 32, gamma=1.5, **fields)
+    config = dict(fields, dimension=2, h=1 / 32)
     with pytest.raises(ValueError, match="'tol'"):
-        ProblemSpec.from_config({"dimension": 2, "h": 1 / 32, "tol": 1e-6})
+        ProblemSpec.from_config(dict(config, tol=1e-6))
+    with pytest.raises(ValueError, match="'rhs'"):
+        ProblemSpec.from_config(dict(config, rhs=1.0))
+    with pytest.raises(ValueError, match="missing required keys: .'obstacle'"):
+        ProblemSpec.from_config({"dimension": 2, "h": 1 / 32,
+                                 "boundary": HALFSPACE})
+    with pytest.raises(ValueError, match="obstacle: .* got None"):
+        ProblemSpec.from_config(dict(config, obstacle=None))
+    # a header written with a null right-hand side loads
+    assert ProblemSpec.from_config(dict(config, rhs=None)).to_config() \
+        == ProblemSpec.from_config(config).to_config()
 
 
 def test_spec_config_roundtrip():
@@ -84,27 +102,31 @@ def test_spec_config_roundtrip():
             {"kind": "scaled", "factor": 0.1,
              "of": {"kind": "mode", "j": 2, "power": 1.5}}]},
         k=3, gamma=0.25)
+    assert spec.to_config()["obstacle"] == {"kind": "polynomial",
+                                            "coeffs": [[[4], 1.0]]}
     again = ProblemSpec.from_config(spec.to_config())
     assert again.to_config() == spec.to_config()
     pts = np.array([[0.3, 0.2], [0.1, -0.5]])
-    assert np.allclose(again.boundary(pts), spec.boundary(pts))
+    assert np.allclose(again.g(pts), spec.g(pts))
     with pytest.raises(ValueError, match="missing required keys"):
         ProblemSpec.from_config({"dimension": 2})
 
 
 def test_make_field_kinds():
-    const = make_field({"kind": "constant", "value": 2.5}, 1)
+    const = make_field(constant(2.5), 1)
+    assert const == Polynomial.constant(1, 2.5)
     assert const(np.zeros((3, 1))) == pytest.approx([2.5] * 3)
-    assert make_field({"kind": "zero"}, 2)(np.ones((2, 2))) == pytest.approx([0, 0])
-    hs = make_field({"kind": "halfspace", "mu": 1.5}, 2)
+    assert make_field(ZERO, 2) == Polynomial.zero(2)
+    assert make_field(ZERO, 2)(np.ones((2, 2))) == pytest.approx([0, 0])
+    hs = make_field(HALFSPACE, 2)
     assert hs(np.array([1.0, 0.0])) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="unknown field kind"):
         make_field({"kind": "nope"}, 1)
     mode = Mode2D(j=2, power=1.5, amplitude=0.5)
-    cfg = field_config(mode)
-    back = make_field(cfg, 2)
+    back = make_field({"kind": "mode", "j": 2, "power": 1.5,
+                       "amplitude": 0.5}, 2)
     pt = np.array([0.6, 0.35])
-    assert back(pt) == pytest.approx(mode(pt))
+    assert back(pt) == mode(pt)
     assert mode(pt) == pytest.approx(mode(pt * np.array([1.0, -1.0])))  # even
     assert mode(np.array([0.5, 0.0])) == 0.0                     # thin line
 
@@ -114,7 +136,8 @@ def test_make_field_kinds():
 # ---------------------------------------------------------------------------
 
 def test_constant_boundary_gives_constant_solution():
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=1.0)
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO,
+                       boundary=constant(1.0))
     sol = solve_thin_obstacle(spec)
     assert sol.converged
     assert np.max(np.abs(sol.values[sol.kind > 0] - 1.0)) < 1e-7
@@ -122,10 +145,10 @@ def test_constant_boundary_gives_constant_solution():
 
 
 def test_profile_boundary_contact_everywhere():
-    p = make_profile(0, 1)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=p)
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO,
+                       boundary=PROFILE_2D)
     sol = solve_thin_obstacle(spec)
-    assert sol.max_error_vs(p) < 2e-2
+    assert sol.max_error_vs(make_profile(0, 1)) < 2e-2
     thin = sol.kind[..., 0] == 2
     assert sol.contact.sum() == thin.sum()
     assert np.max(np.abs(sol.complementarity)) <= 1e-9
@@ -148,10 +171,10 @@ def test_halfspace_solution_error_and_free_boundary(halfspace_solution):
 def test_contact_set_matches_loop_reference(halfspace_solution):
     # 3D: an off-centre paraboloid obstacle under negative sphere data, so
     # the contact set is a patch with a free boundary all around it.
-    obstacle = Polynomial(2, {(0, 0): 0.2, (1, 0): 0.3, (2, 0): -1.0,
-                              (0, 2): -2.0})
+    obstacle = {"kind": "polynomial", "coeffs": [
+        [[0, 0], 0.2], [[1, 0], 0.3], [[2, 0], -1.0], [[0, 2], -2.0]]}
     spec = ProblemSpec(dimension=3, h=1 / 16, obstacle=obstacle,
-                       boundary=-0.2)
+                       boundary=constant(-0.2))
     for sol in (halfspace_solution[2], solve_thin_obstacle(spec)):
         # contact: thin nodes where u - phi <= 10 tol, tol the solver's
         thin = sol.kind[..., 0] == 2
@@ -164,7 +187,7 @@ def test_contact_set_matches_loop_reference(halfspace_solution):
 def test_halfspace_error_decreases_with_resolution(halfspace_solution):
     hs, spec, fine = halfspace_solution
     coarse = solve_thin_obstacle(
-        ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs))
+        ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO, boundary=HALFSPACE))
     assert fine.max_error_vs(hs) < coarse.max_error_vs(hs)
 
 
@@ -181,12 +204,11 @@ def test_solution_feasible_and_even(halfspace_solution):
 
 
 def test_three_dimensional_profile_solve():
-    p = make_profile(0, 2)
-    spec = ProblemSpec(dimension=3, h=1 / 16, obstacle=Polynomial.zero(2),
-                       boundary=p)
+    spec = ProblemSpec(dimension=3, h=1 / 16, obstacle=ZERO,
+                       boundary=PROFILE_3D)
     sol = solve_thin_obstacle(spec)
     assert sol.converged
-    assert sol.max_error_vs(p) < 3e-2
+    assert sol.max_error_vs(make_profile(0, 2)) < 3e-2
     thin = sol.kind[..., 0] == 2
     assert sol.contact.sum() == thin.sum()
     assert np.max(np.abs(sol.complementarity)) <= 1e-9
@@ -200,13 +222,12 @@ def test_pdas_iterates_monotone():
     # For an M-matrix the active set iterates increase, and from the second
     # on they are feasible and their active sets shrink (Kaerkkaeinen,
     # Kunisch & Tarvainen, JOTA 2003).
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
-                       boundary=halfspace_2d(1.5))
-    u, kind, phi, f = _assemble(spec)
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO,
+                       boundary=HALFSPACE)
+    u, kind, phi = _assemble(spec)
     free = kind > 0
     lattice_obstacle = np.where(kind == 2, phi[:, None], NEG_INF)
-    steps = list(_pdas(u, free, lattice_obstacle, np.zeros(u.shape),
-                       spec.tol))
+    steps = list(_pdas(u, free, lattice_obstacle, spec.tol))
     obstacle = lattice_obstacle[free]
     xs = [step.u[free] for step in steps]
     actives = [step.active[free] for step in steps]
@@ -221,24 +242,22 @@ def test_pdas_iterates_monotone():
 
 
 def test_comparison_principle():
-    g1 = halfspace_2d(1.5)
     rng = np.random.default_rng(11)
     for _ in range(3):
         shift = float(rng.uniform(0.05, 0.4))
-        g2 = lambda pts, s=shift: g1(pts) + s
+        raised = {"kind": "sum", "terms": [HALFSPACE, constant(shift)]}
         a = solve_thin_obstacle(ProblemSpec(dimension=2, h=1 / 32,
-                                            obstacle=ZERO_1D, boundary=g1))
+                                            obstacle=ZERO, boundary=HALFSPACE))
         b = solve_thin_obstacle(ProblemSpec(dimension=2, h=1 / 32,
-                                            obstacle=ZERO_1D, boundary=g2))
+                                            obstacle=ZERO, boundary=raised))
         free = a.kind > 0
         assert float(np.min((b.values - a.values)[free])) >= -1e-9
 
 
 def test_three_dimensional_profile_error_decreases_with_resolution():
-    p = make_profile(0, 2)
     errors = [solve_thin_obstacle(ProblemSpec(
-        dimension=3, h=1 / res, obstacle=Polynomial.zero(2), boundary=p))
-        .max_error_vs(p) for res in (16, 32)]
+        dimension=3, h=1 / res, obstacle=ZERO, boundary=PROFILE_3D))
+        .max_error_vs(make_profile(0, 2)) for res in (16, 32)]
     assert errors[1] < errors[0]
 
 
@@ -318,7 +337,8 @@ def test_revisited_active_set_stops_with_a_warning(monkeypatch):
 
     monkeypatch.setattr(solver, "_pcg", zero_solve)
     spec = ProblemSpec(dimension=2, h=1 / 16,
-                       obstacle=quadratic(0.1, 0.0, -1.0), boundary=1.0)
+                       obstacle=quadratic(0.1, 0.0, -1.0),
+                       boundary=constant(1.0))
     with pytest.warns(UserWarning, match="iteration 1 revisited, a cycle of 2"):
         sol = solve_thin_obstacle(spec)
     assert not sol.converged and sol.sweeps == 2
@@ -327,10 +347,10 @@ def test_revisited_active_set_stops_with_a_warning(monkeypatch):
 def system_residual(sol):
     """max |Au - b| over the free nodes off the contact set, rebuilt from the
     solved values: A is the unscaled 2d-point Laplacian with the upper
-    neighbor doubled on the thin row, b = -h^2 f."""
+    neighbor doubled on the thin row, b = 0."""
     u = sol.values
     d = u.ndim
-    _, kind, _, f = _assemble(sol.spec)
+    _, kind, _ = _assemble(sol.spec)
     nbrs = np.zeros_like(u)
     for ax in range(d):
         lo, hi = [slice(None)] * d, [slice(None)] * d
@@ -338,18 +358,17 @@ def system_residual(sol):
         nbrs[tuple(lo)] += u[tuple(hi)]
         nbrs[tuple(hi)] += u[tuple(lo)]
     nbrs[..., 0] += u[..., 1]
-    resid = 2 * d * u - nbrs + sol.spec.h ** 2 * f
+    resid = 2 * d * u - nbrs
     free = kind > 0
     free[..., 0] &= ~sol.contact
     return float(np.max(np.abs(resid[free])))
 
 
 @pytest.mark.parametrize("spec", [
-    ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
-                boundary=halfspace_2d(1.5), rhs=1.0),
-    ProblemSpec(dimension=3, h=1 / 16, obstacle=Polynomial.zero(2),
-                boundary=make_profile(0, 2)),
-], ids=["2d-forced", "3d-profile"])
+    ProblemSpec(dimension=2, h=1 / 32, obstacle=QUARTIC,
+                boundary=HALFSPACE),
+    ProblemSpec(dimension=3, h=1 / 16, obstacle=ZERO, boundary=PROFILE_3D),
+], ids=["2d-quartic", "3d-profile"])
 def test_laplace_residual_is_system_residual(spec):
     sol = solve_thin_obstacle(spec)
     assert sol.laplace_residual == pytest.approx(system_residual(sol),
@@ -358,12 +377,10 @@ def test_laplace_residual_is_system_residual(spec):
 
 
 def test_pdas_matches_lexicographic_reference():
-    hs = halfspace_2d(1.5)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D, boundary=hs)
-    u, kind, phi, f = _assemble(spec)
-    h2 = spec.h ** 2
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO, boundary=HALFSPACE)
+    u, kind, phi = _assemble(spec)
     for _ in range(30_000):
-        if lexicographic_psor_sweep(u, kind, phi, f, h2, 1.8) <= spec.tol:
+        if lexicographic_psor_sweep(u, kind, phi, 1.8) <= spec.tol:
             break
     else:
         pytest.fail("reference sweep did not converge")
@@ -372,8 +389,8 @@ def test_pdas_matches_lexicographic_reference():
 
 
 def test_converging_solve_is_silent():
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
-                       boundary=halfspace_2d(1.5))
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO,
+                       boundary=HALFSPACE)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sol = solve_thin_obstacle(spec)
@@ -384,13 +401,13 @@ def test_converging_solve_is_silent():
 def test_nonconvergence_warns(monkeypatch):
     # Iterates whose active set is new at every step run to the cap, free
     # thin nodes + 2, the bound of PDAS on an M-matrix system.
-    def fresh_sets(u, free, obstacle, forcing, tol):
+    def fresh_sets(u, free, obstacle, tol):
         while True:
             yield solver._Step(u, np.zeros(u.shape, dtype=bool), False, None, 1)
 
     monkeypatch.setattr(solver, "_pdas", fresh_sets)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO_1D,
-                       boundary=halfspace_2d(1.5))
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=ZERO,
+                       boundary=HALFSPACE)
     with pytest.warns(UserWarning, match="iteration cap 65"):
         sol = solve_thin_obstacle(spec)
     assert np.count_nonzero(sol.kind[..., 0] == 2) == 63
@@ -466,46 +483,47 @@ def test_taylor_polynomial_values():
 
 
 def test_reduction_worked_example():
-    phi = Polynomial.monomial(1, (4,))
-    p = make_profile(0, 1)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=phi, boundary=p,
-                       k=2, gamma=0.5)
+    # phi = x^4 has a zero Taylor polynomial of degree 2 at the origin, so
+    # v = u - phi everywhere; on the thin plane that is the solver's slack
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=QUARTIC,
+                       boundary=PROFILE_2D, k=2, gamma=0.5)
     sol = solve_thin_obstacle(spec)
-    red = reduce_to_zero_obstacle(sol)
-    assert red.q_k.is_zero()
-    assert red.h_poly.coeffs == pytest.approx({(2,): -12.0})
-    assert red.c_empirical == pytest.approx(12.0, rel=1e-9)
+    v = zero_obstacle_field(sol)
     thin = sol.kind[..., 0] == 2
-    v_thin = red.v_values[..., 0][thin]
+    v_thin = v.values[..., 0][thin]
     u_thin = sol.values[..., 0][thin]
     phi_thin = sol.phi_thin[thin]
     assert v_thin == pytest.approx(u_thin - phi_thin, abs=1e-10)
     assert np.min(v_thin) >= -1e-10
+    assert np.all(v.phi_thin == 0.0)
 
 
 def test_reduction_taylor_exact_gives_zero_rhs():
-    phi = Polynomial.monomial(1, (4,))
-    p = make_profile(0, 1)
-    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=phi, boundary=p,
-                       k=4, gamma=0.5)
+    # k = 4: q_k = phi, so the right-hand side -Lap'(phi - q_k) vanishes
+    # and v = u minus the even harmonic extension of phi
+    spec = ProblemSpec(dimension=2, h=1 / 32, obstacle=QUARTIC,
+                       boundary=PROFILE_2D, k=4, gamma=0.5)
     sol = solve_thin_obstacle(spec)
-    red = reduce_to_zero_obstacle(sol)
-    assert red.h_poly.is_zero()
-    assert np.max(np.abs(red.v_values[..., 0] - (sol.values[..., 0]
-                                                 - phi(sol.thin_points())
-                                                 .reshape(sol.phi_thin.shape)))) < 1e-12
+    v = zero_obstacle_field(sol)
+    phi = Polynomial.monomial(1, (4,))
+    assert np.max(np.abs(v.values[..., 0] - (sol.values[..., 0]
+                                             - phi(sol.thin_points())
+                                             .reshape(sol.phi_thin.shape)))) < 1e-12
+    extension = even_harmonic_extension(phi)(solver._mesh_points(sol.axes()))
+    assert np.max(np.abs(sol.values - v.values
+                         - extension.reshape(sol.values.shape))) < 1e-12
 
 
 def test_reduced_solution_shares_the_contact_set():
     # on the thin plane v = u - phi exactly, so the reduced field's contact
     # set is the solver's
     sol = solve_thin_obstacle(case_spec("quartic", 32))
-    red = reduce_to_zero_obstacle(sol)
+    v = zero_obstacle_field(sol)
     thin = sol.kind[..., 0] == 2
-    assert np.array_equal(red.v_values[..., 0][thin],
+    assert np.array_equal(v.values[..., 0][thin],
                           (sol.values[..., 0] - sol.phi_thin)[thin])
     assert sol.contact.any()
-    assert np.array_equal(red.v_solution(sol).contact, sol.contact)
+    assert np.array_equal(v.contact, sol.contact)
 
 
 def test_even_harmonic_extension_example():
@@ -516,12 +534,12 @@ def test_even_harmonic_extension_example():
 
 
 def test_reduction_requires_polynomial_obstacle():
-    hs = halfspace_2d(1.5)
-    spec = ProblemSpec(dimension=2, h=1 / 32,
-                       obstacle=lambda pts: np.zeros(len(pts)), boundary=hs)
-    sol = solve_thin_obstacle(spec)
-    with pytest.raises(ValueError, match="Taylor data"):
-        reduce_to_zero_obstacle(sol)
+    # The reduction reads the obstacle's Taylor data, so the obstacle takes
+    # the polynomial kinds only; any other kind is refused by name.
+    with pytest.raises(ValueError,
+                       match="obstacle: kind 'halfspace' is not a polynomial"):
+        ProblemSpec(dimension=2, h=1 / 32, obstacle=HALFSPACE,
+                    boundary=HALFSPACE)
 
 
 # ---------------------------------------------------------------------------
@@ -540,42 +558,41 @@ def test_dump_load_roundtrip(tmp_path, halfspace_solution):
     assert back.spec.dimension == 2 and back.spec.h == sol.spec.h
     assert back.sweeps == sol.sweeps
     assert back.cg_iterations == sol.cg_iterations > 0
+    assert back.kkt == sol.kkt <= sol.spec.tol
+    assert back.spec.to_config() == sol.spec.to_config()
     assert back.stats()["method"] == "pdas-mgpcg"
 
 
 def test_load_reads_projected_sor_header(tmp_path, halfspace_solution):
-    # The header as the projected SOR solver wrote it: ``omega`` and
-    # ``max_sweeps`` in the spec, ``final_update`` but no ``method`` and no
-    # ``cg_iterations`` in the stats.  Both spec keys are ignored.
+    # Two older headers: the one that wrote its obstacle as a constant and
+    # a null ``rhs``, and the projected SOR solver's, which also had
+    # ``omega`` and ``max_sweeps`` in the spec, ``final_update`` but no
+    # ``method`` and no ``cg_iterations`` in the stats.  Neither has ``kkt``.
+    # The extra spec keys are ignored.
     _, _, sol = halfspace_solution
     base = tmp_path / "case"
     _, json_path = sol.dump(base)
     header = json.loads(json_path.read_text())
+    header["spec"].update(obstacle={"kind": "constant", "value": 0.0},
+                          rhs=None)
+    del header["stats"]["kkt"]
+    json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
+    back = load_solution(base)
+    assert np.array_equal(back.values, sol.values)
+    assert np.array_equal(back.phi_thin, sol.phi_thin)
+    assert back.spec.phi(sol.thin_points()) == pytest.approx(
+        sol.phi_thin.ravel(), abs=0)
+    assert back.kkt is None and back.cg_iterations == sol.cg_iterations
+
     header["spec"].update(omega=1.8, max_sweeps=5000)
     header["stats"]["final_update"] = 3.2e-11
     del header["stats"]["method"], header["stats"]["cg_iterations"]
     json_path.write_text(json.dumps(header, indent=2, sort_keys=True))
     back = load_solution(base)
-    assert not {"omega", "max_sweeps"} & back.spec.to_config().keys()
+    assert not {"omega", "max_sweeps", "rhs"} & back.spec.to_config().keys()
     assert np.array_equal(back.values, sol.values)
     assert back.sweeps == sol.sweeps and back.converged
-    assert back.cg_iterations is None
-
-
-def test_load_keeps_a_field_without_descriptor(tmp_path):
-    # A plain callable is saved by its repr; it loads, and evaluating it
-    # raises an error that names it.
-    def boundary(points):
-        return np.ones(np.shape(points)[:-1])
-
-    sol = solve_thin_obstacle(ProblemSpec(dimension=2, h=1 / 16,
-                                          obstacle=ZERO_1D, boundary=boundary))
-    sol.dump(tmp_path / "case")
-    back = load_solution(tmp_path / "case")
-    assert back.spec.to_config() == sol.spec.to_config()
-    assert np.array_equal(back.values, sol.values)
-    with pytest.raises(ValueError, match="function .*boundary"):
-        back.spec.boundary(np.zeros((1, 2)))
+    assert back.cg_iterations is None and back.kkt is None
 
 
 def test_load_detects_corruption(tmp_path, halfspace_solution):
