@@ -88,7 +88,7 @@ def adapted_half_basis(p: BlowupProfile, grid: SphereGrid) -> EigenBasis:
     equator_dn = base.equator_dn.copy()
     equator_dn[top] = rot.T @ base.equator_dn[top]
     return EigenBasis(grid=grid, mask=base.mask, lambdas=base.lambdas.copy(),
-                      values=values, source="analytic-adapted",
+                      values=values,
                       degrees=base.degrees.copy(), grads=grads,
                       equator_dn=equator_dn)
 
@@ -163,7 +163,7 @@ def _admissibility(batch: TraceBatch, p: BlowupProfile, eps: float):
         "vanishes_on_mask":
             np.max(np.abs(values[:, mask]), axis=1, initial=0.0) <= 1e-10,
     }
-    np.subtract(values, p.shared_trace_on(grid), out=dev)
+    np.subtract(values, p.trace_on(grid), out=dev)
     flags["within_eps"] = (np.sqrt(np.square(dev, out=dev) @ grid.weights)
                            <= eps * (1 + 1e-8))
     failed = ~np.all(list(flags.values()), axis=0)
@@ -325,8 +325,7 @@ def solve_alpha(target, m: int, mu: float, n: int):
         below = (mu - mid) / (n + mid + mu - 1.0) > t
         lo = np.where(open_ & below, mid, lo)
         hi = np.where(open_ & ~below, mid, hi)
-    alpha = 0.5 * (lo + hi)
-    return float(alpha) if alpha.ndim == 0 else alpha
+    return 0.5 * (lo + hi)
 
 
 def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,

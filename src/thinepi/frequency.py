@@ -686,7 +686,9 @@ class ZdeltaReport:
 def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
                               x0=None, eta3: float = 0.1) -> ZdeltaReport:
     """Check that the rescalings vanish on the high-slope equator directions
-    at five radii in (r/3, r), gated on closeness to the profile.
+    at five radii in (r/3, r), gated on closeness to the profile: the sup of
+    |v_r - p| over 26 shells of the annulus (1/4, 3/2), which an r too large
+    to read it refuses with ValueError.
 
     At most eight thin directions are tested, evenly picked from Z_delta;
     the check passes when every rescaled sup is at most the report's
@@ -706,12 +708,11 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
     x0 = _center(x0, n + 1)
     grid = _diagnostic_sphere(n)
 
-    # closeness hypothesis on the annulus
+    # closeness hypothesis on the annulus; the barrier balls reach 1.2 r
+    if 1.5 * r > adapter._cap(x0):
+        raise ValueError(f"scale r={r} too large: the annulus needs "
+                         f"radius {1.5 * r + float(np.linalg.norm(x0))}")
     shells = np.linspace(0.25, 1.5, 26)
-    top = adapter._cap(x0) / r
-    if top < 1.2:               # the barrier neighborhoods need scale 1.2 r
-        raise ValueError("scale r too large to sample the annulus")
-    shells = shells[shells <= top]
     linf = _shell_sup_distance(_on_spheres(adapter, x0, r * shells, grid),
                                r, mu, shells, p.trace_on(grid))
     if linf > eta3:
@@ -846,9 +847,9 @@ def stratify_contact(u: GridSolution,
     At most ``max_points`` contact nodes, evenly picked, are labeled.  Each
     gets a 20-rung ladder up to 0.8 of its distance to the sphere (at most
     0.6); nodes too close to the domain boundary to keep six rungs between
-    the grid scale and the sphere are reported as unresolved.  A node whose
-    frequency plateau lies within 0.1 of one of STRATUM_FREQUENCIES gets
-    that label.  For a two-dimensional thin set, each labeled stratum gets a
+    the grid scale and the sphere, and nodes whose truncation is active at
+    every rung, are reported as unresolved.  A node whose frequency plateau
+    lies within 0.1 of one of STRATUM_FREQUENCIES gets that label.  For a two-dimensional thin set, each labeled stratum gets a
     least-squares line fit with its perpendicular residual.
     """
     if max_points < 1:
@@ -876,21 +877,16 @@ def stratify_contact(u: GridSolution,
         radii = (radii_ladder(r_hi, 20)[::-1] if r_hi > 0
                  else np.array([]))
         radii = adapter._usable(radii, x0)
-        if radii.size < 6:
+        prof = None
+        if radii.size >= 6:
+            prof = truncated_frequency(zero_obstacle_field(u, xthin), x0,
+                                       params=params, radii=radii, grid=grid)
+        if prof is None or prof.truncation_active.all():
             unresolved.append(xthin)
             rows.append({"x0": xthin, "label": "unresolved",
                          "mu_estimate": None})
             continue
-        target = zero_obstacle_field(u, xthin)
-        try:
-            prof = truncated_frequency(target, x0, params=params,
-                                       radii=radii, grid=grid)
-            mu_est = prof.mu_estimate()
-        except ValueError:
-            unresolved.append(xthin)
-            rows.append({"x0": xthin, "label": "unresolved",
-                         "mu_estimate": None})
-            continue
+        mu_est = prof.mu_estimate()
         dists = [abs(mu_est - f) for f in STRATUM_FREQUENCIES]
         best = int(np.argmin(dists))
         if dists[best] <= 0.1:

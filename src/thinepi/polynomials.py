@@ -59,9 +59,6 @@ class Polynomial:
             out[e] = out.get(e, 0.0) + c
         return Polynomial(self.nvars, out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1.0)
-
     def scale(self, s: float) -> "Polynomial":
         return Polynomial(self.nvars, {e: s * c for e, c in self.coeffs.items()})
 
@@ -108,9 +105,6 @@ class Polynomial:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., nvars)."""
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        if scalar:
-            pts = pts[None, :]
         out = np.zeros(pts.shape[:-1])
         for e, c in self.coeffs.items():
             term = np.full(pts.shape[:-1], c)
@@ -118,7 +112,7 @@ class Polynomial:
                 if k:
                     term = term * pts[..., v] ** k
             out += term
-        return out[0] if scalar else out
+        return out
 
     def gradient(self) -> list["Polynomial"]:
         return [self.diff(v) for v in range(self.nvars)]

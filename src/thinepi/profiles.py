@@ -66,8 +66,6 @@ class BlowupProfile:
     p0: Polynomial                 # n variables, degree 2m, >= 0 on the plane
     p1: Polynomial                 # n+1 variables, degree 2m-2 (zero if m=0)
     normalization: float = 1.0
-    _traces: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @property
     def homogeneity(self) -> float:
@@ -82,30 +80,14 @@ class BlowupProfile:
         return body.scale(-self.normalization)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        if scalar:
-            pts = pts[None, :]
-        folded = pts.copy()
+        folded = np.array(points, dtype=float)
         folded[..., -1] = np.abs(folded[..., -1])
-        out = self.upper_polynomial()(folded)
-        return out[0] if scalar else out
+        return self.upper_polynomial()(folded)
 
     def trace_on(self, grid: SphereGrid) -> np.ndarray:
         if grid.n != self.n:
             raise ValueError(f"grid dimension {grid.n} != profile dimension {self.n}")
         return self(grid.nodes)
-
-    def shared_trace_on(self, grid: SphereGrid) -> np.ndarray:
-        """``trace_on(grid)``, evaluated once per grid and then shared as a
-        read-only array; the profile must not change after the first call."""
-        hit = self._traces.get(id(grid))
-        if hit is None:
-            values = self.trace_on(grid)
-            values.flags.writeable = False
-            # The entry holds the grid, so its id cannot be reused meanwhile.
-            hit = self._traces[id(grid)] = (grid, values)
-        return hit[1]
 
     def trace_gradient_on(self, grid: SphereGrid) -> np.ndarray:
         """Tangential gradient of the sphere trace, upper one-sided at the
@@ -135,24 +117,18 @@ def default_slope(m: int, n: int) -> Polynomial:
 def make_profile(m: int, n: int, coefficients=None, normalize: bool = True) -> BlowupProfile:
     """Build and validate a profile from slope data.
 
-    ``coefficients`` may be None (default family), a Polynomial p0 in n
-    variables, or a dict with keys "p0" and optionally "p1" mapping exponent
-    tuples to floats.  An explicit p1 is cross-checked against the one forced
-    by harmonicity.
+    ``coefficients`` is the slope factor p0, a Polynomial in n variables
+    homogeneous of degree 2m, or None for the default family
+    (``default_slope``); p1 is the one forced by harmonicity.  An m whose
+    harmonic extension overflows a float raises ValueError.
     """
     if m < 0 or n not in (1, 2):
         raise ValueError(f"need m >= 0 and n in {{1,2}}, got m={m}, n={n}")
-    given_p1 = None
-    if coefficients is None:
-        p0 = default_slope(m, n)
-    elif isinstance(coefficients, Polynomial):
-        p0 = coefficients
-    else:
-        p0 = Polynomial(n, {tuple(e): float(c) for e, c in dict(coefficients["p0"]).items()})
-        if "p1" in coefficients and coefficients["p1"] is not None:
-            given_p1 = Polynomial(
-                n + 1, {tuple(e): float(c) for e, c in dict(coefficients["p1"]).items()})
-
+    # The extension divides by (2m+1)!, and 170! is the last finite float.
+    if 2 * m + 1 > 170:
+        raise ValueError(f"m={m} is too large: the harmonic extension "
+                         f"divides by (2m+1)!, which overflows a float")
+    p0 = default_slope(m, n) if coefficients is None else coefficients
     if p0.is_zero():
         raise ValueError("slope factor p0 must be nonzero")
     degrees = {sum(e) for e in p0.coeffs}
@@ -163,14 +139,6 @@ def make_profile(m: int, n: int, coefficients=None, normalize: bool = True) -> B
     report = verify_admissible(profile)
     if not report.passed:
         raise ValueError(f"profile is not admissible: {report.failures()}")
-
-    if given_p1 is not None:
-        diff = given_p1 - profile.p1
-        scale = max((abs(c) for c in profile.p1.coeffs.values()), default=1.0)
-        if any(abs(c) > 1e-10 * max(scale, 1.0) for c in diff.coeffs.values()):
-            raise ValueError(
-                "given p1 does not match the harmonic extension forced by p0; "
-                f"expected {profile.p1}, got {given_p1}")
 
     if normalize:
         profile.normalization = 1.0 / profile.trace_norm_exact()
@@ -329,14 +297,10 @@ class HalfspaceSolution2D:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        if scalar:
-            pts = pts[None, :]
         r = np.hypot(pts[..., 0], pts[..., 1])
         th = np.arctan2(np.abs(pts[..., 1]), pts[..., 0])
         with np.errstate(invalid="ignore"):
-            out = np.where(r > 0.0, r**self.mu * self.trace(th), 0.0)
-        return out[0] if scalar else out
+            return np.where(r > 0.0, r**self.mu * self.trace(th), 0.0)
 
 
 def _circle_angles(grid: SphereGrid) -> np.ndarray:

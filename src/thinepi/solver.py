@@ -63,19 +63,15 @@ class Mode2D:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        if scalar:
-            pts = pts[None, :]
         r = np.hypot(pts[..., 0], pts[..., 1])
         th = np.arctan2(np.abs(pts[..., 1]), pts[..., 0])
         with np.errstate(invalid="ignore"):
-            out = np.where(
+            return np.where(
                 r > 0.0,
                 self.amplitude * r ** self.power * np.sin(self.j * th)
                 / math.sqrt(math.pi),
                 0.0,
             )
-        return out[0] if scalar else out
 
 
 class _SumField:
@@ -113,8 +109,10 @@ def make_field(config, nvars: int):
     descriptor, a JSON object with a ``kind``: zero, constant {value} and
     polynomial {coeffs}, which build a Polynomial; profile {m, n = nvars-1};
     halfspace {mu} and mode {j, power, amplitude}, on R^2; sum {terms} and
-    scaled {factor, of}.  A malformed descriptor raises ValueError naming
-    the key at fault and the nested descriptor (``terms[i]``, ``of``)."""
+    scaled {factor, of}.  Numeric keys take no bool, and m, n and j take
+    integers (an integral float counts).  A malformed descriptor raises
+    ValueError naming the key at fault and the nested descriptor
+    (``terms[i]``, ``of``)."""
     if not isinstance(config, dict):
         raise ValueError(
             f"a field descriptor is an object with a 'kind', got {config!r}")
@@ -126,10 +124,15 @@ def make_field(config, nvars: int):
     if missing:
         raise ValueError(f"kind {kind!r} needs key(s) {missing}")
     for key in ("value", "m", "n", "mu", "j", "power", "amplitude", "factor"):
-        if not isinstance(config.get(key, 0), numbers.Real):
-            raise ValueError(f"key {key!r} must be a number, got {config[key]!r}")
-    dimension = {"profile": config.get("n", nvars - 1) + 1, "halfspace": 2,
-                 "mode": 2}.get(kind, nvars)
+        value = config.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"key {key!r} must be a number, got {value!r}")
+        if key in ("m", "n", "j") and not (
+                isinstance(value, numbers.Integral)
+                or isinstance(value, float) and value.is_integer()):
+            raise ValueError(f"key {key!r} must be an integer, got {value!r}")
+    dimension = {"profile": int(config.get("n", nvars - 1)) + 1,
+                 "halfspace": 2, "mode": 2}.get(kind, nvars)
     if dimension != nvars:
         raise ValueError(f"kind {kind!r} is a field on R^{dimension}, "
                          f"not on R^{nvars}")
@@ -144,7 +147,7 @@ def make_field(config, nvars: int):
                              f"pairs with exponent lists of length {nvars}, "
                              f"got {config['coeffs']!r}") from None
     if kind == "profile":
-        return make_profile(config["m"], nvars - 1)
+        return make_profile(int(config["m"]), nvars - 1)
     if kind == "halfspace":
         return halfspace_2d(config["mu"])
     if kind == "mode":
@@ -294,8 +297,7 @@ class GridSolution:
         for start in range(0, rows.shape[0], _READ_BLOCK):
             block = slice(start, start + _READ_BLOCK)
             out[block] = _multilinear(self.values, self.h, rows[block])
-        out = out.reshape(pts.shape[:-1])
-        return out[()] if pts.ndim == 1 else out
+        return out.reshape(pts.shape[:-1])
 
     def max_error_vs(self, exact) -> float:
         """Sup-norm against a callable over the free (non-frozen) nodes."""

@@ -10,7 +10,9 @@ each other:
   and exact L^2 normalizations;
 * discrete bases — generalized eigenproblems for the even-reduced
   finite-difference operator on the circle or the cotangent-weight operator
-  on the triangulated sphere, with masked nodes eliminated by block reduction.
+  on the triangulated sphere, with masked nodes eliminated by block reduction,
+  solved by shift-invert ARPACK (``scipy.sparse.linalg.eigsh``) at every
+  size, so a basis has fewer modes than the reduced problem has unknowns.
 
 Discrete results can be cached on disk keyed by (dimension, grid kind,
 resolution, mask hash, mode count); the cache directory is taken from the
@@ -33,7 +35,6 @@ from .grids import SphereGrid, _corner_edges, _cross
 from .polynomials import Polynomial, monomials_of_degree, odd_harmonic_extension
 
 SQRT_PI = float(np.sqrt(np.pi))
-DENSE_EIG_LIMIT = 2500
 EIG_TOL = 1e-10
 TIE_TOL = 1e-9
 
@@ -80,13 +81,10 @@ class EigenBasis:
     mask: np.ndarray               # sorted grid-node indices forced to zero
     lambdas: np.ndarray            # (count,) nondecreasing
     values: np.ndarray             # (N, count)
-    source: str = "discrete"       # "discrete" or "analytic"
     degrees: np.ndarray | None = None      # per-mode homogeneity (analytic)
     grads: np.ndarray | None = None        # (count, N, n+1), analytic
     equator_dn: np.ndarray | None = None   # (count, n_equator)
     polys: list = field(default_factory=list, repr=False)  # n=2 analytic
-    _mass_rows: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @property
     def count(self) -> int:
@@ -94,14 +92,8 @@ class EigenBasis:
 
     def mass_rows(self, k: int) -> np.ndarray:
         """Rows ``values[:, :k].T * grid.weights``, whose products with node
-        values are quadrature inner products with the first k modes.  Built
-        once per k and shared read-only; ``values`` must not change after."""
-        rows = self._mass_rows.get(k)
-        if rows is None:
-            rows = self.values[:, :k].T * self.grid.weights
-            rows.flags.writeable = False
-            self._mass_rows[k] = rows
-        return rows
+        values are quadrature inner products with the first k modes."""
+        return self.values[:, :k].T * self.grid.weights
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return self.values @ np.asarray(coeffs, dtype=float)
@@ -171,7 +163,7 @@ def _circle_analytic_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     values[grid.equator, :] = 0.0  # sin(j*0), sin(j*pi): pin exactly
     return EigenBasis(
         grid=grid, mask=np.array(grid.equator, dtype=int),
-        lambdas=np.array(lams), values=values, source="analytic",
+        lambdas=np.array(lams), values=values,
         degrees=np.array(degs),
         grads=np.stack(dcols)[:, :, None] * grid.folded_tangents,
         equator_dn=np.array(eq_dn),
@@ -206,7 +198,7 @@ def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     values[grid.equator, :] = 0.0
     return EigenBasis(
         grid=grid, mask=np.array(sorted(grid.equator), dtype=int),
-        lambdas=np.array(lams), values=values, source="analytic",
+        lambdas=np.array(lams), values=values,
         degrees=np.array(degs), grads=np.stack(grads_list),
         equator_dn=np.array(eq_dn_rows), polys=polys,
     )
@@ -298,22 +290,23 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
 
     ``mask`` is a set of grid node indices contained in the equator (it may be
     empty or the whole equator).  Masked rows are eliminated by reduction to
-    the unmasked block, so eigenfunctions vanish there exactly.
+    the unmasked block, so eigenfunctions vanish there exactly.  ARPACK
+    solves the block, so ``count`` must be less than its number of unknowns.
     """
     mask = np.array(sorted(int(i) for i in np.asarray(mask, dtype=int).ravel()), dtype=int)
     if mask.size and not np.isin(mask, grid.equator).all():
         raise ValueError("mask must be a subset of the equator nodes")
     rep, red_index = _representatives(grid)
     nred = int(red_index.max()) + 1
-    if count > nred - mask.size:
+    if count >= nred - mask.size:
         raise ValueError(
-            f"requested {count} modes but only {nred - mask.size} unknowns remain")
+            f"requested {count} modes but only {nred - mask.size} unknowns "
+            f"remain; ARPACK needs fewer modes than unknowns")
 
     cached = _cache_load(grid, mask, count, cache_dir)
     if cached is not None:
         return cached
 
-    import scipy.linalg
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -325,20 +318,15 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
     A = sp.diags(scale) @ Kb @ sp.diags(scale)
     A = 0.5 * (A + A.T)
 
-    if keep.size <= DENSE_EIG_LIMIT:
-        lam, vec = scipy.linalg.eigh(A.toarray())
-        lam, vec = lam[:count], vec[:, :count]
-    else:
-        try:
-            # A fixed start vector makes ARPACK deterministic, so the
-            # rotation it returns inside a degenerate eigenspace repeats.
-            lam, vec = spla.eigsh(A.tocsc(), k=count, sigma=-0.5, which="LM",
-                                  tol=EIG_TOL, v0=np.ones(keep.size))
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-        order = np.argsort(lam)
-        lam, vec = lam[order], vec[:, order]
-    lam = lam.copy()
+    try:
+        # A fixed start vector makes ARPACK deterministic, so the rotation
+        # it returns inside a degenerate eigenspace repeats.
+        lam, vec = spla.eigsh(A.tocsc(), k=count, sigma=-0.5, which="LM",
+                              tol=EIG_TOL, v0=np.ones(keep.size))
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    order = np.argsort(lam)
+    lam, vec = lam[order], vec[:, order]
     lam[np.abs(lam) < 1e-9] = 0.0  # clamp roundoff around the constant mode
 
     # Undo the diagonal similarity, embed zeros at masked unknowns, expand to
@@ -351,8 +339,7 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
 
     full, lam = _fix_order_and_signs(full, lam)
     basis = EigenBasis(
-        grid=grid, mask=mask, lambdas=lam, values=full, source="discrete",
-    )
+        grid=grid, mask=mask, lambdas=lam, values=full)
     _cache_store(basis, cache_dir)
     return basis
 
@@ -390,7 +377,7 @@ def _fix_order_and_signs(values: np.ndarray, lam: np.ndarray):
 # ---------------------------------------------------------------------------
 
 CACHE_ENV = "THIN_EPI_CACHE"
-CACHE_VERSION = "v2"
+CACHE_VERSION = "v3"            # v2 held dense-solver bases of small grids
 CACHE_ORTHO_TOL = 1e-8          # stored bases are orthonormal to ~1e-14
 
 
@@ -427,8 +414,7 @@ def _cache_load(grid, mask, count, cache_dir):
     if (not np.array_equal(stored_mask, mask) or lambdas.shape != (count,)
             or values.shape != (grid.size, count)):
         return None
-    basis = EigenBasis(grid=grid, mask=mask, lambdas=lambdas, values=values,
-                       source="discrete")
+    basis = EigenBasis(grid=grid, mask=mask, lambdas=lambdas, values=values)
     if basis.orthonormality_defect() > CACHE_ORTHO_TOL:
         return None
     return basis

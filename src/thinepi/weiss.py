@@ -113,20 +113,14 @@ def bilinear_rows(columns: TraceColumns, mu: float, left, right) -> np.ndarray:
 # Spectral route
 # ---------------------------------------------------------------------------
 
-def _per_row(total):
-    """A reduction over the last axis: a float for one coefficient vector,
-    an array for a block of coefficient rows."""
-    return float(total) if np.ndim(total) == 0 else total
-
-
 def weiss_spectral(coeffs, basis: EigenBasis, mu: float):
     """W_mu of the mu-homogeneous extension of sum_j c_j phi_j; a (T, k)
     block of coefficient rows gives one value per row."""
     c = np.asarray(coeffs, dtype=float)
     n = basis.grid.n
     lam = basis.lambdas[:c.shape[-1]]
-    return _per_row(np.sum((lam - lambda_of(mu, n)) * c * c, axis=-1)
-                    / (n + 2.0 * mu - 1.0))
+    return (np.sum((lam - lambda_of(mu, n)) * c * c, axis=-1)
+            / (n + 2.0 * mu - 1.0))
 
 
 @dataclass
@@ -153,12 +147,11 @@ def weiss_raised(coeffs, basis: EigenBasis, mu: float, alpha) -> RaisedWeissRepo
     n = basis.grid.n
     lam = basis.lambdas[:c.shape[-1]]
     a = np.asarray(alpha, dtype=float)[..., None]
-    value = _per_row(np.sum(c * c * ((a ** 2 + lam) / (n + 2.0 * a - 1.0) - mu),
-                            axis=-1))
+    value = np.sum(c * c * ((a ** 2 + lam) / (n + 2.0 * a - 1.0) - mu), axis=-1)
     base = weiss_spectral(c, basis, mu)
     kap = kappa(alpha, mu, n)
-    residual = _per_row(kap / (n + 2.0 * alpha - 1.0)
-                        * np.sum((lambda_of(a, n) - lam) * c * c, axis=-1))
+    residual = (kap / (n + 2.0 * alpha - 1.0)
+                * np.sum((lambda_of(a, n) - lam) * c * c, axis=-1))
     return RaisedWeissReport(value=value, base_value=base, kappa=kap,
                              residual=residual, alpha=alpha, mu=mu)
 

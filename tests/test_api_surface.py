@@ -59,8 +59,6 @@ NOT_RUN = {
     "profiles.HalfspaceSolution2D.trace_on": _ORACLE,
     "profiles.HalfspaceSolution2D.trace_gradient_on": _ORACLE,
     "profiles._circle_angles": _ORACLE,
-    "polynomials.Polynomial.__sub__":
-        "checks custom slope data (make_profile's coefficients p1)",
     "polynomials.Polynomial.__repr__":
         "display of polynomials in sessions and test failure messages",
     "polynomials.Polynomial.__repr__.<locals>.<lambda>":

@@ -547,9 +547,16 @@ _HALF = {"kind": "halfspace", "mu": 1.5}
     ({"boundary": {"kind": "profile", "m": 0, "n": 2}},
      ["boundary", "'profile'", "R^3"]),
     ({"dimension": 3, "h": 1 / 16}, ["boundary", "'halfspace'", "R^2"]),
+    ({"boundary": {"kind": "mode", "j": 2.5, "power": 2}},
+     ["boundary", "'j'", "integer", "2.5"]),
+    ({"boundary": {"kind": "profile", "m": True}},
+     ["boundary", "'m'", "True"]),
+    ({"boundary": {"kind": "halfspace", "mu": True}},
+     ["boundary", "'mu'", "True"]),
 ], ids=["missing-key", "string", "nested", "bad-value", "halfspace-obstacle",
         "rhs", "null-boundary", "profile-of-other-dimension",
-        "halfspace-in-3d"])
+        "halfspace-in-3d", "fractional-mode-index", "bool-profile-m",
+        "bool-halfspace-mu"])
 def test_main_bad_problem_config_exits_two(tmp_path, capsys, problem, named):
     # A malformed or unsupported problem is an input error, exit 2, whose
     # message names the field and the key or value at fault.
@@ -562,6 +569,15 @@ def test_main_bad_problem_config_exits_two(tmp_path, capsys, problem, named):
     err = capsys.readouterr().err
     assert code == 2
     assert all(name in err for name in named), err
+
+
+def test_main_epi_check_refuses_an_m_past_float_range(tmp_path, capsys):
+    # The harmonic extension divides by (2m+1)!, which overflows a float.
+    code = main(["epi-check", "--m", "100", "--trials", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert ("error: epi-check run failed: m=100 is too large"
+            in capsys.readouterr().err)
 
 
 def test_main_solve_prints_the_certified_kkt_residual(tmp_path, capsys):

@@ -678,6 +678,14 @@ def test_zdelta_radius_guard(sol_half64, p01):
         vanishing_on_Zdelta_check(sol_half64, 0.8, p01, 0.4)
 
 
+def test_zdelta_refuses_an_annulus_it_cannot_read_whole(sol_half64, p01):
+    # The hypothesis is a sup over the annulus (1/4, 3/2): an r whose 1.5 r
+    # passes the read limit 1 - 3h is refused, not read over fewer shells.
+    r = (1.0 - 3.0 / 64) / 1.3
+    with pytest.raises(ValueError, match=f"needs radius {1.5 * r}"):
+        vanishing_on_Zdelta_check(sol_half64, r, p01, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # sup-vs-L2 interpolation constant
 # ---------------------------------------------------------------------------
@@ -727,6 +735,29 @@ def test_stratify_half_solution_origin_and_interior(sol_half64):
     interior = [r for r in rep.rows if -0.6 < r["x0"][0] < -0.2]
     assert interior
     assert all(r["label"] == 1.0 for r in interior)
+
+
+def test_stratify_leaves_unresolved_only_where_truncation_is_everywhere(
+        monkeypatch):
+    sol = solve_thin_obstacle(case_spec("halfspace", 32))
+
+    def out_of_bounds(adapter, x0, radii, grid):
+        raise ValueError("a point outside the lattice was read")
+
+    # an error of the ladder itself propagates
+    monkeypatch.setattr(frequency, "_surface_moments", out_of_bounds)
+    with pytest.raises(ValueError, match="outside the lattice"):
+        stratify_contact(sol)
+
+    def below_floor(adapter, x0, radii, grid):
+        return np.zeros(len(radii)), np.zeros((len(radii), grid.size))
+
+    # H under the power floor at every rung: no reliable radius is left
+    monkeypatch.setattr(frequency, "_surface_moments", below_floor)
+    report = stratify_contact(sol)
+    assert report.rows
+    assert all(row["label"] == "unresolved" for row in report.rows)
+    assert len(report.unresolved) == len(report.rows)
 
 
 @pytest.mark.parametrize("max_points", [0, -3])

@@ -18,7 +18,7 @@ from thinepi.polynomials import (
 def test_basic_algebra_and_evaluation():
     x = Polynomial.monomial(2, (1, 0))
     y = Polynomial.monomial(2, (0, 1))
-    p = (x * x + y * y.scale(3.0)) - Polynomial.constant(2, 2.0)
+    p = (x * x + y * y.scale(3.0)) + Polynomial.constant(2, 2.0).scale(-1.0)
     pts = np.array([[1.0, 2.0], [0.0, -1.0]])
     assert np.allclose(p(pts), [1.0 + 12.0 - 2.0, 3.0 - 2.0])
     assert p.diff(0).coeffs == {(1, 0): 2.0}
@@ -64,7 +64,8 @@ def test_odd_extension_is_harmonic_and_odd(deg, nvars):
     # slope at t=0 is q
     slope = P.diff(nvars)
     on_plane = Polynomial(nvars + 1, {e: c for e, c in slope.coeffs.items() if e[-1] == 0})
-    assert (on_plane - q.lift(nvars + 1)).is_zero(tol=1e-12 * max(scale, 1.0))
+    assert (on_plane + q.lift(nvars + 1).scale(-1.0)).is_zero(
+        tol=1e-12 * max(scale, 1.0))
 
 
 def test_even_extension_restricts_to_q():

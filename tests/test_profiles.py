@@ -32,8 +32,9 @@ def test_make_profile_m0_n1_normalization():
 
 
 def test_make_profile_m1_n1_matches_cubic_family():
-    p = make_profile(1, 1, {"p0": {(2,): 3.0}, "p1": {(0, 0): -1.0}})
+    p = make_profile(1, 1, Polynomial.monomial(1, (2,), 3.0))
     # -|x2|(3x1^2 - x2^2), normalized by 1/sqrt(pi)
+    assert p.p1.coeffs == {(0, 0): -1.0}
     s = 1 / np.sqrt(np.pi)
     pt = np.array([0.5, 0.25])
     expect = -0.25 * (3 * 0.25 - 0.0625) * s
@@ -41,19 +42,24 @@ def test_make_profile_m1_n1_matches_cubic_family():
     assert np.isclose(p.normalization, s)
 
 
-def test_make_profile_detects_bad_p1():
-    with pytest.raises(ValueError, match="p1"):
-        make_profile(1, 1, {"p0": {(2,): 3.0}, "p1": {(0, 0): 0.0}})
-
-
 def test_make_profile_rejects_sign_violation():
     with pytest.raises(ValueError, match="admissible"):
-        make_profile(0, 1, {"p0": {(0,): -1.0}})
+        make_profile(0, 1, Polynomial.constant(1, -1.0))
 
 
 def test_make_profile_rejects_inhomogeneous_p0():
     with pytest.raises(ValueError, match="homogeneous"):
-        make_profile(1, 1, {"p0": {(2,): 1.0, (1,): 1.0}})
+        make_profile(1, 1, Polynomial(1, {(2,): 1.0, (1,): 1.0}))
+
+
+def test_make_profile_refuses_an_m_whose_extension_overflows():
+    # The extension divides by (2m+1)!; 171! is past the largest float, so
+    # m = 85 is the first m refused, by name, for either n.
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="m=85 is too large"):
+            make_profile(85, n)
+    with pytest.raises(ValueError, match="m=1000000000 is too large"):
+        make_profile(10 ** 9, 2)
 
 
 def test_default_m1_n2_profile_is_admissible():
@@ -133,20 +139,6 @@ def test_profile_trace_in_top_eigenspace():
         recon = basis.values[:, top] @ coeffs[top]
         err = np.sqrt(grid.inner(tr - recon, tr - recon))
         assert err < 1e-8, f"(m={m}, n={n}): residual {err:.2e}"
-
-
-def test_shared_trace_is_per_grid_and_read_only():
-    p = make_profile(1, 2)
-    grids = (build_grid(2, 24, kind="latlong"), build_grid(2, 32),
-             build_grid(2, 48, kind="latlong"))
-    shared = [p.shared_trace_on(g) for g in grids]
-    for g, tr in zip(grids, shared):
-        fresh = p.trace_on(g)
-        assert tr.dtype == fresh.dtype and tr.tobytes() == fresh.tobytes()
-        assert p.shared_trace_on(g) is tr
-        with pytest.raises(ValueError):
-            tr[0] = 0.0
-    assert len({tr.size for tr in shared}) == len(grids)
 
 
 def test_trace_gradient_tangential_and_even_norm():

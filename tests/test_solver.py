@@ -131,6 +131,28 @@ def test_make_field_kinds():
     assert mode(np.array([0.5, 0.0])) == 0.0                     # thin line
 
 
+def test_make_field_integer_keys():
+    # An integral float reads as its integer; a fraction, or a bool for
+    # any numeric key, is refused by name.
+    pt = np.array([[0.6, 0.35]])
+    mode = make_field({"kind": "mode", "j": 2.0, "power": 1.5}, 2)
+    assert mode(pt) == Mode2D(j=2, power=1.5)(pt)
+    assert make_field({"kind": "profile", "m": 1.0}, 2)(pt) == \
+        make_profile(1, 1)(pt)
+    for config, key in (({"kind": "mode", "j": 2.5, "power": 2}, "'j'"),
+                        ({"kind": "profile", "m": 0.5}, "'m'"),
+                        ({"kind": "profile", "m": 0, "n": 1.5}, "'n'")):
+        with pytest.raises(ValueError, match=f"key {key} must be an integer"):
+            make_field(config, 2)
+    for config, key in (({"kind": "profile", "m": True}, "'m'"),
+                        ({"kind": "halfspace", "mu": True}, "'mu'"),
+                        ({"kind": "constant", "value": False}, "'value'")):
+        with pytest.raises(ValueError, match=f"key {key} must be a number"):
+            make_field(config, 2)
+    with pytest.raises(ValueError, match="m=1000000000 is too large"):
+        make_field({"kind": "profile", "m": 1e9}, 2)
+
+
 # ---------------------------------------------------------------------------
 # Oracle solves
 # ---------------------------------------------------------------------------
