@@ -183,7 +183,7 @@ def zero_set(p: BlowupProfile, delta: float, grid: SphereGrid) -> np.ndarray:
 
 @dataclass
 class AdmissibilityReport:
-    harmonic_residual: float       # max |Lap p| off the plane (exact poly calculus)
+    harmonic_residual: float       # max |Lap p| off the plane over its terms' scale
     jump_sign_min: float           # min of p0 over sampled thin-plane directions
     euler_residual: float          # max |grad p . x - (2m+1) p| at samples
     parity_residual: float         # max |p(x', t) - p(x', -t)| at samples
@@ -226,7 +226,11 @@ def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.uniform(0.1, 1.0, size=(ADMISSIBILITY_SAMPLES, 1))
 
-    harm = float(np.max(np.abs(lap(pts)))) if lap.coeffs else 0.0
+    # Lap P sums terms that cancel; the Laplacian of P with absolute
+    # coefficients, at |x|, sums their magnitudes, the scale of its roundoff.
+    terms = Polynomial(P.nvars, {e: abs(c) for e, c in P.coeffs.items()}).laplacian()
+    harm = (float(np.max(np.abs(lap(pts))) / np.max(terms(np.abs(pts))))
+            if lap.coeffs else 0.0)
 
     thin_dirs = rng.standard_normal((ADMISSIBILITY_SAMPLES, p.n))
     thin_dirs /= np.linalg.norm(thin_dirs, axis=1, keepdims=True)
@@ -251,7 +255,7 @@ def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
 
     scale = max(float(np.max(np.abs(vals))), 1.0)
     return AdmissibilityReport(
-        harmonic_residual=harm / scale, jump_sign_min=jump_min,
+        harmonic_residual=harm, jump_sign_min=jump_min,
         euler_residual=euler / scale, parity_residual=parity / scale,
         plane_residual=plane / scale,
     )

@@ -13,6 +13,10 @@ each other:
   on the triangulated sphere, with masked nodes eliminated by block reduction,
   solved by shift-invert ARPACK (``scipy.sparse.linalg.eigsh``) at every
   size, so a basis has fewer modes than the reduced problem has unknowns.
+  On the sphere, a mask that the mirrors x -> -x and y -> -y keep splits
+  the problem into their four sign sectors, solved one at a time: smaller
+  factors, and the copies of a degenerate eigenvalue that the mirrors tell
+  apart come from different sectors, so the lowest modes hold every copy.
 
 Discrete results can be cached on disk keyed by (dimension, grid kind,
 resolution, mask hash, mode count); the cache directory is taken from the
@@ -290,8 +294,13 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
 
     ``mask`` is a set of grid node indices contained in the equator (it may be
     empty or the whole equator).  Masked rows are eliminated by reduction to
-    the unmasked block, so eigenfunctions vanish there exactly.  ARPACK
-    solves the block, so ``count`` must be less than its number of unknowns.
+    the unmasked block, so eigenfunctions vanish there exactly.  On the
+    triangulated sphere with a mask that the mirrors x -> -x and y -> -y
+    send to itself, the block splits into four sign sectors of these
+    mirrors (``_blocks``); ARPACK solves each sector for ``count`` modes,
+    and the lowest ``count`` of them are kept.  Otherwise, or when a sector
+    has at most ``count`` unknowns, ARPACK solves the one block, so
+    ``count`` must be less than its number of unknowns.
     """
     mask = np.array(sorted(int(i) for i in np.asarray(mask, dtype=int).ravel()), dtype=int)
     if mask.size and not np.isin(mask, grid.equator).all():
@@ -307,32 +316,20 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
     if cached is not None:
         return cached
 
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     K, m = _reduced_operator(grid, rep, red_index)
-    keep = np.setdiff1d(np.arange(nred), red_index[mask])
-    Kb = K[keep][:, keep]
-    mb = m[keep]
-    scale = 1.0 / np.sqrt(mb)
-    A = sp.diags(scale) @ Kb @ sp.diags(scale)
-    A = 0.5 * (A + A.T)
-
-    try:
-        # A fixed start vector makes ARPACK deterministic, so the rotation
-        # it returns inside a degenerate eigenspace repeats.
-        lam, vec = spla.eigsh(A.tocsc(), k=count, sigma=-0.5, which="LM",
-                              tol=EIG_TOL, v0=np.ones(keep.size))
-    except spla.ArpackNoConvergence as exc:
-        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(lam)
-    lam, vec = lam[order], vec[:, order]
+    lams, modes = [], []
+    for P in _blocks(grid, red_index, mask, count):
+        # A sector column's mass sums the masses of its orbit.
+        lam, vec = _lowest_modes(P.T @ K @ P, abs(P).T @ m, count)
+        lams.append(lam)
+        modes.append(P @ vec)
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")[:count]
+    lam, red_vals = lam[order], np.hstack(modes).take(order, axis=1)
     lam[np.abs(lam) < 1e-9] = 0.0  # clamp roundoff around the constant mode
 
-    # Undo the diagonal similarity, embed zeros at masked unknowns, expand to
-    # the full grid through the reflection representative map.
-    red_vals = np.zeros((nred, count))
-    red_vals[keep, :] = scale[:, None] * vec
+    # Normalize, then expand to the full grid through the reflection
+    # representative map.
     norms = np.sqrt(np.einsum("i,ik->k", m, red_vals**2))
     red_vals /= norms
     full = red_vals[red_index[rep], :]
@@ -342,6 +339,85 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
         grid=grid, mask=mask, lambdas=lam, values=full)
     _cache_store(basis, cache_dir)
     return basis
+
+
+def _blocks(grid: SphereGrid, red_index, mask, count: int) -> list:
+    """Sparse (reduced unknowns, block unknowns) matrices P, one per block
+    that ARPACK solves; a mode y of P^T K P maps to the mode P y.
+
+    On the triangulated sphere with a mask that the mirrors x -> -x and
+    y -> -y keep, these are the four sign sectors (sx, sy) of the mirrors:
+    a sector's column holds, at each node of one orbit of the mirrors,
+    sx^a sy^b for the mirror x^a y^b that maps the orbit's representative
+    there.  A node that a mirror of sign -1 fixes (x = 0 for sx = -1,
+    y = 0 for sy = -1) vanishes in that sector and is eliminated like a
+    masked node.  Otherwise, or when a sector has at most ``count``
+    unknowns, the one block of unmasked unknowns.
+    """
+    import scipy.sparse as sp
+
+    nred = int(red_index.max()) + 1
+    index = np.arange(nred)
+    free = np.ones(nred, dtype=bool)
+    free[red_index[mask]] = False
+
+    def block(alive, orbit, sign):
+        reps, column = np.unique(orbit[alive], return_inverse=True)
+        return sp.csr_matrix((sign[alive], (index[alive], column)),
+                             shape=(nred, reps.size))
+
+    single = [block(free, index, np.ones(nred))]
+    if grid.n == 1:
+        return single
+    upper = grid.nodes[red_index >= 0]   # in reduced-index order
+    mx, my = _mirror(upper, 0), _mirror(upper, 1)
+    if (mx is None or my is None
+            or (free[mx] != free).any() or (free[my] != free).any()):
+        return single
+    orbit = np.minimum.reduce([index, mx, my, mx[my]])
+    sectors = []
+    for sx, sy in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        alive = free & ~((sx < 0) & (mx == index)) & ~((sy < 0) & (my == index))
+        sign = np.select([index == orbit, mx == orbit, my == orbit],
+                         [1.0, sx, sy], sx * sy)
+        sectors.append(block(alive, orbit, sign))
+        if sectors[-1].shape[1] <= count:
+            return single
+    return sectors
+
+
+def _mirror(points: np.ndarray, axis: int):
+    """Index map of the reflection of coordinate ``axis`` on ``points``:
+    ``points[perm]`` equals ``points`` with that coordinate negated, or
+    None when the point set is not exactly symmetric."""
+    flipped = points.copy()
+    flipped[:, axis] = -flipped[:, axis]
+    ours, theirs = np.lexsort(points.T[::-1]), np.lexsort(flipped.T[::-1])
+    if not np.array_equal(points[ours], flipped[theirs]):
+        return None
+    perm = np.empty(points.shape[0], dtype=np.intp)
+    perm[theirs] = ours
+    return perm
+
+
+def _lowest_modes(K, m: np.ndarray, count: int):
+    """The ``count`` lowest eigenpairs (ascending) of K y = lambda diag(m) y,
+    by shift-invert ARPACK on the symmetric form D K D, D = diag(m)^-1/2."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    scale = 1.0 / np.sqrt(m)
+    A = sp.diags(scale) @ K @ sp.diags(scale)
+    A = 0.5 * (A + A.T)
+    try:
+        # A fixed start vector makes ARPACK deterministic, so the rotation
+        # it returns inside a degenerate eigenspace repeats.
+        lam, vec = spla.eigsh(A.tocsc(), k=count, sigma=-0.5, which="LM",
+                              tol=EIG_TOL, v0=np.ones(m.size))
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
+    order = np.argsort(lam)
+    return lam[order], scale[:, None] * vec[:, order]
 
 
 def _fix_order_and_signs(values: np.ndarray, lam: np.ndarray):
@@ -377,7 +453,7 @@ def _fix_order_and_signs(values: np.ndarray, lam: np.ndarray):
 # ---------------------------------------------------------------------------
 
 CACHE_ENV = "THIN_EPI_CACHE"
-CACHE_VERSION = "v3"            # v2 held dense-solver bases of small grids
+CACHE_VERSION = "v4"            # v3 held one-block bases of mirror-invariant masks
 CACHE_ORTHO_TOL = 1e-8          # stored bases are orthonormal to ~1e-14
 
 

@@ -87,6 +87,21 @@ def test_verify_admissible_reports_failures_without_raising():
     assert any("harmonic" in f for f in report2.failures())
 
 
+@pytest.mark.parametrize("m, n", [(18, 1), (22, 2)])
+def test_default_profiles_past_the_roundoff_of_their_terms(m, n):
+    # The first m of each n whose Laplacian, a sum of terms far larger than
+    # p that cancel, read as "not harmonic" when its roundoff was measured
+    # against max(max |p|, 1).
+    p = make_profile(m, n)
+    assert verify_admissible(p).harmonic_residual < 1e-14
+    # The largest coefficient of p1 off by a relative 1e-4 is not harmonic.
+    e, c = max(p.p1.coeffs.items(), key=lambda item: abs(item[1]))
+    off = Polynomial(n + 1, {**p.p1.coeffs, e: c * (1.0 + 1e-4)})
+    report = verify_admissible(BlowupProfile(m=m, n=n, p0=p.p0, p1=off))
+    assert not report.passed
+    assert any("harmonic" in f for f in report.failures())
+
+
 def test_operator_T_linearity_and_values():
     p = make_profile(0, 1)
     T = operator_T(p)

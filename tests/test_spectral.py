@@ -146,15 +146,86 @@ def test_discrete_tri_sphere_spectrum(tmp_path):
 
 
 def test_iterative_eigenbasis_repeats_bit_for_bit(tmp_path):
-    # ARPACK solves every size; the lambda ~ 6 pair is degenerate, and only
-    # a fixed start vector repeats the rotation returned inside that
-    # eigenspace, on a small grid (1,985 unknowns) as on a large one.
+    # ARPACK solves every size from a fixed start vector, so a fresh solve
+    # repeats its bytes.  With the whole equator masked both grids split
+    # into mirror sectors, and the degenerate lambda ~ 6 pair comes from
+    # two sectors, one mode each, on a small grid as on a large one.
     for res in (64, 256):
         grid = build_grid(2, res)
         a = eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path / f"a{res}")
         b = eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path / f"b{res}")
         assert np.array_equal(a.lambdas, b.lambdas)
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.fixture(scope="module")
+def sphere256(tmp_path_factory):
+    """The 8-mode basis of ``spectral --n 2``: resolution 256, the whole
+    equator masked."""
+    grid = build_grid(2, 256)
+    return eigenbasis(grid, grid.equator, 8,
+                      cache_dir=tmp_path_factory.mktemp("sphere256"))
+
+
+def test_eigenbasis_holds_both_copies_of_a_double_eigenvalue(sphere256):
+    # The operator has 19.969006 twice; one block solved for 8 modes
+    # returned the next eigenvalue 19.975773 in place of the second copy.
+    lam = sphere256.lambdas
+    assert abs(lam[7] - 19.969006) < 1e-6
+    assert abs(lam[7] - lam[6]) <= spectral.TIE_TOL
+    assert np.all(np.diff(lam) >= -spectral.TIE_TOL)
+
+
+def test_sector_modes_are_even_or_odd_under_each_mirror(sphere256):
+    grid, values = sphere256.grid, sphere256.values
+    assert sphere256.orthonormality_defect() < 1e-12
+    assert sphere256.rayleigh_defect() < 1e-10
+    for axis in (0, 1):
+        mirror = spectral._mirror(grid.nodes, axis)
+        flipped = grid.nodes.copy()
+        flipped[:, axis] = -flipped[:, axis]
+        assert np.array_equal(grid.nodes[mirror], flipped)
+        for k in range(sphere256.count):
+            even = np.max(np.abs(values[mirror, k] - values[:, k]))
+            odd = np.max(np.abs(values[mirror, k] + values[:, k]))
+            assert min(even, odd) < 1e-12, (axis, k, even, odd)
+
+
+def _solves(monkeypatch):
+    """A list that records the size of every ARPACK solve."""
+    import scipy.sparse.linalg as spla
+
+    sizes, eigsh = [], spla.eigsh
+
+    def counted(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counted)
+    return sizes
+
+
+def test_sectors_only_for_mirror_invariant_masks_and_large_sectors(
+        tmp_path, monkeypatch):
+    sizes = _solves(monkeypatch)
+    grid = build_grid(2, 64)
+    eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path)
+    assert sizes == [136, 120, 120, 105]   # 481 unknowns in four sectors
+    # No mirror sends the first third of the equator to itself.
+    sizes.clear()
+    third = grid.equator[: grid.equator.size // 3]
+    eigenbasis(grid, third, 8, cache_dir=tmp_path)
+    assert sizes == [545 - third.size]
+    # At resolution 16 a sector would have at most 3 unknowns.
+    sizes.clear()
+    small = build_grid(2, 16)
+    eigenbasis(small, small.equator, 3, cache_dir=tmp_path)
+    assert sizes == [25]
+    # The circle has one block.
+    sizes.clear()
+    circle = build_grid(1, 64)
+    eigenbasis(circle, [], 3, cache_dir=tmp_path)
+    assert sizes == [33]
 
 
 def test_eigenbasis_needs_fewer_modes_than_unknowns(tmp_path):
