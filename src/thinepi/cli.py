@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import CheckResult, RunManifest, hash_files, write_csv
-from .epiperimetric import (EPS, SLACK_FLOOR, adapted_half_basis,
+from .epiperimetric import (EPS, ROUTE_TOL, SLACK_FLOOR, adapted_half_basis,
                             certify_negative, certify_positive, choose_delta,
                             gap_demo, sample_negative_traces,
                             sample_positive_traces)
@@ -327,7 +327,7 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
             CheckResult("energy-window", window_ok,
                         "every base energy in (-0.05, 0)"),
             CheckResult("reports-passed", all(rep.passed for rep in reports),
-                        "all competitor reports passed"),
+                        f"all competitor reports passed, routes within {ROUTE_TOL:g}"),
         ]
     else:
         reports = certify_positive(
@@ -343,8 +343,8 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
         } for trial, rep in enumerate(reports)]
         checks = [
             CheckResult("reports-passed", all(rep.passed for rep in reports),
-                        f"all {trials} competitor reports passed "
-                        f"(m={m}, n={n}, delta={delta:g})"),
+                        f"all {trials} competitor reports passed (m={m}, n={n}, "
+                        f"delta={delta:g}, routes within {ROUTE_TOL:g})"),
         ]
     min_slack = min(rep.slack for rep in reports)
     checks.insert(0, CheckResult("slack-floor", min_slack >= SLACK_FLOOR,

@@ -47,6 +47,7 @@ COND_THRESHOLD = 1e6                  # moment-matrix condition limit
 BISECT_TOL = 1e-12                    # alpha bisection interval tolerance
 EXTRA_MODES = 10                      # tail modes kept beyond the low block
 SLACK_FLOOR = -1e-8                   # numerical tolerance on the decay slack
+ROUTE_TOL = 1e-10                     # largest |spectral - quadrature| energy
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,6 @@ class EpiReport:
     bound: float                      # (1-kappa) W(z)   [or (1+|W|)W(z)]
     slack: float                      # bound - W(zeta), >= 0 up to tolerance
     slack_quad: float
-    profile_energy: float             # W of the low-block extension, <= 0
     slack_predicted: float            # closed-form slack (exact when the
                                       # cross pairings vanish)
     flags: dict
@@ -241,7 +241,8 @@ class EpiReport:
 
     @property
     def passed(self) -> bool:
-        return self.slack >= SLACK_FLOOR and all(self.flags.values())
+        return (self.slack >= SLACK_FLOOR and self.route_discrepancy <= ROUTE_TOL
+                and all(self.flags.values()))
 
 
 def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
@@ -250,7 +251,8 @@ def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
     build zeta = r^mu P + r^(2m+3/2) phi, and check W(zeta) <= (1-kappa) W(z)
     by both routes: eigenvalue sums with the beta pairing of P with phi, and
     the closed radial form over nodal-quadrature Gram matrices of the
-    [half | constrained] columns, which reads no eigenvalue."""
+    [half | constrained] columns, which reads no eigenvalue.  A report
+    passes only if the two routes' energies agree within ROUTE_TOL."""
     basis = batch.basis
     n = basis.grid.n
     mu = float(2 * m + 1)
@@ -275,7 +277,7 @@ def certify_positive(batch: TraceBatch, p: BlowupProfile, m: int,
     return _per_trial(
         EpiReport, flags, mu=mu, alpha=alpha, kappa=kap, w_z=w_z,
         w_zeta=w_zeta, w_z_quad=w_z_quad, w_zeta_quad=w_zeta_quad, bound=bound,
-        slack=bound - w_zeta, slack_quad=slack_quad, profile_energy=w_p,
+        slack=bound - w_zeta, slack_quad=slack_quad,
         slack_predicted=slack_pred, route_discrepancy=discrepancy)
 
 
@@ -309,8 +311,10 @@ class NegativeEpiReport:
 
     @property
     def passed(self) -> bool:
-        return (self.slack >= SLACK_FLOOR and self.alpha_in_range
-                and self.sign_ok and all(self.flags.values()))
+        return (self.slack >= SLACK_FLOOR and self.alpha_in_range and self.sign_ok
+                and abs(self.w_z - self.w_z_quad) <= ROUTE_TOL
+                and abs(self.w_zeta - self.w_zeta_quad) <= ROUTE_TOL
+                and all(self.flags.values()))
 
 
 def solve_alpha(target, m: int, mu: float, n: int):
@@ -335,7 +339,8 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
     to alpha in (2m, 2m+1) solving (mu-alpha)/(n+alpha+mu-1) = |W(z)|, and
     check W(zeta) <= (1+|W(z)|) W(z).  Flag ``energy_in_window``: |W(z)| <
     ETA.  Quadrature energies are Gram quadratic forms over the batch's
-    [offset | basis] columns."""
+    [offset | basis] columns; a report passes only if they agree with the
+    spectral ones within ROUTE_TOL."""
     basis = batch.basis
     n = basis.grid.n
     mu = float(2 * m + 1)

@@ -29,7 +29,7 @@ import numpy as np
 from .grids import SphereGrid, build_grid, radial_rule, radii_ladder
 from .polynomials import Polynomial, monomials_of_degree
 from .profiles import BlowupProfile, HalfspaceSolution2D, \
-    _profile_from_slope, operator_T, verify_admissible, zero_set
+    _profile_from_slope, verify_admissible, zero_set
 from .solver import GridSolution, zero_obstacle_field
 from .traces import SphericalTrace, TraceColumns
 from .weiss import weiss_rows
@@ -479,7 +479,6 @@ class WeissMonotonicityReport:
     steps: list                       # MonotonicityRow per ladder step
     min_margin_gradient: float
     min_margin_competitor: float
-    violations: list                  # steps with negative margin
 
     def passed(self, slack: float = 1e-3) -> bool:
         return (self.min_margin_gradient >= -slack
@@ -527,7 +526,7 @@ def weiss_monotonicity_check(v, mu: float, radii,
 
     G = np.array([energy_at(float(r))[0] for r in radii])
 
-    steps, violations = [], []
+    steps = []
     for i in range(radii.size - 1):
         r_hi, r_lo = radii[i], radii[i + 1]
         dG = (G[i] - G[i + 1]) / (r_hi - r_lo)
@@ -536,19 +535,15 @@ def weiss_monotonicity_check(v, mu: float, radii,
         dev_mid = deviation_at(r_mid)
         b1 = 2.0 * dev_mid / r_mid
         b2 = ((n + 2.0 * mu - 1.0) * gap_mid + dev_mid) / r_mid
-        step = MonotonicityRow(
+        steps.append(MonotonicityRow(
             r_hi=float(r_hi), r_lo=float(r_lo), dG=float(dG),
             bound_gradient=float(b1), bound_competitor=float(b2),
-            margin_gradient=float(dG - b1), margin_competitor=float(dG - b2))
-        steps.append(step)
-        if step.margin_gradient < 0 or step.margin_competitor < 0:
-            violations.append(step)
+            margin_gradient=float(dG - b1), margin_competitor=float(dG - b2)))
 
     return WeissMonotonicityReport(
         mu=mu, radii=radii, energies=G, steps=steps,
         min_margin_gradient=min(s.margin_gradient for s in steps),
-        min_margin_competitor=min(s.margin_competitor for s in steps),
-        violations=violations)
+        min_margin_competitor=min(s.margin_competitor for s in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -663,24 +658,20 @@ def blowup_fit(v, x0, m: int, radii) -> BlowupFit:
 
 @dataclass
 class ZdeltaReport:
-    """Vanishing of rescalings on the thin contact directions, with the
-    quadratic-barrier comparison run on the grid."""
+    """Closeness of the rescalings to the profile on the annulus and, when
+    close enough, their rescaled sups on the thin contact directions."""
 
     delta: float
     eta3: float
     hypothesis_linf: float
     skipped: bool
     r_primes: np.ndarray | None = None
-    sup_raw: np.ndarray | None = None
     sup_rescaled: np.ndarray | None = None
-    barrier_rows: list = field(default_factory=list)
     contact_tol = 1e-8                # a class constant, not a field
 
     @property
     def max_sup_rescaled(self) -> float:
-        if self.sup_rescaled is None or self.sup_rescaled.size == 0:
-            return 0.0
-        return float(np.max(self.sup_rescaled))
+        return 0.0 if self.sup_rescaled is None else float(np.max(self.sup_rescaled))
 
 
 def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
@@ -692,15 +683,8 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
 
     At most eight thin directions are tested, evenly picked from Z_delta;
     the check passes when every rescaled sup is at most the report's
-    ``contact_tol``.
-
-    The barrier diagnostic recenters at each tested thin direction and
-    compares the rescaled field against -(n+1) x_d^2 + |x'|^2: the comparison
-    function is superharmonic and positive on the thin plane away from zeros
-    of the field, so its domination certifies the center value is zero.  The
-    barrier ball has radius r1 = min(0.2, c/(n+1)), with c the slope factor
-    of ``p`` at the direction: the profile is about -c|x_d| there, and the
-    barrier dominates it on the ball only while r1 <= c/(n+1).
+    ``contact_tol``.  The field is read on the 26 annulus spheres and at the
+    tested directions of the five radii, and nowhere else.
     """
     mu = p.homogeneity
     n = p.n
@@ -708,7 +692,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
     x0 = _center(x0, n + 1)
     grid = _diagnostic_sphere(n)
 
-    # closeness hypothesis on the annulus; the barrier balls reach 1.2 r
+    # closeness hypothesis on the annulus
     if 1.5 * r > adapter._cap(x0):
         raise ValueError(f"scale r={r} too large: the annulus needs "
                          f"radius {1.5 * r + float(np.linalg.norm(x0))}")
@@ -727,38 +711,13 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
         dirs = dirs[::len(dirs) // 8][:8]
 
     r_primes = np.geomspace(r / 3.0 * 1.02, r * 0.98, 5)
-    sup_raw = np.empty(5)
-    sup_rescaled = np.empty(5)
-    barrier_rows = []
-    ball_s = np.linspace(0.15, 1.0, 7)
-    ladder = _on_spheres(adapter, x0, r_primes, dirs)
-    for j, (rp, vals) in enumerate(zip(r_primes, ladder)):
-        sup_raw[j] = float(np.max(np.abs(vals))) if vals.size else 0.0
-        sup_rescaled[j] = sup_raw[j] / rp ** mu
-
-        # barrier comparison at the worst direction
-        if dirs.size:
-            worst = dirs[int(np.argmax(np.abs(vals)))]
-            center = x0 + r * ((rp / r) * worst)
-            r1 = min(0.2, float(operator_T(p)(worst[None, :n])[0]) / (n + 1))
-            spheres = _on_spheres(adapter, center, r * (r1 * ball_s),
-                                  grid) / r ** mu
-            margins = []
-            for s, w in zip(ball_s, spheres):
-                offs = (r1 * s) * grid.nodes
-                barrier = (np.sum(offs[:, :n] ** 2, axis=1)
-                           - (n + 1) * offs[:, n] ** 2)
-                margins.append(float(np.max(w - barrier)))
-            center_val = float(np.asarray(adapter.evaluate(
-                center[None, :]))[0]) / r ** mu
-            barrier_rows.append({
-                "r_prime": float(rp), "boundary_margin": margins[-1],
-                "interior_margin": max(margins),
-                "center_value": center_val})
+    sup_rescaled = np.array([
+        (float(np.max(np.abs(vals))) if vals.size else 0.0) / rp ** mu
+        for rp, vals in zip(r_primes, _on_spheres(adapter, x0, r_primes, dirs))])
 
     return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
-                        skipped=False, r_primes=r_primes, sup_raw=sup_raw,
-                        sup_rescaled=sup_rescaled, barrier_rows=barrier_rows)
+                        skipped=False, r_primes=r_primes,
+                        sup_rescaled=sup_rescaled)
 
 
 @dataclass

@@ -149,41 +149,28 @@ class Polynomial:
         return "Polynomial(" + " ".join(terms) + ")"
 
 
-def odd_harmonic_extension(q: Polynomial) -> Polynomial:
-    """Unique harmonic polynomial in one more variable, odd in it, with slope q.
-
-    For q in d variables, returns P(x, t) = sum_k (-1)^k Lap^k q(x) *
-    t^(2k+1)/(2k+1)! in d+1 variables; P is harmonic, odd in t, and
-    dP/dt(x, 0) = q(x).
-    """
-    out = Polynomial.zero(q.nvars + 1)
-    k = 0
-    term = q.lift(q.nvars + 1)
+def _harmonic_extension(q: Polynomial, parity: int) -> Polynomial:
+    """sum_k (-1)^k Lap^k q(x) * t^(2k+parity)/(2k+parity)! in one more
+    variable t: harmonic, with the parity ``parity`` in t."""
+    out, term, power = Polynomial.zero(q.nvars + 1), q.lift(q.nvars + 1), parity
     while not term.is_zero():
-        t_pow = Polynomial.monomial(
-            q.nvars + 1, (0,) * q.nvars + (2 * k + 1,), 1.0 / math.factorial(2 * k + 1))
-        out = out + term * t_pow
+        out = out + term * Polynomial.monomial(
+            q.nvars + 1, (0,) * q.nvars + (power,), 1.0 / math.factorial(power))
         term = term.laplacian(upto=q.nvars).scale(-1.0)
-        k += 1
+        power += 2
     return out
+
+
+def odd_harmonic_extension(q: Polynomial) -> Polynomial:
+    """Unique harmonic polynomial in one more variable, odd in it, with slope
+    q: dP/dt(x, 0) = q(x)."""
+    return _harmonic_extension(q, 1)
 
 
 def even_harmonic_extension(q: Polynomial) -> Polynomial:
-    """Harmonic polynomial in one more variable, even in it, restricting to q.
-
-    Returns sum_k (-1)^k Lap^k q(x) * t^(2k)/(2k)!; harmonic, even in t,
-    P(x, 0) = q(x).
-    """
-    out = Polynomial.zero(q.nvars + 1)
-    k = 0
-    term = q.lift(q.nvars + 1)
-    while not term.is_zero():
-        t_pow = Polynomial.monomial(
-            q.nvars + 1, (0,) * q.nvars + (2 * k,), 1.0 / math.factorial(2 * k))
-        out = out + term * t_pow
-        term = term.laplacian(upto=q.nvars).scale(-1.0)
-        k += 1
-    return out
+    """Harmonic polynomial in one more variable, even in it, restricting to
+    q: P(x, 0) = q(x)."""
+    return _harmonic_extension(q, 0)
 
 
 def monomial_sphere_integral(exponents: tuple[int, ...]) -> float:

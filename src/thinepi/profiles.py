@@ -120,7 +120,8 @@ def make_profile(m: int, n: int, coefficients=None, normalize: bool = True) -> B
     ``coefficients`` is the slope factor p0, a Polynomial in n variables
     homogeneous of degree 2m, or None for the default family
     (``default_slope``); p1 is the one forced by harmonicity.  An m whose
-    harmonic extension overflows a float raises ValueError.
+    harmonic extension overflows a float, or whose values carry a relative
+    roundoff above the admissibility tolerance, raises ValueError.
     """
     if m < 0 or n not in (1, 2):
         raise ValueError(f"need m >= 0 and n in {{1,2}}, got m={m}, n={n}")
@@ -139,6 +140,12 @@ def make_profile(m: int, n: int, coefficients=None, normalize: bool = True) -> B
     report = verify_admissible(profile)
     if not report.passed:
         raise ValueError(f"profile is not admissible: {report.failures()}")
+    # eps times the magnitudes of p's terms, summed, bounds its values' roundoff
+    pts = _admissibility_samples(n)[0]
+    terms = Polynomial(n + 1, {e: abs(c) for e, c in profile.upper_polynomial().coeffs.items()})
+    roundoff = np.finfo(float).eps * np.max(terms(np.abs(pts))) / np.max(np.abs(profile(pts)))
+    if roundoff > report.tolerance:
+        raise ValueError(f"m={m} is too large: relative roundoff {roundoff:.3e} of its values")
 
     if normalize:
         profile.normalization = 1.0 / profile.trace_norm_exact()
@@ -185,7 +192,7 @@ def zero_set(p: BlowupProfile, delta: float, grid: SphereGrid) -> np.ndarray:
 class AdmissibilityReport:
     harmonic_residual: float       # max |Lap p| off the plane over its terms' scale
     jump_sign_min: float           # min of p0 over sampled thin-plane directions
-    euler_residual: float          # max |grad p . x - (2m+1) p| at samples
+    euler_residual: float          # max |grad p . x - (2m+1) p| over its terms' scale
     parity_residual: float         # max |p(x', t) - p(x', -t)| at samples
     plane_residual: float          # max |p(x', 0)| at samples
     passed: bool = field(init=False)
@@ -215,35 +222,42 @@ class AdmissibilityReport:
         return out
 
 
+def _admissibility_samples(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ADMISSIBILITY_SAMPLES seeded points of the unit ball in n+1 variables,
+    at radius at least 0.1, and as many thin-plane directions."""
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((ADMISSIBILITY_SAMPLES, n + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts *= rng.uniform(0.1, 1.0, size=(ADMISSIBILITY_SAMPLES, 1))
+    dirs = rng.standard_normal((ADMISSIBILITY_SAMPLES, n))
+    return pts, dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
     """Residual checks for the profile class membership at
     ADMISSIBILITY_SAMPLES seeded random points, against the report's
-    tolerance; never raises."""
+    tolerance; never raises.  The harmonic and Euler residuals are measured
+    against the scale of the terms that cancel in them."""
     P = p.upper_polynomial()
     lap = P.laplacian()
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((ADMISSIBILITY_SAMPLES, p.n + 1))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= rng.uniform(0.1, 1.0, size=(ADMISSIBILITY_SAMPLES, 1))
+    pts, thin_dirs = _admissibility_samples(p.n)
 
     # Lap P sums terms that cancel; the Laplacian of P with absolute
     # coefficients, at |x|, sums their magnitudes, the scale of its roundoff.
-    terms = Polynomial(P.nvars, {e: abs(c) for e, c in P.coeffs.items()}).laplacian()
-    harm = (float(np.max(np.abs(lap(pts))) / np.max(terms(np.abs(pts))))
+    terms = Polynomial(P.nvars, {e: abs(c) for e, c in P.coeffs.items()})
+    harm = (float(np.max(np.abs(lap(pts))) / np.max(terms.laplacian()(np.abs(pts))))
             if lap.coeffs else 0.0)
-
-    thin_dirs = rng.standard_normal((ADMISSIBILITY_SAMPLES, p.n))
-    thin_dirs /= np.linalg.norm(thin_dirs, axis=1, keepdims=True)
     jump_min = float(np.min(operator_T(p)(thin_dirs)))
 
+    # p(x', t) = P(x', |t|), so p's Euler identity at x is P's at the folded x;
+    # grad P . x and mu P each sum terms of magnitude mu times those of P
     vals = p(pts)
     gp = P.gradient()
     folded = pts.copy()
     folded[:, -1] = np.abs(folded[:, -1])
-    sign = np.where(pts[:, -1] < 0.0, -1.0, 1.0)
     g = np.stack([gp[v](folded) for v in range(p.n + 1)], axis=1)
-    g[:, -1] *= sign
-    euler = float(np.max(np.abs(np.sum(g * pts, axis=1) - p.homogeneity * vals)))
+    euler = (float(np.max(np.abs(np.sum(g * folded, axis=1) - p.homogeneity * vals)))
+             / (2.0 * p.homogeneity * float(np.max(terms(np.abs(pts))))))
 
     mirrored = pts.copy()
     mirrored[:, -1] = -mirrored[:, -1]
@@ -256,7 +270,7 @@ def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
     scale = max(float(np.max(np.abs(vals))), 1.0)
     return AdmissibilityReport(
         harmonic_residual=harm, jump_sign_min=jump_min,
-        euler_residual=euler / scale, parity_residual=parity / scale,
+        euler_residual=euler, parity_residual=parity / scale,
         plane_residual=plane / scale,
     )
 

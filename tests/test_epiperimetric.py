@@ -468,6 +468,28 @@ def test_negative_certificate_random_traces(circle, setup11):
         assert rep.w_z_quad == pytest.approx(rep.w_z, abs=1e-10)
 
 
+def test_reports_fail_when_the_energy_routes_disagree(monkeypatch, setup01,
+                                                     setup11):
+    # The quadrature route off by 1e-9 leaves every slack as it was, and
+    # only the comparison of the two routes can fail the reports.
+    rng = np.random.default_rng(26)
+    p0, _, basis0, half = setup01
+    p1, _, basis1, _ = setup11
+    positive = sample_positive_traces(p0, basis0, 0, 5, rng)
+    negative = sample_negative_traces(p1, basis1, 1, 5, rng)
+
+    def certify():
+        return (certify_positive(positive, p0, 0, half, EPS)
+                + certify_negative(negative, p1, 1, EPS))
+
+    assert all(rep.passed for rep in certify())
+    monkeypatch.setattr(epiperimetric, "weiss_rows",
+                        lambda *args: weiss_rows(*args) + 1e-9)
+    reports = certify()
+    assert all(rep.slack >= epiperimetric.SLACK_FLOOR for rep in reports)
+    assert not any(rep.passed for rep in reports)
+
+
 def test_negative_certificate_higher_profile(circle):
     p = make_profile(2, 1)
     delta, basis = choose_delta(p, circle, 2)

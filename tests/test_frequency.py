@@ -23,7 +23,8 @@ from thinepi.frequency import (
 )
 from thinepi.grids import SphereGrid, radii_ladder
 from thinepi.polynomials import Polynomial, monomials_of_degree
-from thinepi.profiles import _profile_from_slope, halfspace_2d, make_profile
+from thinepi.profiles import (_profile_from_slope, halfspace_2d,
+                              make_profile, zero_set)
 from thinepi.solver import ProblemSpec, solve_thin_obstacle
 
 PARAMS = FrequencyParams(theta=0.25, k=2, gamma=0.5)
@@ -118,9 +119,11 @@ def test_sphere_sampler_matches_per_sphere_reference_2d(
     truncated_frequency(sol_near_p, np.array([0.1, 0.05]), params=PARAMS,
                         count=4)                              # off the plane
     rep = vanishing_on_Zdelta_check(sol_near_p, 0.3, p01, 0.4)
+    assert not rep.skipped
     linfty_l2_check(sol_near_p, p01, 0.3)
-    assert rep.barrier_rows
-    # the barrier spheres are centered on the thin plane, away from x0
+    # the stratification ladders are centered on the thin plane, away from
+    # the origin
+    stratify_contact(sol_near_p, max_points=3)
     centers = np.array([c for c, _ in checked_spheres])
     assert np.any((centers[:, -1] == 0.0) & (centers[:, 0] != 0.0))
     assert np.any(centers[:, -1] != 0.0)
@@ -653,11 +656,25 @@ def test_zdelta_exact_profile_passes(p01, p02):
         assert not rep.skipped
         assert rep.hypothesis_linf <= 1e-12
         assert rep.max_sup_rescaled == 0.0
-        assert len(rep.barrier_rows) == 5
-        for row in rep.barrier_rows:
-            assert abs(row["center_value"]) <= 1e-10
-            assert row["boundary_margin"] <= row["interior_margin"]
-            assert row["interior_margin"] <= 1e-6
+        assert rep.r_primes.size == rep.sup_rescaled.size == 5
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zdelta_reads_the_annulus_and_the_zero_set_ladder_only(n):
+    p = make_profile(0, n)
+    grid = frequency._diagnostic_sphere(n)
+    zero = zero_set(p, 0.4, grid)
+    sizes = []
+
+    def counted(points):
+        sizes.append(len(points))
+        return p(points)
+
+    # a plain callable is read at every node of each sphere
+    rep = vanishing_on_Zdelta_check(counted, 0.3, p, 0.4)
+    assert not rep.skipped
+    # 26 annulus spheres, then at most 8 Z_delta directions on 5 rungs
+    assert sum(sizes) == 26 * grid.size + 5 * min(zero.size, 8)
 
 
 def test_zdelta_far_field_skips(p01):

@@ -102,6 +102,23 @@ def test_default_profiles_past_the_roundoff_of_their_terms(m, n):
     assert any("harmonic" in f for f in report.failures())
 
 
+def test_default_profile_past_the_roundoff_of_its_euler_terms():
+    # The first m at n = 1 whose Euler residual, a difference of terms far
+    # larger than p, read as "not homogeneous" when its roundoff was
+    # measured against max(max |p|, 1).
+    p = make_profile(24, 1)
+    assert verify_admissible(p).euler_residual < 1e-14
+
+
+def test_make_profile_refuses_values_lost_to_roundoff():
+    # p sums terms far larger than itself: from m = 26 at n = 2 their
+    # roundoff is above the tolerance relative to p, and m is refused by
+    # name, with the roundoff.
+    make_profile(25, 2)
+    with pytest.raises(ValueError, match=r"m=26 .*roundoff 1\.\d+e-08"):
+        make_profile(26, 2)
+
+
 def test_operator_T_linearity_and_values():
     p = make_profile(0, 1)
     T = operator_T(p)
