@@ -242,8 +242,7 @@ def _run_spectral(config: RunConfig, out: Path, timings: dict):
         basis = half_sphere_basis(1, modes, grid)
     else:
         grid = build_grid(2, resolution)
-        basis = eigenbasis(grid, grid.equator, modes,
-                           cache_dir=config.cache_dir)
+        basis = eigenbasis(grid, modes, cache_dir=config.cache_dir)
     timings["basis"] = time.perf_counter() - t0
 
     rng = np.random.default_rng(config.seed)
@@ -302,7 +301,7 @@ def _run_epi(config: RunConfig, out: Path, timings: dict):
     else:
         grid = build_grid(2, resolution, kind="latlong")
     p = make_profile(m, n)
-    delta, basis = choose_delta(p, grid, m, cache_dir=config.cache_dir)
+    delta, basis = choose_delta(p, grid, m)
     # only the positive certificate splits off the half-sphere modes
     half = None if negative else adapted_half_basis(p, grid)
     timings["basis"] = time.perf_counter() - t0

@@ -4,7 +4,10 @@ Given an even trace c on the sphere close to a normalized profile p of odd
 homogeneity mu = 2m+1, the trace splits as c = P + phi where P collects the
 low spherical modes (those with eigenvalue up to the profile's) matched
 through a moment system in a constrained eigenbasis, and phi is the
-remainder vanishing on the contact region Z_delta of the profile.
+remainder vanishing on the contact region Z_delta of the profile.  The
+certificates take profiles whose Z_delta, at delta = DELTA, is the whole
+equator, as every default profile's is; the constrained basis is then the
+analytic half-sphere basis.
 
 Two competitors for the mu-homogeneous extension z = r^mu c are built:
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .grids import SphereGrid
 from .profiles import BlowupProfile, admissible_frequencies, zero_set
-from .spectral import (EigenBasis, eigenbasis, half_sphere_basis, lambda_of,
+from .spectral import (EigenBasis, half_sphere_basis, lambda_of,
                        mode_count_ell, multiplicity)
 from .traces import (SphericalTrace, TraceBatch, TraceColumns,
                      trace_from_profile)
@@ -42,7 +45,7 @@ from .weiss import (beta_rows, bilinear_rows, kappa, weiss_raised, weiss_rows,
 
 EPS = 0.1                             # trace distance budget around the profile
 ETA = 0.05                            # |W(z)| budget for the negative case
-DELTA_LADDER = (0.4, 0.2, 0.1, 0.05)  # contact-region thresholds, tried in order
+DELTA = 0.4                           # contact-region threshold
 COND_THRESHOLD = 1e6                  # moment-matrix condition limit
 BISECT_TOL = 1e-12                    # alpha bisection interval tolerance
 EXTRA_MODES = 10                      # tail modes kept beyond the low block
@@ -88,8 +91,7 @@ def adapted_half_basis(p: BlowupProfile, grid: SphereGrid) -> EigenBasis:
     grads[top[-1]] = ptr.grad
     equator_dn = base.equator_dn.copy()
     equator_dn[top] = rot.T @ base.equator_dn[top]
-    return EigenBasis(grid=grid, mask=base.mask, lambdas=base.lambdas.copy(),
-                      values=values,
+    return EigenBasis(grid=grid, lambdas=base.lambdas.copy(), values=values,
                       degrees=base.degrees.copy(), grads=grads,
                       equator_dn=equator_dn)
 
@@ -103,41 +105,19 @@ def _degree_for(count: int, n: int) -> int:
     return deg
 
 
-def _delta_basis(p: BlowupProfile, grid: SphereGrid, delta: float,
-                 m: int, cache_dir) -> EigenBasis:
-    """Constrained basis vanishing on Z_delta with at least EXTRA_MODES modes
-    beyond the low block of homogeneity 2m+1.
-
-    When the contact region covers the whole equator the constrained basis
-    coincides with the hemisphere analytic basis, which is used directly on
-    grids that support it.
-    """
-    n = grid.n
-    count = mode_count_ell(n, m) + EXTRA_MODES
-    mask = zero_set(p, delta, grid)
-    if mask.size == grid.equator.size and (n == 1 or grid.kind == "latlong"):
-        return half_sphere_basis(n, _degree_for(count, n), grid=grid)
-    return eigenbasis(grid, mask, count, cache_dir=cache_dir)
-
-
-def choose_delta(p: BlowupProfile, grid: SphereGrid, m: int,
-                 cache_dir=None) -> tuple[float, EigenBasis]:
-    """Largest delta of DELTA_LADDER whose constrained basis, with
-    EXTRA_MODES modes beyond the low block, keeps every mode above the low
-    block at eigenvalue >= lambda(2m+2) - 1."""
-    n = grid.n
-    ell = mode_count_ell(n, m)
-    floor = lambda_of(2 * m + 2, n) - 1.0
-    last_fail = None
-    for delta in DELTA_LADDER:
-        basis = _delta_basis(p, grid, delta, m, cache_dir)
-        tail = basis.lambdas[ell:]
-        if tail.size and np.min(tail) >= floor - 1e-9:
-            return float(delta), basis
-        last_fail = (delta, float(np.min(tail)) if tail.size else None)
-    raise ValueError(
-        f"no ladder delta satisfies the tail eigenvalue floor {floor}; "
-        f"last tried delta={last_fail[0]} with min tail eigenvalue {last_fail[1]}")
+def choose_delta(p: BlowupProfile, grid: SphereGrid,
+                 m: int) -> tuple[float, EigenBasis]:
+    """DELTA and the constrained basis vanishing on Z_delta, which must be
+    the whole equator: the half-sphere basis with at least EXTRA_MODES
+    modes beyond the low block of homogeneity 2m+1, whose first mode above
+    that block has eigenvalue lambda(2m+2)."""
+    held = zero_set(p, DELTA, grid).size
+    if held != grid.equator.size:
+        raise ValueError(
+            f"Z_delta at delta={DELTA} holds {held} of the {grid.equator.size} "
+            f"equator nodes; the certificates need the whole equator")
+    count = mode_count_ell(grid.n, m) + EXTRA_MODES
+    return DELTA, half_sphere_basis(grid.n, _degree_for(count, grid.n), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +134,15 @@ def _raise_at(bad: np.ndarray, message) -> None:
 def _admissibility(batch: TraceBatch, p: BlowupProfile, eps: float):
     """The batch's (T, N) block of node values and its admissibility flags,
     one per trace; raises ValueError naming the first trial that fails any."""
-    grid, mask = batch.basis.grid, batch.basis.mask
+    grid = batch.basis.grid
     values = batch.values()
     dev = np.take(values, grid.reflect, axis=1)
     np.subtract(dev, values, out=dev)
     flags = {
         "even": np.max(np.abs(dev, out=dev), axis=1) <= 1e-10,
         "nonneg_thin_set": np.min(values[:, grid.equator], axis=1) >= -1e-10,
-        "vanishes_on_mask":
-            np.max(np.abs(values[:, mask]), axis=1, initial=0.0) <= 1e-10,
+        "vanishes_on_equator":
+            np.max(np.abs(values[:, grid.equator]), axis=1) <= 1e-10,
     }
     np.subtract(values, p.trace_on(grid), out=dev)
     flags["within_eps"] = (np.sqrt(np.square(dev, out=dev) @ grid.weights)
@@ -358,11 +338,7 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
     columns = batch.columns()
     h_rows, phi_rows = (np.column_stack([np.zeros(len(batch)), x])
                         for x in (h, phi))
-    if basis.equator_dn is not None:
-        cross = (beta_rows(h, basis, phi, basis.values, mu)
-                 / (n + alpha + mu - 1.0))
-    else:
-        cross = bilinear_rows(columns, mu, (mu, h_rows), (alpha, phi_rows))
+    cross = beta_rows(h, basis, phi, basis.values, mu) / (n + alpha + mu - 1.0)
     w_zeta = (weiss_spectral(h, basis, mu)
               + weiss_raised(phi, basis, mu, alpha).value + 2.0 * cross)
     w_zeta_quad = weiss_rows(columns, mu, [(mu, h_rows), (alpha, phi_rows)])

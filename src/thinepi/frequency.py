@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -703,10 +702,7 @@ def vanishing_on_Zdelta_check(v, r: float, p: BlowupProfile, delta: float,
         return ZdeltaReport(delta=delta, eta3=eta3, hypothesis_linf=linf,
                             skipped=True)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        z_nodes = zero_set(p, delta, grid)
-    dirs = grid.nodes[z_nodes]
+    dirs = grid.nodes[zero_set(p, delta, grid)]
     if len(dirs) > 8:
         dirs = dirs[::len(dirs) // 8][:8]
 

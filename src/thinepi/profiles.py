@@ -18,7 +18,6 @@ and exactly known trace norm.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,11 +176,7 @@ def zero_set(p: BlowupProfile, delta: float, grid: SphereGrid) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     t_eval = operator_T(p)(grid.nodes[grid.equator][:, : p.n])
-    mask = grid.equator[t_eval >= delta]
-    if mask.size == 0:
-        warnings.warn("empty zero-set mask: epiperimetric hypotheses may fail",
-                      stacklevel=2)
-    return np.sort(mask)
+    return np.sort(grid.equator[t_eval >= delta])
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +188,6 @@ class AdmissibilityReport:
     harmonic_residual: float       # max |Lap p| off the plane over its terms' scale
     jump_sign_min: float           # min of p0 over sampled thin-plane directions
     euler_residual: float          # max |grad p . x - (2m+1) p| over its terms' scale
-    parity_residual: float         # max |p(x', t) - p(x', -t)| at samples
-    plane_residual: float          # max |p(x', 0)| at samples
     passed: bool = field(init=False)
     tolerance = 1e-8               # a class constant, not a field
 
@@ -203,8 +196,6 @@ class AdmissibilityReport:
             self.harmonic_residual <= self.tolerance
             and self.jump_sign_min >= -self.tolerance
             and self.euler_residual <= self.tolerance
-            and self.parity_residual <= self.tolerance
-            and self.plane_residual <= self.tolerance
         )
 
     def failures(self) -> list[str]:
@@ -215,10 +206,6 @@ class AdmissibilityReport:
             out.append(f"slope factor changes sign (min {self.jump_sign_min:.3e})")
         if self.euler_residual > self.tolerance:
             out.append(f"not homogeneous (Euler residual {self.euler_residual:.3e})")
-        if self.parity_residual > self.tolerance:
-            out.append(f"not even in the last coordinate ({self.parity_residual:.3e})")
-        if self.plane_residual > self.tolerance:
-            out.append(f"does not vanish on the plane ({self.plane_residual:.3e})")
         return out
 
 
@@ -237,7 +224,10 @@ def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
     """Residual checks for the profile class membership at
     ADMISSIBILITY_SAMPLES seeded random points, against the report's
     tolerance; never raises.  The harmonic and Euler residuals are measured
-    against the scale of the terms that cancel in them."""
+    against the scale of the terms that cancel in them.  Evenness in the
+    last coordinate and vanishing on the plane hold by construction:
+    ``BlowupProfile.__call__`` folds |t|, and every term of the upper
+    polynomial carries t."""
     P = p.upper_polynomial()
     lap = P.laplacian()
     pts, thin_dirs = _admissibility_samples(p.n)
@@ -259,20 +249,8 @@ def verify_admissible(p: BlowupProfile) -> AdmissibilityReport:
     euler = (float(np.max(np.abs(np.sum(g * folded, axis=1) - p.homogeneity * vals)))
              / (2.0 * p.homogeneity * float(np.max(terms(np.abs(pts))))))
 
-    mirrored = pts.copy()
-    mirrored[:, -1] = -mirrored[:, -1]
-    parity = float(np.max(np.abs(p(mirrored) - vals)))
-
-    on_plane = pts.copy()
-    on_plane[:, -1] = 0.0
-    plane = float(np.max(np.abs(p(on_plane))))
-
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    return AdmissibilityReport(
-        harmonic_residual=harm, jump_sign_min=jump_min,
-        euler_residual=euler, parity_residual=parity / scale,
-        plane_residual=plane / scale,
-    )
+    return AdmissibilityReport(harmonic_residual=harm, jump_sign_min=jump_min,
+                               euler_residual=euler)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Eigenbases of the spherical Laplacian, even in the last coordinate, with
-Dirichlet conditions on a prescribed subset of the equator.
+Dirichlet conditions on the whole equator.
 
 Two routes are provided and kept deliberately independent so they can check
 each other:
@@ -10,16 +10,16 @@ each other:
   and exact L^2 normalizations;
 * discrete bases — generalized eigenproblems for the even-reduced
   finite-difference operator on the circle or the cotangent-weight operator
-  on the triangulated sphere, with masked nodes eliminated by block reduction,
-  solved by shift-invert ARPACK (``scipy.sparse.linalg.eigsh``) at every
-  size, so a basis has fewer modes than the reduced problem has unknowns.
-  On the sphere, a mask that the mirrors x -> -x and y -> -y keep splits
-  the problem into their four sign sectors, solved one at a time: smaller
+  on the triangulated sphere, with the equator nodes eliminated by block
+  reduction, solved by shift-invert ARPACK (``scipy.sparse.linalg.eigsh``)
+  at every size, so a basis has fewer modes than the reduced problem has
+  unknowns.  On the sphere, the mirrors x -> -x and y -> -y split the
+  problem into their four sign sectors, solved one at a time: smaller
   factors, and the copies of a degenerate eigenvalue that the mirrors tell
   apart come from different sectors, so the lowest modes hold every copy.
 
 Discrete results can be cached on disk keyed by (dimension, grid kind,
-resolution, mask hash, mode count); the cache directory is taken from the
+resolution, mode count); the cache directory is taken from the
 ``THIN_EPI_CACHE`` environment variable unless given explicitly.  A cache
 hit builds no operator; scipy is imported only to build and solve a miss.
 """
@@ -71,7 +71,7 @@ def mode_count_ell(n: int, m: int) -> int:
 
 @dataclass
 class EigenBasis:
-    """Ordered even eigenmodes vanishing on the masked equator nodes.
+    """Ordered even eigenmodes vanishing on the equator.
 
     ``values`` has one column per mode, normalized to unit L^2 norm on the
     sphere.  For analytic bases, ``grads`` holds the closed-form tangential
@@ -82,7 +82,6 @@ class EigenBasis:
     """
 
     grid: SphereGrid
-    mask: np.ndarray               # sorted grid-node indices forced to zero
     lambdas: np.ndarray            # (count,) nondecreasing
     values: np.ndarray             # (N, count)
     degrees: np.ndarray | None = None      # per-mode homogeneity (analytic)
@@ -166,8 +165,7 @@ def _circle_analytic_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     values = np.column_stack(cols)
     values[grid.equator, :] = 0.0  # sin(j*0), sin(j*pi): pin exactly
     return EigenBasis(
-        grid=grid, mask=np.array(grid.equator, dtype=int),
-        lambdas=np.array(lams), values=values,
+        grid=grid, lambdas=np.array(lams), values=values,
         degrees=np.array(degs),
         grads=np.stack(dcols)[:, :, None] * grid.folded_tangents,
         equator_dn=np.array(eq_dn),
@@ -201,8 +199,7 @@ def _sphere_oddlift_basis(grid: SphereGrid, max_degree: int) -> EigenBasis:
     values = np.column_stack(cols)
     values[grid.equator, :] = 0.0
     return EigenBasis(
-        grid=grid, mask=np.array(sorted(grid.equator), dtype=int),
-        lambdas=np.array(lams), values=values,
+        grid=grid, lambdas=np.array(lams), values=values,
         degrees=np.array(degs), grads=np.stack(grads_list),
         equator_dn=np.array(eq_dn_rows), polys=polys,
     )
@@ -288,37 +285,32 @@ def _tri_reduced_operator(grid: SphereGrid, rep, red_index):
     return K_red, m_red
 
 
-def eigenbasis(grid: SphereGrid, mask, count: int,
+def eigenbasis(grid: SphereGrid, count: int,
                cache_dir: str | os.PathLike | None = None) -> EigenBasis:
-    """First ``count`` even eigenmodes vanishing on the masked equator nodes.
+    """First ``count`` even eigenmodes vanishing on the equator.
 
-    ``mask`` is a set of grid node indices contained in the equator (it may be
-    empty or the whole equator).  Masked rows are eliminated by reduction to
-    the unmasked block, so eigenfunctions vanish there exactly.  On the
-    triangulated sphere with a mask that the mirrors x -> -x and y -> -y
-    send to itself, the block splits into four sign sectors of these
-    mirrors (``_blocks``); ARPACK solves each sector for ``count`` modes,
-    and the lowest ``count`` of them are kept.  Otherwise, or when a sector
-    has at most ``count`` unknowns, ARPACK solves the one block, so
+    The equator rows are eliminated by reduction to the other unknowns, so
+    eigenfunctions vanish there exactly.  On the triangulated sphere the
+    block splits into four sign sectors of the mirrors x -> -x and
+    y -> -y (``_blocks``); ARPACK solves each sector for ``count`` modes,
+    and the lowest ``count`` of them are kept.  On the circle, or when a
+    sector has at most ``count`` unknowns, ARPACK solves the one block, so
     ``count`` must be less than its number of unknowns.
     """
-    mask = np.array(sorted(int(i) for i in np.asarray(mask, dtype=int).ravel()), dtype=int)
-    if mask.size and not np.isin(mask, grid.equator).all():
-        raise ValueError("mask must be a subset of the equator nodes")
     rep, red_index = _representatives(grid)
-    nred = int(red_index.max()) + 1
-    if count >= nred - mask.size:
+    unknowns = int(red_index.max()) + 1 - grid.equator.size
+    if count >= unknowns:
         raise ValueError(
-            f"requested {count} modes but only {nred - mask.size} unknowns "
+            f"requested {count} modes but only {unknowns} unknowns "
             f"remain; ARPACK needs fewer modes than unknowns")
 
-    cached = _cache_load(grid, mask, count, cache_dir)
+    cached = _cache_load(grid, count, cache_dir)
     if cached is not None:
         return cached
 
     K, m = _reduced_operator(grid, rep, red_index)
     lams, modes = [], []
-    for P in _blocks(grid, red_index, mask, count):
+    for P in _blocks(grid, red_index, count):
         # A sector column's mass sums the masses of its orbit.
         lam, vec = _lowest_modes(P.T @ K @ P, abs(P).T @ m, count)
         lams.append(lam)
@@ -326,7 +318,6 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
     lam = np.concatenate(lams)
     order = np.argsort(lam, kind="stable")[:count]
     lam, red_vals = lam[order], np.hstack(modes).take(order, axis=1)
-    lam[np.abs(lam) < 1e-9] = 0.0  # clamp roundoff around the constant mode
 
     # Normalize, then expand to the full grid through the reflection
     # representative map.
@@ -335,31 +326,30 @@ def eigenbasis(grid: SphereGrid, mask, count: int,
     full = red_vals[red_index[rep], :]
 
     full, lam = _fix_order_and_signs(full, lam)
-    basis = EigenBasis(
-        grid=grid, mask=mask, lambdas=lam, values=full)
+    basis = EigenBasis(grid=grid, lambdas=lam, values=full)
     _cache_store(basis, cache_dir)
     return basis
 
 
-def _blocks(grid: SphereGrid, red_index, mask, count: int) -> list:
+def _blocks(grid: SphereGrid, red_index, count: int) -> list:
     """Sparse (reduced unknowns, block unknowns) matrices P, one per block
     that ARPACK solves; a mode y of P^T K P maps to the mode P y.
 
-    On the triangulated sphere with a mask that the mirrors x -> -x and
-    y -> -y keep, these are the four sign sectors (sx, sy) of the mirrors:
-    a sector's column holds, at each node of one orbit of the mirrors,
-    sx^a sy^b for the mirror x^a y^b that maps the orbit's representative
-    there.  A node that a mirror of sign -1 fixes (x = 0 for sx = -1,
-    y = 0 for sy = -1) vanishes in that sector and is eliminated like a
-    masked node.  Otherwise, or when a sector has at most ``count``
-    unknowns, the one block of unmasked unknowns.
+    On the triangulated sphere these are the four sign sectors (sx, sy) of
+    the mirrors x -> -x and y -> -y: a sector's column holds, at each node
+    of one orbit of the mirrors, sx^a sy^b for the mirror x^a y^b that maps
+    the orbit's representative there.  A node that a mirror of sign -1
+    fixes (x = 0 for sx = -1, y = 0 for sy = -1) vanishes in that sector
+    and is eliminated like an equator node.  On the circle, or when a
+    sector has at most ``count`` unknowns, the one block of the unknowns
+    off the equator.
     """
     import scipy.sparse as sp
 
     nred = int(red_index.max()) + 1
     index = np.arange(nred)
     free = np.ones(nred, dtype=bool)
-    free[red_index[mask]] = False
+    free[red_index[grid.equator]] = False
 
     def block(alive, orbit, sign):
         reps, column = np.unique(orbit[alive], return_inverse=True)
@@ -371,9 +361,6 @@ def _blocks(grid: SphereGrid, red_index, mask, count: int) -> list:
         return single
     upper = grid.nodes[red_index >= 0]   # in reduced-index order
     mx, my = _mirror(upper, 0), _mirror(upper, 1)
-    if (mx is None or my is None
-            or (free[mx] != free).any() or (free[my] != free).any()):
-        return single
     orbit = np.minimum.reduce([index, mx, my, mx[my]])
     sectors = []
     for sx, sy in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
@@ -388,13 +375,14 @@ def _blocks(grid: SphereGrid, red_index, mask, count: int) -> list:
 
 def _mirror(points: np.ndarray, axis: int):
     """Index map of the reflection of coordinate ``axis`` on ``points``:
-    ``points[perm]`` equals ``points`` with that coordinate negated, or
-    None when the point set is not exactly symmetric."""
+    ``points[perm]`` equals ``points`` with that coordinate negated.  The
+    triangulated sphere is built exactly symmetric; a point set that is
+    not raises ValueError."""
     flipped = points.copy()
     flipped[:, axis] = -flipped[:, axis]
     ours, theirs = np.lexsort(points.T[::-1]), np.lexsort(flipped.T[::-1])
     if not np.array_equal(points[ours], flipped[theirs]):
-        return None
+        raise ValueError(f"points are not symmetric under x{axis} -> -x{axis}")
     perm = np.empty(points.shape[0], dtype=np.intp)
     perm[theirs] = ours
     return perm
@@ -453,7 +441,7 @@ def _fix_order_and_signs(values: np.ndarray, lam: np.ndarray):
 # ---------------------------------------------------------------------------
 
 CACHE_ENV = "THIN_EPI_CACHE"
-CACHE_VERSION = "v4"            # v3 held one-block bases of mirror-invariant masks
+CACHE_VERSION = "v5"            # v4 keyed and stored the equator mask
 CACHE_ORTHO_TOL = 1e-8          # stored bases are orthonormal to ~1e-14
 
 
@@ -466,40 +454,35 @@ def cache_root(cache_dir=None) -> Path:
     return Path.home() / ".cache" / "thin-epi"
 
 
-def _cache_key(grid: SphereGrid, mask: np.ndarray, count: int) -> str:
-    hasher = hashlib.sha256()
-    hasher.update(
-        f"{CACHE_VERSION}|{grid.n}|{grid.kind}|{grid.resolution}|{count}|".encode())
-    hasher.update(mask.astype(np.int64).tobytes())
-    return hasher.hexdigest()[:24]
+def _cache_path(grid: SphereGrid, count: int, cache_dir) -> Path:
+    key = hashlib.sha256(
+        f"{CACHE_VERSION}|{grid.n}|{grid.kind}|{grid.resolution}|{count}".encode())
+    return cache_root(cache_dir) / "eigenbases" / (key.hexdigest()[:24] + ".npz")
 
 
-def _cache_load(grid, mask, count, cache_dir):
+def _cache_load(grid, count, cache_dir):
     """The basis stored at the key, or None when the file is missing,
-    unreadable, or holds another mask, other shapes or non-orthonormal
-    modes; the caller then recomputes and overwrites it."""
-    path = cache_root(cache_dir) / "eigenbases" / (_cache_key(grid, mask, count) + ".npz")
+    unreadable, or holds other shapes or non-orthonormal modes; the caller
+    then recomputes and overwrites it."""
+    path = _cache_path(grid, count, cache_dir)
     if not path.exists():
         return None
     try:
         with np.load(path) as data:
-            stored_mask = data["mask"]
             lambdas, values = data["lambdas"], data["values"]
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    if (not np.array_equal(stored_mask, mask) or lambdas.shape != (count,)
-            or values.shape != (grid.size, count)):
+    if lambdas.shape != (count,) or values.shape != (grid.size, count):
         return None
-    basis = EigenBasis(grid=grid, mask=mask, lambdas=lambdas, values=values)
+    basis = EigenBasis(grid=grid, lambdas=lambdas, values=values)
     if basis.orthonormality_defect() > CACHE_ORTHO_TOL:
         return None
     return basis
 
 
 def _cache_store(basis: EigenBasis, cache_dir):
-    root = cache_root(cache_dir) / "eigenbases"
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / (_cache_key(basis.grid, basis.mask, basis.count) + ".npz")
+    path = _cache_path(basis.grid, basis.count, cache_dir)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, lambdas=basis.lambdas, values=basis.values, mask=basis.mask)
+    np.savez(tmp, lambdas=basis.lambdas, values=basis.values)
     tmp.replace(path)

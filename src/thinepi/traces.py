@@ -225,18 +225,14 @@ class TraceBatch:
                propose) -> "TraceBatch":
         """Rejection sampling: each ``propose()`` draws one coefficient
         vector (or None, rejecting it outright), kept when the trace is
-        nonnegative on the thin set and within eps of the offset; at most
-        50 * count proposals in all.
+        within eps of the offset; at most 50 * count proposals in all, or
+        ValueError naming eps.  Every basis vanishes on the equator, so the
+        traces keep the offset's values on the thin set.
 
-        Proposals are filtered in coefficient space: the thin-set test reads
-        the basis rows at the equator nodes only, and the distance is the
-        quadrature norm of the basis sum through the basis's mass Gram
-        matrix.  Each pass draws as many proposals as traces are still
-        missing, so ``propose`` is called exactly as often as one proposal
-        at a time would call it."""
-        grid = offset.grid
-        thin_rows = basis.values[grid.equator]
-        thin_offset = offset.values[grid.equator]
+        The distance is the quadrature norm of the basis sum through the
+        basis's mass Gram matrix.  Each pass draws as many proposals as
+        traces are still missing, so ``propose`` is called exactly as often
+        as one proposal at a time would call it."""
         gram = basis.mass_rows(basis.count) @ basis.values
         out = []
         budget = 50 * count
@@ -248,13 +244,12 @@ class TraceBatch:
             if not block:
                 continue
             block = np.array(block)
-            keep = ((np.min(block @ thin_rows.T + thin_offset, axis=1)
-                     >= -1e-12)
-                    & (np.sqrt(np.sum((block @ gram) * block, axis=1))
-                       <= eps))
+            keep = np.sqrt(np.sum((block @ gram) * block, axis=1)) <= eps
             out.extend(block[keep])
         if len(out) < count:
-            raise RuntimeError("rejection sampling failed to produce traces")
+            raise ValueError(
+                f"rejection sampling kept {len(out)} of {count} traces within "
+                f"eps={eps:g} from {50 * count} proposals")
         return cls(offset, basis, np.array(out))
 
     def __len__(self) -> int:
@@ -268,13 +263,9 @@ class TraceBatch:
 
     def columns(self) -> TraceColumns:
         """[offset | basis] columns, over which the traces are the rows
-        [1, coeffs[t]].  As for a sum of traces, the offset keeps its own
-        derivative data only when the basis carries closed-form data or
-        the batch adds nothing to the offset."""
-        offset = self.offset
-        if self.basis.grads is None and self.coeffs.any():
-            offset = SphericalTrace(offset.grid, offset.values)
-        return TraceColumns.of_trace(offset).join(TraceColumns.of_basis(self.basis))
+        [1, coeffs[t]]."""
+        return TraceColumns.of_trace(self.offset).join(
+            TraceColumns.of_basis(self.basis))
 
     def rows(self) -> np.ndarray:
         """The traces' coefficient rows over ``columns``."""

@@ -77,7 +77,7 @@ def test_criterion_01_spectral_identity_suite(tmp_path):
     worsts = []
     for res in (256, 512):
         sphere = build_grid(2, res)
-        disc = eigenbasis(sphere, sphere.equator, 6, cache_dir=tmp_path)
+        disc = eigenbasis(sphere, 6, cache_dir=tmp_path)
         worst = 0.0
         for _ in range(10):
             c = rng2.standard_normal(6)

@@ -670,6 +670,20 @@ def test_main_epi_check_certifies_beyond_default_eps(tmp_path, capsys):
     assert "PASS  reports-passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps", ["inf", "1e300"])
+def test_main_epi_check_names_an_eps_the_sampler_cannot_meet(tmp_path, capsys,
+                                                              eps):
+    # Proposals scaled by such an eps have no finite distance to test, so
+    # the sampler keeps none of them and says so.
+    code = main(["epi-check", "--eps", eps, "--trials", "2",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert ("error: epi-check run failed: rejection sampling kept 0 of 2 "
+            f"traces within eps={float(eps):g} from 100 proposals") in err
+    assert "Traceback" not in err
+
+
 def test_main_epi_check_eps_bounds_the_trace_distance(tmp_path, capsys,
                                                       monkeypatch):
     def at_distance(p, basis, m, count, rng, eps):

@@ -14,6 +14,7 @@ from thinepi.epiperimetric import (EPS, adapted_half_basis,
                                    sample_positive_traces, solve_alpha,
                                    verify_epi)
 from thinepi.grids import build_grid
+from thinepi.polynomials import Polynomial
 from thinepi.profiles import halfspace_2d, make_profile
 from thinepi.spectral import eigenbasis, lambda_of, mode_count_ell
 from thinepi.traces import (SphericalTrace, TraceBatch, TraceColumns,
@@ -78,21 +79,43 @@ def _negative(c, p, m, basis):
 # Basis selection
 # ---------------------------------------------------------------------------
 
+def _assert_analytic_contact_basis(delta, basis, m, n):
+    """``choose_delta`` returned delta = 0.4, so Z_delta is the whole
+    equator, and the first mode of the analytic basis above the low block
+    has eigenvalue lambda(2m+2) exactly."""
+    assert delta == epiperimetric.DELTA == 0.4
+    assert basis.lambdas[mode_count_ell(n, m)] == lambda_of(2 * m + 2, n)
+    assert basis.equator_dn is not None
+
+
 def test_choose_delta_picks_top_of_ladder_with_full_mask(setup01, setup11, setup02):
     for (p, delta, basis, _), n, m in ((setup01, 1, 0), (setup11, 1, 1),
                                        (setup02, 2, 0)):
-        assert delta == 0.4
-        ell = mode_count_ell(n, m)
-        floor = lambda_of(2 * m + 2, n) - 1.0
-        assert np.min(basis.lambdas[ell:]) >= floor - 1e-9
+        _assert_analytic_contact_basis(delta, basis, m, n)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (26, 1), (1, 2), (5, 2)])
+def test_choose_delta_gives_the_analytic_basis_on_the_cli_grids(m, n):
+    # More of the profiles epi-check builds, on its grids.
+    grid = build_grid(1, 4096) if n == 1 else build_grid(2, 48, kind="latlong")
+    _assert_analytic_contact_basis(*choose_delta(make_profile(m, n), grid, m),
+                                   m, n)
 
 
 def test_choose_delta_fails_when_no_ladder_entry_works(circle, monkeypatch):
-    p = make_profile(0, 1)   # slope yields contact threshold ~0.564
-    monkeypatch.setattr(epiperimetric, "DELTA_LADDER", (0.60,))
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="ladder"):
-            choose_delta(p, circle, 0)
+    p = make_profile(0, 1)   # normalized slope factor 1/sqrt(pi) ~ 0.564
+    monkeypatch.setattr(epiperimetric, "DELTA", 0.6)
+    with pytest.raises(ValueError, match="Z_delta at delta=0.6 holds 0 of "
+                                         "the 2 equator nodes"):
+        choose_delta(p, circle, 0)
+
+
+def test_choose_delta_refuses_a_partial_contact_set(latlong):
+    # The slope factor x1^2 falls below delta near x1 = 0 on the equator.
+    p = make_profile(1, 2, Polynomial.monomial(2, (2, 0)))
+    with pytest.raises(ValueError, match=r"Z_delta at delta=0.4 holds 66 of "
+                                         r"the 96 equator nodes"):
+        choose_delta(p, latlong, 1)
 
 
 def test_adapted_half_basis_last_mode_is_profile_trace(setup01, setup11, setup02):
@@ -144,8 +167,7 @@ def test_decomposition_invariants(setup01):
         assert recon <= 1e-8
         moments = basis.mass_rows(nu.size) @ (c.values - p_part.values)
         assert np.max(np.abs(moments)) <= 1e-8
-        if basis.mask.size:
-            assert np.max(np.abs(remainder.values[basis.mask])) <= 1e-12
+        assert np.max(np.abs(remainder.values[basis.grid.equator])) <= 1e-12
         # idempotence: decomposing P + phi returns the same coefficients
         again_nu, again_phi, _, _ = _decompose(p_part + remainder, p, basis,
                                                half)
@@ -294,7 +316,8 @@ def test_batch_names_the_inadmissible_trial(setup01):
 
 def _nodal_sample(cls, offset, basis, count, eps, propose):
     """Reference sampler: one proposal at a time, both tests on the
-    reconstructed node values."""
+    reconstructed node values, the thin-set test too, which the batch
+    sampler leaves out."""
     grid = offset.grid
     out = []
     for _ in range(50 * count):
@@ -309,7 +332,7 @@ def _nodal_sample(cls, offset, basis, count, eps, propose):
                 and np.sqrt(grid.inner(diff, diff)) <= eps):
             out.append(coeffs)
     if len(out) < count:
-        raise RuntimeError("rejection sampling failed to produce traces")
+        raise ValueError("rejection sampling failed to produce traces")
     return cls(offset, basis, np.array(out))
 
 
@@ -335,11 +358,10 @@ def test_sampler_matches_nodal_reference(case, sampler, m, request,
 
 
 def test_sampler_rejects_as_the_nodal_reference(monkeypatch):
-    # An unconstrained basis moves the profile's contact node, and the
-    # proposals straddle eps, so both tests reject proposals here.
+    # The proposals straddle eps, so the distance test rejects some here.
     circle = build_grid(1, 1024)
     p = make_profile(0, 1)
-    basis = eigenbasis(circle, [], 8)
+    basis = eigenbasis(circle, 8)
     offset = trace_from_profile(p, circle)
 
     def draw(rng):
@@ -356,8 +378,7 @@ def test_sampler_rejects_as_the_nodal_reference(monkeypatch):
                               draw(ref_rng))
     assert np.array_equal(batch.coeffs, reference.coeffs)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    values = batch.values()
-    assert np.min(values[:, circle.equator]) >= -1e-12
+    assert np.all(batch.values()[:, circle.equator] == 0.0)
     assert (np.linalg.norm(batch.coeffs, axis=1) > 0.98 * EPS).any()
 
 
@@ -369,7 +390,8 @@ def test_sampler_gives_up_after_fifty_proposals_per_trace(setup01):
         calls.append(None)
         return None
 
-    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+    with pytest.raises(ValueError, match="kept 0 of 7 traces within eps=0.1 "
+                                         "from 350 proposals"):
         TraceBatch.sample(trace_from_profile(p, basis.grid), basis, 7, EPS,
                           propose)
     assert len(calls) == 50 * 7

@@ -140,9 +140,7 @@ def test_zero_set_circle():
     # T = 1/sqrt(pi) ~ 0.564 >= 0.3 at both points
     assert np.array_equal(zero_set(p, 0.3, grid), np.sort(grid.equator))
     assert np.array_equal(zero_set(p, 0.0, grid), np.sort(grid.equator))
-    with pytest.warns(UserWarning):
-        empty = zero_set(p, 0.6, grid)
-    assert empty.size == 0
+    assert zero_set(p, 0.6, grid).size == 0
 
 
 def test_zero_set_monotone_in_delta_s2():

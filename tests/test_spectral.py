@@ -1,4 +1,4 @@
-"""Eigenbases: analytic formulas, discrete convergence, masking, caching."""
+"""Eigenbases: analytic formulas, discrete convergence, sectors, caching."""
 
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ def test_oddlift_polys_are_harmonic():
 
 def test_discrete_circle_full_mask_matches_sin_spectrum(tmp_path):
     grid = build_grid(1, 256)
-    basis = eigenbasis(grid, grid.equator, 4, cache_dir=tmp_path)
+    basis = eigenbasis(grid, 4, cache_dir=tmp_path)
     h = 2 * np.pi / grid.size
     for j, lam in enumerate(basis.lambdas, start=1):
         # second-order accurate: relative error about (j h)^2 / 12
@@ -100,28 +100,11 @@ def test_discrete_circle_second_order_convergence(tmp_path):
     errs = []
     for res in (64, 128, 256):
         grid = build_grid(1, res)
-        basis = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+        basis = eigenbasis(grid, 3, cache_dir=tmp_path)
         errs.append(np.max(np.abs(basis.lambdas - np.array([1.0, 4.0, 9.0]))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] > 3.0  # second order: ratio about 4
     assert errs[1] / errs[2] > 3.0
-
-
-def test_discrete_empty_mask_has_constant_mode(tmp_path):
-    grid = build_grid(1, 128)
-    basis = eigenbasis(grid, [], 3, cache_dir=tmp_path)
-    assert basis.lambdas[0] == 0.0
-    const = basis.values[:, 0]
-    assert np.max(np.abs(const - const[0])) < 1e-10
-
-
-def test_mask_monotonicity_of_eigenvalues(tmp_path):
-    grid = build_grid(1, 128)
-    lam_empty = eigenbasis(grid, [], 3, cache_dir=tmp_path).lambdas
-    lam_half = eigenbasis(grid, [0], 3, cache_dir=tmp_path).lambdas
-    lam_full = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path).lambdas
-    assert np.all(lam_half >= lam_empty - 1e-12)
-    assert np.all(lam_full >= lam_half - 1e-12)
 
 
 def test_discrete_tri_sphere_spectrum(tmp_path):
@@ -129,7 +112,7 @@ def test_discrete_tri_sphere_spectrum(tmp_path):
     rels = []
     for res in (32, 64):
         grid = build_grid(2, res)
-        basis = eigenbasis(grid, grid.equator, 6, cache_dir=tmp_path)
+        basis = eigenbasis(grid, 6, cache_dir=tmp_path)
         rels.append(np.max(np.abs(basis.lambdas - expect) / expect))
     assert rels[1] < 0.02
     assert rels[0] / rels[1] > 3.0  # second-order convergence
@@ -137,34 +120,26 @@ def test_discrete_tri_sphere_spectrum(tmp_path):
     assert np.all(basis.values[grid.equator, :] == 0.0)
     for k in range(basis.count):
         assert np.array_equal(basis.values[:, k], basis.values[grid.reflect, k])
-    # Unconstrained even functions: constant, then a lambda=2 pair (x and y;
-    # the third degree-1 harmonic z is odd), then lambda=6.
-    free = eigenbasis(grid, [], 4, cache_dir=tmp_path)
-    assert free.lambdas[0] == 0.0
-    assert np.max(np.abs(free.lambdas[1:3] - 2.0)) < 0.02
-    assert abs(free.lambdas[3] - 6.0) < 0.1
 
 
 def test_iterative_eigenbasis_repeats_bit_for_bit(tmp_path):
     # ARPACK solves every size from a fixed start vector, so a fresh solve
-    # repeats its bytes.  With the whole equator masked both grids split
-    # into mirror sectors, and the degenerate lambda ~ 6 pair comes from
-    # two sectors, one mode each, on a small grid as on a large one.
+    # repeats its bytes.  Both grids split into mirror sectors, and the
+    # degenerate lambda ~ 6 pair comes from two sectors, one mode each, on a
+    # small grid as on a large one.
     for res in (64, 256):
         grid = build_grid(2, res)
-        a = eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path / f"a{res}")
-        b = eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path / f"b{res}")
+        a = eigenbasis(grid, 8, cache_dir=tmp_path / f"a{res}")
+        b = eigenbasis(grid, 8, cache_dir=tmp_path / f"b{res}")
         assert np.array_equal(a.lambdas, b.lambdas)
         assert np.array_equal(a.values, b.values)
 
 
 @pytest.fixture(scope="module")
 def sphere256(tmp_path_factory):
-    """The 8-mode basis of ``spectral --n 2``: resolution 256, the whole
-    equator masked."""
+    """The 8-mode basis of ``spectral --n 2``: resolution 256."""
     grid = build_grid(2, 256)
-    return eigenbasis(grid, grid.equator, 8,
-                      cache_dir=tmp_path_factory.mktemp("sphere256"))
+    return eigenbasis(grid, 8, cache_dir=tmp_path_factory.mktemp("sphere256"))
 
 
 def test_eigenbasis_holds_both_copies_of_a_double_eigenvalue(sphere256):
@@ -191,6 +166,13 @@ def test_sector_modes_are_even_or_odd_under_each_mirror(sphere256):
             assert min(even, odd) < 1e-12, (axis, k, even, odd)
 
 
+def test_mirror_refuses_an_asymmetric_point_set():
+    points = np.array([[0.6, 0.8, 0.0], [-0.6, 0.8, 0.0], [0.8, 0.6, 0.0]])
+    assert np.array_equal(spectral._mirror(points[:2], 0), [1, 0])
+    with pytest.raises(ValueError, match="not symmetric under x0 -> -x0"):
+        spectral._mirror(points, 0)
+
+
 def _solves(monkeypatch):
     """A list that records the size of every ARPACK solve."""
     import scipy.sparse.linalg as spla
@@ -209,32 +191,28 @@ def test_sectors_only_for_mirror_invariant_masks_and_large_sectors(
         tmp_path, monkeypatch):
     sizes = _solves(monkeypatch)
     grid = build_grid(2, 64)
-    eigenbasis(grid, grid.equator, 8, cache_dir=tmp_path)
+    eigenbasis(grid, 8, cache_dir=tmp_path)
     assert sizes == [136, 120, 120, 105]   # 481 unknowns in four sectors
-    # No mirror sends the first third of the equator to itself.
-    sizes.clear()
-    third = grid.equator[: grid.equator.size // 3]
-    eigenbasis(grid, third, 8, cache_dir=tmp_path)
-    assert sizes == [545 - third.size]
     # At resolution 16 a sector would have at most 3 unknowns.
     sizes.clear()
     small = build_grid(2, 16)
-    eigenbasis(small, small.equator, 3, cache_dir=tmp_path)
+    eigenbasis(small, 3, cache_dir=tmp_path)
     assert sizes == [25]
     # The circle has one block.
     sizes.clear()
     circle = build_grid(1, 64)
-    eigenbasis(circle, [], 3, cache_dir=tmp_path)
-    assert sizes == [33]
+    eigenbasis(circle, 3, cache_dir=tmp_path)
+    assert sizes == [31]
 
 
 def test_eigenbasis_needs_fewer_modes_than_unknowns(tmp_path):
-    # The circle at resolution 16 reduces to 9 unknowns; ARPACK finds at
-    # most 8 modes, and a count of 9 is refused by name before any solve.
+    # The circle at resolution 16 reduces to 9 nodes, 7 of them off the
+    # equator; ARPACK finds at most 6 modes, and a count of 7 is refused by
+    # name before any solve.
     grid = build_grid(1, 16)
-    assert eigenbasis(grid, [], 8, cache_dir=tmp_path).count == 8
-    with pytest.raises(ValueError, match="requested 9 modes but only 9"):
-        eigenbasis(grid, [], 9, cache_dir=tmp_path)
+    assert eigenbasis(grid, 6, cache_dir=tmp_path).count == 6
+    with pytest.raises(ValueError, match="requested 7 modes but only 7"):
+        eigenbasis(grid, 7, cache_dir=tmp_path)
 
 
 def _tri_operator_reference(grid, rep, red_index):
@@ -329,25 +307,23 @@ def test_mass_rows_are_weighted_mode_rows(grid):
 
 def test_eigenbasis_validations(tmp_path):
     grid = build_grid(1, 64)
-    with pytest.raises(ValueError):
-        eigenbasis(grid, [3], 2, cache_dir=tmp_path)  # node 3 is not on the equator
-    with pytest.raises(ValueError):
-        eigenbasis(grid, grid.equator, 1000, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="unknowns remain"):
+        eigenbasis(grid, 1000, cache_dir=tmp_path)
 
 
 def test_cache_roundtrip(tmp_path):
     grid = build_grid(1, 64)
-    a = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+    a = eigenbasis(grid, 3, cache_dir=tmp_path)
     files = list((tmp_path / "eigenbases").glob("*.npz"))
     assert len(files) == 1
-    b = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+    b = eigenbasis(grid, 3, cache_dir=tmp_path)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.lambdas, b.lambdas)
 
 
 def test_cache_hit_builds_no_operator(tmp_path, monkeypatch):
     grids = (build_grid(1, 64), build_grid(2, 16))
-    stored = [eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+    stored = [eigenbasis(grid, 3, cache_dir=tmp_path)
               for grid in grids]
 
     def no_build(*args):
@@ -355,32 +331,32 @@ def test_cache_hit_builds_no_operator(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spectral, "_reduced_operator", no_build)
     for grid, a in zip(grids, stored):
-        b = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+        b = eigenbasis(grid, 3, cache_dir=tmp_path)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.lambdas, b.lambdas)
         # the size check still comes first, from the index maps alone
         with pytest.raises(ValueError, match="unknowns remain"):
-            eigenbasis(grid, grid.equator, 1000, cache_dir=tmp_path)
+            eigenbasis(grid, 1000, cache_dir=tmp_path)
 
 
 def test_cache_recomputes_wrong_or_unreadable_file(tmp_path):
     grid = build_grid(1, 64)
-    right = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+    right = eigenbasis(grid, 3, cache_dir=tmp_path)
     [path] = (tmp_path / "eigenbases").glob("*.npz")
-    eigenbasis(grid, [], 3, cache_dir=tmp_path)
+    eigenbasis(grid, 4, cache_dir=tmp_path)
     [other] = set((tmp_path / "eigenbases").glob("*.npz")) - {path}
-    # a basis for another mask, then garbage, planted at the key
+    # a basis of another mode count, then garbage, planted at the key
     for planted in (other.read_bytes(), b"not an npz file"):
         path.write_bytes(planted)
-        back = eigenbasis(grid, grid.equator, 3, cache_dir=tmp_path)
+        back = eigenbasis(grid, 3, cache_dir=tmp_path)
         assert np.array_equal(back.values, right.values)
         assert np.array_equal(back.lambdas, right.lambdas)
         with np.load(path) as stored:
-            assert np.array_equal(stored["mask"], right.mask)
+            assert np.array_equal(stored["values"], right.values)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("THIN_EPI_CACHE", str(tmp_path))
     grid = build_grid(1, 64)
-    eigenbasis(grid, [], 2)
+    eigenbasis(grid, 2)
     assert list((tmp_path / "eigenbases").glob("*.npz"))

@@ -88,7 +88,7 @@ def test_gradient_gram_matches_pairwise_products(kind, tmp_path):
         grads = basis.grads
     else:
         grid = build_grid(2, 32)
-        basis = eigenbasis(grid, grid.equator, 6, cache_dir=tmp_path)
+        basis = eigenbasis(grid, 6, cache_dir=tmp_path)
         grads = [None] * basis.count
     grid = basis.grid
     traces = [SphericalTrace(grid, v, grad=g) for v, g in zip(basis.values.T, grads)]

@@ -134,7 +134,7 @@ def test_discrete_n2_routes_agree_and_improve(tmp_path):
     worsts = []
     for res in (128, 256):
         g = build_grid(2, res)
-        basis = eigenbasis(g, g.equator, 6, cache_dir=tmp_path)
+        basis = eigenbasis(g, 6, cache_dir=tmp_path)
         worst = 0.0
         for _ in range(10):
             c = rng.standard_normal(6)
