@@ -20,8 +20,10 @@ Two competitors for the mu-homogeneous extension z = r^mu c are built:
   equals |W(z)|, giving the strengthened decay
   W(zeta) <= (1 + |W(z)|) W(z).
 
-A run's trials are certified as one batch (``TraceBatch``); ``verify_epi``
-certifies one trace through the same code.
+A run's trials are certified as one batch (``TraceBatch``) from their
+coefficient rows over a few node columns, reduced once per batch, with no
+(trials x nodes) block; ``verify_epi`` certifies one trace through the
+same code.
 
 The module also houses the small-|t| sign-contradiction arithmetic that
 rules out homogeneities near 2m+1.
@@ -131,26 +133,34 @@ def _raise_at(bad: np.ndarray, message) -> None:
         raise ValueError(f"trial {t}: {message(t)}")
 
 
-def _admissibility(batch: TraceBatch, p: BlowupProfile, eps: float):
-    """The batch's (T, N) block of node values and its admissibility flags,
-    one per trace; raises ValueError naming the first trial that fails any."""
-    grid = batch.basis.grid
-    values = batch.values()
-    dev = np.take(values, grid.reflect, axis=1)
-    np.subtract(dev, values, out=dev)
+def _norms(columns: np.ndarray, rows: np.ndarray, weights: np.ndarray):
+    """Quadrature L2 norms of the functions ``columns @ row``, one per row,
+    through the R factor of the weighted columns: no node values are formed
+    and no square cancels."""
+    factor = np.linalg.qr(np.sqrt(weights)[:, None] * columns, mode="r")
+    return np.linalg.norm(rows @ factor.T, axis=1)
+
+
+def _admissibility(basis: EigenBasis, columns: np.ndarray, rows: np.ndarray,
+                   p: BlowupProfile, eps: float) -> dict:
+    """Admissibility flags of the traces ``columns @ row`` (column 0 is the
+    offset), one per row; a trace is even when sum_j |row_j| times column
+    j's largest mirror difference is.  Raises ValueError naming the first
+    trial that fails any."""
+    grid = basis.grid
+    mirror = np.max(np.abs(columns[grid.reflect] - columns), axis=0)
+    on_equator = rows @ columns[grid.equator].T
+    away = np.column_stack([columns[:, 0] - p.trace_on(grid), columns[:, 1:]])
     flags = {
-        "even": np.max(np.abs(dev, out=dev), axis=1) <= 1e-10,
-        "nonneg_thin_set": np.min(values[:, grid.equator], axis=1) >= -1e-10,
-        "vanishes_on_equator":
-            np.max(np.abs(values[:, grid.equator]), axis=1) <= 1e-10,
+        "even": np.abs(rows) @ mirror <= 1e-10,
+        "nonneg_thin_set": np.min(on_equator, axis=1) >= -1e-10,
+        "vanishes_on_equator": np.max(np.abs(on_equator), axis=1) <= 1e-10,
+        "within_eps": _norms(away, rows, grid.weights) <= eps * (1 + 1e-8),
     }
-    np.subtract(values, p.trace_on(grid), out=dev)
-    flags["within_eps"] = (np.sqrt(np.square(dev, out=dev) @ grid.weights)
-                           <= eps * (1 + 1e-8))
     failed = ~np.all(list(flags.values()), axis=0)
     _raise_at(failed, lambda t: "trace fails admissibility checks: "
               f"{[k for k, ok in flags.items() if not ok[t]]}")
-    return values, flags
+    return flags
 
 
 def _per_trial(report, flags: dict, **fields) -> list:
@@ -165,14 +175,18 @@ def _per_trial(report, flags: dict, **fields) -> list:
             for t in range(count)]
 
 
-def _expand(block: np.ndarray, basis: EigenBasis):
-    """``basis.expand(block)``, raising ValueError naming the first trial
-    the basis cannot represent."""
-    coeffs, recon = basis.expand(block)
+def _expand(basis: EigenBasis, columns: np.ndarray, projections: np.ndarray,
+            rows: np.ndarray):
+    """Coefficients A @ row of the functions X @ row, one per row, from the
+    projections A = basis.mass_rows(count) @ X of the columns X, and their
+    re-expansion errors from the residuals X - basis @ A; raises ValueError
+    naming the first trial that the basis cannot represent."""
+    recon = _norms(columns - basis.values @ projections, rows,
+                   basis.grid.weights)
     _raise_at(recon > 1e-8, lambda t: (
         f"not representable in the constrained basis (residual "
         f"{recon[t]:.3e}); enlarge the basis or refine the trace"))
-    return coeffs, recon
+    return rows @ projections.T, recon
 
 
 def _decompose(batch: TraceBatch, p: BlowupProfile, half_basis: EigenBasis,
@@ -181,20 +195,25 @@ def _decompose(batch: TraceBatch, p: BlowupProfile, half_basis: EigenBasis,
     nu solves M nu = b, M_ij = <half_j, constrained_i>, b_i = <c,
     constrained_i> over the first ell constrained modes, so phi = c - P has
     no moments against them; phi is re-expanded in the constrained basis.
-    Returns nu (T, ell), phi's coefficients (T, count), the condition of M,
-    the flags and the reconstruction errors."""
+    Over [offset | half | basis] a trace is the row [1, 0, coeffs] and phi
+    is [1, -nu, coeffs].  Returns nu (T, ell), phi's coefficients
+    (T, count), the condition of M, the flags and the reconstruction
+    errors."""
     basis = batch.basis
     ell = mode_count_ell(basis.grid.n, p.m)
-    values, flags = _admissibility(batch, p, eps)
-    mass = basis.mass_rows(ell)
-    moment = mass @ half_basis.values[:, :ell]
+    columns = np.column_stack([batch.offset.values,
+                               half_basis.values[:, :ell], basis.values])
+    rows = np.insert(batch.rows(), [1] * ell, 0.0, axis=1)
+    flags = _admissibility(basis, columns, rows, p, eps)
+    projections = basis.mass_rows(basis.count) @ columns
+    moment = projections[:ell, 1:ell + 1]
     cond = float(np.linalg.cond(moment))
     if cond > cond_threshold:
         raise ValueError(f"moment matrix condition {cond:.3e} exceeds "
                          f"{cond_threshold:.1e}")
-    nu = np.linalg.solve(moment, mass @ values.T).T
-    values -= nu @ half_basis.values[:, :ell].T
-    phi, recon = _expand(values, basis)
+    nu = np.linalg.solve(moment, projections[:ell] @ rows.T).T
+    rows[:, 1:ell + 1] = -nu
+    phi, recon = _expand(basis, columns, projections, rows)
     return nu, phi, cond, flags, recon
 
 
@@ -325,8 +344,10 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
     n = basis.grid.n
     mu = float(2 * m + 1)
     ell = mode_count_ell(n, m)
-    values, flags = _admissibility(batch, p, eps)
-    coeffs, _ = _expand(values, basis)
+    columns, rows = batch.columns(), batch.rows()
+    flags = _admissibility(basis, columns.values, rows, p, eps)
+    coeffs, _ = _expand(basis, columns.values,
+                        basis.mass_rows(basis.count) @ columns.values, rows)
     w_z = weiss_spectral(coeffs, basis, mu)
     _raise_at(~(w_z < 0.0), lambda t: f"W(z) = {w_z[t]:.3e} is not negative")
     absw = -w_z
@@ -335,15 +356,14 @@ def certify_negative(batch: TraceBatch, p: BlowupProfile, m: int,
 
     top = np.arange(basis.count) == ell - 1
     h, phi = coeffs * top, coeffs * ~top
-    columns = batch.columns()
     h_rows, phi_rows = (np.column_stack([np.zeros(len(batch)), x])
                         for x in (h, phi))
     cross = beta_rows(h, basis, phi, basis.values, mu) / (n + alpha + mu - 1.0)
     w_zeta = (weiss_spectral(h, basis, mu)
               + weiss_raised(phi, basis, mu, alpha).value + 2.0 * cross)
     w_zeta_quad = weiss_rows(columns, mu, [(mu, h_rows), (alpha, phi_rows)])
-    w_z_quad = weiss_rows(columns, mu, [(mu, batch.rows())])
-    sign = bilinear_rows(columns, mu, (mu, h_rows), (mu, batch.rows()))
+    w_z_quad = weiss_rows(columns, mu, [(mu, rows)])
+    sign = bilinear_rows(columns, mu, (mu, h_rows), (mu, rows))
     bound = (1.0 + absw) * w_z
     return _per_trial(
         NegativeEpiReport, flags, mu=mu, alpha=alpha, kappa=absw, w_z=w_z,

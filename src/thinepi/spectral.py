@@ -101,14 +101,6 @@ class EigenBasis:
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return self.values @ np.asarray(coeffs, dtype=float)
 
-    def expand(self, block: np.ndarray):
-        """Coefficient rows of a (T, N) block of node values, one row per
-        function, and the L2 error of re-expanding each; overwrites the
-        block with the squared re-expansion residuals."""
-        coeffs = block @ self.mass_rows(self.count).T
-        block -= coeffs @ self.values.T
-        return coeffs, np.sqrt(np.square(block, out=block) @ self.grid.weights)
-
     def orthonormality_defect(self) -> float:
         gram = self.values.T @ (self.grid.weights[:, None] * self.values)
         return float(np.max(np.abs(gram - np.eye(self.count))))

@@ -244,7 +244,8 @@ class TraceBatch:
             if not block:
                 continue
             block = np.array(block)
-            keep = np.sqrt(np.sum((block @ gram) * block, axis=1)) <= eps
+            with np.errstate(over="ignore"):    # an overflow is outside eps
+                keep = np.sqrt(np.sum((block @ gram) * block, axis=1)) <= eps
             out.extend(block[keep])
         if len(out) < count:
             raise ValueError(
@@ -254,12 +255,6 @@ class TraceBatch:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def values(self) -> np.ndarray:
-        """Node values, one row per trace: a fresh (T, N) block."""
-        block = self.coeffs @ self.basis.values.T
-        block += self.offset.values
-        return block
 
     def columns(self) -> TraceColumns:
         """[offset | basis] columns, over which the traces are the rows

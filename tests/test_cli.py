@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -670,18 +671,38 @@ def test_main_epi_check_certifies_beyond_default_eps(tmp_path, capsys):
     assert "PASS  reports-passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("eps", ["inf", "1e300"])
+@pytest.mark.parametrize("eps", ["1e300"])
 def test_main_epi_check_names_an_eps_the_sampler_cannot_meet(tmp_path, capsys,
                                                               eps):
     # Proposals scaled by such an eps have no finite distance to test, so
-    # the sampler keeps none of them and says so.
-    code = main(["epi-check", "--eps", eps, "--trials", "2",
-                 "--out", str(tmp_path)])
+    # the sampler keeps none of them and says so, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["epi-check", "--eps", eps, "--trials", "2",
+                     "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert ("error: epi-check run failed: rejection sampling kept 0 of 2 "
             f"traces within eps={float(eps):g} from 100 proposals") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_main_epi_check_refuses_a_non_finite_eps(tmp_path, capsys,
+                                                 monkeypatch, eps):
+    def no_basis(*args, **kwargs):
+        raise RuntimeError("--eps is checked after the basis work")
+
+    monkeypatch.setattr(thinepi.cli, "choose_delta", no_basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["epi-check", "--eps", eps, "--trials", "2",
+                     "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ("error: epi-check run failed: --eps must be positive and finite, "
+            f"got {eps}") in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 def test_main_epi_check_eps_bounds_the_trace_distance(tmp_path, capsys,
@@ -703,21 +724,24 @@ def test_main_epi_check_eps_bounds_the_trace_distance(tmp_path, capsys,
 
 
 def test_epi_check_batch_memory(tmp_path):
-    # One (T, N) block of trace values at a time: at n = 2, 200 trials and
-    # resolution 48 (N = 4704) a block is 7.2 MiB.  The batch peaks at about
-    # 17.7 MiB of traced allocation; certifying trace by trace with
-    # per-trace (N, 3) gradients peaked at 32.0 MiB, and a stacked
-    # (T, N, 3) gradient array alone would add 21.5 MiB.
-    config = _config("epi-check", tmp_path, n=2, trials=200)
-    config.cache_dir = str(tmp_path / "cache")
-    config.params = config.validate()     # pipelines read resolved params
-    tracemalloc.start()
-    try:
-        _run_epi(config, tmp_path, {})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
+    # No (T, N) block of trace values: at n = 2 and resolution 48
+    # (N = 4704) one such block is 7.2 MiB at 200 trials and 72 MiB at
+    # 2,000.  The trials are certified from their coefficient rows over a
+    # few (N, k) columns, so the peak traced allocation barely grows with
+    # the trial count; a stacked (T, N, 3) gradient array alone would add
+    # 21.5 MiB at 200 trials.
+    for trials in (200, 2000):
+        config = _config("epi-check", tmp_path, n=2, trials=trials)
+        config.cache_dir = str(tmp_path / "cache")
+        config.params = config.validate()  # pipelines read resolved params
+        tracemalloc.start()
+        try:
+            _run_epi(config, tmp_path, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (f"{trials} trials: peak traced "
+                                    f"allocation {peak / 2 ** 20:.1f} MiB")
 
 
 def _digests_per_blas_threads(tmp_path, argv, name):

@@ -75,6 +75,41 @@ def _negative(c, p, m, basis):
     return certify_negative(TraceBatch.of_trace(c, basis), p, m, EPS)[0]
 
 
+def _node_values(batch):
+    """The (T, N) block of a batch's node values, one row per trace."""
+    return batch.coeffs @ batch.basis.values.T + batch.offset.values
+
+
+def _node_reference(batch, p, half=None):
+    """The certificates' per-trial numbers read off every node of every
+    trace: the admissibility flags, nu (given the half basis), and the
+    coefficients and L2 error of re-expanding c - P (or c)."""
+    basis, grid = batch.basis, batch.basis.grid
+    values = _node_values(batch)
+    mirror = np.max(np.abs(values[:, grid.reflect] - values), axis=1)
+    equator = values[:, grid.equator]
+    distance = np.sqrt(np.square(values - p.trace_on(grid)) @ grid.weights)
+    flags = {"even": mirror <= 1e-10,
+             "nonneg_thin_set": np.min(equator, axis=1) >= -1e-10,
+             "vanishes_on_equator": np.max(np.abs(equator), axis=1) <= 1e-10,
+             "within_eps": distance <= EPS * (1 + 1e-8)}
+    nu = None
+    if half is not None:
+        ell = mode_count_ell(grid.n, p.m)
+        mass = basis.mass_rows(ell)
+        nu = np.linalg.solve(mass @ half.values[:, :ell], mass @ values.T).T
+        values = values - nu @ half.values[:, :ell].T
+    coeffs = values @ basis.mass_rows(basis.count).T
+    residual = values - coeffs @ basis.values.T
+    return flags, nu, coeffs, np.sqrt(np.square(residual) @ grid.weights)
+
+
+def _assert_close(got, want):
+    """Equal to 1e-13 relative to the largest entry of ``want``."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # Basis selection
 # ---------------------------------------------------------------------------
@@ -214,7 +249,7 @@ def test_admissibility_checked_once_per_certificate(monkeypatch, setup01, setup1
         checked.clear()
         rep = verify_epi(c, p, delta, 0, basis_delta=basis, half_basis=half)
         assert len(checked) == 1
-        _, flags = real(TraceBatch.of_trace(c, basis), p, EPS)
+        flags = _node_reference(TraceBatch.of_trace(c, basis), p)[0]
         assert rep.flags == batch_rep.flags == {k: bool(v[0])
                                                 for k, v in flags.items()}
     p, delta, basis, _ = setup11
@@ -229,6 +264,79 @@ def test_decompose_condition_threshold(setup01):
     c = trace_from_profile(p, basis.grid)
     with pytest.raises(ValueError, match="condition"):
         _decompose(c, p, basis, half, cond_threshold=0.5)
+
+
+def _coefficient_rows(batch, p, half):
+    """The flags, nu, coefficients and re-expansion errors as the
+    certificates compute them from the batch's coefficient rows."""
+    if half is not None:
+        nu, coeffs, _, flags, recon = epiperimetric._decompose(
+            batch, p, half, EPS, epiperimetric.COND_THRESHOLD)
+        return flags, nu, coeffs, recon
+    basis, columns, rows = batch.basis, batch.columns().values, batch.rows()
+    flags = epiperimetric._admissibility(basis, columns, rows, p, EPS)
+    coeffs, recon = epiperimetric._expand(
+        basis, columns, basis.mass_rows(basis.count) @ columns, rows)
+    return flags, None, coeffs, recon
+
+
+@pytest.mark.parametrize("case, m, sampler", [
+    ("setup01", 0, sample_positive_traces),
+    ("setup11", 1, sample_positive_traces),
+    ("setup02", 0, sample_positive_traces),
+    ("setup11", 1, sample_negative_traces),
+    ("setup21", 2, sample_negative_traces),
+])
+def test_coefficient_rows_match_the_node_reference(case, m, sampler, request):
+    p, _, basis, half = request.getfixturevalue(case)
+    if sampler is sample_negative_traces:
+        half = None
+    batch = sampler(p, basis, m, 200, np.random.default_rng(46))
+    flags, nu, coeffs, recon = _coefficient_rows(batch, p, half)
+    ref_flags, ref_nu, ref_coeffs, ref_recon = _node_reference(batch, p, half)
+    assert {k: v.tolist() for k, v in flags.items()} == \
+        {k: v.tolist() for k, v in ref_flags.items()}
+    if half is not None:
+        _assert_close(nu, ref_nu)
+    _assert_close(coeffs, ref_coeffs)
+    assert np.max(np.abs(recon - ref_recon)) <= 1e-12
+
+
+def test_one_trace_with_a_residual_matches_the_node_reference(setup01):
+    # A verify_epi trace off the basis by a 1e-10 sin(40 theta) bump: its
+    # re-expansion error is about 1.8e-10, not rounding.
+    p, _, basis, half = setup01
+    coeffs = np.zeros(basis.count)
+    coeffs[[1, 4]] = 0.05, -0.02
+    c = trace_from_profile(p, basis.grid) + trace_from_basis(basis, coeffs)
+    c.values += 1e-10 * np.sin(40.0 * basis.grid.theta_folded)
+    batch = TraceBatch.of_trace(c, basis)
+    flags, nu, phi, recon = _coefficient_rows(batch, p, half)
+    ref_flags, ref_nu, ref_phi, ref_recon = _node_reference(batch, p, half)
+    for name in ref_flags:
+        assert flags[name].tolist() == ref_flags[name].tolist() == [True]
+    _assert_close(nu, ref_nu)
+    _assert_close(phi, ref_phi)
+    assert recon[0] == pytest.approx(1e-10 * np.sqrt(np.pi), rel=1e-6)
+    assert abs(recon[0] - ref_recon[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("size, representable", [(1e-6, False),
+                                                 (1e-10, True)])
+def test_a_bump_off_the_basis_is_refused_by_its_size(setup01, size,
+                                                     representable):
+    # sin(40 theta) is orthogonal to the constrained basis (degree 11), so
+    # its re-expansion error is size * sqrt(pi), against the bound 1e-8.
+    p, delta, basis, half = setup01
+    c = trace_from_profile(p, basis.grid)
+    c.values = c.values + size * np.sin(40.0 * basis.grid.theta_folded)
+    if representable:
+        assert verify_epi(c, p, delta, 0, basis, half).passed
+    else:
+        with pytest.raises(ValueError, match=r"trial 0: not representable in "
+                                             r"the constrained basis "
+                                             r"\(residual 1.772e-06\)"):
+            verify_epi(c, p, delta, 0, basis, half)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +486,7 @@ def test_sampler_rejects_as_the_nodal_reference(monkeypatch):
                               draw(ref_rng))
     assert np.array_equal(batch.coeffs, reference.coeffs)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert np.all(batch.values()[:, circle.equator] == 0.0)
+    assert np.all(_node_values(batch)[:, circle.equator] == 0.0)
     assert (np.linalg.norm(batch.coeffs, axis=1) > 0.98 * EPS).any()
 
 
@@ -399,24 +507,29 @@ def test_sampler_gives_up_after_fifty_proposals_per_trace(setup01):
 
 @pytest.mark.parametrize("case", ["setup01", "setup02"])
 def test_admissibility_names_a_trial_broken_at_one_mirror_pair(case, request):
-    p, _, basis, _ = request.getfixturevalue(case)
+    # One node of one basis column moves by 1e-7, and only trial 3 uses
+    # that column (coefficient 0.01): its trace is uneven by 1e-9 at one
+    # mirror pair, which the node reference sees too.
+    p, _, basis, half = request.getfixturevalue(case)
     grid = basis.grid
     batch = sample_positive_traces(p, basis, 0, 5, np.random.default_rng(42))
+    assert all(np.all(ok) for ok in certify_positive(batch, p, 0, half, EPS)
+               [0].flags.values())
     node = int(np.flatnonzero(grid.nodes[:, -1] > 0.5)[0])
     assert grid.reflect[node] != node
-
-    class OneBrokenPair(TraceBatch):
-        def values(self):
-            block = super().values()
-            block[3, node] += 1e-9
-            return block
-
-    _, flags = epiperimetric._admissibility(batch, p, EPS)
-    assert all(np.all(ok) for ok in flags.values())
-    broken = OneBrokenPair(batch.offset, basis, batch.coeffs)
+    column = basis.count - 1
+    values = basis.values.copy()
+    values[node, column] += 1e-7
+    coeffs = batch.coeffs.copy()
+    coeffs[:, column] = 0.0
+    coeffs[3, column] = 0.01
+    broken = TraceBatch(batch.offset, dataclasses.replace(basis, values=values),
+                        coeffs)
+    flags = _node_reference(broken, p)[0]
+    assert flags["even"].tolist() == [True, True, True, False, True]
     with pytest.raises(ValueError, match=r"trial 3: trace fails admissibility "
                                          r"checks: \['even'\]"):
-        epiperimetric._admissibility(broken, p, EPS)
+        certify_positive(broken, p, 0, half, EPS)
 
 
 def _assert_report_types(report):
